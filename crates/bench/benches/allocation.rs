@@ -19,7 +19,7 @@ fn topo() -> Topology {
 /// oldest allocation, fragmenting the free set realistically.
 fn churn(strategy: AllocStrategy, rounds: usize) -> usize {
     let mut alloc = Allocator::new(1024, strategy, topo());
-    let mut live: Vec<Vec<epa_cluster::node::NodeId>> = Vec::new();
+    let mut live: Vec<epa_cluster::NodeSet> = Vec::new();
     let mut done = 0;
     for i in 0..rounds {
         if let Ok(nodes) = alloc.allocate(32) {

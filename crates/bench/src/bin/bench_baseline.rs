@@ -58,12 +58,19 @@ const SCALING_BOUND: f64 = 4.0;
 
 /// The sharded CI scaling bound: events/sec at 65,536 nodes on the
 /// 16-shard engine must be within this factor of the 256-node rate. A
-/// 256× machine runs 256×-larger jobs, so per-event node-state work
-/// (start/finish loops over the allocation) grows inherently; the bound
-/// bounds the measured ~35× curve with noise headroom (the 256-node
-/// row completes in under a millisecond, so its rate swings ~2×) — the pre-group
-/// meter walked every phase change too and sat far beyond it.
-const SHARDED_SCALING_BOUND: f64 = 48.0;
+/// 256× machine runs 256×-larger jobs; with span-native allocations the
+/// allocator, the start/finish bookkeeping and the meter cost O(spans)
+/// per job, so what still grows with width is bandwidth-bound slice work.
+/// Measured over 40 runs of this check on a 2-core x86-64 host: median
+/// 6.8×, worst 8.0× (the per-node engine measured ~35×, up to 45×); the
+/// bound is that worst case plus 50 % headroom.
+const SHARDED_SCALING_BOUND: f64 = 12.0;
+
+/// Best-of repetitions per `--check-scaling` row. The 256-node row runs
+/// in about a millisecond, so with two repetitions its rate (the
+/// denominator of both degradations) swung enough to move the sharded
+/// figure 5–21×; the minimum of seven is steady.
+const CHECK_REPS: usize = 7;
 
 /// The `shards` section's machine size and sweep axes.
 const SHARD_NODES: u32 = 16384;
@@ -594,8 +601,8 @@ fn snapshot_section() -> serde_json::Value {
 /// and the 16-shard engine at 65,536 nodes within
 /// `SHARDED_SCALING_BOUND`× of 256.
 fn check_scaling() -> bool {
-    let (wall_small, ev_small, _) = best_of_reps(256, 2);
-    let (wall_big, ev_big, _) = best_of_reps(4096, 2);
+    let (wall_small, ev_small, _) = best_of_reps(256, CHECK_REPS);
+    let (wall_big, ev_big, _) = best_of_reps(4096, CHECK_REPS);
     let rate_small = ev_small as f64 / wall_small.max(1e-12);
     let rate_big = ev_big as f64 / wall_big.max(1e-12);
     let degradation = rate_small / rate_big.max(1e-12);
@@ -606,7 +613,7 @@ fn check_scaling() -> bool {
     // Best-of like the serial rows: wall times are milliseconds, so a
     // single cold run is noise-dominated.
     let mut best_huge: Option<(f64, u64)> = None;
-    for _ in 0..2 {
+    for _ in 0..CHECK_REPS {
         let (w, e, _) = run_sharded_once(65536, 16);
         if best_huge.is_none_or(|b| w < b.0) {
             best_huge = Some((w, e));

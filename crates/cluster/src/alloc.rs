@@ -9,20 +9,22 @@
 //! mechanism Q6's rationale describes.
 //!
 //! The free set is stored as maximal runs of consecutive node ids
-//! (`start → len`) with a `(len, start)` mirror for best-fit, so
-//! allocation is O(log n + alloc size) and the per-node `BTreeSet` walks
-//! of the original implementation are gone: first-fit consumes run
+//! (`start → len`) with a `(len, start)` mirror for best-fit, and
+//! allocations travel as [`NodeSet`] runs, so allocate and release cost
+//! O(spans · log n) whatever the allocation size: first-fit consumes run
 //! prefixes, contiguous best-fit is one range query on the mirror, and
-//! release coalesces each node back into its neighbours in O(log n).
-//! Observable behaviour (which nodes each strategy picks, tie-breaks,
-//! error cases, drain semantics) is identical to the old set-based code —
-//! property-tested against a model of it below.
+//! release coalesces each span back into its neighbours. Busy nodes are
+//! not stored at all — a node is busy when it is neither free nor
+//! unavailable. Observable behaviour (which nodes each strategy picks,
+//! tie-breaks, error cases, drain semantics) is identical to the original
+//! per-node set-based code — property-tested against a model of it below.
 //!
 //! Invariant (property-tested): a node is never allocated to two jobs at
 //! once, and release returns exactly the allocated set.
 
 use crate::error::ClusterError;
 use crate::node::NodeId;
+use crate::nodeset::NodeSet;
 use crate::topology::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -50,11 +52,11 @@ pub struct Allocator {
     /// runs touch or overlap.
     free_runs: BTreeMap<u32, u32>,
     /// Mirror of `free_runs` keyed `(len, start)` — best-fit is one range
-    /// query instead of a scan.
+    /// query instead of a scan. Kept only under
+    /// [`AllocStrategy::Contiguous`], the one strategy that reads it; the
+    /// others would pay a second ordered-set update on every run change.
     runs_by_len: BTreeSet<(u32, u32)>,
     free_count: usize,
-    /// Dense busy flags indexed by node id.
-    busy: Vec<bool>,
     busy_count: usize,
     unavailable: BTreeSet<NodeId>,
     strategy: AllocStrategy,
@@ -70,7 +72,6 @@ impl Allocator {
             free_runs: BTreeMap::new(),
             runs_by_len: BTreeSet::new(),
             free_count: total as usize,
-            busy: vec![false; total as usize],
             busy_count: 0,
             unavailable: BTreeSet::new(),
             strategy,
@@ -124,7 +125,7 @@ impl Allocator {
     /// True if `node` is currently allocated.
     #[must_use]
     pub fn is_busy(&self, node: NodeId) -> bool {
-        self.busy.get(node.0 as usize).copied().unwrap_or(false)
+        node.0 < self.total && !self.is_free(node) && !self.unavailable.contains(&node)
     }
 
     /// Iterates over the free set in ascending order.
@@ -134,13 +135,10 @@ impl Allocator {
             .flat_map(|(&start, &len)| (start..start + len).map(NodeId))
     }
 
-    /// Iterates over the busy set in ascending order.
+    /// Iterates over the busy set in ascending order. O(n log n) — for
+    /// diagnostics and tests, not the scheduling path.
     pub fn busy_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.busy
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b)
-            .map(|(i, _)| NodeId(i as u32))
+        (0..self.total).map(NodeId).filter(|&n| self.is_busy(n))
     }
 
     /// The maximal free runs intersected with `[lo, hi)`, as
@@ -178,7 +176,7 @@ impl Allocator {
 
     // ---- snapshot -----------------------------------------------------
 
-    /// Encodes the allocator's dynamic state: free runs, busy flags, and
+    /// Encodes the allocator's dynamic state as spans: the free runs and
     /// the unavailable set. Strategy and topology are configuration and
     /// must be re-supplied at [`Allocator::restore_from`]; the `(len,
     /// start)` mirror and the counts are derived, so they are rebuilt
@@ -190,13 +188,14 @@ impl Allocator {
             w.u32(s);
             w.u32(l);
         });
-        w.seq(&self.busy, |w, &b| w.bool(b));
-        let unavailable: Vec<u32> = self.unavailable.iter().map(|n| n.0).collect();
-        w.seq(&unavailable, |w, &n| w.u32(n));
+        let unavailable: NodeSet = self.unavailable.iter().copied().collect();
+        unavailable.snapshot_into(w);
     }
 
     /// Decodes an allocator written by [`Allocator::snapshot_into`],
-    /// rebuilding the best-fit mirror and the free/busy counts.
+    /// rebuilding the best-fit mirror and the free/busy counts. Free runs
+    /// and the unavailable set must be canonical, in range and disjoint,
+    /// else the frame is [`SnapshotError::Corrupt`](epa_simcore::snap::SnapshotError::Corrupt).
     pub fn restore_from(
         r: &mut epa_simcore::snap::SnapReader<'_>,
         strategy: AllocStrategy,
@@ -204,39 +203,30 @@ impl Allocator {
     ) -> Result<Self, epa_simcore::snap::SnapshotError> {
         use epa_simcore::snap::SnapshotError;
         let total = r.u32()?;
-        let runs = r.seq(|r| Ok((r.u32()?, r.u32()?)))?;
-        let busy: Vec<bool> = r.seq(epa_simcore::snap::SnapReader::bool)?;
-        let unavailable: BTreeSet<NodeId> = r.seq(|r| Ok(NodeId(r.u32()?)))?.into_iter().collect();
-        if busy.len() != total as usize {
-            return Err(SnapshotError::Corrupt {
-                detail: format!("busy flags {} != total nodes {total}", busy.len()),
-            });
-        }
-        let mut free_runs = BTreeMap::new();
-        let mut runs_by_len = BTreeSet::new();
-        let mut free_count = 0usize;
-        for (start, len) in runs {
-            let end = start.checked_add(len).filter(|&e| e <= total);
-            if len == 0 || end.is_none() || free_runs.insert(start, len).is_some() {
-                return Err(SnapshotError::Corrupt {
-                    detail: format!("invalid free run ({start},{len}) over {total} nodes"),
-                });
-            }
-            runs_by_len.insert((len, start));
-            free_count += len as usize;
-        }
-        let busy_count = busy.iter().filter(|&&b| b).count();
-        Ok(Allocator {
+        // Free runs are maximal, so they decode with the node-set rules
+        // (sorted, disjoint, non-adjacent, nonempty, in range).
+        let free = NodeSet::restore_from(r, total)?;
+        let unavailable = NodeSet::restore_from(r, total)?;
+        let mut a = Allocator {
             total,
-            free_runs,
-            runs_by_len,
-            free_count,
-            busy,
-            busy_count,
-            unavailable,
+            free_runs: BTreeMap::new(),
+            runs_by_len: BTreeSet::new(),
+            free_count: free.len() as usize,
+            busy_count: 0,
+            unavailable: unavailable.iter().collect(),
             strategy,
             topology,
-        })
+        };
+        for &(start, len) in free.runs() {
+            a.run_insert(start, len);
+        }
+        if let Some(n) = unavailable.iter().find(|&n| a.is_free(n)) {
+            return Err(SnapshotError::Corrupt {
+                detail: format!("node {n} is both free and unavailable"),
+            });
+        }
+        a.busy_count = total as usize - a.free_count - a.unavailable.len();
+        Ok(a)
     }
 
     // ---- free-run structure maintenance -------------------------------
@@ -244,13 +234,17 @@ impl Allocator {
     fn run_insert(&mut self, start: u32, len: u32) {
         debug_assert!(len > 0);
         self.free_runs.insert(start, len);
-        self.runs_by_len.insert((len, start));
+        if self.strategy == AllocStrategy::Contiguous {
+            self.runs_by_len.insert((len, start));
+        }
     }
 
     fn run_remove(&mut self, start: u32, len: u32) {
         let removed = self.free_runs.remove(&start);
         debug_assert_eq!(removed, Some(len));
-        self.runs_by_len.remove(&(len, start));
+        if self.strategy == AllocStrategy::Contiguous {
+            self.runs_by_len.remove(&(len, start));
+        }
     }
 
     /// Removes `k` consecutive free ids starting at `s`. The span lies in
@@ -302,19 +296,12 @@ impl Allocator {
         self.free_count += k as usize;
     }
 
-    /// Returns one node to the free set, coalescing with both neighbours.
-    /// O(log n).
-    fn insert_free_node(&mut self, node: u32) {
-        self.insert_free_span(node, 1);
-    }
-
-    /// The `count` lowest free node ids (ascending), without mutation.
-    fn peek_lowest(&self, count: usize) -> Vec<NodeId> {
-        debug_assert!(count <= self.free_count);
-        let mut out = Vec::with_capacity(count);
+    /// The `count` lowest free node ids, without mutation. O(spans).
+    fn peek_lowest(&self, count: u32) -> NodeSet {
+        debug_assert!(count as usize <= self.free_count);
+        let mut out = NodeSet::new();
         for (&start, &len) in &self.free_runs {
-            let take = (count - out.len()).min(len as usize) as u32;
-            out.extend((start..start + take).map(NodeId));
+            out.push_run(start, (count - out.len()).min(len));
             if out.len() == count {
                 break;
             }
@@ -326,77 +313,86 @@ impl Allocator {
 
     /// Allocates `count` nodes using the configured strategy.
     ///
-    /// Returns the chosen nodes (ascending) or
-    /// [`ClusterError::InsufficientNodes`] without mutating state.
-    pub fn allocate(&mut self, count: u32) -> Result<Vec<NodeId>, ClusterError> {
-        let count = count as usize;
+    /// Returns the chosen nodes or [`ClusterError::InsufficientNodes`]
+    /// without mutating state. First-fit and contiguous picks cost
+    /// O(spans · log n) regardless of `count`.
+    pub fn allocate(&mut self, count: u32) -> Result<NodeSet, ClusterError> {
         if count == 0 {
             return Err(ClusterError::InvalidRequest("zero-node allocation".into()));
         }
-        if count > self.free_count {
+        if count as usize > self.free_count {
             return Err(ClusterError::InsufficientNodes {
-                requested: count as u32,
+                requested: count,
                 free: self.free_count as u32,
             });
         }
-        let mut chosen = match self.strategy {
+        let chosen = match self.strategy {
             AllocStrategy::FirstFit => self.peek_lowest(count),
             AllocStrategy::Contiguous => self.pick_contiguous(count),
             AllocStrategy::TopologyAware => self.pick_topology_aware(count),
         };
-        chosen.sort_unstable();
-        // Move the chosen set to busy, removing whole consecutive spans
-        // from the run structure at once (first-fit and contiguous picks
-        // are a handful of spans regardless of allocation size).
-        let mut i = 0;
-        while i < chosen.len() {
-            let mut j = i + 1;
-            while j < chosen.len() && chosen[j].0 == chosen[j - 1].0 + 1 {
-                j += 1;
-            }
-            self.remove_free_span(chosen[i].0, (j - i) as u32);
-            i = j;
+        // Every run of the chosen set lies inside one maximal free run.
+        for &(start, len) in chosen.runs() {
+            self.remove_free_span(start, len);
         }
-        for &n in &chosen {
-            debug_assert!(!self.busy[n.0 as usize], "allocator chose a busy node");
-            self.busy[n.0 as usize] = true;
-        }
-        self.busy_count += chosen.len();
+        self.busy_count += count as usize;
         Ok(chosen)
     }
 
-    /// Returns nodes to the free pool.
+    /// Allocates `count` nodes as [`Allocator::allocate`] would if the
+    /// free nodes in `excluded` did not exist — the layout-aware start
+    /// that keeps jobs off maintenance-affected nodes. Unavailability is
+    /// left untouched: excluded nodes that were off or booting stay
+    /// unavailable, and excluded free nodes stay free.
+    pub fn allocate_excluding(
+        &mut self,
+        count: u32,
+        excluded: &NodeSet,
+    ) -> Result<NodeSet, ClusterError> {
+        let hidden: Vec<(u32, u32)> = excluded
+            .runs()
+            .iter()
+            .flat_map(|&(start, len)| self.free_runs_in(start, start + len))
+            .collect();
+        for &(start, len) in &hidden {
+            self.remove_free_span(start, len);
+        }
+        let result = self.allocate(count);
+        for &(start, len) in &hidden {
+            self.insert_free_span(start, len);
+        }
+        result
+    }
+
+    /// Returns an allocation to the free pool, one coalesce per span.
+    /// Draining members (marked unavailable while busy) stay out.
     ///
     /// # Panics
     /// Panics (debug) if a node was not busy — releasing twice is a logic
     /// error in the scheduler.
-    pub fn release(&mut self, nodes: &[NodeId]) {
-        // Pass 1: clear busy flags, keeping the ids actually going back to
-        // the free pool (draining nodes stay out).
-        let mut freeable: Vec<u32> = Vec::with_capacity(nodes.len());
-        let skip_unavailable_check = self.unavailable.is_empty();
-        for &n in nodes {
-            let flag = self.busy.get_mut(n.0 as usize);
-            let was_busy = flag.map(|b| std::mem::replace(b, false)).unwrap_or(false);
-            debug_assert!(was_busy, "released node {n} that was not busy");
-            if was_busy {
-                self.busy_count -= 1;
-                if skip_unavailable_check || !self.unavailable.contains(&n) {
-                    freeable.push(n.0);
+    pub fn release(&mut self, nodes: &NodeSet) {
+        for &(start, len) in nodes.runs() {
+            debug_assert!(
+                self.free_runs_in(start, start + len).is_empty(),
+                "released span {start}+{len} holds a free node"
+            );
+            self.busy_count -= len as usize;
+            if self.unavailable.is_empty() {
+                self.insert_free_span(start, len);
+                continue;
+            }
+            let draining: Vec<u32> = self
+                .unavailable
+                .range(NodeId(start)..NodeId(start + len))
+                .map(|n| n.0)
+                .collect();
+            let mut cur = start;
+            for d in draining.into_iter().chain(std::iter::once(start + len)) {
+                if d > cur {
+                    self.insert_free_span(cur, d - cur);
                 }
+                cur = d + 1;
             }
-        }
-        // Pass 2: coalesce whole consecutive spans at once. Allocations
-        // come back in ascending order and are mostly a few runs, so this
-        // is O(spans · log n), not O(nodes · log n).
-        let mut i = 0;
-        while i < freeable.len() {
-            let mut j = i + 1;
-            while j < freeable.len() && freeable[j] == freeable[j - 1] + 1 {
-                j += 1;
-            }
-            self.insert_free_span(freeable[i], (j - i) as u32);
-            i = j;
         }
     }
 
@@ -416,7 +412,7 @@ impl Allocator {
     /// maintenance over).
     pub fn mark_available(&mut self, node: NodeId) -> bool {
         if self.unavailable.remove(&node) {
-            self.insert_free_node(node.0);
+            self.insert_free_span(node.0, 1);
             true
         } else {
             false
@@ -425,18 +421,19 @@ impl Allocator {
 
     // ---- strategy picks -----------------------------------------------
 
-    fn pick_contiguous(&self, count: usize) -> Vec<NodeId> {
+    fn pick_contiguous(&self, count: u32) -> NodeSet {
         // Best-fit on runs: the shortest run that fits, lowest start among
         // equal lengths — one range query on the (len, start) mirror. The
         // tie-break matches the old ascending-id scan (first fitting run
         // encountered wins, i.e. lowest start).
-        match self.runs_by_len.range((count as u32, 0)..).next() {
-            Some(&(_, start)) => (start..start + count as u32).map(NodeId).collect(),
+        match self.runs_by_len.range((count, 0)..).next() {
+            Some(&(_, start)) => NodeSet::from_run(start, count),
             None => self.peek_lowest(count),
         }
     }
 
-    fn pick_topology_aware(&self, count: usize) -> Vec<NodeId> {
+    fn pick_topology_aware(&self, count: u32) -> NodeSet {
+        let count = count as usize;
         // Seed: the free node whose locality block has the most free nodes,
         // then grow greedily by minimum total distance to the chosen set.
         let free: Vec<NodeId> = self.free_nodes().collect();
@@ -463,13 +460,14 @@ impl Allocator {
                 .expect("remaining nonempty while count unmet");
             chosen.push(remaining.swap_remove(idx));
         }
-        chosen
+        chosen.into_iter().collect()
     }
 
     /// Structural self-check used by the property tests: runs are maximal
     /// and disjoint, counts match, mirrors agree.
     #[cfg(test)]
     fn check_structure(&self) {
+        let mirrored = self.strategy == AllocStrategy::Contiguous;
         let mut prev_end: Option<u32> = None;
         let mut total_free = 0usize;
         for (&start, &len) in &self.free_runs {
@@ -478,15 +476,16 @@ impl Allocator {
                 assert!(start > pe, "runs must be disjoint and non-adjacent");
             }
             assert!(
-                self.runs_by_len.contains(&(len, start)),
+                !mirrored || self.runs_by_len.contains(&(len, start)),
                 "mirror missing ({len},{start})"
             );
             prev_end = Some(start + len);
             total_free += len as usize;
         }
-        assert_eq!(self.runs_by_len.len(), self.free_runs.len());
+        let mirror_len = if mirrored { self.free_runs.len() } else { 0 };
+        assert_eq!(self.runs_by_len.len(), mirror_len);
         assert_eq!(total_free, self.free_count);
-        assert_eq!(self.busy.iter().filter(|&&b| b).count(), self.busy_count);
+        assert_eq!(self.busy_nodes().count(), self.busy_count);
     }
 }
 
@@ -505,7 +504,7 @@ mod tests {
     fn first_fit_takes_lowest_ids() {
         let mut a = Allocator::new(16, AllocStrategy::FirstFit, dragonfly());
         let got = a.allocate(4).unwrap();
-        assert_eq!(got, (0..4).map(NodeId).collect::<Vec<_>>());
+        assert_eq!(got.to_vec(), (0..4).map(NodeId).collect::<Vec<_>>());
         assert_eq!(a.free_count(), 12);
         assert_eq!(a.busy_count(), 4);
     }
@@ -565,16 +564,17 @@ mod tests {
     fn release_coalesces_runs() {
         let mut a = Allocator::new(8, AllocStrategy::FirstFit, dragonfly());
         let got = a.allocate(8).unwrap();
+        assert_eq!(got, NodeSet::from_run(0, 8));
         // Release out of order; the free set must coalesce back into the
         // single maximal run 0..8 (observable via a full-width contiguous
         // allocation succeeding).
-        a.release(&[got[3]]);
-        a.release(&[got[5]]);
-        a.release(&[got[4]]);
-        a.release(&[got[0], got[1], got[2], got[6], got[7]]);
+        a.release(&NodeSet::from_run(3, 1));
+        a.release(&NodeSet::from_run(5, 1));
+        a.release(&NodeSet::from_run(4, 1));
+        a.release(&[0, 1, 2, 6, 7].into_iter().map(NodeId).collect());
         assert_eq!(a.free_count(), 8);
         let again = a.allocate(8).unwrap();
-        assert_eq!(again, (0..8).map(NodeId).collect::<Vec<_>>());
+        assert_eq!(again.to_vec(), (0..8).map(NodeId).collect::<Vec<_>>());
     }
 
     #[test]
@@ -582,23 +582,23 @@ mod tests {
         let mut a = Allocator::new(16, AllocStrategy::Contiguous, dragonfly());
         // Occupy 0..6 and 8..10, leaving free: {6,7} and {10..16}.
         let first = a.allocate(6).unwrap();
-        assert_eq!(first, (0..6).map(NodeId).collect::<Vec<_>>());
+        assert_eq!(first.to_vec(), (0..6).map(NodeId).collect::<Vec<_>>());
         // Free run {6,7} has length 2; run {8..16} length 8 — after taking
         // 6 more the allocator state is what we set up next.
         a.allocate(2).unwrap(); // takes 6,7 (shortest fitting run of len 2)
         let third = a.allocate(2).unwrap();
-        assert_eq!(third, vec![NodeId(8), NodeId(9)]);
+        assert_eq!(third.to_vec(), vec![NodeId(8), NodeId(9)]);
     }
 
     #[test]
     fn contiguous_best_fit_picks_smallest_fitting_run() {
         let mut a = Allocator::new(20, AllocStrategy::Contiguous, dragonfly());
         let all = a.allocate(20).unwrap();
-        a.release(&[NodeId(2), NodeId(3), NodeId(4)]); // run of 3
-        a.release(&[NodeId(10), NodeId(11)]); // run of 2
+        a.release(&NodeSet::from_run(2, 3)); // run of 3
+        a.release(&NodeSet::from_run(10, 2)); // run of 2
         let got = a.allocate(2).unwrap();
         assert_eq!(
-            got,
+            got.to_vec(),
             vec![NodeId(10), NodeId(11)],
             "best-fit should pick the run of 2"
         );
@@ -609,10 +609,10 @@ mod tests {
     fn contiguous_ties_break_to_lowest_start() {
         let mut a = Allocator::new(20, AllocStrategy::Contiguous, dragonfly());
         let all = a.allocate(20).unwrap();
-        a.release(&[NodeId(12), NodeId(13)]); // run of 2 (higher start)
-        a.release(&[NodeId(5), NodeId(6)]); // run of 2 (lower start)
+        a.release(&NodeSet::from_run(12, 2)); // run of 2 (higher start)
+        a.release(&NodeSet::from_run(5, 2)); // run of 2 (lower start)
         let got = a.allocate(2).unwrap();
-        assert_eq!(got, vec![NodeId(5), NodeId(6)]);
+        assert_eq!(got.to_vec(), vec![NodeId(5), NodeId(6)]);
         let _ = all;
     }
 
@@ -631,8 +631,8 @@ mod tests {
                 }
             }
         }
-        let a = ta.allocate(8).unwrap();
-        let b = ff.allocate(8).unwrap();
+        let a = ta.allocate(8).unwrap().to_vec();
+        let b = ff.allocate(8).unwrap().to_vec();
         assert!(
             topo.avg_pairwise_distance(&a) <= topo.avg_pairwise_distance(&b),
             "topology-aware ({:?}) should not be more spread than first-fit ({:?})",
@@ -646,17 +646,61 @@ mod tests {
         let mut a = Allocator::new(4, AllocStrategy::FirstFit, dragonfly());
         assert!(a.mark_unavailable(NodeId(0)));
         let got = a.allocate(3).unwrap();
-        assert!(!got.contains(&NodeId(0)));
+        assert!(!got.contains(NodeId(0)));
         assert!(a.allocate(1).is_err());
         assert!(a.mark_available(NodeId(0)));
-        assert_eq!(a.allocate(1).unwrap(), vec![NodeId(0)]);
+        assert_eq!(a.allocate(1).unwrap(), NodeSet::from_run(0, 1));
+    }
+
+    #[test]
+    fn excluding_allocation_never_hands_out_powered_off_nodes() {
+        // The layout-aware start: node 1 is powered off (unavailable) and
+        // nodes 0..4 sit under a maintenance window. Excluding them must
+        // neither hand out node 1 nor return it to the free pool.
+        for strategy in [
+            AllocStrategy::FirstFit,
+            AllocStrategy::Contiguous,
+            AllocStrategy::TopologyAware,
+        ] {
+            let mut a = Allocator::new(8, strategy, dragonfly());
+            assert!(a.mark_unavailable(NodeId(1)));
+            let affected = NodeSet::from_run(0, 4);
+            let got = a.allocate_excluding(2, &affected).unwrap();
+            assert!(got.runs().iter().all(|&(s, _)| s >= 4), "{got:?}");
+            assert!(!a.is_free(NodeId(1)), "off node returned to the free pool");
+            assert!(a.is_free(NodeId(0)) && a.is_free(NodeId(2)) && a.is_free(NodeId(3)));
+            assert_eq!(a.unavailable_count(), 1);
+            // Drain the rest: node 1 is never among the picks.
+            while let Ok(more) = a.allocate(1) {
+                assert!(!more.contains(NodeId(1)));
+            }
+            assert_eq!(a.free_count(), 0);
+            assert_eq!(a.busy_count() + a.unavailable_count(), 8);
+        }
+    }
+
+    #[test]
+    fn excluding_allocation_fails_without_mutation() {
+        let mut a = Allocator::new(6, AllocStrategy::FirstFit, dragonfly());
+        let err = a
+            .allocate_excluding(3, &NodeSet::from_run(1, 4))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            ClusterError::InsufficientNodes {
+                requested: 3,
+                free: 2
+            }
+        ));
+        assert_eq!(a.free_count(), 6);
+        a.check_structure();
     }
 
     #[test]
     fn busy_node_cannot_be_marked_unavailable() {
         let mut a = Allocator::new(4, AllocStrategy::FirstFit, dragonfly());
         let got = a.allocate(1).unwrap();
-        assert!(!a.mark_unavailable(got[0]));
+        assert!(!a.mark_unavailable(got.first().unwrap()));
     }
 
     #[test]
@@ -664,10 +708,12 @@ mod tests {
         // A node marked unavailable while busy stays out of the free pool
         // on release (it is draining toward maintenance).
         let mut a = Allocator::new(4, AllocStrategy::FirstFit, dragonfly());
-        let got = a.allocate(1).unwrap();
-        a.unavailable.insert(got[0]); // direct: simulate drain mark
+        let got = a.allocate(2).unwrap();
+        let drained = got.first().unwrap();
+        a.unavailable.insert(drained); // direct: simulate drain mark
         a.release(&got);
-        assert!(!a.is_free(got[0]));
+        assert!(!a.is_free(drained));
+        assert!(a.is_free(NodeId(1)));
         assert_eq!(a.unavailable_count(), 1);
     }
 }
@@ -680,6 +726,8 @@ mod proptests {
     #[derive(Debug, Clone)]
     enum Op {
         Alloc(u32),
+        /// Allocate avoiding the nodes `start..start + len` (layout-aware).
+        AllocExcluding(u32, u32, u32),
         Release(usize),
         MarkUnavailable(u32),
         MarkAvailable(u32),
@@ -689,6 +737,11 @@ mod proptests {
         proptest::collection::vec(
             prop_oneof![
                 (1u32..20).prop_map(Op::Alloc),
+                (1u32..12, 0u32..48, 1u32..16).prop_map(|(n, s, l)| Op::AllocExcluding(
+                    n,
+                    s,
+                    l.min(48 - s)
+                )),
                 (0usize..8).prop_map(Op::Release),
                 (0u32..48).prop_map(Op::MarkUnavailable),
                 (0u32..48).prop_map(Op::MarkAvailable),
@@ -724,6 +777,19 @@ mod proptests {
                 strategy,
                 topology,
             }
+        }
+
+        /// The excluded allocation as the model spells it: hide the free
+        /// excluded nodes, allocate, put them back.
+        fn allocate_excluding(&mut self, count: u32, excluded: &[NodeId]) -> Option<Vec<NodeId>> {
+            let hidden: Vec<NodeId> = excluded
+                .iter()
+                .copied()
+                .filter(|n| self.free.remove(n))
+                .collect();
+            let got = self.allocate(count);
+            self.free.extend(hidden);
+            got
         }
 
         fn allocate(&mut self, count: u32) -> Option<Vec<NodeId>> {
@@ -835,21 +901,31 @@ mod proptests {
         fn no_double_booking(ops in arb_ops(), strategy in arb_strategy()) {
             let topo = Topology::Dragonfly { nodes_per_router: 4, routers_per_group: 4 };
             let mut a = Allocator::new(48, strategy, topo);
-            let mut live: Vec<Vec<NodeId>> = Vec::new();
+            let mut live: Vec<NodeSet> = Vec::new();
             for op in ops {
-                match op {
-                    Op::Alloc(n) => {
-                        if let Ok(got) = a.allocate(n) {
-                            prop_assert_eq!(got.len(), n as usize);
-                            // No overlap with any live allocation.
-                            for other in &live {
-                                for node in &got {
-                                    prop_assert!(!other.contains(node), "double booked {:?}", node);
-                                }
-                            }
-                            live.push(got);
+                let got = match op {
+                    Op::Alloc(n) => a.allocate(n).ok().map(|g| (n, g)),
+                    Op::AllocExcluding(n, s, l) => {
+                        let got = a.allocate_excluding(n, &NodeSet::from_run(s, l)).ok();
+                        if let Some(g) = &got {
+                            prop_assert!(g.iter().all(|x| x.0 < s || x.0 >= s + l));
+                        }
+                        got.map(|g| (n, g))
+                    }
+                    _ => None,
+                };
+                if let Some((n, got)) = got {
+                    prop_assert_eq!(got.len(), n);
+                    // No overlap with any live allocation.
+                    for other in &live {
+                        for node in got.iter() {
+                            prop_assert!(!other.contains(node), "double booked {:?}", node);
                         }
                     }
+                    live.push(got);
+                }
+                match op {
+                    Op::Alloc(_) | Op::AllocExcluding(..) => {}
                     Op::Release(i) => {
                         if !live.is_empty() {
                             let idx = i % live.len();
@@ -860,7 +936,7 @@ mod proptests {
                     Op::MarkUnavailable(n) => { a.mark_unavailable(NodeId(n)); }
                     Op::MarkAvailable(n) => { a.mark_available(NodeId(n)); }
                 }
-                let live_total: usize = live.iter().map(Vec::len).sum();
+                let live_total: usize = live.iter().map(|s| s.len() as usize).sum();
                 prop_assert_eq!(a.busy_count(), live_total);
                 prop_assert_eq!(a.free_count() + a.busy_count() + a.unavailable_count(), 48);
             }
@@ -876,14 +952,24 @@ mod proptests {
             let topo = Topology::Dragonfly { nodes_per_router: 4, routers_per_group: 4 };
             let mut real = Allocator::new(48, strategy, topo.clone());
             let mut model = ModelAllocator::new(48, strategy, topo);
-            let mut live: Vec<Vec<NodeId>> = Vec::new();
+            let mut live: Vec<NodeSet> = Vec::new();
             for op in ops {
                 match op {
                     Op::Alloc(n) => {
                         let got_real = real.allocate(n).ok();
                         let got_model = model.allocate(n);
-                        prop_assert_eq!(&got_real, &got_model,
+                        prop_assert_eq!(got_real.as_ref().map(NodeSet::to_vec), got_model,
                             "allocate({}) diverged", n);
+                        if let Some(nodes) = got_real {
+                            live.push(nodes);
+                        }
+                    }
+                    Op::AllocExcluding(n, s, l) => {
+                        let excluded = NodeSet::from_run(s, l);
+                        let got_real = real.allocate_excluding(n, &excluded).ok();
+                        let got_model = model.allocate_excluding(n, &excluded.to_vec());
+                        prop_assert_eq!(got_real.as_ref().map(NodeSet::to_vec), got_model,
+                            "allocate_excluding({}, {}+{}) diverged", n, s, l);
                         if let Some(nodes) = got_real {
                             live.push(nodes);
                         }
@@ -893,7 +979,7 @@ mod proptests {
                             let idx = i % live.len();
                             let nodes = live.swap_remove(idx);
                             real.release(&nodes);
-                            model.release(&nodes);
+                            model.release(&nodes.to_vec());
                         }
                     }
                     Op::MarkUnavailable(n) => {

@@ -18,6 +18,7 @@ pub mod alloc;
 pub mod error;
 pub mod layout;
 pub mod node;
+pub mod nodeset;
 pub mod shard;
 pub mod system;
 pub mod topology;
@@ -26,6 +27,7 @@ pub use alloc::{AllocStrategy, Allocator};
 pub use error::ClusterError;
 pub use layout::{ChillerId, FacilityLayout, MaintenanceWindow, PduId};
 pub use node::{CpuSpec, NodeId, NodeSpec};
+pub use nodeset::NodeSet;
 pub use shard::ShardTopology;
 pub use system::{System, SystemSpec};
 pub use topology::Topology;

@@ -30,6 +30,7 @@ use crate::view::{Decision, Policy, RunningSummary, SchedView};
 use epa_cluster::alloc::{AllocStrategy, Allocator};
 use epa_cluster::layout::FacilityLayout;
 use epa_cluster::node::NodeId;
+use epa_cluster::nodeset::NodeSet;
 use epa_cluster::shard::ShardTopology;
 use epa_cluster::system::System;
 use epa_faults::{FaultConfig, FaultInjector, FaultPlan, SensorFaultConfig, SensorSample};
@@ -425,7 +426,7 @@ fn resolve_local(
 #[derive(Debug, Clone)]
 struct RunningJob {
     job: Job,
-    nodes: Vec<NodeId>,
+    nodes: NodeSet,
     start: SimTime,
     /// Scheduler-visible end estimate.
     estimated_end: SimTime,
@@ -447,7 +448,7 @@ struct RunningJob {
 impl RunningJob {
     fn snapshot_into(&self, w: &mut SnapWriter) {
         self.job.snapshot_into(w);
-        w.seq(&self.nodes, |w, n| w.u32(n.0));
+        self.nodes.snapshot_into(w);
         w.f64(self.start.as_secs());
         w.f64(self.estimated_end.as_secs());
         w.f64(self.watts_per_node);
@@ -459,10 +460,12 @@ impl RunningJob {
         w.u32(self.meter_group.raw());
     }
 
-    fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
+    /// Decodes a running job on a `total`-node machine; its node spans
+    /// must be canonical and in range (typed `Corrupt` otherwise).
+    fn restore_from(r: &mut SnapReader<'_>, total: u32) -> Result<Self, SnapshotError> {
         Ok(RunningJob {
             job: Job::restore_from(r)?,
-            nodes: r.seq(|r| Ok(NodeId(r.u32()?)))?,
+            nodes: NodeSet::restore_from(r, total)?,
             start: SimTime::from_secs(r.f64()?),
             estimated_end: SimTime::from_secs(r.f64()?),
             watts_per_node: r.f64()?,
@@ -730,9 +733,6 @@ pub struct ClusterSim<'p> {
     /// When each node last became idle (`None` while busy/off/booting),
     /// indexed by `NodeId::index()`.
     idle_since: Vec<Option<SimTime>>,
-    /// Reverse index: which running job holds each node. Lets a node
-    /// failure find its victim without scanning every running job.
-    node_owner: Vec<Option<JobId>>,
     /// Count of nodes in `NodePowerState::Off`, maintained on every state
     /// transition so `try_schedule` does not rescan all nodes.
     off_count: u32,
@@ -996,7 +996,6 @@ impl<'p> ClusterSim<'p> {
             running: BTreeMap::new(),
             node_state: vec![NodePowerState::Idle; n_nodes],
             idle_since: vec![Some(SimTime::ZERO); n_nodes],
-            node_owner: vec![None; n_nodes],
             off_count: 0,
             busy_count: 0,
             summaries: Vec::new(),
@@ -1778,7 +1777,7 @@ impl<'p> ClusterSim<'p> {
             self.queue.push(job);
         }
         r.section("running")?;
-        let running = r.seq(RunningJob::restore_from)?;
+        let running = r.seq(|r| RunningJob::restore_from(r, n as u32))?;
         self.running = running.into_iter().map(|rj| (rj.job.id, rj)).collect();
         r.section("nodes")?;
         let node_state = r.seq(|r| node_state_from_tag(r.u8()?))?;
@@ -1885,17 +1884,19 @@ impl<'p> ClusterSim<'p> {
         r.finish()?;
 
         // Rebuild derived structures from the restored primaries.
-        self.node_owner = vec![None; n];
-        for (&id, rj) in &self.running {
-            for &node in &rj.nodes {
-                let i = node.index();
-                if i >= n || self.node_owner[i].is_some() {
-                    return Err(SnapshotError::Corrupt {
-                        detail: format!("running job {} claims invalid node {}", id.0, node.0),
-                    });
-                }
-                self.node_owner[i] = Some(id);
-            }
+        let mut claims: Vec<(u32, u32, JobId)> = self
+            .running
+            .iter()
+            .flat_map(|(&id, rj)| rj.nodes.runs().iter().map(move |&(s, l)| (s, l, id)))
+            .collect();
+        claims.sort_unstable_by_key(|&(s, _, _)| s);
+        if let Some(w) = claims.windows(2).find(|w| w[0].0 + w[0].1 > w[1].0) {
+            return Err(SnapshotError::Corrupt {
+                detail: format!(
+                    "running jobs {} and {} both claim node {}",
+                    w[0].2 .0, w[1].2 .0, w[1].0
+                ),
+            });
         }
         self.off_count = 0;
         self.busy_count = 0;
@@ -1913,9 +1914,9 @@ impl<'p> ClusterSim<'p> {
             .values()
             .map(|rj| RunningSummary {
                 id: rj.job.id,
-                nodes: rj.nodes.len() as u32,
+                nodes: rj.nodes.len(),
                 estimated_end: rj.estimated_end,
-                watts: rj.watts_per_node * rj.nodes.len() as f64,
+                watts: rj.watts_per_node * f64::from(rj.nodes.len()),
                 granted_watts: rj
                     .grant
                     .and_then(|g| self.budget.as_ref().and_then(|b| b.grant_watts(g))),
@@ -2020,8 +2021,8 @@ impl<'p> ClusterSim<'p> {
     fn take_node_down(&mut self, victim: NodeId, t: SimTime, repair: SimDuration) {
         self.metrics.incr("rm/failures", 1);
         self.failure_counts[victim.index()] += 1;
-        // Kill the job occupying the node, if any (O(1) reverse lookup).
-        if let Some(id) = self.node_owner[victim.index()] {
+        // Kill the job occupying the node, if any.
+        if let Some(id) = self.owner_of(victim) {
             let r = self.running.remove(&id).expect("holder is running");
             self.complete(r, t, Departure::Failure);
         }
@@ -2032,6 +2033,17 @@ impl<'p> ClusterSim<'p> {
         self.down_since[victim.index()] = Some(t);
         self.set_node_state(victim, NodePowerState::Off, t);
         self.sim.schedule_in(repair, Ev::RepairDone(victim));
+    }
+
+    /// The running job holding `node`, if any: a span lookup over the
+    /// running jobs, O(running · log spans). Only failures and fencing
+    /// ask, so no per-node owner index is kept up to date on every start
+    /// and finish.
+    fn owner_of(&self, node: NodeId) -> Option<JobId> {
+        self.running
+            .iter()
+            .find(|(_, r)| r.nodes.contains(node))
+            .map(|(&id, _)| id)
     }
 
     /// Transitions a node's recorded power state, keeping the `off_count`
@@ -2529,7 +2541,7 @@ impl<'p> ClusterSim<'p> {
             VictimOrder::MostPowerful => {
                 victims.sort_by_key(|id| {
                     let r = &self.running[id];
-                    std::cmp::Reverse(((r.watts_per_node * r.nodes.len() as f64) * 1e3) as u64)
+                    std::cmp::Reverse(((r.watts_per_node * f64::from(r.nodes.len())) * 1e3) as u64)
                 });
             }
         }
@@ -2538,7 +2550,7 @@ impl<'p> ClusterSim<'p> {
                 break;
             }
             let r = self.running.remove(&id).expect("victim is running");
-            let shed = r.watts_per_node * r.nodes.len() as f64;
+            let shed = r.watts_per_node * f64::from(r.nodes.len());
             excess -= shed;
             self.emergency_kills += 1;
             self.metrics.incr("emergency/kills", 1);
@@ -2876,21 +2888,21 @@ impl<'p> ClusterSim<'p> {
         };
 
         // Allocation, avoiding maintenance-affected nodes when layout-aware.
+        // The exclusion leaves unavailability alone: affected nodes that
+        // are off or booting stay out of the free pool.
         let est_run = SimDuration::from_secs(job.walltime_estimate.as_secs() * op.slowdown);
-        let affected: Vec<NodeId> = if let Some(layout) = &self.config.layout {
-            layout.affected_nodes(&self.system, now, now + est_run)
-        } else {
-            Vec::new()
-        };
-        for &n in &affected {
-            self.allocator.mark_unavailable(n);
-        }
+        let affected: Option<NodeSet> = self.config.layout.as_ref().map(|layout| {
+            layout
+                .affected_nodes(&self.system, now, now + est_run)
+                .into_iter()
+                .collect()
+        });
         let t_alloc = self.obs.profiler.start();
-        let alloc_result = self.allocator.allocate(nodes_requested);
+        let alloc_result = match &affected {
+            Some(excluded) => self.allocator.allocate_excluding(nodes_requested, excluded),
+            None => self.allocator.allocate(nodes_requested),
+        };
         self.obs.profiler.stop(Scope::Allocator, t_alloc);
-        for &n in &affected {
-            self.allocator.mark_available(n);
-        }
         let nodes = match alloc_result {
             Ok(nodes) => nodes,
             Err(_) => {
@@ -2914,7 +2926,7 @@ impl<'p> ClusterSim<'p> {
             if let Some(act) = self.actuator.as_mut() {
                 let report = act.program_caps_traced(
                     now,
-                    &nodes,
+                    &nodes.to_vec(),
                     Some(op.watts),
                     &mut self.actuator_log,
                     &mut self.ledger,
@@ -2990,23 +3002,25 @@ impl<'p> ClusterSim<'p> {
         };
 
         let first_watts = phase_watts.first().copied().unwrap_or(watts_per_node);
-        // Bulk Idle→Busy: allocated nodes are free, and free nodes are
-        // idle by construction, so the tallies move once per batch.
-        for &n in &nodes {
-            let i = n.index();
+        // Bulk Idle→Busy, one slice fill per span: allocated nodes are
+        // free, and free nodes are idle by construction, so the tallies
+        // move once per batch.
+        for &(start, len) in nodes.runs() {
+            let span = start as usize..(start + len) as usize;
             debug_assert!(
-                matches!(self.node_state[i], NodePowerState::Idle),
+                self.node_state[span.clone()]
+                    .iter()
+                    .all(|s| matches!(s, NodePowerState::Idle)),
                 "allocated node must be idle"
             );
-            self.node_state[i] = NodePowerState::Busy;
-            self.idle_since[i] = None;
-            self.node_owner[i] = Some(job.id);
+            self.node_state[span.clone()].fill(NodePowerState::Busy);
+            self.idle_since[span].fill(None);
         }
-        self.busy_count += nodes.len() as u32;
+        self.busy_count += nodes.len();
         // One allocation group per running job: phase changes retarget
         // the whole allocation in O(1), and closing the group at job end
         // yields the job's energy directly.
-        let (meter_group, _mark) = self.meter.open_group(&nodes, now, first_watts);
+        let meter_group = self.meter.open_group(&nodes, now, first_watts);
         self.metrics.incr("jobs/started", 1);
         let wait_secs = (now - job.submit).as_secs();
         // The diagnostic registry's exact-percentile distribution keeps
@@ -3024,7 +3038,7 @@ impl<'p> ClusterSim<'p> {
                 now,
                 TraceEvent::JobStarted {
                     job: job.id.0,
-                    nodes: nodes.len() as u32,
+                    nodes: nodes.len(),
                     watts_per_node,
                     wait_secs,
                     backfilled,
@@ -3043,7 +3057,10 @@ impl<'p> ClusterSim<'p> {
         // first node's shard owns its events (any fixed rule works — the
         // handler touches only the job's meter group, and the shared seq
         // numbering makes the merged order routing-independent).
-        let home = self.shards.topo().shard_of(nodes[0]);
+        let home = self
+            .shards
+            .topo()
+            .shard_of(nodes.first().expect("allocations are nonempty"));
         for (k, &t_k) in phase_ends.iter().enumerate() {
             let next = k + 1;
             if next < phase_watts.len() && t_k < end {
@@ -3054,9 +3071,9 @@ impl<'p> ClusterSim<'p> {
         }
         self.summary_insert(RunningSummary {
             id: job.id,
-            nodes: nodes.len() as u32,
+            nodes: nodes.len(),
             estimated_end,
-            watts: watts_per_node * nodes.len() as f64,
+            watts: watts_per_node * f64::from(nodes.len()),
             granted_watts: grant.and_then(|g| self.budget.as_ref().and_then(|b| b.grant_watts(g))),
         });
         self.running.insert(
@@ -3128,20 +3145,21 @@ impl<'p> ClusterSim<'p> {
     fn complete(&mut self, r: RunningJob, t: SimTime, departure: Departure) {
         self.summary_remove(r.job.id, r.estimated_end);
         let run_secs = (t - r.start).as_secs();
-        self.busy_node_seconds += run_secs * r.nodes.len() as f64;
-        // Bulk Busy→Idle: a running job's nodes are all busy, so the
-        // tallies move once per batch.
-        for &n in &r.nodes {
-            let i = n.index();
+        self.busy_node_seconds += run_secs * f64::from(r.nodes.len());
+        // Bulk Busy→Idle, one slice fill per span: a running job's nodes
+        // are all busy, so the tallies move once per batch.
+        for &(start, len) in r.nodes.runs() {
+            let span = start as usize..(start + len) as usize;
             debug_assert!(
-                matches!(self.node_state[i], NodePowerState::Busy),
+                self.node_state[span.clone()]
+                    .iter()
+                    .all(|s| matches!(s, NodePowerState::Busy)),
                 "running job's node must be busy"
             );
-            self.node_state[i] = NodePowerState::Idle;
-            self.idle_since[i] = Some(t);
-            self.node_owner[i] = None;
+            self.node_state[span.clone()].fill(NodePowerState::Idle);
+            self.idle_since[span].fill(Some(t));
         }
-        self.busy_count -= r.nodes.len() as u32;
+        self.busy_count -= r.nodes.len();
         let idle_watts = self.power_model.watts(
             NodePowerState::Idle,
             0.0,
@@ -3183,7 +3201,7 @@ impl<'p> ClusterSim<'p> {
             let _ = budget.release_traced(g, t, &mut self.obs.bus);
         }
         if self.config.record_history && run_secs > 0.0 {
-            let wpn = energy / run_secs / r.nodes.len() as f64;
+            let wpn = energy / run_secs / f64::from(r.nodes.len());
             self.history
                 .record_job(&r.job, run_secs, wpn, self.ambient_c(t));
         }
@@ -3191,16 +3209,23 @@ impl<'p> ClusterSim<'p> {
         if r.killed_at_walltime {
             self.metrics.incr("jobs/walltime_kills", 1);
         }
+        // Node ids are materialized only for consumers that keep or emit
+        // them; the aggregates never read them.
+        let node_ids = if self.config.retain_completed || self.completion_sink.is_some() {
+            r.nodes.iter().map(|n| n.0).collect()
+        } else {
+            Vec::new()
+        };
         let record = CompletedJob {
             id: r.job.id,
-            nodes: r.nodes.len() as u32,
+            nodes: r.nodes.len(),
             wait_secs: (r.start - r.job.submit).as_secs(),
             run_secs,
             energy_joules: energy,
             killed_at_walltime: r.killed_at_walltime && departure == Departure::Normal,
             killed_by_emergency: departure == Departure::Emergency,
             killed_by_failure: departure == Departure::Failure,
-            node_ids: r.nodes.iter().map(|n| n.0).collect(),
+            node_ids,
             start_secs: r.start.as_secs(),
         };
         self.agg.fold(&record);
@@ -3238,7 +3263,7 @@ impl<'p> ClusterSim<'p> {
             let remaining = (r.base_effective.as_secs() - saved).max(1.0);
             let mut continuation = r.job.clone();
             continuation.base_runtime = SimDuration::from_secs(remaining);
-            continuation.nodes = r.nodes.len() as u32;
+            continuation.nodes = r.nodes.len();
             continuation.moldable = None; // the continuation is rigid
             continuation.submit = t;
             self.obs.registry.incr("jobs/requeued", 1);
@@ -3380,7 +3405,7 @@ impl<'p> ClusterSim<'p> {
         let running: Vec<RunningJob> = self.running.values().cloned().collect();
         for r in &running {
             self.busy_node_seconds +=
-                (end.saturating_since(r.start)).as_secs() * r.nodes.len() as f64;
+                (end.saturating_since(r.start)).as_secs() * f64::from(r.nodes.len());
         }
         let span = end.as_secs().max(1e-9);
         let total_nodes = f64::from(self.system.spec().total_nodes());

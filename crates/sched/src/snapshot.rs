@@ -34,8 +34,11 @@ use std::path::Path;
 /// the `control` section (control-plane knob state, so a learned
 /// controller's overrides survive a crash/resume); v4 added the `grid`
 /// section (facility-twin cursors and cost/carbon/DR accumulators, plus
-/// two new wire tags for DR-window events in the global queue).
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 4;
+/// two new wire tags for DR-window events in the global queue); v5 stores
+/// node sets as spans — running jobs' nodes and the allocator's
+/// unavailable set as `(start, len)` runs, the allocator without per-node
+/// busy flags, and the meter as per-node energy plus its run index.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///

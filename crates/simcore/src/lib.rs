@@ -18,6 +18,7 @@
 //! - [`rng`] — seedable, stream-splittable deterministic RNG.
 //! - [`stats`] — online statistics, exact percentiles, histograms.
 //! - [`series`] — time series with piecewise-constant integration.
+//! - [`fsum`] — bit-exact O(binades) evaluation of repeated float adds.
 //! - [`metrics`] — a string-keyed metrics registry for instrumentation.
 //! - [`snap`] — versioned, checksummed binary snapshot codec (resumable
 //!   runs).
@@ -26,6 +27,7 @@ pub mod chunk;
 pub mod engine;
 pub mod error;
 pub mod event;
+pub mod fsum;
 pub mod metrics;
 pub mod quantile;
 pub mod rng;

@@ -17,6 +17,7 @@
 //!    rejected with typed [`SnapshotError`]s — never a panic, never a
 //!    silently divergent run.
 
+use epa_cluster::layout::{Equipment, FacilityLayout, MaintenanceWindow, PduId};
 use epa_cluster::node::NodeSpec;
 use epa_cluster::system::{System, SystemSpec};
 use epa_cluster::topology::Topology;
@@ -25,6 +26,7 @@ use epa_obs::{trace_to_jsonl, TraceConfig};
 use epa_sched::emergency::EmergencyPolicy;
 use epa_sched::engine::{ClusterSim, EngineConfig};
 use epa_sched::policies::backfill::EasyBackfill;
+use epa_sched::shutdown::ShutdownPolicy;
 use epa_sched::Snapshot;
 use epa_simcore::snap::SnapshotError;
 use epa_simcore::time::{SimDuration, SimTime};
@@ -85,6 +87,29 @@ fn chaos_config(seed: u64, shards: u32) -> EngineConfig {
     config
 }
 
+/// A CEA-style layout-aware machine: PDU 0 (the first cabinet) goes
+/// into maintenance mid-run, so every start avoids its nodes, while an
+/// aggressive idle shutdown keeps some of those nodes off or booting —
+/// the states a layout-aware start must leave untouched.
+fn layout_config(seed: u64) -> EngineConfig {
+    let mut config = EngineConfig::new(SimTime::from_days(HORIZON_DAYS));
+    config.seed = seed;
+    config.shutdown = Some(ShutdownPolicy {
+        idle_threshold: SimDuration::from_mins(5.0),
+        min_idle_reserve: 0,
+        ..ShutdownPolicy::default()
+    });
+    let mut layout = FacilityLayout::regular(&chaos_system(), 1, 2);
+    layout.add_maintenance(MaintenanceWindow {
+        equipment: Equipment::Pdu(PduId(0)),
+        start: SimTime::from_hours(14.0),
+        end: SimTime::from_hours(30.0),
+    });
+    config.layout = Some(layout);
+    config.trace = TraceConfig::all();
+    config
+}
+
 /// Serialized (outcome, trace) pair used for byte comparison.
 fn fingerprint_run(
     out: &epa_sched::engine::SimOutcome,
@@ -98,13 +123,12 @@ fn fingerprint_run(
 
 /// Straight-through run: no crash, no snapshot.
 fn uninterrupted(seed: u64, shards: u32) -> (String, String) {
+    uninterrupted_with(seed, || chaos_config(seed, shards))
+}
+
+fn uninterrupted_with(seed: u64, config: impl Fn() -> EngineConfig) -> (String, String) {
     let mut policy = EasyBackfill;
-    let sim = ClusterSim::new(
-        chaos_system(),
-        chaos_jobs(seed),
-        &mut policy,
-        chaos_config(seed, shards),
-    );
+    let sim = ClusterSim::new(chaos_system(), chaos_jobs(seed), &mut policy, config());
     let (out, bundle) = sim.run_traced();
     fingerprint_run(&out, &bundle)
 }
@@ -130,14 +154,17 @@ fn kill_fractions(seed: u64) -> [f64; 3] {
 /// (round-tripped through `from_bytes` to model a disk read). After the
 /// last crash the run is driven to completion with full tracing.
 fn killed_and_resumed(seed: u64, shards: u32, fracs: &[f64]) -> (String, String) {
+    killed_and_resumed_with(seed, fracs, || chaos_config(seed, shards))
+}
+
+fn killed_and_resumed_with(
+    seed: u64,
+    fracs: &[f64],
+    config: impl Fn() -> EngineConfig,
+) -> (String, String) {
     let horizon_secs = HORIZON_DAYS * 86_400.0;
     let mut policy = EasyBackfill;
-    let mut sim = ClusterSim::new(
-        chaos_system(),
-        chaos_jobs(seed),
-        &mut policy,
-        chaos_config(seed, shards),
-    );
+    let mut sim = ClusterSim::new(chaos_system(), chaos_jobs(seed), &mut policy, config());
     let mut snap = sim.run_until(SimTime::from_secs(horizon_secs * fracs[0]));
     drop(sim); // the crash
     for &frac in &fracs[1..] {
@@ -149,7 +176,7 @@ fn killed_and_resumed(seed: u64, shards: u32, fracs: &[f64]) -> (String, String)
             chaos_system(),
             chaos_jobs(seed),
             &mut policy,
-            chaos_config(seed, shards),
+            config(),
             &bytes,
         )
         .expect("resume from intact snapshot");
@@ -162,12 +189,35 @@ fn killed_and_resumed(seed: u64, shards: u32, fracs: &[f64]) -> (String, String)
         chaos_system(),
         chaos_jobs(seed),
         &mut policy,
-        chaos_config(seed, shards),
+        config(),
         &bytes,
     )
     .expect("resume from intact snapshot");
     let (out, bundle) = sim.run_traced();
     fingerprint_run(&out, &bundle)
+}
+
+/// Layout-aware starts around a maintenance window, with idle shutdown
+/// keeping affected nodes off or booting: a three-crash chain (the kill
+/// points straddle the window) replays to a byte-identical outcome and
+/// trace. Starts exclude the affected nodes without touching
+/// unavailability, so no off or booting node ever re-enters the free
+/// pool — a state a snapshot could not reproduce.
+#[test]
+fn layout_aware_crash_resume_is_byte_identical() {
+    for seed in [3u64, 4, 5, 6, 7, 8] {
+        let fracs = kill_fractions(seed);
+        let (base_out, base_trace) = uninterrupted_with(seed, || layout_config(seed));
+        let (out, trace) = killed_and_resumed_with(seed, &fracs, || layout_config(seed));
+        assert!(
+            out == base_out,
+            "seed {seed}: layout-aware resumed outcome drifted (kill points {fracs:?})"
+        );
+        assert!(
+            trace == base_trace,
+            "seed {seed}: layout-aware resumed trace drifted (kill points {fracs:?})"
+        );
+    }
 }
 
 /// Mid-campaign crashes under 4 shards × 4 threads: a three-crash chain

@@ -9,6 +9,7 @@
 
 use epa_cluster::alloc::{AllocStrategy, Allocator};
 use epa_cluster::node::NodeId;
+use epa_cluster::nodeset::NodeSet;
 use epa_cluster::shard::ShardTopology;
 use epa_cluster::topology::Topology;
 use epa_grid::{DrContract, DrEvent, GridConfig, GridState};
@@ -57,7 +58,7 @@ proptest! {
         };
         let topology = Topology::FatTree { arity: 8 };
         let mut alloc = Allocator::new(32, strategy, topology.clone());
-        let mut live: Vec<Vec<NodeId>> = Vec::new();
+        let mut live: Vec<NodeSet> = Vec::new();
         for &(op, arg) in &ops {
             match op {
                 0 => {
@@ -103,7 +104,7 @@ proptest! {
         let mut t = 0.0f64;
         // Nodes not currently inside a group (groups must stay disjoint).
         let mut pool: Vec<u32> = (0..16).collect();
-        let mut open: Vec<(epa_power::meter::GroupId, Vec<NodeId>)> = Vec::new();
+        let mut open: Vec<(epa_power::meter::GroupId, NodeSet)> = Vec::new();
         for &(op, pick, watts, dt) in &ops {
             t += dt;
             let now = SimTime::from_secs(t);
@@ -118,9 +119,9 @@ proptest! {
                     // Open a group over 1..=4 pooled nodes.
                     let take = (1 + pick as usize % 4).min(pool.len());
                     if take > 0 {
-                        let members: Vec<NodeId> =
+                        let members: NodeSet =
                             pool.drain(..take).map(NodeId).collect();
-                        let (gid, _) = meter.open_group(&members, now, watts);
+                        let gid = meter.open_group(&members, now, watts);
                         open.push((gid, members));
                     }
                 }
