@@ -22,8 +22,8 @@
 //!    front.
 //!
 //! Determinism: everything is a pure function of the seeds; CI runs this
-//! bin twice — and across `EPA_JSRM_SHARDS`/`EPA_JSRM_THREADS` settings —
-//! and byte-diffs the JSON.
+//! bin twice — and across `EPA_JSRM_THREADS` settings — and byte-diffs
+//! the JSON.
 //!
 //! Env vars:
 //! - `EPA_E15_SITES` — comma-separated site keys (default: all nine).

@@ -5,11 +5,11 @@
 //! landing on main. Two phases:
 //!
 //! 1. **10k-job prefix equivalence** — the lazy-generator engine versus
-//!    the materialized engine over the same horizon, across shards
-//!    {1, 4} × threads {1, 4}, plus a mid-run snapshot/resume of the
-//!    streaming engine in every cell. The serialized [`SimOutcome`] and
-//!    the exported JSONL decision trace of every run must be
-//!    byte-identical to the 1-shard/1-thread materialized baseline.
+//!    the materialized engine over the same horizon, across threads
+//!    {1, 4}, plus a mid-run snapshot/resume of the streaming engine at
+//!    each thread count. The serialized [`SimOutcome`] and the exported
+//!    JSONL decision trace of every run must be byte-identical to the
+//!    1-thread materialized baseline.
 //! 2. **1M-job streaming run** — must complete inside the CI
 //!    address-space cap, and its peak RSS must stay within
 //!    [`RSS_BOUND`]× of the process high-water mark after phase 1 (a
@@ -33,7 +33,6 @@ const RATE_PER_HOUR: f64 = 1000.0;
 const SEED: u64 = 2088;
 const PREFIX_JOBS: u64 = 10_000;
 const FULL_JOBS: u64 = 1_000_000;
-const SHARD_GRID: [u32; 2] = [1, 4];
 const THREAD_GRID: [usize; 2] = [1, 4];
 
 /// Peak RSS of the 1M-job run, relative to the high-water mark the
@@ -48,10 +47,9 @@ fn horizon_for(jobs: u64) -> SimTime {
 /// bounded power trace, no prediction history, full decision tracing
 /// (so the trace comparison exercises the ring across the crash
 /// boundary too).
-fn config(horizon: SimTime, shards: u32) -> EngineConfig {
+fn config(horizon: SimTime) -> EngineConfig {
     let mut config = EngineConfig::new(horizon);
     config.seed = SEED;
-    config.shards = Some(shards);
     config.record_history = false;
     config.retain_completed = false;
     config.bounded_power_trace = true;
@@ -69,7 +67,7 @@ fn fingerprint(sim: ClusterSim<'_>) -> (String, String) {
     (outcome, trace_to_jsonl(&bundle.trace))
 }
 
-fn materialized_run(horizon: SimTime, shards: u32) -> (String, String) {
+fn materialized_run(horizon: SimTime) -> (String, String) {
     let params = streaming_workload_params(RATE_PER_HOUR, SEED);
     let jobs = WorkloadGenerator::new(params).generate(horizon, 0);
     let mut policy = EasyBackfill;
@@ -77,7 +75,7 @@ fn materialized_run(horizon: SimTime, shards: u32) -> (String, String) {
         experiment_system(NODES),
         jobs,
         &mut policy,
-        config(horizon, shards),
+        config(horizon),
     ))
 }
 
@@ -89,14 +87,14 @@ fn source(horizon: SimTime) -> Box<LazyGeneratorSource> {
     ))
 }
 
-fn streaming_run(horizon: SimTime, shards: u32) -> (String, String) {
+fn streaming_run(horizon: SimTime) -> (String, String) {
     let mut policy = EasyBackfill;
     fingerprint(
         ClusterSim::try_new_with_source(
             experiment_system(NODES),
             source(horizon),
             &mut policy,
-            config(horizon, shards),
+            config(horizon),
         )
         .expect("valid streaming config"),
     )
@@ -104,13 +102,13 @@ fn streaming_run(horizon: SimTime, shards: u32) -> (String, String) {
 
 /// Streaming run killed at mid-horizon and resumed from the snapshot
 /// with a fresh source (the snapshot carries the source cursor).
-fn streaming_resumed_run(horizon: SimTime, shards: u32) -> (String, String) {
+fn streaming_resumed_run(horizon: SimTime) -> (String, String) {
     let mut policy = EasyBackfill;
     let mut sim = ClusterSim::try_new_with_source(
         experiment_system(NODES),
         source(horizon),
         &mut policy,
-        config(horizon, shards),
+        config(horizon),
     )
     .expect("valid streaming config");
     let snap = sim.run_until(SimTime::from_secs(horizon.as_secs() / 2.0));
@@ -121,7 +119,7 @@ fn streaming_resumed_run(horizon: SimTime, shards: u32) -> (String, String) {
             experiment_system(NODES),
             source(horizon),
             &mut policy,
-            config(horizon, shards),
+            config(horizon),
             &snap,
         )
         .expect("streaming snapshot resumes"),
@@ -130,43 +128,36 @@ fn streaming_resumed_run(horizon: SimTime, shards: u32) -> (String, String) {
 
 fn main() {
     // Phase 1: 10k-job prefix, materialized vs streaming vs
-    // streaming-with-crash across the shard × thread grid.
+    // streaming-with-crash across the thread grid.
     let horizon = horizon_for(PREFIX_JOBS);
-    let (base_outcome, base_trace) =
-        rayon::with_num_threads(1, || materialized_run(horizon, SHARD_GRID[0]));
-    let mut cells = 0;
-    for &shards in &SHARD_GRID {
-        for &threads in &THREAD_GRID {
-            let (m_out, m_trace) =
-                rayon::with_num_threads(threads, || materialized_run(horizon, shards));
-            let (s_out, s_trace) =
-                rayon::with_num_threads(threads, || streaming_run(horizon, shards));
-            let (r_out, r_trace) =
-                rayon::with_num_threads(threads, || streaming_resumed_run(horizon, shards));
-            for (label, out, trace) in [
-                ("materialized", &m_out, &m_trace),
-                ("streaming", &s_out, &s_trace),
-                ("streaming+resume", &r_out, &r_trace),
-            ] {
-                assert_eq!(
-                    out, &base_outcome,
-                    "{label} outcome diverged at {shards} shards x {threads} threads"
-                );
-                assert_eq!(
-                    trace, &base_trace,
-                    "{label} trace diverged at {shards} shards x {threads} threads"
-                );
-            }
-            cells += 1;
-            eprintln!(
-                "prefix: {shards} shards x {threads} threads: materialized, streaming, \
-                 and crash/resume runs all byte-identical"
+    let (base_outcome, base_trace) = rayon::with_num_threads(1, || materialized_run(horizon));
+    for &threads in &THREAD_GRID {
+        let (m_out, m_trace) = rayon::with_num_threads(threads, || materialized_run(horizon));
+        let (s_out, s_trace) = rayon::with_num_threads(threads, || streaming_run(horizon));
+        let (r_out, r_trace) = rayon::with_num_threads(threads, || streaming_resumed_run(horizon));
+        for (label, out, trace) in [
+            ("materialized", &m_out, &m_trace),
+            ("streaming", &s_out, &s_trace),
+            ("streaming+resume", &r_out, &r_trace),
+        ] {
+            assert_eq!(
+                out, &base_outcome,
+                "{label} outcome diverged at {threads} threads"
+            );
+            assert_eq!(
+                trace, &base_trace,
+                "{label} trace diverged at {threads} threads"
             );
         }
+        eprintln!(
+            "prefix: {threads} threads: materialized, streaming, and crash/resume runs \
+             all byte-identical"
+        );
     }
     eprintln!(
-        "prefix: {PREFIX_JOBS}-job outcome+trace identical across {cells} grid cells \
-         x 3 engine paths"
+        "prefix: {PREFIX_JOBS}-job outcome+trace identical across {} thread counts \
+         x 3 engine paths",
+        THREAD_GRID.len()
     );
 
     // Phase 2: the million-job run, in bounded memory.
@@ -180,7 +171,7 @@ fn main() {
         &mut policy,
         // Tracing off for the long run: the ring would just rotate.
         {
-            let mut c = config(horizon, 1);
+            let mut c = config(horizon);
             c.trace = TraceConfig::default();
             c
         },

@@ -38,7 +38,10 @@ use serde::Serialize;
 /// follow-the-renewables Pareto fronts (cost / carbon / bounded
 /// slowdown with `pareto_optimal` flags) and the nine-site federation
 /// objective sweep (cost / carbon / mean deferral).
-pub const BENCH_SCHEMA_VERSION: u32 = 6;
+///
+/// v7: `bench_baseline` dropped its `shards` section (the partitioned
+/// engine is gone; every run uses one event queue).
+pub const BENCH_SCHEMA_VERSION: u32 = 7;
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
 /// `/proc/self/status`), or 0 where that interface is unavailable. The

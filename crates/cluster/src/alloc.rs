@@ -142,11 +142,9 @@ impl Allocator {
     }
 
     /// The maximal free runs intersected with `[lo, hi)`, as
-    /// `(start, len)` pairs in ascending order — a shard's view of its
-    /// slice of the free-run structure. A run straddling the interval
-    /// boundary is clipped to it. O(log n + runs-in-range).
-    #[must_use]
-    pub fn free_runs_in(&self, lo: u32, hi: u32) -> Vec<(u32, u32)> {
+    /// `(start, len)` pairs in ascending order. A run straddling the
+    /// interval boundary is clipped to it. O(log n + runs-in-range).
+    fn free_runs_in(&self, lo: u32, hi: u32) -> Vec<(u32, u32)> {
         if lo >= hi {
             return Vec::new();
         }
@@ -161,17 +159,6 @@ impl Allocator {
             out.push((start, len.min(hi - start)));
         }
         out
-    }
-
-    /// Number of free nodes with ids in `[lo, hi)`. Summed over a shard
-    /// partition this reproduces [`Allocator::free_count`] exactly — the
-    /// cross-check a sharded engine's invariant checker runs.
-    #[must_use]
-    pub fn free_count_in(&self, lo: u32, hi: u32) -> usize {
-        self.free_runs_in(lo, hi)
-            .iter()
-            .map(|&(_, len)| len as usize)
-            .sum()
     }
 
     // ---- snapshot -----------------------------------------------------
@@ -540,7 +527,7 @@ mod tests {
     }
 
     #[test]
-    fn free_runs_in_clips_and_partitions() {
+    fn free_runs_in_clips_to_the_window() {
         let mut a = Allocator::new(16, AllocStrategy::FirstFit, dragonfly());
         // Occupy 0..4 and 6..9, leaving free runs {4,5} and {9..16}.
         let first = a.allocate(4).unwrap();
@@ -550,13 +537,7 @@ mod tests {
         assert_eq!(a.free_runs_in(0, 16), vec![(4, 2), (9, 7)]);
         // A window cutting through the second run clips it on both sides.
         assert_eq!(a.free_runs_in(10, 12), vec![(10, 2)]);
-        // Shard-partitioned counts sum to the global free count.
-        let total: usize = [(0u32, 8u32), (8, 16)]
-            .iter()
-            .map(|&(lo, hi)| a.free_count_in(lo, hi))
-            .sum();
-        assert_eq!(total, a.free_count());
-        assert_eq!(a.free_count_in(0, 0), 0);
+        assert!(a.free_runs_in(0, 0).is_empty());
         drop((first, second));
     }
 

@@ -19,7 +19,6 @@ pub mod error;
 pub mod layout;
 pub mod node;
 pub mod nodeset;
-pub mod shard;
 pub mod system;
 pub mod topology;
 
@@ -28,6 +27,5 @@ pub use error::ClusterError;
 pub use layout::{ChillerId, FacilityLayout, MaintenanceWindow, PduId};
 pub use node::{CpuSpec, NodeId, NodeSpec};
 pub use nodeset::NodeSet;
-pub use shard::ShardTopology;
 pub use system::{System, SystemSpec};
 pub use topology::Topology;

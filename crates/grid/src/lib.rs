@@ -16,9 +16,9 @@
 //!   coupling: per-tick settlement, budget targets, snapshot codec.
 //!
 //! The engine couples to the twin only through the control plane
-//! (`ControlAction::ResizeBudget` / `EmergencyShed`) and ordinary global
+//! (`ControlAction::ResizeBudget` / `EmergencyShed`) and ordinary
 //! simulation events, which is what preserves the standing invariant:
-//! byte-identical outcomes across shard/thread counts, and byte-identical
+//! byte-identical outcomes across thread counts, and byte-identical
 //! to the grid-less engine when no [`GridConfig`] is supplied.
 
 #![warn(missing_docs)]

@@ -24,13 +24,10 @@ pub enum Scope {
     Allocator = 2,
     /// Power metering / telemetry ticks.
     Meter = 3,
-    /// Shard-local event windows: resolving and applying the shard queues
-    /// between two global (barrier) events.
-    ShardDrain = 4,
 }
 
 /// Number of scopes.
-pub const N_SCOPES: usize = 5;
+pub const N_SCOPES: usize = 4;
 
 /// All scopes, in index order.
 pub const ALL_SCOPES: [Scope; N_SCOPES] = [
@@ -38,7 +35,6 @@ pub const ALL_SCOPES: [Scope; N_SCOPES] = [
     Scope::Schedule,
     Scope::Allocator,
     Scope::Meter,
-    Scope::ShardDrain,
 ];
 
 impl Scope {
@@ -50,7 +46,6 @@ impl Scope {
             Scope::Schedule => "schedule",
             Scope::Allocator => "allocator",
             Scope::Meter => "meter",
-            Scope::ShardDrain => "shard_drain",
         }
     }
 }

@@ -218,8 +218,8 @@ impl TraceConfig {
     /// or a comma list like `"job,budget,fault"`). Unset means disabled.
     /// Unknown category names are skipped, but *not* silently: a
     /// one-time stderr warning names the variable, the value, and the
-    /// rejected names — the same contract as the `EPA_JSRM_SHARDS` /
-    /// `EPA_JSRM_THREADS` parsers, so a typo'd `EPA_JSRM_TRACE=jobs`
+    /// rejected names — the same contract as the `EPA_JSRM_THREADS`
+    /// parser, so a typo'd `EPA_JSRM_TRACE=jobs`
     /// cannot masquerade as "job tracing on".
     #[must_use]
     pub fn from_env() -> Self {

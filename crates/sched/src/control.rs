@@ -16,9 +16,9 @@
 //!
 //! Determinism contract: actions from [`ActionSource::Engineered`] record
 //! nothing (no trace events, no counters), so an engineered run through
-//! the adapter path is byte-identical to the pre-refactor engine — the
-//! equivalence is proptested against [`ControlMode::DirectLegacy`] in
-//! `tests/control_equivalence.rs`.
+//! the adapter path is byte-identical to the pre-refactor engine —
+//! `tests/control_equivalence.rs` pins outcome and trace fingerprints
+//! recorded from the former inline dispatch.
 
 use crate::emergency::VictimOrder;
 use crate::shutdown::ShutdownPolicy;
@@ -148,19 +148,6 @@ pub enum ActionSource {
     /// Submitted by an external controller through
     /// `ClusterSim::apply_external_actions` (e.g. a learned policy).
     External,
-}
-
-/// How the engine dispatches its engineered mechanisms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ControlMode {
-    /// Engineered mechanisms emit [`ControlAction`]s through the unified
-    /// apply path (the default; required for [`crate::env::PolicyEnv`]).
-    #[default]
-    Adapters,
-    /// The pre-refactor inline dispatch, preserved verbatim so the
-    /// equivalence proptests can byte-compare the two paths. Not a
-    /// user-facing mode; excluded from the config fingerprint.
-    DirectLegacy,
 }
 
 /// The control plane's persistent knob state — what `Set*` actions write

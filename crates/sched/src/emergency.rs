@@ -96,9 +96,7 @@ impl EmergencyPolicy {
     }
 
     /// True when the policy should respond at `t` with draw `observed`:
-    /// armed *and* over the limit. The single predicate both the adapter
-    /// and the legacy dispatch consult, so window-edge semantics cannot
-    /// drift between the two paths.
+    /// armed *and* over the limit.
     ///
     /// The breach test is a strict `>`: drawing exactly the limit is
     /// compliant. Combined with the `[start, end)` arming window this

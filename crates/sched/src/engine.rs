@@ -18,12 +18,11 @@
 //! consumes: utilization, wait/slowdown statistics, energy, peak power,
 //! violations, kills, and per-policy counters.
 
-use crate::control::{ActionSource, ControlAction, ControlMode, ControlState, Observation};
+use crate::control::{ActionSource, ControlAction, ControlState, Observation};
 use crate::emergency::{EmergencyPolicy, VictimOrder};
 use crate::error::SchedError;
 use crate::limiting::JobLimitGate;
 use crate::queue::JobQueue;
-use crate::shards::{EventKey, LocalEv, ShardSet, ShardWindow};
 use crate::shutdown::ShutdownPolicy;
 use crate::snapshot::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
 use crate::view::{Decision, Policy, RunningSummary, SchedView};
@@ -31,7 +30,6 @@ use epa_cluster::alloc::{AllocStrategy, Allocator};
 use epa_cluster::layout::FacilityLayout;
 use epa_cluster::node::NodeId;
 use epa_cluster::nodeset::NodeSet;
-use epa_cluster::shard::ShardTopology;
 use epa_cluster::system::System;
 use epa_faults::{FaultConfig, FaultInjector, FaultPlan, SensorFaultConfig, SensorSample};
 use epa_grid::{GridConfig, GridState, GridSummary};
@@ -109,11 +107,6 @@ pub struct EngineConfig {
     /// masked off every trace site costs one branch on a bitset, and the
     /// simulated outcome is byte-identical either way.
     pub trace: TraceConfig,
-    /// Shard count for the partitioned event engine. Shards are
-    /// cabinet-aligned and the count is clamped to the cabinet count;
-    /// the simulated outcome is byte-identical at every shard count.
-    /// `None` reads `EPA_JSRM_SHARDS`, defaulting to 1.
-    pub shards: Option<u32>,
     /// Keep per-job [`CompletedJob`] records in memory. Streaming runs
     /// turn this off: completions fold into incremental aggregates (and
     /// the optional JSONL sink), `SimOutcome::jobs` comes back empty,
@@ -124,13 +117,6 @@ pub struct EngineConfig {
     /// average, and 5-minute `power_trace` stay byte-identical; raw
     /// trace access ([`ClusterSim::meter`] → `system_trace`) panics.
     pub bounded_power_trace: bool,
-    /// How engineered mechanisms (shutdown, emergency, gate, budget
-    /// resizes) reach the engine: through the unified [`ControlAction`]
-    /// apply path (default), or the pre-refactor inline dispatch kept
-    /// for the adapter-equivalence proptests. Both produce byte-identical
-    /// outcomes and traces; the mode is excluded from the snapshot
-    /// fingerprint.
-    pub control_mode: ControlMode,
     /// Facility digital twin: price/carbon traces, demand-response
     /// contract, cooling loop. `None` (the default) leaves every code
     /// path byte-identical to the grid-less engine; `Some` co-simulates
@@ -138,38 +124,6 @@ pub struct EngineConfig {
     /// `ControlAction::ResizeBudget` / `EmergencyShed` and settling
     /// cost/carbon/penalty into [`ClusterSim::grid_summary`].
     pub grid: Option<GridConfig>,
-}
-
-/// Parses an `EPA_JSRM_SHARDS` value: a positive integer, or `None` for
-/// anything else (with a description of why it was rejected).
-fn parse_shards(raw: &str) -> Result<u32, String> {
-    match raw.trim().parse::<u32>() {
-        Ok(n) if n >= 1 => Ok(n),
-        Ok(n) => Err(format!("{n} is not a positive shard count")),
-        Err(_) => Err(format!("{raw:?} is not an integer")),
-    }
-}
-
-/// `EPA_JSRM_SHARDS` (read once per process): requested shard count, or
-/// `None` when unset/invalid. An invalid value is *not* silently
-/// dropped: a one-time stderr warning names the variable and the value
-/// so a typo'd `EPA_JSRM_SHARDS=abc` cannot masquerade as "unset".
-fn env_shards() -> Option<u32> {
-    use std::sync::OnceLock;
-    static SHARDS: OnceLock<Option<u32>> = OnceLock::new();
-    *SHARDS.get_or_init(|| match std::env::var("EPA_JSRM_SHARDS") {
-        Ok(raw) => match parse_shards(&raw) {
-            Ok(n) => Some(n),
-            Err(why) => {
-                eprintln!(
-                    "warning: ignoring invalid EPA_JSRM_SHARDS={raw:?}: {why} \
-                     (falling back to 1 shard)"
-                );
-                None
-            }
-        },
-        Err(_) => None,
-    })
 }
 
 impl EngineConfig {
@@ -195,10 +149,8 @@ impl EngineConfig {
             seed: 0xe9a,
             faults: None,
             trace: TraceConfig::default(),
-            shards: None,
             retain_completed: true,
             bounded_power_trace: false,
-            control_mode: ControlMode::Adapters,
             grid: None,
         }
     }
@@ -269,9 +221,7 @@ fn power_trace_grid() -> SimDuration {
     SimDuration::from_mins(5.0)
 }
 
-/// Global (barrier) events. Shard-local events — phase changes and
-/// shutdown completions, whose handlers touch only shard-owned state —
-/// live in [`ShardSet`] queues instead; see [`crate::shards`].
+/// Engine events, delivered in one `(t, seq)` order.
 #[derive(Debug)]
 enum Ev {
     Submit(usize),
@@ -291,6 +241,11 @@ enum Ev {
     GridDrStart(u32),
     /// The matching curtailment window closes.
     GridDrEnd(u32),
+    /// A running job enters its `usize`-th phase. Attempt-stamped: a
+    /// kill + requeue since scheduling makes it a no-op.
+    PhaseChange(JobId, u32, usize),
+    /// An idle node finishes its shutdown drain and powers off.
+    ShutdownDone(NodeId),
 }
 
 impl Ev {
@@ -332,6 +287,16 @@ impl Ev {
                 w.u8(9);
                 w.u32(*idx);
             }
+            Ev::PhaseChange(id, attempt, phase) => {
+                w.u8(10);
+                w.u64(id.0);
+                w.u32(*attempt);
+                w.usize(*phase);
+            }
+            Ev::ShutdownDone(n) => {
+                w.u8(11);
+                w.u32(n.0);
+            }
         }
     }
 
@@ -347,6 +312,8 @@ impl Ev {
             7 => Ev::DomainFail(r.u32()?),
             8 => Ev::GridDrStart(r.u32()?),
             9 => Ev::GridDrEnd(r.u32()?),
+            10 => Ev::PhaseChange(JobId(r.u64()?), r.u32()?, r.usize()?),
+            11 => Ev::ShutdownDone(NodeId(r.u32()?)),
             tag => {
                 return Err(SnapshotError::Corrupt {
                     detail: format!("unknown engine event tag {tag}"),
@@ -378,49 +345,6 @@ fn node_state_from_tag(tag: u8) -> Result<NodePowerState, SnapshotError> {
             })
         }
     })
-}
-
-/// Resolve shard windows in parallel only when the batch is big enough
-/// to amortize the fork/join, and a pool actually exists. Both branches
-/// run identical math on identical inputs and merge index-ordered, so
-/// the threshold affects wall clock only — never the outcome.
-const PAR_RESOLVE_MIN: usize = 64;
-
-/// The resolved, ready-to-apply effect of one shard-local event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum LocalEffect {
-    /// Retarget a running job's allocation group to its next phase draw.
-    SetGroupWatts { gid: GroupId, watts: f64 },
-    /// An idle node's shutdown drain completed: power it off.
-    NodeOff(NodeId),
-    /// Stale attempt (job killed/requeued since scheduling): no-op.
-    Skip,
-}
-
-/// Resolves one shard-local event against barrier state. Read-only —
-/// callable from any shard's window concurrently — and exactly the
-/// guard logic of the former single-queue dispatch arms.
-fn resolve_local(
-    attempts: &BTreeMap<JobId, u32>,
-    running: &BTreeMap<JobId, RunningJob>,
-    ev: LocalEv,
-) -> LocalEffect {
-    match ev {
-        LocalEv::PhaseChange(id, attempt, phase) => {
-            if attempts.get(&id).copied() == Some(attempt) {
-                if let Some(r) = running.get(&id) {
-                    if let Some(&watts) = r.phase_watts.get(phase) {
-                        return LocalEffect::SetGroupWatts {
-                            gid: r.meter_group,
-                            watts,
-                        };
-                    }
-                }
-            }
-            LocalEffect::Skip
-        }
-        LocalEv::ShutdownDone(n) => LocalEffect::NodeOff(n),
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -816,13 +740,6 @@ pub struct ClusterSim<'p> {
     /// registry as the single source of truth and are folded into the
     /// outcome's counter map at finalize.
     obs: Obs,
-    /// Per-cabinet shard queues for shard-local events (phase changes,
-    /// shutdown completions), drained in conservative windows between
-    /// global events. See [`crate::shards`].
-    shards: ShardSet,
-    /// Shard-local events applied so far; added to the global count so
-    /// `sim/events_processed` matches the single-queue engine exactly.
-    local_events: u64,
     /// The control plane's persistent knob state: what `Set*` control
     /// actions write and the engine consults (job limit, default DVFS
     /// frequency, backfill depth, shutdown override). Snapshot as its
@@ -921,23 +838,14 @@ impl<'p> ClusterSim<'p> {
         for &(t, w) in &config.budget_schedule {
             sim.schedule_at(t, Ev::BudgetResize(w));
         }
-        // Grid DR windows ride the same global event queue — ordinary
-        // barrier events, so shard/thread counts cannot reorder them.
+        // Grid DR windows ride the same event queue as everything else.
         if let Some(g) = &config.grid {
             for (i, ev) in g.contract.events.iter().enumerate() {
                 sim.schedule_at(ev.start, Ev::GridDrStart(i as u32));
                 sim.schedule_at(ev.end, Ev::GridDrEnd(i as u32));
             }
         }
-        let root_rng = epa_simcore::rng::SimRng::new(config.seed);
-        // Cabinet-aligned shards: the requested count (config, then the
-        // EPA_JSRM_SHARDS env, default 1) clamps to the cabinet count.
-        let requested = config.shards.or_else(env_shards).unwrap_or(1);
-        let shards = ShardSet::new(
-            ShardTopology::cabinet_aligned(total, system.spec().nodes_per_cabinet, requested),
-            &root_rng,
-        );
-        let mut rng = root_rng.stream("engine-failures");
+        let mut rng = epa_simcore::rng::SimRng::new(config.seed).stream("engine-failures");
         if let Some(mtbf) = config.node_mtbf {
             let first = rng.exponential(1.0 / mtbf.as_secs().max(1e-9));
             sim.schedule_at(SimTime::from_secs(first), Ev::NodeFail);
@@ -1032,8 +940,6 @@ impl<'p> ClusterSim<'p> {
             repair_downtime_secs: 0.0,
             repairs_completed: 0,
             obs,
-            shards,
-            local_events: 0,
             control: ControlState::default(),
             grid: grid_state,
         })
@@ -1162,41 +1068,12 @@ impl<'p> ClusterSim<'p> {
         (self.finalize().0, grid)
     }
 
-    /// Advances the run by one window barrier: drains the conservative
-    /// shard window before the next global event, then dispatches that
-    /// event. Returns `true` when the run is over (global queue exhausted
-    /// or the horizon reached) — and stays idempotent from then on, so
-    /// callers may keep stepping safely. Every instant *between* two
-    /// `step` calls is a barrier: no shard window is in flight, which is
-    /// what makes it a legal snapshot point.
+    /// Dispatches the next event. Returns `true` when the run is over
+    /// (queue exhausted or the horizon reached) — and stays idempotent
+    /// from then on, so callers may keep stepping safely. Every instant
+    /// *between* two `step` calls is a legal snapshot point.
     fn step(&mut self) -> bool {
-        // Conservative window: every shard-local event whose (t, seq)
-        // key lies strictly before the next global event's key can be
-        // applied without observing it. The ever-pending PowerTick
-        // bounds the window at the telemetry interval.
-        let bound = self.sim.peek_key();
-        if self.drain_local_window(bound) {
-            // A shard reached a past-horizon event; by key order the
-            // pending global head (if any) is past the horizon too.
-            let leftover = self.sim.next_event();
-            debug_assert!(
-                leftover.is_none(),
-                "a pre-horizon global event cannot follow a past-horizon local one"
-            );
-            return true;
-        }
         let Some((t, ev)) = self.sim.next_event() else {
-            // Global queue exhausted or past the horizon. The window
-            // drain already consumed every key before the global
-            // head, so whatever remains in the shard queues is past
-            // the horizon as well.
-            debug_assert!(
-                self.shards
-                    .min_key()
-                    .is_none_or(|(lt, _)| lt > self.config.horizon),
-                "pre-horizon local events must drain before the run ends"
-            );
-            self.shards.clear();
             return true;
         };
         let t_dispatch = self.obs.profiler.start();
@@ -1255,8 +1132,7 @@ impl<'p> ClusterSim<'p> {
             }
             Ev::BudgetResize(w) => {
                 // The demand-response schedule is an engineered adapter:
-                // the resize flows through the unified apply path in both
-                // control modes (the execute body is the old inline arm).
+                // the resize flows through the unified apply path.
                 let _ = self.apply_action(
                     t,
                     &ControlAction::ResizeBudget { watts: w },
@@ -1329,6 +1205,17 @@ impl<'p> ClusterSim<'p> {
                 self.on_grid_dr_end(t, idx);
                 self.try_schedule();
             }
+            Ev::PhaseChange(id, attempt, phase) => {
+                if self.attempts.get(&id).copied() == Some(attempt) {
+                    if let Some(r) = self.running.get(&id) {
+                        if let Some(&watts) = r.phase_watts.get(phase) {
+                            self.meter.set_group_watts(r.meter_group, t, watts);
+                            self.metrics.incr("jobs/phase_changes", 1);
+                        }
+                    }
+                }
+            }
+            Ev::ShutdownDone(n) => self.set_node_state(n, NodePowerState::Off, t),
         }
         self.obs.profiler.stop(Scope::Dispatch, t_dispatch);
         false
@@ -1426,49 +1313,35 @@ impl<'p> ClusterSim<'p> {
         }
     }
 
-    /// Runs the simulation up to (at most) `until`, stopping at the first
-    /// window barrier where the next global event lies past `until`, and
-    /// returns a [`Snapshot`] of the full engine state at that barrier.
-    ///
-    /// Shard-local events before the next global event that have not been
-    /// drained yet are captured *queued*, not applied — the resumed
-    /// engine drains them in exactly the order the uninterrupted engine
-    /// would have. If the run finishes before `until`, the snapshot
-    /// captures the finished state (resuming it finalizes immediately
-    /// with the identical outcome). Call repeatedly to checkpoint a run
-    /// at several points, and [`ClusterSim::run`] /
+    /// Runs the simulation up to (at most) `until` — every event at or
+    /// before `until` is applied — and returns a [`Snapshot`] of the full
+    /// engine state at that point. If the run finishes before `until`,
+    /// the snapshot captures the finished state (resuming it finalizes
+    /// immediately with the identical outcome). Call repeatedly to
+    /// checkpoint a run at several points, and [`ClusterSim::run`] /
     /// [`ClusterSim::run_traced`] to finish it.
     pub fn run_until(&mut self, until: SimTime) -> Snapshot {
         let _ = self.advance_until(until);
         self.snapshot()
     }
 
-    /// Advances the run to the first window barrier at or past `until`
-    /// without snapshotting — the [`crate::env::PolicyEnv`] stepping
-    /// primitive (exactly [`ClusterSim::run_until`]'s loop). Returns
-    /// `true` when the run is over (event queues exhausted or the horizon
-    /// reached); finishing the engine with [`ClusterSim::run`] afterwards
-    /// finalizes the outcome.
+    /// Applies every event at or before `until` without snapshotting —
+    /// the [`crate::env::PolicyEnv`] stepping primitive (exactly
+    /// [`ClusterSim::run_until`]'s loop). Returns `true` when the run is
+    /// over (event queue exhausted or the horizon reached); finishing the
+    /// engine with [`ClusterSim::run`] afterwards finalizes the outcome.
     pub fn advance_until(&mut self, until: SimTime) -> bool {
         loop {
-            match self.sim.peek_key() {
-                Some((t, _)) if t > until => return false,
-                Some(_) => {
-                    if self.step() {
-                        return true;
-                    }
-                }
-                None => {
-                    // No global events left: one final step drains any
-                    // remaining shard windows and ends the run.
-                    let _ = self.step();
-                    return true;
-                }
+            if self.sim.peek_time().is_some_and(|t| t > until) {
+                return false;
+            }
+            if self.step() {
+                return true;
             }
         }
     }
 
-    /// The current simulation time (the last window barrier).
+    /// The current simulation time (the time of the last applied event).
     #[must_use]
     pub fn now(&self) -> SimTime {
         self.sim.now()
@@ -1559,13 +1432,13 @@ impl<'p> ClusterSim<'p> {
 
     /// Freezes the full engine state into a [`Snapshot`].
     ///
-    /// Legal only at a window barrier — between [`ClusterSim::run_until`]
-    /// calls, or before the run starts. Everything mutable is captured:
-    /// the global event queue with its sequence counter, shard mailboxes
-    /// and local clocks, RNG substream positions, allocator spans, meter
-    /// accumulators and open allocation groups, the budget ledger, queued
-    /// and running jobs, fault state, the prediction history, metrics,
-    /// completed-job records, and the observability ring. Configuration
+    /// Legal between events — between [`ClusterSim::run_until`] calls,
+    /// or before the run starts. Everything mutable is captured: the
+    /// event queue with its sequence counter, RNG stream positions,
+    /// allocator spans, meter accumulators and open allocation groups,
+    /// the budget ledger, queued and running jobs, fault state, the
+    /// prediction history, metrics, completed-job records, and the
+    /// observability ring. Configuration
     /// is *not* stored (the caller re-supplies it at
     /// [`ClusterSim::resume`]); a fingerprint guards against mismatches.
     #[must_use]
@@ -1583,8 +1456,6 @@ impl<'p> ClusterSim<'p> {
             w.u64(seq);
             ev.snapshot_into(w);
         });
-        w.section("shards");
-        self.shards.snapshot_into(&mut w);
         w.section("alloc");
         self.allocator.snapshot_into(&mut w);
         w.section("meter");
@@ -1630,7 +1501,6 @@ impl<'p> ClusterSim<'p> {
         w.bool(self.telemetry_stale);
         w.f64(self.repair_downtime_secs);
         w.u64(self.repairs_completed);
-        w.u64(self.local_events);
         w.section("control");
         self.control.snapshot_into(&mut w);
         w.section("faults");
@@ -1659,7 +1529,7 @@ impl<'p> ClusterSim<'p> {
     }
 
     /// Rebuilds an engine from a [`Snapshot`], validating schema version,
-    /// checksum, topology (node count, shard layout), and the config
+    /// checksum, topology (node count), and the config
     /// fingerprint before touching any state. On success the engine is
     /// indistinguishable from the one that took the snapshot: finishing
     /// the run produces a byte-identical [`SimOutcome`] and decision
@@ -1671,8 +1541,7 @@ impl<'p> ClusterSim<'p> {
     /// [`SnapshotError::ConfigMismatch`] / [`SnapshotError::TopologyMismatch`].
     /// A non-default predictor ([`ClusterSim::set_predictor`]) must be
     /// re-set after resume; built-in policies keep no cross-call state.
-    /// The thread count may change across the boundary; the shard count
-    /// (`config.shards` / `EPA_JSRM_SHARDS`) must match the snapshot's.
+    /// The thread count may change across the boundary.
     pub fn resume(
         system: System,
         jobs: Vec<Job>,
@@ -1752,8 +1621,6 @@ impl<'p> ClusterSim<'p> {
         }
         self.sim.queue_mut().set_seq(queue_seq);
         self.sim.restore_clock(now, processed);
-        r.section("shards")?;
-        self.shards = ShardSet::restore_from(&mut r, self.shards.topo().clone())?;
         r.section("alloc")?;
         self.allocator = Allocator::restore_from(
             &mut r,
@@ -1819,7 +1686,6 @@ impl<'p> ClusterSim<'p> {
         self.telemetry_stale = r.bool()?;
         self.repair_downtime_secs = r.f64()?;
         self.repairs_completed = r.u64()?;
-        self.local_events = r.u64()?;
         r.section("control")?;
         self.control = ControlState::restore_from(&mut r)?;
         r.section("faults")?;
@@ -1925,61 +1791,6 @@ impl<'p> ClusterSim<'p> {
         self.summaries
             .sort_unstable_by_key(|s| (s.estimated_end, s.id));
         Ok(())
-    }
-
-    /// Drains every shard-local event with key strictly before `bound`
-    /// (all pending events when `None`), applying their effects in merged
-    /// `(t, seq)` order — the exact interleaving, and the exact
-    /// floating-point fold order, a single-queue engine would produce.
-    ///
-    /// Returns `true` when a past-horizon event was reached, which ends
-    /// the run (mirroring the single-queue engine's stop-at-first-event-
-    /// beyond-the-horizon semantics).
-    fn drain_local_window(&mut self, bound: Option<EventKey>) -> bool {
-        if self.shards.pending() == 0 {
-            return false;
-        }
-        debug_assert!(
-            self.shards.invariants_hold(&self.allocator),
-            "shard invariants violated before window drain"
-        );
-        let t_drain = self.obs.profiler.start();
-        let (windows, hit_horizon) = self.shards.pop_window(bound, self.config.horizon);
-        // Resolve each shard's window independently. Resolution reads
-        // only barrier state (attempts, running) that local effects never
-        // mutate, so neither shard order nor parallelism can matter.
-        let attempts = &self.attempts;
-        let running = &self.running;
-        let resolve = |(_, window): &(u32, ShardWindow)| {
-            window
-                .iter()
-                .map(|&(t, seq, ev)| (t, seq, resolve_local(attempts, running, ev)))
-                .collect::<Vec<_>>()
-        };
-        let total: usize = windows.iter().map(|(_, w)| w.len()).sum();
-        let resolved: Vec<Vec<(SimTime, u64, LocalEffect)>> =
-            if total >= PAR_RESOLVE_MIN && rayon::current_num_threads() > 1 {
-                use rayon::prelude::*;
-                windows.par_iter().map(resolve).collect()
-            } else {
-                windows.iter().map(resolve).collect()
-            };
-        let mut effects: Vec<(SimTime, u64, LocalEffect)> =
-            resolved.into_iter().flatten().collect();
-        effects.sort_unstable_by_key(|&(t, seq, _)| (t, seq));
-        for (t, _seq, eff) in effects {
-            match eff {
-                LocalEffect::SetGroupWatts { gid, watts } => {
-                    self.meter.set_group_watts(gid, t, watts);
-                    self.metrics.incr("jobs/phase_changes", 1);
-                }
-                LocalEffect::NodeOff(n) => self.set_node_state(n, NodePowerState::Off, t),
-                LocalEffect::Skip => {}
-            }
-            self.local_events += 1;
-        }
-        self.obs.profiler.stop(Scope::ShardDrain, t_drain);
-        hit_horizon
     }
 
     /// Fails one uniformly-chosen operational node: the job running on it
@@ -2468,31 +2279,18 @@ impl<'p> ClusterSim<'p> {
         }
     }
 
-    /// Concurrency admission under the current mode: the legacy path
-    /// asks the gate inline (the pre-refactor shape); the adapter path
-    /// consults the control plane's job-limit knob, which
+    /// Concurrency admission: the control plane's job-limit knob, which
     /// [`ClusterSim::refresh_gate_limit`] re-derives from the gate each
-    /// scheduling round. Within a round the two are equivalent — ambient
-    /// temperature cannot change between events.
+    /// scheduling round (ambient temperature cannot change within one).
     fn admits_start(&self) -> bool {
-        match self.config.control_mode {
-            ControlMode::DirectLegacy => match &self.config.limit_gate {
-                Some(gate) => gate.admits(self.running.len(), self.ambient_c(self.sim.now())),
-                None => true,
-            },
-            ControlMode::Adapters => self
-                .control
-                .job_limit
-                .is_none_or(|l| self.running.len() < l),
-        }
+        self.control
+            .job_limit
+            .is_none_or(|l| self.running.len() < l)
     }
 
     /// Gate adapter: re-derives the temperature-conditioned concurrency
-    /// cap and writes it through the control plane (adapter mode only).
+    /// cap and writes it through the control plane.
     fn refresh_gate_limit(&mut self) {
-        if self.config.control_mode != ControlMode::Adapters {
-            return;
-        }
         let now = self.sim.now();
         let limit = match &self.config.limit_gate {
             Some(gate) => gate.limit_at(self.ambient_c(now)),
@@ -2506,8 +2304,7 @@ impl<'p> ClusterSim<'p> {
     }
 
     /// Sheds running jobs until the projected draw falls to
-    /// `target_watts`, then holds new starts for `cooldown`. The shared
-    /// body of the emergency response in both control modes — its
+    /// `target_watts`, then holds new starts for `cooldown`. Its
     /// operation order is load-bearing for byte determinism.
     fn emergency_shed(
         &mut self,
@@ -2570,8 +2367,7 @@ impl<'p> ClusterSim<'p> {
         self.try_schedule();
     }
 
-    /// Powers off idle nodes under the given aggressiveness knobs. The
-    /// shared body of the idle-shutdown scan in both control modes.
+    /// Powers off idle nodes under the given aggressiveness knobs.
     fn power_off_idle(
         &mut self,
         t: SimTime,
@@ -2602,15 +2398,8 @@ impl<'p> ClusterSim<'p> {
             if self.allocator.mark_unavailable(n) {
                 self.idle_since[n.index()] = None;
                 self.metrics.incr("rm/shutdowns", 1);
-                // Shutdown takes effect after a short drain; completion
-                // is shard-local to the node.
-                let seq = self.sim.alloc_seq();
-                self.shards.post(
-                    self.shards.topo().shard_of(n),
-                    t + shutdown_time,
-                    seq,
-                    LocalEv::ShutdownDone(n),
-                );
+                // Shutdown takes effect after a short drain.
+                self.sim.schedule_at(t + shutdown_time, Ev::ShutdownDone(n));
             }
         }
     }
@@ -2626,11 +2415,8 @@ impl<'p> ClusterSim<'p> {
         if self.sim.now() < self.start_hold_until {
             return;
         }
-        // The gate may cap how many jobs can run concurrently. Adapter
-        // mode refreshes the control plane's job-limit knob from the
-        // gate each round, then checks the knob; the legacy path asks
-        // the gate inline. Ambient temperature is constant within a
-        // round, so the two are equivalent.
+        // The gate may cap how many jobs can run concurrently: refresh
+        // the control plane's job-limit knob from it, then check the knob.
         self.refresh_gate_limit();
         if !self.admits_start() {
             return;
@@ -2686,12 +2472,9 @@ impl<'p> ClusterSim<'p> {
             // may look. `None` hands the policy the full queue, the
             // pre-refactor behaviour.
             let queue = self.queue.jobs();
-            let queue = match self.config.control_mode {
-                ControlMode::Adapters => match self.control.backfill_depth {
-                    Some(d) => &queue[..queue.len().min(d as usize)],
-                    None => queue,
-                },
-                ControlMode::DirectLegacy => queue,
+            let queue = match self.control.backfill_depth {
+                Some(d) => &queue[..queue.len().min(d as usize)],
+                None => queue,
             };
             self.policy.schedule(&view, queue)
         };
@@ -2710,21 +2493,16 @@ impl<'p> ClusterSim<'p> {
                     freq_ghz,
                     node_cap_watts,
                 } => {
-                    let started = match self.config.control_mode {
-                        ControlMode::Adapters => self.apply_action(
-                            now,
-                            &ControlAction::Start {
-                                job,
-                                nodes_override,
-                                freq_ghz,
-                                node_cap_watts,
-                            },
-                            ActionSource::Engineered,
-                        ),
-                        ControlMode::DirectLegacy => {
-                            self.start_job(job, nodes_override, freq_ghz, node_cap_watts)
-                        }
-                    };
+                    let started = self.apply_action(
+                        now,
+                        &ControlAction::Start {
+                            job,
+                            nodes_override,
+                            freq_ghz,
+                            node_cap_watts,
+                        },
+                        ActionSource::Engineered,
+                    );
                     if started {
                         started_any = true;
                         if stale {
@@ -3052,21 +2830,12 @@ impl<'p> ClusterSim<'p> {
             *a
         };
         self.sim.schedule_at(end, Ev::Finish(job.id, attempt));
-        // Stage the phase transitions that occur before the job ends in
-        // the owning shard's mailbox. A job's nodes may span shards; the
-        // first node's shard owns its events (any fixed rule works — the
-        // handler touches only the job's meter group, and the shared seq
-        // numbering makes the merged order routing-independent).
-        let home = self
-            .shards
-            .topo()
-            .shard_of(nodes.first().expect("allocations are nonempty"));
+        // Stage the phase transitions that occur before the job ends.
         for (k, &t_k) in phase_ends.iter().enumerate() {
             let next = k + 1;
             if next < phase_watts.len() && t_k < end {
-                let seq = self.sim.alloc_seq();
-                self.shards
-                    .post(home, t_k, seq, LocalEv::PhaseChange(job.id, attempt, next));
+                self.sim
+                    .schedule_at(t_k, Ev::PhaseChange(job.id, attempt, next));
             }
         }
         self.summary_insert(RunningSummary {
@@ -3310,21 +3079,13 @@ impl<'p> ClusterSim<'p> {
         self.last_tick = t;
 
         // Emergency response (RIKEN) and idle shutdown (Mämmelä / Tokyo
-        // Tech). Adapter mode routes both through the unified action
-        // apply path — the same funnel a learned controller uses; the
-        // legacy path dispatches inline exactly as the pre-refactor
-        // engine did (equivalence is proptested).
-        match self.config.control_mode {
-            ControlMode::Adapters => self.engineered_tick_actions(t, observed),
-            ControlMode::DirectLegacy => {
-                self.legacy_emergency_response(t, observed);
-                self.legacy_shutdown_scan(t);
-            }
-        }
+        // Tech), both through the unified action apply path — the same
+        // funnel a learned controller uses.
+        self.engineered_tick_actions(t, observed);
     }
 
-    /// Adapter mode: the engineered emergency and idle-shutdown policies
-    /// emit [`ControlAction`]s through the unified apply path.
+    /// The engineered emergency and idle-shutdown policies emit
+    /// [`ControlAction`]s through the unified apply path.
     fn engineered_tick_actions(&mut self, t: SimTime, observed: f64) {
         // Emergency response drives on *observed* power — a stale sensor
         // makes the response conservative (the fallback estimate errs
@@ -3367,38 +3128,6 @@ impl<'p> ClusterSim<'p> {
         }
     }
 
-    /// Pre-refactor inline emergency dispatch, kept for the equivalence
-    /// proptests ([`ControlMode::DirectLegacy`]).
-    fn legacy_emergency_response(&mut self, t: SimTime, observed: f64) {
-        if let Some(em) = self.config.emergency.clone() {
-            if em.armed_at(t) && observed > em.limit_watts {
-                self.emergency_shed(
-                    t,
-                    observed,
-                    em.limit_watts,
-                    em.target_watts(),
-                    em.victim_order,
-                    em.start_cooldown,
-                );
-            }
-        }
-    }
-
-    /// Pre-refactor inline shutdown scan, kept for the equivalence
-    /// proptests ([`ControlMode::DirectLegacy`]).
-    fn legacy_shutdown_scan(&mut self, t: SimTime) {
-        if let Some(sd) = self.config.shutdown.clone() {
-            let doy0 = self
-                .config
-                .facility
-                .as_ref()
-                .map_or(0, |f| f.config().weather.start_day_of_year);
-            if sd.season_active_on(t, doy0) {
-                self.power_off_idle(t, sd.idle_threshold, sd.min_idle_reserve, sd.shutdown_time);
-            }
-        }
-    }
-
     fn finalize(mut self) -> (SimOutcome, ObsBundle) {
         let end = self.sim.now().max(self.config.horizon);
         // Account busy time of still-running jobs up to the horizon.
@@ -3409,10 +3138,8 @@ impl<'p> ClusterSim<'p> {
         }
         let span = end.as_secs().max(1e-9);
         let total_nodes = f64::from(self.system.spec().total_nodes());
-        self.metrics.incr(
-            "sim/events_processed",
-            self.sim.events_processed() + self.local_events,
-        );
+        self.metrics
+            .incr("sim/events_processed", self.sim.events_processed());
         let energy = self.meter.system_energy_joules(SimTime::ZERO, end);
         let peak = self.meter.peak_system_watts(SimTime::ZERO, end);
         let avg = self.meter.avg_system_watts(SimTime::ZERO, end);
@@ -3592,24 +3319,6 @@ mod tests {
             streaming_out.jobs.is_empty(),
             "streaming mode must not retain per-job records"
         );
-    }
-
-    #[test]
-    fn parse_shards_accepts_positive_integers() {
-        assert_eq!(parse_shards("1"), Ok(1));
-        assert_eq!(parse_shards("4"), Ok(4));
-        assert_eq!(parse_shards(" 16 "), Ok(16));
-    }
-
-    #[test]
-    fn parse_shards_rejects_garbage_and_zero() {
-        let err = parse_shards("abc").unwrap_err();
-        assert!(err.contains("abc"), "error should name the value: {err}");
-        let err = parse_shards("0").unwrap_err();
-        assert!(err.contains('0'), "error should name the value: {err}");
-        assert!(parse_shards("").is_err());
-        assert!(parse_shards("-3").is_err());
-        assert!(parse_shards("2.5").is_err());
     }
 
     #[test]

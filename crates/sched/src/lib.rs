@@ -41,12 +41,11 @@ pub mod learn;
 pub mod limiting;
 pub mod policies;
 pub mod queue;
-pub mod shards;
 pub mod shutdown;
 pub mod snapshot;
 pub mod view;
 
-pub use control::{ActionSource, ControlAction, ControlMode, ControlState, Observation};
+pub use control::{ActionSource, ControlAction, ControlState, Observation};
 pub use emergency::EmergencyPolicy;
 pub use engine::{ClusterSim, EngineConfig, RewardProbe, SimOutcome};
 pub use env::{EnvConfig, PolicyEnv, RewardConfig, StepResult};

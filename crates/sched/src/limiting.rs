@@ -29,12 +29,6 @@ impl JobLimitGate {
             self.normal_limit
         }
     }
-
-    /// True when another job may start given the current running count.
-    #[must_use]
-    pub fn admits(&self, running: usize, temperature_c: f64) -> bool {
-        running < self.limit_at(temperature_c)
-    }
 }
 
 #[cfg(test)]
@@ -51,17 +45,13 @@ mod tests {
 
     #[test]
     fn normal_conditions_use_normal_limit() {
-        let g = gate();
-        assert!(g.admits(9, 20.0));
-        assert!(!g.admits(10, 20.0));
+        assert_eq!(gate().limit_at(20.0), 10);
     }
 
     #[test]
     fn hot_conditions_tighten() {
         let g = gate();
         assert_eq!(g.limit_at(30.0), 4);
-        assert!(g.admits(3, 30.0));
-        assert!(!g.admits(4, 30.0));
         // Exactly at threshold: still normal.
         assert_eq!(g.limit_at(28.0), 10);
     }

@@ -1,9 +1,8 @@
 //! Crash-safe engine snapshots.
 //!
 //! A [`Snapshot`] is the full mutable state of a
-//! [`ClusterSim`](crate::engine::ClusterSim) frozen at a window barrier —
-//! the point between two global events where no shard window is in
-//! flight. It is a self-describing binary frame (see
+//! [`ClusterSim`](crate::engine::ClusterSim) frozen between two events.
+//! It is a self-describing binary frame (see
 //! [`epa_simcore::snap`]): magic, schema version, payload length, and an
 //! FNV-1a-64 checksum guard the payload; named section markers frame each
 //! component's state so a decode failure reports *which* subsystem's
@@ -12,9 +11,8 @@
 //! The determinism contract: a run killed at any barrier and resumed from
 //! its latest snapshot produces a [`SimOutcome`](crate::engine::SimOutcome)
 //! and an exported decision trace byte-identical to the uninterrupted
-//! run, at any shard count × thread count the snapshot's shard layout
-//! admits (thread count is free to change across the boundary; the shard
-//! count must match the snapshot's, because mailbox state is per-shard).
+//! run, at any thread count (which is free to change across the
+//! boundary).
 //!
 //! Configuration is deliberately *not* stored: the caller re-supplies the
 //! system, workload, policy, and [`EngineConfig`](crate::engine::EngineConfig)
@@ -37,8 +35,11 @@ use std::path::Path;
 /// two new wire tags for DR-window events in the global queue); v5 stores
 /// node sets as spans — running jobs' nodes and the allocator's
 /// unavailable set as `(start, len)` runs, the allocator without per-node
-/// busy flags, and the meter as per-node energy plus its run index.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 5;
+/// busy flags, and the meter as per-node energy plus its run index; v6
+/// drops the `shards` section and the engine's separate count of
+/// phase-change and shutdown events, which are now ordinary event-queue
+/// entries (wire tags 10 and 11).
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 6;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///

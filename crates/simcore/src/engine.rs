@@ -108,22 +108,6 @@ impl<E> Simulation<E> {
         self.queue.peek_time()
     }
 
-    /// `(time, seq)` key of the next pending event, if any — the bound a
-    /// conservative-window drain of seq-sharing side queues runs up to.
-    #[must_use]
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.queue.peek_key()
-    }
-
-    /// Allocates a sequence number from this simulation's global event
-    /// numbering without scheduling anything. Side queues (shard-local
-    /// event queues) stamp their entries with these so the merged
-    /// `(time, seq)` order across all queues equals the order a single
-    /// queue would deliver.
-    pub fn alloc_seq(&mut self) -> u64 {
-        self.queue.alloc_seq()
-    }
-
     /// Delivers the next event, advancing the clock to its timestamp.
     ///
     /// Returns `None` when the queue is empty or the next event lies beyond

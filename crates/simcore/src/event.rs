@@ -74,25 +74,14 @@ impl<E> EventQueue<E> {
 
     /// Inserts an event at an absolute time.
     pub fn push(&mut self, time: SimTime, payload: E) {
-        let seq = self.alloc_seq();
+        let seq = self.seq;
+        self.seq += 1;
         self.heap.push(Entry { time, seq, payload });
     }
 
-    /// Allocates the next sequence number without pushing an event.
-    ///
-    /// A sharded engine routes some events into side queues but must keep
-    /// one global `(time, seq)` order across *all* queues: allocating the
-    /// seq here lets a side queue hold events that interleave with this
-    /// queue's exactly as if they had been pushed into it.
-    pub fn alloc_seq(&mut self) -> u64 {
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    /// Inserts an event under a caller-allocated sequence number (from
-    /// [`EventQueue::alloc_seq`], possibly of a *different* queue sharing
-    /// the numbering). Does not advance this queue's own counter.
+    /// Inserts an event under a caller-chosen sequence number (staged
+    /// arrivals, snapshot restore). Does not advance the queue's own
+    /// counter.
     pub fn push_with_seq(&mut self, time: SimTime, seq: u64, payload: E) {
         self.heap.push(Entry { time, seq, payload });
     }
@@ -102,24 +91,10 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.payload))
     }
 
-    /// Removes and returns the earliest event with its `(time, seq)` key.
-    pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
-        self.heap.pop().map(|e| (e.time, e.seq, e.payload))
-    }
-
     /// Time of the next event without removing it.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.time)
-    }
-
-    /// `(time, seq)` key of the next event without removing it. Keys are
-    /// totally ordered and unique when all queues involved share one seq
-    /// numbering, so this is the conservative-window bound a sharded
-    /// drain needs.
-    #[must_use]
-    pub fn peek_key(&self) -> Option<(SimTime, u64)> {
-        self.heap.peek().map(|e| (e.time, e.seq))
     }
 
     /// Number of pending events.
@@ -232,34 +207,6 @@ mod tests {
         q.push(SimTime::ZERO, 1);
         q.clear();
         assert!(q.is_empty());
-    }
-
-    #[test]
-    fn shared_seq_numbering_interleaves_queues() {
-        // A side queue holding events under seqs allocated from the main
-        // queue merges into the exact order a single queue would produce.
-        let mut main = EventQueue::new();
-        let mut side: EventQueue<&str> = EventQueue::new();
-        let t = SimTime::from_secs(1.0);
-        main.push(t, "a"); // seq 0
-        side.push_with_seq(t, main.alloc_seq(), "b"); // seq 1
-        main.push(t, "c"); // seq 2
-        let (_, s_side, p_side) = side.pop_keyed().unwrap();
-        assert_eq!((s_side, p_side), (1, "b"));
-        let (_, s0, p0) = main.pop_keyed().unwrap();
-        let (_, s2, p2) = main.pop_keyed().unwrap();
-        assert_eq!((s0, p0), (0, "a"));
-        assert_eq!((s2, p2), (2, "c"));
-    }
-
-    #[test]
-    fn peek_key_orders_before_pop() {
-        let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(2.0), "late");
-        q.push(SimTime::from_secs(1.0), "early");
-        assert_eq!(q.peek_key(), Some((SimTime::from_secs(1.0), 1)));
-        assert_eq!(q.pop_keyed().unwrap().2, "early");
-        assert_eq!(q.peek_key(), Some((SimTime::from_secs(2.0), 0)));
     }
 }
 

@@ -56,18 +56,6 @@ impl SimRng {
         SimRng::new(sub)
     }
 
-    /// Derives `n` independent substreams `label[0..n]` in index order —
-    /// one per shard of a partitioned simulation. Each substream is the
-    /// same pure derivation as [`SimRng::stream_indexed`], so the set is
-    /// independent of the draw state of `self` and of `n` itself: shard
-    /// `i`'s stream is identical whether the run uses 4 shards or 16.
-    #[must_use]
-    pub fn substreams(&self, label: &str, n: usize) -> Vec<SimRng> {
-        (0..n)
-            .map(|i| self.stream_indexed(label, i as u64))
-            .collect()
-    }
-
     /// The generator's complete observable state: `(seed, word_pos)`.
     ///
     /// ChaCha is a counter-mode cipher, so the absolute stream position
@@ -243,21 +231,6 @@ mod tests {
         let mut a = root.stream_indexed("node", 0);
         let mut b = root.stream_indexed("node", 1);
         assert_ne!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn substreams_are_prefix_stable_in_count() {
-        // Shard i's stream must not depend on how many shards exist.
-        let root = SimRng::new(11);
-        let four = root.substreams("shard", 4);
-        let sixteen = root.substreams("shard", 16);
-        for (i, (a, b)) in four.iter().zip(&sixteen).enumerate() {
-            let (mut a, mut b) = (a.clone(), b.clone());
-            assert_eq!(a.next_u64(), b.next_u64(), "shard {i}");
-        }
-        let seeds: std::collections::HashSet<u64> =
-            sixteen.iter().map(super::SimRng::seed).collect();
-        assert_eq!(seeds.len(), 16, "substreams must be pairwise distinct");
     }
 
     #[test]

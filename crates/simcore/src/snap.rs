@@ -58,8 +58,8 @@ pub enum SnapshotError {
         /// Checksum computed over the payload.
         computed: u64,
     },
-    /// The snapshot describes a different machine (node count, shard
-    /// layout) than the engine it is being restored into.
+    /// The snapshot describes a different machine (node count) than the
+    /// engine it is being restored into.
     TopologyMismatch {
         /// Human-readable description of the disagreement.
         detail: String,

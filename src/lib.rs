@@ -65,7 +65,7 @@ pub mod prelude {
     pub use epa_cluster::alloc::AllocStrategy;
     pub use epa_cluster::system::{System, SystemSpec};
     pub use epa_core::report::SurveyReport;
-    pub use epa_sched::control::{ControlAction, ControlMode, Observation};
+    pub use epa_sched::control::{ControlAction, Observation};
     pub use epa_sched::engine::{ClusterSim, EngineConfig, SimOutcome};
     pub use epa_sched::policies::registry::{make_policy, POLICY_NAMES};
     pub use epa_sched::policies::{

@@ -74,22 +74,12 @@ fn chaos_faults(seed: u64) -> FaultConfig {
     }
 }
 
-/// One fully-loaded chaos run: budget + demand response, emergency
-/// response, requeue + checkpointing, independent node failures, and
-/// every fault stream — executed on the 4-shard partitioned engine, so
-/// the debug-build shard invariant checker (partition integrity, no
-/// time-travelling mailbox messages) runs under full chaos.
-/// Returns the outcome and the submitted-job count.
-fn chaos_run(seed: u64) -> (SimOutcome, u64) {
-    chaos_run_sharded(seed, 4)
-}
-
 fn chaos_jobs(seed: u64) -> Vec<epa_workload::job::Job> {
     let horizon = SimTime::from_days(2.0);
     WorkloadGenerator::new(WorkloadParams::typical(NODES, seed)).generate(horizon, 0)
 }
 
-fn chaos_config(seed: u64, shards: u32) -> EngineConfig {
+fn chaos_config(seed: u64) -> EngineConfig {
     let mut config = EngineConfig::new(SimTime::from_days(2.0));
     config.power_budget_watts = Some(f64::from(NODES) * NOMINAL_W * BUDGET_FRAC);
     config.emergency = Some(EmergencyPolicy::new(f64::from(NODES) * NOMINAL_W * 0.65));
@@ -99,21 +89,17 @@ fn chaos_config(seed: u64, shards: u32) -> EngineConfig {
     config.repair_time = SimDuration::from_hours(REPAIR_HOURS);
     config.seed = seed;
     config.faults = Some(chaos_faults(seed));
-    config.shards = Some(shards);
     config
 }
 
-fn chaos_run_sharded(seed: u64, shards: u32) -> (SimOutcome, u64) {
+/// One fully-loaded chaos run: budget + demand response, emergency
+/// response, requeue + checkpointing, independent node failures, and
+/// every fault stream. Returns the outcome and the submitted-job count.
+fn chaos_run(seed: u64) -> (SimOutcome, u64) {
     let jobs = chaos_jobs(seed);
     let n = jobs.len() as u64;
     let mut policy = EasyBackfill;
-    let out = ClusterSim::new(
-        chaos_system(),
-        jobs,
-        &mut policy,
-        chaos_config(seed, shards),
-    )
-    .run();
+    let out = ClusterSim::new(chaos_system(), jobs, &mut policy, chaos_config(seed)).run();
     (out, n)
 }
 
@@ -225,31 +211,8 @@ fn chaos_runs_are_byte_identical_per_seed() {
     }
 }
 
-#[test]
-fn chaos_runs_are_byte_identical_across_shard_counts() {
-    // The partitioned engine must survive full chaos — correlated domain
-    // failures killing jobs whose phase changes sit in other shards'
-    // mailboxes — without a byte of drift from the single-shard run.
-    let pairs: Vec<(u64, String, String)> = SEEDS[..4]
-        .par_iter()
-        .map(|&seed| {
-            let (a, _) = chaos_run_sharded(seed, 1);
-            let (b, _) = chaos_run_sharded(seed, 4);
-            let sa = serde_json::to_string_pretty(&a).expect("serializes");
-            let sb = serde_json::to_string_pretty(&b).expect("serializes");
-            (seed, sa, sb)
-        })
-        .collect();
-    for (seed, sa, sb) in &pairs {
-        assert!(
-            sa == sb,
-            "seed {seed}: outcomes drifted between 1 and 4 shards"
-        );
-    }
-}
-
 /// Invariant 5 — **crash-safe resume**: for every seed, snapshotting the
-/// fully chaotic 4-shard run mid-horizon, dropping the engine, and
+/// fully chaotic run mid-horizon, dropping the engine, and
 /// resuming from the snapshot bytes lands on an outcome byte-identical
 /// to the straight-through run. Faults, sensors, actuators, budget
 /// ledger, and requeue state all cross the crash boundary.
@@ -264,7 +227,7 @@ fn chaos_resume_mid_horizon_is_byte_identical() {
                 chaos_system(),
                 chaos_jobs(seed),
                 &mut policy,
-                chaos_config(seed, 4),
+                chaos_config(seed),
             );
             let snap = sim.run_until(SimTime::from_days(1.0));
             drop(sim); // the crash: only the snapshot bytes survive
@@ -273,7 +236,7 @@ fn chaos_resume_mid_horizon_is_byte_identical() {
                 chaos_system(),
                 chaos_jobs(seed),
                 &mut policy,
-                chaos_config(seed, 4),
+                chaos_config(seed),
                 &snap,
             )
             .expect("resume from a mid-horizon chaos snapshot");

@@ -93,6 +93,32 @@ fn q_training_is_byte_reproducible_from_seed() {
     assert!(a == b, "fixed-seed Q training diverged between two runs");
 }
 
+/// Every event at or before a decision point runs in that step, so the
+/// step that reaches the run's first past-horizon event reports `done`.
+/// In this scenario every episode has a pending event within one
+/// interval of the 24 h horizon, so the step starting at the horizon must
+/// end its episode — also when that event is a phase change or a
+/// shutdown completion rather than a job finish. `q_trajectory` stops an
+/// episode at the first `done`, so the line after that step must be the
+/// episode's outcome.
+#[test]
+fn q_training_reports_done_in_the_step_past_the_horizon() {
+    let lines = q_trajectory(3);
+    let mut checked = 0;
+    for (line, next) in lines.iter().zip(&lines[1..]) {
+        let mut fields = line.split(' ');
+        let (ep, start) = (fields.next().unwrap(), fields.next().unwrap());
+        if start != "outcome" && start.parse::<f64>().unwrap() >= 86_400.0 {
+            assert!(
+                next.starts_with(&format!("{ep} outcome")),
+                "episode {ep}: the step from {start} s ran past the horizon without done"
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, 3, "every episode must reach the horizon");
+}
+
 #[test]
 fn bandit_training_is_byte_reproducible_from_seed() {
     let run = || {

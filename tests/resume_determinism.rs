@@ -1,7 +1,7 @@
 //! Kill-point injection harness for crash-safe snapshot/resume.
 //!
-//! Per chaos seed, the engine is killed (dropped) at randomized window
-//! barriers — including mid-campaign under 4 shards × 4 threads — and
+//! Per chaos seed, the engine is killed (dropped) at randomized points
+//! — including mid-campaign under 4 threads — and
 //! resumed from the latest snapshot, possibly several times in a chain
 //! (crash → resume → crash again → resume). The contract under test:
 //!
@@ -10,8 +10,7 @@
 //! 2. The exported JSONL decision trace is byte-identical too: the
 //!    snapshot carries the trace ring, so a resumed run's trace is
 //!    indistinguishable from one that never crashed.
-//! 3. Both hold across the shard × thread grid: the snapshot's shard
-//!    layout must match at resume, but the thread count is free to
+//! 3. Both hold at every thread count, and the thread count is free to
 //!    change across the crash boundary.
 //! 4. Corrupt, truncated, version-skewed, or mismatched snapshots are
 //!    rejected with typed [`SnapshotError`]s — never a panic, never a
@@ -27,8 +26,8 @@ use epa_sched::emergency::EmergencyPolicy;
 use epa_sched::engine::{ClusterSim, EngineConfig};
 use epa_sched::policies::backfill::EasyBackfill;
 use epa_sched::shutdown::ShutdownPolicy;
-use epa_sched::Snapshot;
-use epa_simcore::snap::SnapshotError;
+use epa_sched::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
+use epa_simcore::snap::{fnv1a64, SnapWriter, SnapshotError, SNAP_MAGIC};
 use epa_simcore::time::{SimDuration, SimTime};
 use epa_workload::generator::{WorkloadGenerator, WorkloadParams};
 use epa_workload::job::Job;
@@ -57,7 +56,7 @@ fn chaos_jobs(seed: u64) -> Vec<Job> {
 
 /// The full chaos configuration from `tests/chaos.rs`, with the trace
 /// fully enabled so the JSONL export exercises every category.
-fn chaos_config(seed: u64, shards: u32) -> EngineConfig {
+fn chaos_config(seed: u64) -> EngineConfig {
     let mut config = EngineConfig::new(SimTime::from_days(HORIZON_DAYS));
     config.power_budget_watts = Some(f64::from(NODES) * NOMINAL_W * BUDGET_FRAC);
     config.emergency = Some(EmergencyPolicy::new(f64::from(NODES) * NOMINAL_W * 0.65));
@@ -82,7 +81,6 @@ fn chaos_config(seed: u64, shards: u32) -> EngineConfig {
         }),
         seed,
     });
-    config.shards = Some(shards);
     config.trace = TraceConfig::all();
     config
 }
@@ -122,8 +120,8 @@ fn fingerprint_run(
 }
 
 /// Straight-through run: no crash, no snapshot.
-fn uninterrupted(seed: u64, shards: u32) -> (String, String) {
-    uninterrupted_with(seed, || chaos_config(seed, shards))
+fn uninterrupted(seed: u64) -> (String, String) {
+    uninterrupted_with(seed, || chaos_config(seed))
 }
 
 fn uninterrupted_with(seed: u64, config: impl Fn() -> EngineConfig) -> (String, String) {
@@ -149,12 +147,12 @@ fn kill_fractions(seed: u64) -> [f64; 3] {
 }
 
 /// Runs the same workload but killed at each fraction of the horizon:
-/// the engine is advanced to the barrier, snapshotted, *dropped* (the
+/// the engine is advanced to the kill point, snapshotted, *dropped* (the
 /// crash), and a brand-new engine is resumed from the snapshot bytes
 /// (round-tripped through `from_bytes` to model a disk read). After the
 /// last crash the run is driven to completion with full tracing.
-fn killed_and_resumed(seed: u64, shards: u32, fracs: &[f64]) -> (String, String) {
-    killed_and_resumed_with(seed, fracs, || chaos_config(seed, shards))
+fn killed_and_resumed(seed: u64, fracs: &[f64]) -> (String, String) {
+    killed_and_resumed_with(seed, fracs, || chaos_config(seed))
 }
 
 fn killed_and_resumed_with(
@@ -220,15 +218,15 @@ fn layout_aware_crash_resume_is_byte_identical() {
     }
 }
 
-/// Mid-campaign crashes under 4 shards × 4 threads: a three-crash chain
-/// at seed-randomized barriers must replay to a byte-identical outcome
+/// Mid-campaign crashes under 4 threads: a three-crash chain at
+/// seed-randomized kill points must replay to a byte-identical outcome
 /// and trace.
 #[test]
-fn multi_crash_resume_is_byte_identical_4_shards_4_threads() {
+fn multi_crash_resume_is_byte_identical_4_threads() {
     for seed in [1u64, 8, 55] {
         let fracs = kill_fractions(seed);
-        let (base_out, base_trace) = rayon::with_num_threads(4, || uninterrupted(seed, 4));
-        let (out, trace) = rayon::with_num_threads(4, || killed_and_resumed(seed, 4, &fracs));
+        let (base_out, base_trace) = rayon::with_num_threads(4, || uninterrupted(seed));
+        let (out, trace) = rayon::with_num_threads(4, || killed_and_resumed(seed, &fracs));
         assert!(
             out == base_out,
             "seed {seed}: resumed outcome drifted (kill points {fracs:?})"
@@ -240,26 +238,22 @@ fn multi_crash_resume_is_byte_identical_4_shards_4_threads() {
     }
 }
 
-/// The shard × thread grid: every combination of shards ∈ {1, 4} and
-/// threads ∈ {1, 4}, crashed once mid-horizon, must land on the same
-/// bytes as the uninterrupted single-shard serial run.
+/// The thread grid: threads ∈ {1, 4}, crashed once mid-horizon, must
+/// land on the same bytes as the uninterrupted serial run.
 #[test]
-fn crash_resume_matches_across_shard_thread_grid() {
+fn crash_resume_matches_across_thread_grid() {
     let seed = 13u64;
-    let (base_out, base_trace) = rayon::with_num_threads(1, || uninterrupted(seed, 1));
-    for shards in [1u32, 4] {
-        for threads in [1usize, 4] {
-            let (out, trace) =
-                rayon::with_num_threads(threads, || killed_and_resumed(seed, shards, &[0.5]));
-            assert!(
-                out == base_out,
-                "seed {seed}: outcome drifted at {shards} shards x {threads} threads"
-            );
-            assert!(
-                trace == base_trace,
-                "seed {seed}: trace drifted at {shards} shards x {threads} threads"
-            );
-        }
+    let (base_out, base_trace) = rayon::with_num_threads(1, || uninterrupted(seed));
+    for threads in [1usize, 4] {
+        let (out, trace) = rayon::with_num_threads(threads, || killed_and_resumed(seed, &[0.5]));
+        assert!(
+            out == base_out,
+            "seed {seed}: outcome drifted at {threads} threads"
+        );
+        assert!(
+            trace == base_trace,
+            "seed {seed}: trace drifted at {threads} threads"
+        );
     }
 }
 
@@ -268,14 +262,14 @@ fn crash_resume_matches_across_shard_thread_grid() {
 #[test]
 fn thread_count_may_change_across_the_crash_boundary() {
     let seed = 21u64;
-    let (base_out, base_trace) = rayon::with_num_threads(1, || uninterrupted(seed, 4));
+    let (base_out, base_trace) = rayon::with_num_threads(1, || uninterrupted(seed));
     let snap = rayon::with_num_threads(1, || {
         let mut policy = EasyBackfill;
         let mut sim = ClusterSim::new(
             chaos_system(),
             chaos_jobs(seed),
             &mut policy,
-            chaos_config(seed, 4),
+            chaos_config(seed),
         );
         sim.run_until(SimTime::from_days(HORIZON_DAYS / 2.0))
     });
@@ -285,7 +279,7 @@ fn thread_count_may_change_across_the_crash_boundary() {
             chaos_system(),
             chaos_jobs(seed),
             &mut policy,
-            chaos_config(seed, 4),
+            chaos_config(seed),
             &snap,
         )
         .expect("resume across thread-count change");
@@ -301,13 +295,13 @@ fn thread_count_may_change_across_the_crash_boundary() {
 #[test]
 fn snapshot_after_completion_resumes_to_identical_outcome() {
     let seed = 2u64;
-    let (base_out, _) = uninterrupted(seed, 4);
+    let (base_out, _) = uninterrupted(seed);
     let mut policy = EasyBackfill;
     let mut sim = ClusterSim::new(
         chaos_system(),
         chaos_jobs(seed),
         &mut policy,
-        chaos_config(seed, 4),
+        chaos_config(seed),
     );
     let snap = sim.run_until(SimTime::from_days(HORIZON_DAYS * 10.0));
     drop(sim);
@@ -316,7 +310,7 @@ fn snapshot_after_completion_resumes_to_identical_outcome() {
         chaos_system(),
         chaos_jobs(seed),
         &mut policy,
-        chaos_config(seed, 4),
+        chaos_config(seed),
         &snap,
     )
     .expect("resume a completed run");
@@ -337,18 +331,18 @@ fn small_snapshot(seed: u64) -> Snapshot {
         chaos_system(),
         chaos_jobs(seed),
         &mut policy,
-        chaos_config(seed, 4),
+        chaos_config(seed),
     );
     sim.run_until(SimTime::from_hours(6.0))
 }
 
-fn try_resume(snapshot: &Snapshot, seed: u64, shards: u32) -> Result<(), SnapshotError> {
+fn try_resume(snapshot: &Snapshot, seed: u64) -> Result<(), SnapshotError> {
     let mut policy = EasyBackfill;
     ClusterSim::resume(
         chaos_system(),
         chaos_jobs(seed),
         &mut policy,
-        chaos_config(seed, shards),
+        chaos_config(seed),
         snapshot,
     )
     .map(|_| ())
@@ -360,7 +354,7 @@ fn corrupt_snapshot_is_rejected_with_checksum_mismatch() {
     let mut bytes = snap.into_bytes();
     let last = bytes.len() - 1;
     bytes[last] ^= 0xFF; // flip a payload bit
-    let err = try_resume(&Snapshot::from_bytes(bytes), 3, 4).unwrap_err();
+    let err = try_resume(&Snapshot::from_bytes(bytes), 3).unwrap_err();
     assert!(
         matches!(err, SnapshotError::ChecksumMismatch { .. }),
         "expected ChecksumMismatch, got {err:?}"
@@ -372,7 +366,7 @@ fn truncated_snapshot_is_rejected_with_truncated() {
     let snap = small_snapshot(3);
     let mut bytes = snap.into_bytes();
     bytes.truncate(bytes.len() - 16);
-    let err = try_resume(&Snapshot::from_bytes(bytes), 3, 4).unwrap_err();
+    let err = try_resume(&Snapshot::from_bytes(bytes), 3).unwrap_err();
     assert!(
         matches!(err, SnapshotError::Truncated { .. }),
         "expected Truncated, got {err:?}"
@@ -384,13 +378,13 @@ fn garbage_magic_is_rejected_with_bad_magic() {
     let snap = small_snapshot(3);
     let mut bytes = snap.into_bytes();
     bytes[0] ^= 0xFF;
-    let err = try_resume(&Snapshot::from_bytes(bytes), 3, 4).unwrap_err();
+    let err = try_resume(&Snapshot::from_bytes(bytes), 3).unwrap_err();
     assert!(
         matches!(err, SnapshotError::BadMagic),
         "expected BadMagic, got {err:?}"
     );
     // Arbitrary junk with no frame at all is equally typed, never a panic.
-    let err = try_resume(&Snapshot::from_bytes(vec![0x42; 64]), 3, 4).unwrap_err();
+    let err = try_resume(&Snapshot::from_bytes(vec![0x42; 64]), 3).unwrap_err();
     assert!(matches!(err, SnapshotError::BadMagic), "got {err:?}");
 }
 
@@ -400,7 +394,7 @@ fn version_skew_is_rejected_with_unsupported_version() {
     let mut bytes = snap.into_bytes();
     // The u32 schema version sits right after the 8-byte magic.
     bytes[8] ^= 0xFF;
-    let err = try_resume(&Snapshot::from_bytes(bytes), 3, 4).unwrap_err();
+    let err = try_resume(&Snapshot::from_bytes(bytes), 3).unwrap_err();
     assert!(
         matches!(err, SnapshotError::UnsupportedVersion { .. }),
         "expected UnsupportedVersion, got {err:?}"
@@ -411,21 +405,66 @@ fn version_skew_is_rejected_with_unsupported_version() {
 fn mismatched_config_is_rejected_with_config_mismatch() {
     let snap = small_snapshot(3);
     // Same machine, different seed → different workload + fingerprint.
-    let err = try_resume(&snap, 4, 4).unwrap_err();
+    let err = try_resume(&snap, 4).unwrap_err();
     assert!(
         matches!(err, SnapshotError::ConfigMismatch { .. }),
         "expected ConfigMismatch, got {err:?}"
     );
 }
 
+/// Frame header length: magic, version, payload length, checksum.
+const HEADER_LEN: usize = 28;
+
+/// Frames `payload` as `SnapWriter::finish` does — magic, version,
+/// length, checksum — so a crafted payload passes the frame checks.
+fn reframe(version: u32, payload: &[u8]) -> Snapshot {
+    let mut out = SNAP_MAGIC.to_vec();
+    out.extend_from_slice(&version.to_le_bytes());
+    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(payload);
+    Snapshot::from_bytes(out)
+}
+
 #[test]
-fn mismatched_shard_layout_is_rejected_with_topology_mismatch() {
+fn crafted_node_count_is_rejected_with_topology_mismatch() {
     let snap = small_snapshot(3);
-    // Same config fingerprint, different shard partition.
-    let err = try_resume(&snap, 3, 1).unwrap_err();
+    let mut payload = snap.as_bytes()[HEADER_LEN..].to_vec();
+    assert!(
+        reframe(SNAPSHOT_SCHEMA_VERSION, &payload) == snap,
+        "reframe is exact"
+    );
+    // The `meta` section opens with the config fingerprint (u64); the
+    // node count (u32) follows it. Measure that prefix with the writer.
+    let mut prefix = SnapWriter::new();
+    prefix.section("meta");
+    prefix.u64(0);
+    let at = prefix.finish(SNAPSHOT_SCHEMA_VERSION).len() - HEADER_LEN;
+    let nodes = u32::from_le_bytes(payload[at..at + 4].try_into().unwrap());
+    assert_eq!(nodes, NODES, "node count sits right after the fingerprint");
+    payload[at..at + 4].copy_from_slice(&(NODES * 2).to_le_bytes());
+    let err = try_resume(&reframe(SNAPSHOT_SCHEMA_VERSION, &payload), 3).unwrap_err();
     assert!(
         matches!(err, SnapshotError::TopologyMismatch { .. }),
         "expected TopologyMismatch, got {err:?}"
+    );
+}
+
+#[test]
+fn schema_v5_frame_is_rejected_with_unsupported_version() {
+    // A current payload under the previous schema's version number,
+    // checksummed correctly: only the version check can reject it.
+    let snap = small_snapshot(3);
+    let err = try_resume(&reframe(5, &snap.as_bytes()[HEADER_LEN..]), 3).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SnapshotError::UnsupportedVersion {
+                found: 5,
+                expected: SNAPSHOT_SCHEMA_VERSION
+            }
+        ),
+        "expected UnsupportedVersion, got {err:?}"
     );
 }
 
@@ -440,5 +479,5 @@ fn snapshot_survives_a_disk_roundtrip() {
     let _ = std::fs::remove_file(&path);
     assert_eq!(loaded, snap);
     loaded.verify_frame().expect("frame intact after roundtrip");
-    try_resume(&loaded, 5, 4).expect("resume from disk");
+    try_resume(&loaded, 5).expect("resume from disk");
 }

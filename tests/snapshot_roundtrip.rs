@@ -10,15 +10,12 @@
 use epa_cluster::alloc::{AllocStrategy, Allocator};
 use epa_cluster::node::NodeId;
 use epa_cluster::nodeset::NodeSet;
-use epa_cluster::shard::ShardTopology;
 use epa_cluster::topology::Topology;
 use epa_grid::{DrContract, DrEvent, GridConfig, GridState};
 use epa_power::meter::EnergyMeter;
-use epa_sched::shards::{LocalEv, ShardSet};
 use epa_simcore::rng::SimRng;
 use epa_simcore::snap::{SnapReader, SnapWriter};
 use epa_simcore::time::SimTime;
-use epa_workload::job::JobId;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -182,67 +179,6 @@ proptest! {
             let y = restored.uniform();
             prop_assert_eq!(x.to_bits(), y.to_bits(), "draw {} diverged", i);
         }
-    }
-
-    /// Shard mailboxes: random posts and window drains across 1–4
-    /// shards, snapshotted with messages still queued and clocks
-    /// mid-flight.
-    #[test]
-    fn shard_mailbox_roundtrip_is_byte_exact(
-        seed in any::<u64>(),
-        shards in 1u32..5,
-        ops in vec((0u8..3, 0u32..32, 0.0f64..10.0), 0..60),
-    ) {
-        let topo = ShardTopology::cabinet_aligned(32, 8, shards);
-        let root = SimRng::new(seed);
-        let mut set = ShardSet::new(topo.clone(), &root);
-        // Burn a different number of draws per shard substream so the
-        // snapshot must capture distinct positions.
-        for s in 0..topo.shards() {
-            for _ in 0..=s {
-                set.rng(s).uniform();
-            }
-        }
-        let mut t = 0.0f64;
-        let mut seq = 0u64;
-        for &(op, pick, dt) in &ops {
-            t += dt;
-            seq += 1;
-            match op {
-                0 => {
-                    let node = pick % 32;
-                    let shard = topo.shard_of(NodeId(node));
-                    set.post(
-                        shard,
-                        SimTime::from_secs(t),
-                        seq,
-                        LocalEv::PhaseChange(JobId(u64::from(pick)), pick, pick as usize % 4),
-                    );
-                }
-                1 => {
-                    let node = pick % 32;
-                    let shard = topo.shard_of(NodeId(node));
-                    set.post(
-                        shard,
-                        SimTime::from_secs(t),
-                        seq,
-                        LocalEv::ShutdownDone(NodeId(node)),
-                    );
-                }
-                _ => {
-                    // Drain everything strictly before the current key:
-                    // advances shard clocks, leaves later posts queued.
-                    let _ = set.pop_window(
-                        Some((SimTime::from_secs(t), seq)),
-                        SimTime::from_secs(1e9),
-                    );
-                }
-            }
-        }
-        let a = freeze(|w| set.snapshot_into(w));
-        let restored = thaw(&a, |r| ShardSet::restore_from(r, topo.clone()));
-        let b = freeze(|w| restored.snapshot_into(w));
-        prop_assert_eq!(&a, &b, "shard mailbox frames diverged");
     }
 
     /// Grid twin: random tick sequences (monotone time, varying draw and

@@ -12,7 +12,7 @@
 //! 2. **Engine equivalence** — an engine fed by a
 //!    [`LazyGeneratorSource`] is byte-identical (pretty-JSON outcome
 //!    plus exported JSONL decision trace) to the materialized engine
-//!    over the same horizon, across shards {1, 4} × threads {1, 4},
+//!    over the same horizon, across threads {1, 4},
 //!    including a mid-run snapshot/crash/resume of the streaming
 //!    engine in every grid cell. This is the small-scale property twin
 //!    of the `streaming_smoke` CI binary: proptest varies the workload
@@ -151,10 +151,9 @@ fn horizon() -> SimTime {
 /// bounded power trace, no prediction history) with full decision
 /// tracing on, applied to *both* sides so outcomes are comparable
 /// byte for byte.
-fn grid_config(seed: u64, shards: u32) -> EngineConfig {
+fn grid_config(seed: u64) -> EngineConfig {
     let mut config = EngineConfig::new(horizon());
     config.seed = seed;
-    config.shards = Some(shards);
     config.record_history = false;
     config.retain_completed = false;
     config.bounded_power_trace = true;
@@ -172,14 +171,14 @@ fn run_fingerprint(sim: ClusterSim<'_>) -> (String, String) {
     (outcome, trace_to_jsonl(&bundle.trace))
 }
 
-fn materialized_run(seed: u64, shards: u32) -> (String, String) {
+fn materialized_run(seed: u64) -> (String, String) {
     let jobs = WorkloadGenerator::new(WorkloadParams::typical(NODES, seed)).generate(horizon(), 0);
     let mut policy = EasyBackfill;
     run_fingerprint(ClusterSim::new(
         grid_system(),
         jobs,
         &mut policy,
-        grid_config(seed, shards),
+        grid_config(seed),
     ))
 }
 
@@ -191,14 +190,14 @@ fn lazy_source(seed: u64) -> Box<LazyGeneratorSource> {
     ))
 }
 
-fn streaming_run(seed: u64, shards: u32) -> (String, String) {
+fn streaming_run(seed: u64) -> (String, String) {
     let mut policy = EasyBackfill;
     run_fingerprint(
         ClusterSim::try_new_with_source(
             grid_system(),
             lazy_source(seed),
             &mut policy,
-            grid_config(seed, shards),
+            grid_config(seed),
         )
         .expect("valid streaming config"),
     )
@@ -207,13 +206,13 @@ fn streaming_run(seed: u64, shards: u32) -> (String, String) {
 /// Streaming run killed at mid-horizon and resumed from the snapshot
 /// with a freshly constructed source (the snapshot carries the source
 /// cursor, which replays the generator up to the crash point).
-fn streaming_resumed_run(seed: u64, shards: u32) -> (String, String) {
+fn streaming_resumed_run(seed: u64) -> (String, String) {
     let mut policy = EasyBackfill;
     let mut sim = ClusterSim::try_new_with_source(
         grid_system(),
         lazy_source(seed),
         &mut policy,
-        grid_config(seed, shards),
+        grid_config(seed),
     )
     .expect("valid streaming config");
     let snap = sim.run_until(SimTime::from_secs(horizon().as_secs() / 2.0));
@@ -224,7 +223,7 @@ fn streaming_resumed_run(seed: u64, shards: u32) -> (String, String) {
             grid_system(),
             lazy_source(seed),
             &mut policy,
-            grid_config(seed, shards),
+            grid_config(seed),
             &snap,
         )
         .expect("streaming snapshot resumes"),
@@ -235,26 +234,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Outcome + trace of the lazy-generator engine match the
-    /// materialized engine at every shard × thread combination, with
-    /// and without a mid-run crash/resume.
+    /// materialized engine at every thread count, with and without a
+    /// mid-run crash/resume.
     #[test]
     fn lazy_engine_is_byte_identical_across_the_grid(seed in 0u64..1_000_000) {
-        let base = rayon::with_num_threads(1, || materialized_run(seed, 1));
-        for shards in [1u32, 4] {
-            for threads in [1usize, 4] {
-                let m = rayon::with_num_threads(threads, || materialized_run(seed, shards));
-                let s = rayon::with_num_threads(threads, || streaming_run(seed, shards));
-                let r =
-                    rayon::with_num_threads(threads, || streaming_resumed_run(seed, shards));
-                for (label, got) in
-                    [("materialized", &m), ("streaming", &s), ("streaming+resume", &r)]
-                {
-                    assert_eq!(
-                        got, &base,
-                        "{label} run diverged from the 1-shard/1-thread materialized \
-                         baseline at seed {seed}, {shards} shards x {threads} threads"
-                    );
-                }
+        let base = rayon::with_num_threads(1, || materialized_run(seed));
+        for threads in [1usize, 4] {
+            let m = rayon::with_num_threads(threads, || materialized_run(seed));
+            let s = rayon::with_num_threads(threads, || streaming_run(seed));
+            let r = rayon::with_num_threads(threads, || streaming_resumed_run(seed));
+            for (label, got) in
+                [("materialized", &m), ("streaming", &s), ("streaming+resume", &r)]
+            {
+                assert_eq!(
+                    got, &base,
+                    "{label} run diverged from the 1-thread materialized baseline \
+                     at seed {seed}, {threads} threads"
+                );
             }
         }
     }
