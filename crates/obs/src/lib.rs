@@ -8,18 +8,18 @@
 //! every job — the Operational Data Analytics (ODA) stream that turns the
 //! simulator into an analysis platform.
 //!
-//! Four pieces, each with a strict determinism contract:
+//! Five pieces, each with a strict determinism contract:
 //!
 //! - [`trace`] — a typed **trace bus**: [`trace::TraceEvent`] variants for
 //!   job lifecycle, cap actuations and retries, budget and emergency
 //!   transitions, fault injections, and telemetry-fallback flips, recorded
 //!   into a bounded ring buffer. A per-category enable mask makes the
 //!   disabled path a single branch on a bitset.
-//! - [`registry`] — a **metrics registry** of counters, gauges, and
-//!   fixed-bucket histograms with Prometheus-text and JSON exposition.
-//!   Merging two registries is associative and order-independent, the
-//!   same bit-identical parallel-merge guarantee the campaign runner
-//!   gives outcome reductions.
+//! - [`registry`] — the engine's one **metrics registry**: counters,
+//!   gauges, and fixed-bucket histograms with Prometheus-text and JSON
+//!   exposition. Every engine counter lands here (the outcome's counter
+//!   map is collected from it), and bumping an existing name allocates
+//!   nothing.
 //! - [`export`] — a **JSONL trace exporter** plus a replay verifier that
 //!   re-runs a seed and byte-diffs the decision trace. Every payload is
 //!   keyed on `SimTime`, never wall clock, so traces join the existing

@@ -1,13 +1,13 @@
-//! The observability metrics registry: counters, gauges, and fixed-bucket
-//! histograms with Prometheus-text and JSON exposition.
+//! The metrics registry: counters, gauges, and fixed-bucket histograms
+//! with Prometheus-text and JSON exposition.
 //!
-//! Two contracts distinguish this from the simcore `MetricsRegistry` (which
-//! remains the engine's raw counter store):
+//! It is the engine's only registry: every engine counter lands here, and
+//! `SimOutcome::counters` is collected from it, so one exposition carries
+//! every counter behind a policy decision.
 //!
-//! - **Mergeable.** [`ObsRegistry::merge`] is associative and
-//!   order-independent — counters add, gauges take the max, histogram
-//!   buckets add element-wise — mirroring the bit-identical parallel-merge
-//!   guarantee the campaign runner gives outcome reductions (proptested).
+//! - **Allocation-free hot path.** Names are `&str` keys; an `incr` or
+//!   `observe` on an existing name allocates nothing (a counter's key
+//!   `String` is made once, on first use).
 //! - **Exposable.** [`ObsRegistry::to_prometheus_text`] renders the
 //!   standard exposition format; [`ObsRegistry::to_json`] emits a
 //!   schema-versioned document for diff tooling.
@@ -15,6 +15,7 @@
 //! All storage is `BTreeMap`-keyed, so exposition order is deterministic.
 
 use crate::OBS_SCHEMA_VERSION;
+use epa_simcore::snap::{SnapReader, SnapWriter, SnapshotError};
 use serde::{Serialize, Value};
 use std::collections::BTreeMap;
 
@@ -73,23 +74,6 @@ impl Histogram {
         self.sum += value;
     }
 
-    /// Adds another histogram's observations into this one.
-    ///
-    /// # Panics
-    /// If the bucket bounds differ — merging histograms of different shape
-    /// would silently corrupt quantiles.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.bounds, other.bounds,
-            "cannot merge histograms with different bucket bounds"
-        );
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-        self.total += other.total;
-        self.sum += other.sum;
-    }
-
     /// Mean observed value, or 0 with no observations.
     #[must_use]
     pub fn mean(&self) -> f64 {
@@ -144,9 +128,15 @@ impl ObsRegistry {
         ObsRegistry::default()
     }
 
-    /// Increments counter `name` by `by` (creating it at 0).
+    /// Increments counter `name` by `by`, creating it at `by` (even when
+    /// `by == 0`) on first use. Only that first use allocates.
     pub fn incr(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += by,
+            None => {
+                self.counters.insert(name.to_owned(), by);
+            }
+        }
     }
 
     /// Reads counter `name` (0 if never incremented).
@@ -160,8 +150,7 @@ impl ObsRegistry {
         self.gauges.insert(name.to_string(), value);
     }
 
-    /// Raises gauge `name` to `value` if higher (high-water-mark gauges
-    /// keep [`ObsRegistry::merge`] order-independent).
+    /// Raises gauge `name` to `value` if higher (a high-water mark).
     pub fn gauge_max(&mut self, name: &str, value: f64) {
         let g = self.gauges.entry(name.to_string()).or_insert(f64::MIN);
         if value > *g {
@@ -232,31 +221,8 @@ impl ObsRegistry {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 
-    /// Merges `other` into `self`: counters add, gauges take the max,
-    /// histograms add bucket-wise. Associative and order-independent
-    /// (proptested), so parallel shards can be reduced in any tree shape.
-    pub fn merge(&mut self, other: &ObsRegistry) {
-        for (k, &v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, &v) in &other.gauges {
-            let g = self.gauges.entry(k.clone()).or_insert(f64::MIN);
-            if v > *g {
-                *g = v;
-            }
-        }
-        for (k, h) in &other.histograms {
-            match self.histograms.get_mut(k) {
-                Some(mine) => mine.merge(h),
-                None => {
-                    self.histograms.insert(k.clone(), h.clone());
-                }
-            }
-        }
-    }
-
     /// Encodes the full registry (counters, gauges, histograms).
-    pub fn snapshot_into(&self, w: &mut epa_simcore::snap::SnapWriter) {
+    pub fn snapshot_into(&self, w: &mut SnapWriter) {
         let counters: Vec<_> = self.counters.iter().collect();
         w.seq(&counters, |w, (k, v)| {
             w.str(k);
@@ -278,26 +244,42 @@ impl ObsRegistry {
     }
 
     /// Decodes a registry written by [`ObsRegistry::snapshot_into`].
-    pub fn restore_from(
-        r: &mut epa_simcore::snap::SnapReader<'_>,
-    ) -> Result<Self, epa_simcore::snap::SnapshotError> {
+    ///
+    /// Every histogram must have the shape [`Histogram::new`] builds and
+    /// [`Histogram::observe`] maintains — non-empty, finite, strictly
+    /// ascending bounds, one count per bucket plus the overflow bucket,
+    /// counts summing to `total` — or the frame is rejected as corrupt.
+    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let counters = r.seq(|r| Ok((r.str()?, r.u64()?)))?.into_iter().collect();
         let gauges = r.seq(|r| Ok((r.str()?, r.f64()?)))?.into_iter().collect();
         let histograms: BTreeMap<String, Histogram> = r
             .seq(|r| {
                 let name = r.str()?;
-                let bounds = r.seq(epa_simcore::snap::SnapReader::f64)?;
-                let counts = r.seq(epa_simcore::snap::SnapReader::u64)?;
+                let bounds = r.seq(SnapReader::f64)?;
+                let counts = r.seq(SnapReader::u64)?;
                 let total = r.u64()?;
                 let sum = r.f64()?;
+                let corrupt = |what: String| SnapshotError::Corrupt {
+                    detail: format!("histogram {name:?}: {what}"),
+                };
+                if bounds.is_empty()
+                    || !bounds.iter().all(|b| b.is_finite())
+                    || bounds.windows(2).any(|w| w[0] >= w[1])
+                {
+                    return Err(corrupt(format!(
+                        "bounds {bounds:?} are not non-empty, finite and strictly ascending"
+                    )));
+                }
                 if counts.len() != bounds.len() + 1 {
-                    return Err(epa_simcore::snap::SnapshotError::Corrupt {
-                        detail: format!(
-                            "histogram {name:?}: {} counts for {} bounds",
-                            counts.len(),
-                            bounds.len()
-                        ),
-                    });
+                    return Err(corrupt(format!(
+                        "{} counts for {} bounds",
+                        counts.len(),
+                        bounds.len()
+                    )));
+                }
+                let counted = counts.iter().try_fold(0u64, |acc, &c| acc.checked_add(c));
+                if counted != Some(total) {
+                    return Err(corrupt(format!("bucket counts do not sum to {total}")));
                 }
                 Ok((
                     name,
@@ -437,43 +419,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "different bucket bounds")]
-    fn shape_mismatch_merge_rejected() {
-        let mut a = Histogram::new(&[1.0]);
-        let b = Histogram::new(&[2.0]);
-        a.merge(&b);
-    }
-
-    #[test]
     #[should_panic(expected = "before registration")]
     fn unregistered_observe_panics() {
         let mut r = ObsRegistry::new();
         r.observe("nope", 1.0);
-    }
-
-    #[test]
-    fn merge_adds_and_maxes() {
-        let mut a = ObsRegistry::new();
-        a.incr("c", 1);
-        a.gauge_max("g", 5.0);
-        a.register_histogram("h", &[1.0, 2.0]);
-        a.observe("h", 0.5);
-
-        let mut b = ObsRegistry::new();
-        b.incr("c", 2);
-        b.incr("only_b", 7);
-        b.gauge_max("g", 3.0);
-        b.register_histogram("h", &[1.0, 2.0]);
-        b.observe("h", 1.5);
-        b.observe("h", 9.0);
-
-        a.merge(&b);
-        assert_eq!(a.counter("c"), 3);
-        assert_eq!(a.counter("only_b"), 7);
-        assert_eq!(a.gauge("g"), Some(5.0));
-        let h = a.histogram("h").unwrap();
-        assert_eq!(h.counts, vec![1, 1, 1]);
-        assert_eq!(h.total, 3);
     }
 
     #[test]
@@ -503,6 +452,59 @@ mod tests {
         assert!(text.starts_with("{\"schema_version\":1,\"kind\":\"epa-obs-metrics\""));
         assert!(text.contains("\"counters\":{\"c\":1}"));
     }
+
+    /// A registry frame with no counters or gauges and one histogram
+    /// `h` written field by field, as a crafted snapshot would carry it.
+    fn histogram_frame(bounds: &[f64], counts: &[u64], total: u64) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.seq::<u8>(&[], |_, _| {});
+        w.seq::<u8>(&[], |_, _| {});
+        w.seq(&[()], |w, ()| {
+            w.str("h");
+            w.seq(bounds, |w, &b| w.f64(b));
+            w.seq(counts, |w, &c| w.u64(c));
+            w.u64(total);
+            w.f64(0.0);
+        });
+        w.finish(1)
+    }
+
+    fn restore(frame: &[u8]) -> Result<ObsRegistry, SnapshotError> {
+        ObsRegistry::restore_from(&mut SnapReader::open(frame, 1).unwrap())
+    }
+
+    #[test]
+    fn restore_roundtrips_a_valid_registry() {
+        let mut r = ObsRegistry::new();
+        r.incr("c", 2);
+        r.set_gauge("g", 1.5);
+        r.register_histogram("h", &[1.0, 10.0]);
+        r.observe("h", 5.0);
+        let mut w = SnapWriter::new();
+        r.snapshot_into(&mut w);
+        assert_eq!(restore(&w.finish(1)).unwrap(), r);
+        assert!(restore(&histogram_frame(&[1.0, 10.0], &[0, 1, 2], 3)).is_ok());
+    }
+
+    #[test]
+    fn restore_rejects_malformed_histograms() {
+        for (bounds, counts, total) in [
+            (&[][..], &[4][..], 4), // no bounds: quantile would have none to report
+            (&[1.0, f64::NAN], &[0, 0, 0], 0),
+            (&[1.0, f64::INFINITY], &[0, 0, 0], 0),
+            (&[10.0, 1.0], &[0, 0, 0], 0),
+            (&[1.0, 1.0], &[0, 0, 0], 0),
+            (&[1.0], &[1, 1, 1], 3), // one count too many
+            (&[1.0], &[1, 1], 3),    // counts short of the total
+            (&[1.0], &[u64::MAX, 1], 0),
+        ] {
+            let err = restore(&histogram_frame(bounds, counts, total)).unwrap_err();
+            assert!(
+                matches!(err, SnapshotError::Corrupt { .. }),
+                "{bounds:?} {counts:?} {total}: expected Corrupt, got {err:?}"
+            );
+        }
+    }
 }
 
 #[cfg(test)]
@@ -510,73 +512,18 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
-    /// Observations on a dyadic lattice (multiples of 1/32), so f64 sums
-    /// are exact and merge associativity holds bit-for-bit. Counters,
-    /// bucket counts, totals, and max-gauges are associative for *all*
-    /// inputs; histogram sums are exact whenever observations fit the
-    /// mantissa, which seconds/watts-scale metrics always do.
-    fn arb_observations() -> impl Strategy<Value = Vec<f64>> {
-        proptest::collection::vec((-32_000i64..320_000).prop_map(|n| n as f64 / 32.0), 0..200)
-    }
-
-    fn registry_from(obs: &[f64], counter_bump: u64) -> ObsRegistry {
-        let mut r = ObsRegistry::new();
-        r.register_histogram("h", &[0.0, 10.0, 100.0, 1000.0]);
-        for &v in obs {
-            r.observe("h", v);
-            r.incr("n", 1);
-        }
-        r.incr("bump", counter_bump);
-        r.gauge_max("peak", obs.iter().copied().fold(f64::MIN, f64::max));
-        r
-    }
-
     proptest! {
         /// Bucket counts always sum to the total observation count.
         #[test]
-        fn bucket_counts_sum_to_total(obs in arb_observations()) {
+        fn bucket_counts_sum_to_total(
+            obs in proptest::collection::vec(-1_000.0f64..10_000.0, 0..200),
+        ) {
             let mut h = Histogram::new(&[0.0, 10.0, 100.0, 1000.0]);
             for &v in &obs {
                 h.observe(v);
             }
             prop_assert_eq!(h.counts.iter().sum::<u64>(), h.total);
             prop_assert_eq!(h.total, obs.len() as u64);
-        }
-
-        /// Registry merge is associative and order-independent: merging
-        /// (a+b)+c and a+(b+c) and c+(b+a) all expose identical JSON —
-        /// the same guarantee the campaign runner's parallel outcome
-        /// reduction relies on.
-        #[test]
-        fn merge_associative_and_commutative(
-            xa in arb_observations(),
-            xb in arb_observations(),
-            xc in arb_observations(),
-            (ka, kb, kc) in ((0u64..50), (0u64..50), (0u64..50)),
-        ) {
-            let a = registry_from(&xa, ka);
-            let b = registry_from(&xb, kb);
-            let c = registry_from(&xc, kc);
-
-            // (a + b) + c
-            let mut left = a.clone();
-            left.merge(&b);
-            left.merge(&c);
-
-            // a + (b + c)
-            let mut bc = b.clone();
-            bc.merge(&c);
-            let mut right = a.clone();
-            right.merge(&bc);
-
-            // c + b + a (reversed order)
-            let mut rev = c.clone();
-            rev.merge(&b);
-            rev.merge(&a);
-
-            let render = |r: &ObsRegistry| serde_json::to_string(&r.to_json()).unwrap();
-            prop_assert_eq!(render(&left), render(&right));
-            prop_assert_eq!(render(&left), render(&rev));
         }
     }
 }

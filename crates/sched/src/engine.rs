@@ -45,7 +45,6 @@ use epa_predict::predictors::{PowerPredictor, TagMeanPredictor};
 use epa_rm::actuators::{ActuatorLog, RetryingActuator};
 use epa_rm::interactions::InteractionLedger;
 use epa_simcore::engine::Simulation;
-use epa_simcore::metrics::MetricsRegistry;
 use epa_simcore::snap::{Fingerprint, SnapReader, SnapWriter, SnapshotError};
 use epa_simcore::time::{SimDuration, SimTime};
 use epa_workload::job::{Job, JobId};
@@ -686,7 +685,6 @@ pub struct ClusterSim<'p> {
     /// yielded a past-horizon submit (all later ones are later still).
     arrivals_exhausted: bool,
     history: HistoryStore,
-    metrics: MetricsRegistry,
     completed: Vec<CompletedJob>,
     /// Streaming completion statistics (kept in both retain modes; the
     /// only source of the outcome's wait/slowdown/kill numbers).
@@ -736,9 +734,8 @@ pub struct ClusterSim<'p> {
     /// Completed repairs (MTTR denominator).
     repairs_completed: u64,
     /// Observability: trace bus, metrics registry, wall-clock profiler.
-    /// Robustness counters (requeues, fallbacks, fences) live in its
-    /// registry as the single source of truth and are folded into the
-    /// outcome's counter map at finalize.
+    /// Its registry is the engine's only one: every counter lands there,
+    /// and the outcome's counter map is collected from it at finalize.
     obs: Obs,
     /// The control plane's persistent knob state: what `Set*` control
     /// actions write and the engine consults (job limit, default DVFS
@@ -914,7 +911,6 @@ impl<'p> ClusterSim<'p> {
             last_arrival_submit,
             arrivals_exhausted,
             history: HistoryStore::new(),
-            metrics: MetricsRegistry::new(),
             completed: Vec::new(),
             agg: CompletionAggregates::default(),
             completion_sink: None,
@@ -993,12 +989,6 @@ impl<'p> ClusterSim<'p> {
     /// re-attaches its own and receives only post-resume completions.
     pub fn set_completion_sink(&mut self, sink: Box<dyn Write + Send>) {
         self.completion_sink = Some(sink);
-    }
-
-    /// Access to the metrics registry (counters recorded during the run).
-    #[must_use]
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
     }
 
     /// Access to the prediction history accumulated during the run.
@@ -1084,7 +1074,7 @@ impl<'p> ClusterSim<'p> {
                     .take()
                     .expect("a Submit event implies a staged arrival");
                 let (jid, jnodes) = (job.id.0, job.nodes);
-                self.metrics.incr("jobs/submitted", 1);
+                self.obs.registry.incr("jobs/submitted", 1);
                 self.queue.push(job);
                 self.stage_next_arrival();
                 self.obs
@@ -1168,12 +1158,12 @@ impl<'p> ClusterSim<'p> {
                 self.set_node_state(n, NodePowerState::Idle, t);
                 self.allocator.mark_available(n);
                 self.idle_since[n.index()] = Some(t);
-                self.metrics.incr("rm/repairs", 1);
+                self.obs.registry.incr("rm/repairs", 1);
                 self.try_schedule();
             }
             Ev::DomainFail(idx) => {
                 let event = self.fault_plan.domain_events[idx as usize];
-                self.metrics.incr("faults/domain_events", 1);
+                self.obs.registry.incr("faults/domain_events", 1);
                 // Only operational nodes go down; Off/Booting nodes
                 // ride through (their state machines are elsewhere).
                 for n in self.system.cabinet_nodes(event.domain) {
@@ -1210,7 +1200,7 @@ impl<'p> ClusterSim<'p> {
                     if let Some(r) = self.running.get(&id) {
                         if let Some(&watts) = r.phase_watts.get(phase) {
                             self.meter.set_group_watts(r.meter_group, t, watts);
-                            self.metrics.incr("jobs/phase_changes", 1);
+                            self.obs.registry.incr("jobs/phase_changes", 1);
                         }
                     }
                 }
@@ -1235,7 +1225,7 @@ impl<'p> ClusterSim<'p> {
         if let Some(gs) = self.grid.as_mut() {
             gs.on_event_start(idx);
         }
-        self.metrics.incr("grid/dr_events", 1);
+        self.obs.registry.incr("grid/dr_events", 1);
         let _ = self.apply_action(
             t,
             &ControlAction::ResizeBudget { watts: target },
@@ -1510,8 +1500,6 @@ impl<'p> ClusterSim<'p> {
         self.ledger.snapshot_into(&mut w);
         w.section("history");
         self.history.snapshot_into(&mut w);
-        w.section("metrics");
-        self.metrics.snapshot_into(&mut w);
         w.section("completed");
         w.seq(&self.completed, |w, c| c.snapshot_into(w));
         w.section("arrivals");
@@ -1714,8 +1702,6 @@ impl<'p> ClusterSim<'p> {
         self.ledger = InteractionLedger::restore_from(&mut r)?;
         r.section("history")?;
         self.history = HistoryStore::restore_from(&mut r)?;
-        r.section("metrics")?;
-        self.metrics = MetricsRegistry::restore_from(&mut r)?;
         r.section("completed")?;
         self.completed = r.seq(CompletedJob::restore_from)?;
         r.section("arrivals")?;
@@ -1730,7 +1716,21 @@ impl<'p> ClusterSim<'p> {
         // the SWF stream).
         self.source.restore_cursor(&mut r)?;
         r.section("obs")?;
-        self.obs = Obs::restore_from(&mut r, self.config.trace.profile)?;
+        let obs = Obs::restore_from(&mut r, self.config.trace.profile)?;
+        // The engine observes into the histograms it registered at build;
+        // a frame that renamed, dropped, or reshaped one would panic at
+        // the next observation instead of failing here.
+        let shape = |(k, h): (&str, &epa_obs::Histogram)| (k.to_owned(), h.bounds.clone());
+        let built: Vec<_> = self.obs.registry.histograms().map(shape).collect();
+        let restored: Vec<_> = obs.registry.histograms().map(shape).collect();
+        if restored != built {
+            return Err(SnapshotError::Corrupt {
+                detail: format!(
+                    "snapshot histograms {restored:?} differ from the engine's {built:?}"
+                ),
+            });
+        }
+        self.obs = obs;
         r.section("grid")?;
         let grid_cfg = &self.config.grid;
         let grid = r.opt(|r| {
@@ -1830,7 +1830,7 @@ impl<'p> ClusterSim<'p> {
     /// by independent failures, correlated domain events, and actuator
     /// fencing — the operation order is load-bearing for determinism.
     fn take_node_down(&mut self, victim: NodeId, t: SimTime, repair: SimDuration) {
-        self.metrics.incr("rm/failures", 1);
+        self.obs.registry.incr("rm/failures", 1);
         self.failure_counts[victim.index()] += 1;
         // Kill the job occupying the node, if any.
         if let Some(id) = self.owner_of(victim) {
@@ -1977,7 +1977,7 @@ impl<'p> ClusterSim<'p> {
                 SensorSample::Ok => self.sensor_last = (t, true_watts),
                 SensorSample::Dropout => {
                     // The sample is lost; the last reading ages.
-                    self.metrics.incr("faults/telemetry_dropouts", 1);
+                    self.obs.registry.incr("faults/telemetry_dropouts", 1);
                     if self.obs.bus.enabled(TraceCategory::Telemetry) {
                         self.obs.bus.record(t, TraceEvent::SensorDropout);
                     }
@@ -1986,7 +1986,7 @@ impl<'p> ClusterSim<'p> {
                     let held = self.sensor_last.1;
                     self.sensor_stuck_until = Some((t + cfg.stuck_duration, held));
                     self.sensor_last = (t, held);
-                    self.metrics.incr("faults/telemetry_stuck", 1);
+                    self.obs.registry.incr("faults/telemetry_stuck", 1);
                     if self.obs.bus.enabled(TraceCategory::Telemetry) {
                         self.obs
                             .bus
@@ -2010,7 +2010,7 @@ impl<'p> ClusterSim<'p> {
                     );
                 }
             }
-            self.metrics.incr("faults/telemetry_stale_ticks", 1);
+            self.obs.registry.incr("faults/telemetry_stale_ticks", 1);
             self.obs
                 .registry
                 .observe("telemetry/staleness_age_secs", age.as_secs());
@@ -2150,7 +2150,7 @@ impl<'p> ClusterSim<'p> {
             ControlAction::ResizeBudget { watts } => {
                 if let Some(budget) = self.budget.as_mut() {
                     if budget.resize_traced(*watts, t, &mut self.obs.bus).is_ok() {
-                        self.metrics.incr("power/budget_resizes", 1);
+                        self.obs.registry.incr("power/budget_resizes", 1);
                     }
                 }
                 true
@@ -2315,7 +2315,7 @@ impl<'p> ClusterSim<'p> {
         victim_order: VictimOrder,
         cooldown: SimDuration,
     ) {
-        self.metrics.incr("emergency/breaches", 1);
+        self.obs.registry.incr("emergency/breaches", 1);
         if self.obs.bus.enabled(TraceCategory::Emergency) {
             self.obs.bus.record(
                 t,
@@ -2350,7 +2350,7 @@ impl<'p> ClusterSim<'p> {
             let shed = r.watts_per_node * f64::from(r.nodes.len());
             excess -= shed;
             self.emergency_kills += 1;
-            self.metrics.incr("emergency/kills", 1);
+            self.obs.registry.incr("emergency/kills", 1);
             if self.obs.bus.enabled(TraceCategory::Emergency) {
                 self.obs.bus.record(
                     t,
@@ -2397,7 +2397,7 @@ impl<'p> ClusterSim<'p> {
         for n in candidates.into_iter().take(can_shut as usize) {
             if self.allocator.mark_unavailable(n) {
                 self.idle_since[n.index()] = None;
-                self.metrics.incr("rm/shutdowns", 1);
+                self.obs.registry.incr("rm/shutdowns", 1);
                 // Shutdown takes effect after a short drain.
                 self.sim.schedule_at(t + shutdown_time, Ev::ShutdownDone(n));
             }
@@ -2506,7 +2506,7 @@ impl<'p> ClusterSim<'p> {
                     if started {
                         started_any = true;
                         if stale {
-                            self.metrics.incr("faults/conservative_admissions", 1);
+                            self.obs.registry.incr("faults/conservative_admissions", 1);
                         }
                     }
                 }
@@ -2516,7 +2516,7 @@ impl<'p> ClusterSim<'p> {
         // but off nodes would help, boot them.
         self.boot_for_demand();
         if started_any {
-            self.metrics.incr("sched/rounds_with_starts", 1);
+            self.obs.registry.incr("sched/rounds_with_starts", 1);
         }
     }
 
@@ -2547,7 +2547,7 @@ impl<'p> ClusterSim<'p> {
         for n in off {
             self.set_node_state(n, NodePowerState::Booting, now);
             self.booting += 1;
-            self.metrics.incr("rm/boots", 1);
+            self.obs.registry.incr("rm/boots", 1);
             self.sim.schedule_in(sd.boot_time, Ev::BootDone(n));
         }
     }
@@ -2578,7 +2578,7 @@ impl<'p> ClusterSim<'p> {
         // backfill decision (recorded on the trace, not used otherwise).
         let backfilled = self.queue.head().is_some_and(|h| h.id != id);
         let Some(job) = self.queue.remove(id) else {
-            self.metrics.incr("sched/start_unknown_job", 1);
+            self.obs.registry.incr("sched/start_unknown_job", 1);
             self.trace_reject(id, RejectReason::UnknownJob);
             return false;
         };
@@ -2593,7 +2593,7 @@ impl<'p> ClusterSim<'p> {
         }
         if nodes_requested > self.allocator.free_count() as u32 {
             self.queue.push(job);
-            self.metrics.incr("sched/start_insufficient_nodes", 1);
+            self.obs.registry.incr("sched/start_insufficient_nodes", 1);
             self.trace_reject(id, RejectReason::InsufficientNodes);
             return false;
         }
@@ -2648,7 +2648,7 @@ impl<'p> ClusterSim<'p> {
                     watts_per_node = capped_wpn;
                     need = capped_wpn * f64::from(nodes_requested);
                     capped_to_fit = true;
-                    self.metrics.incr("sched/start_capped_to_fit", 1);
+                    self.obs.registry.incr("sched/start_capped_to_fit", 1);
                 }
             }
             let gid = GrantId(job.id.0);
@@ -2656,7 +2656,7 @@ impl<'p> ClusterSim<'p> {
                 Ok(()) => Some(gid),
                 Err(_) => {
                     self.queue.push(job);
-                    self.metrics.incr("sched/start_power_denied", 1);
+                    self.obs.registry.incr("sched/start_power_denied", 1);
                     self.trace_reject(id, RejectReason::PowerDenied);
                     return false;
                 }
@@ -2688,7 +2688,7 @@ impl<'p> ClusterSim<'p> {
                     let _ = budget.release_traced(g, now, &mut self.obs.bus);
                 }
                 self.queue.push(job);
-                self.metrics.incr("sched/start_alloc_failed", 1);
+                self.obs.registry.incr("sched/start_alloc_failed", 1);
                 self.trace_reject(id, RejectReason::AllocFailed);
                 return false;
             }
@@ -2710,7 +2710,8 @@ impl<'p> ClusterSim<'p> {
                     &mut self.ledger,
                     &mut self.obs.bus,
                 );
-                self.metrics
+                self.obs
+                    .registry
                     .incr("faults/actuator_attempts", report.attempts);
                 if report.succeeded {
                     actuation_delay = report.total_delay;
@@ -2718,8 +2719,8 @@ impl<'p> ClusterSim<'p> {
                         .registry
                         .observe("rm/actuation_delay_secs", report.total_delay.as_secs());
                 } else {
-                    self.metrics.incr("faults/actuator_cap_failures", 1);
-                    self.metrics.incr("sched/start_actuation_failed", 1);
+                    self.obs.registry.incr("faults/actuator_cap_failures", 1);
+                    self.obs.registry.incr("sched/start_actuation_failed", 1);
                     self.allocator.release(&nodes);
                     if let (Some(budget), Some(g)) = (self.budget.as_mut(), grant) {
                         let _ = budget.release_traced(g, now, &mut self.obs.bus);
@@ -2799,17 +2800,8 @@ impl<'p> ClusterSim<'p> {
         // the whole allocation in O(1), and closing the group at job end
         // yields the job's energy directly.
         let meter_group = self.meter.open_group(&nodes, now, first_watts);
-        self.metrics.incr("jobs/started", 1);
+        self.obs.registry.incr("jobs/started", 1);
         let wait_secs = (now - job.submit).as_secs();
-        // The diagnostic registry's exact-percentile distribution keeps
-        // every sample; in streaming mode (per-job records off) waits
-        // fold into CompletionAggregates only, so engine memory stays
-        // flat in the job count. Nothing in SimOutcome reads this
-        // distribution — skipping it changes no outcome byte. The
-        // fixed-bucket obs histogram below is O(1) and always on.
-        if self.config.retain_completed {
-            self.metrics.observe("sched/wait_secs", wait_secs);
-        }
         self.obs.registry.observe("sched/wait_secs", wait_secs);
         if self.obs.bus.enabled(TraceCategory::Job) {
             self.obs.bus.record(
@@ -2974,9 +2966,9 @@ impl<'p> ClusterSim<'p> {
             self.history
                 .record_job(&r.job, run_secs, wpn, self.ambient_c(t));
         }
-        self.metrics.incr("jobs/completed", 1);
+        self.obs.registry.incr("jobs/completed", 1);
         if r.killed_at_walltime {
-            self.metrics.incr("jobs/walltime_kills", 1);
+            self.obs.registry.incr("jobs/walltime_kills", 1);
         }
         // Node ids are materialized only for consumers that keep or emit
         // them; the aggregates never read them.
@@ -3051,15 +3043,7 @@ impl<'p> ClusterSim<'p> {
 
     fn on_power_tick(&mut self, t: SimTime) {
         let watts = self.meter.system_watts();
-        self.metrics.incr("rm/power_ticks", 1);
-        // With the bounded power trace on, the meter already holds the
-        // gridded system trace; this full per-tick copy in the
-        // diagnostic registry (one point per tick, forever) is the only
-        // other horizon-proportional store, so it is dropped too.
-        // Nothing in SimOutcome reads it.
-        if !self.config.bounded_power_trace {
-            self.metrics.trace("power/system_watts", t, watts);
-        }
+        self.obs.registry.incr("rm/power_ticks", 1);
         // What the control plane *sees* — subject to sensor dropout,
         // stuck-at windows, and the staleness fallback. Identical to
         // `watts` when sensor faults are off.
@@ -3138,7 +3122,8 @@ impl<'p> ClusterSim<'p> {
         }
         let span = end.as_secs().max(1e-9);
         let total_nodes = f64::from(self.system.spec().total_nodes());
-        self.metrics
+        self.obs
+            .registry
             .incr("sim/events_processed", self.sim.events_processed());
         let energy = self.meter.system_energy_joules(SimTime::ZERO, end);
         let peak = self.meter.peak_system_watts(SimTime::ZERO, end);
@@ -3158,13 +3143,12 @@ impl<'p> ClusterSim<'p> {
         } else {
             0.0
         };
-        // The obs registry is the single source of truth for robustness
-        // counters (requeues, telemetry fallbacks, fencing); fold it into
-        // the legacy counter map so existing consumers see one namespace.
-        let mut counters = self.metrics.snapshot().counters;
-        for (k, v) in self.obs.registry.counters() {
-            *counters.entry(k.to_string()).or_insert(0) += v;
-        }
+        let counters = self
+            .obs
+            .registry
+            .counters()
+            .map(|(k, v)| (k.to_owned(), v))
+            .collect();
         let requeues = self.obs.registry.counter("jobs/requeued");
         let telemetry_fallbacks = self.obs.registry.counter("faults/telemetry_fallbacks");
         let fenced_nodes = self.obs.registry.counter("faults/fenced_nodes");

@@ -38,8 +38,11 @@ use std::path::Path;
 /// busy flags, and the meter as per-node energy plus its run index; v6
 /// drops the `shards` section and the engine's separate count of
 /// phase-change and shutdown events, which are now ordinary event-queue
-/// entries (wire tags 10 and 11).
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 6;
+/// entries (wire tags 10 and 11); v7 drops the `metrics` section — the
+/// engine's counters now live in the `obs` section's registry, and the
+/// exact wait-percentile store and per-tick power series it carried are
+/// gone.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 7;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///

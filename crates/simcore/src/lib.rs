@@ -16,10 +16,9 @@
 //! - [`event`] — stable time-ordered event queue.
 //! - [`engine`] — the [`Simulation`] driver combining clock + queue.
 //! - [`rng`] — seedable, stream-splittable deterministic RNG.
-//! - [`stats`] — online statistics, exact percentiles, histograms.
+//! - [`stats`] — exact percentiles (the survey's Q3(e) summary shape).
 //! - [`series`] — time series with piecewise-constant integration.
 //! - [`fsum`] — bit-exact O(binades) evaluation of repeated float adds.
-//! - [`metrics`] — a string-keyed metrics registry for instrumentation.
 //! - [`snap`] — versioned, checksummed binary snapshot codec (resumable
 //!   runs).
 
@@ -28,8 +27,6 @@ pub mod engine;
 pub mod error;
 pub mod event;
 pub mod fsum;
-pub mod metrics;
-pub mod quantile;
 pub mod rng;
 pub mod series;
 pub mod snap;
@@ -39,10 +36,8 @@ pub mod time;
 pub use engine::Simulation;
 pub use error::SimError;
 pub use event::EventQueue;
-pub use metrics::MetricsRegistry;
-pub use quantile::P2Quantile;
 pub use rng::SimRng;
 pub use series::{BoundedSeries, TimeSeries};
 pub use snap::{SnapReader, SnapWriter, SnapshotError};
-pub use stats::{Histogram, OnlineStats, Percentiles, SummaryStats};
+pub use stats::{Percentiles, SummaryStats};
 pub use time::{SimDuration, SimTime};

@@ -1,149 +1,10 @@
-//! Online statistics, percentiles, and histograms.
+//! Exact percentiles.
 //!
 //! Question 3(e) of the survey asks each center for the min / 10th / 25th /
 //! median / 75th / 90th / max percentiles of job size and wallclock time —
 //! [`Percentiles`] and [`SummaryStats`] produce exactly that report.
-//! [`OnlineStats`] is a Welford accumulator used throughout the framework
-//! where only moments are needed and storing samples would be wasteful.
 
 use serde::{Deserialize, Serialize};
-
-/// Numerically stable streaming mean/variance/min/max (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Creates an empty accumulator.
-    #[must_use]
-    pub fn new() -> Self {
-        OnlineStats {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one observation.
-    pub fn push(&mut self, x: f64) {
-        debug_assert!(x.is_finite(), "OnlineStats observation must be finite");
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Merges another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Number of observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean (0 when empty).
-    #[must_use]
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 when fewer than 2 observations).
-    #[must_use]
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Sample (Bessel-corrected) variance.
-    #[must_use]
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count as f64 - 1.0)
-        }
-    }
-
-    /// Population standard deviation.
-    #[must_use]
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest observation (`None` when empty).
-    #[must_use]
-    pub fn min(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observation (`None` when empty).
-    #[must_use]
-    pub fn max(&self) -> Option<f64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Sum of all observations.
-    #[must_use]
-    pub fn sum(&self) -> f64 {
-        self.mean() * self.count as f64
-    }
-
-    /// Encodes the accumulator into a snapshot (bit-exact moments).
-    pub fn snapshot_into(&self, w: &mut crate::snap::SnapWriter) {
-        w.u64(self.count);
-        w.f64(self.mean);
-        w.f64(self.m2);
-        w.f64(self.min);
-        w.f64(self.max);
-    }
-
-    /// Decodes an accumulator written by [`OnlineStats::snapshot_into`].
-    pub fn restore_from(
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<Self, crate::snap::SnapshotError> {
-        Ok(OnlineStats {
-            count: r.u64()?,
-            mean: r.f64()?,
-            m2: r.f64()?,
-            min: r.f64()?,
-            max: r.f64()?,
-        })
-    }
-}
 
 /// Exact percentile computation over stored samples.
 ///
@@ -180,24 +41,6 @@ impl Percentiles {
         }
     }
 
-    /// Encodes the sample store into a snapshot. The samples are written
-    /// in their current storage order together with the sorted flag, so
-    /// the restored store is byte-for-byte the same state.
-    pub fn snapshot_into(&self, w: &mut crate::snap::SnapWriter) {
-        w.seq(&self.samples, |w, &x| w.f64(x));
-        w.bool(self.sorted);
-    }
-
-    /// Decodes a sample store written by [`Percentiles::snapshot_into`].
-    pub fn restore_from(
-        r: &mut crate::snap::SnapReader<'_>,
-    ) -> Result<Self, crate::snap::SnapshotError> {
-        Ok(Percentiles {
-            samples: r.seq(crate::snap::SnapReader::f64)?,
-            sorted: r.bool()?,
-        })
-    }
-
     /// Number of observations.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -208,12 +51,6 @@ impl Percentiles {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.samples.is_empty()
-    }
-
-    /// Raw samples in insertion-or-sorted order (order unspecified).
-    #[must_use]
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
     }
 
     fn ensure_sorted(&mut self) {
@@ -291,159 +128,9 @@ pub struct SummaryStats {
     pub mean: f64,
 }
 
-/// A fixed-width-bin histogram over `[lo, hi)` with under/overflow bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    count: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `nbins` equal-width bins covering `[lo, hi)`.
-    #[must_use]
-    pub fn new(lo: f64, hi: f64, nbins: usize) -> Self {
-        assert!(hi > lo && nbins > 0, "invalid histogram range or bin count");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; nbins],
-            underflow: 0,
-            overflow: 0,
-            count: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let w = (self.hi - self.lo) / self.bins.len() as f64;
-            let idx = ((x - self.lo) / w) as usize;
-            let idx = idx.min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Count in bin `i`.
-    #[must_use]
-    pub fn bin_count(&self, i: usize) -> u64 {
-        self.bins[i]
-    }
-
-    /// `(lo, hi)` edges of bin `i`.
-    #[must_use]
-    pub fn bin_edges(&self, i: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * i as f64, self.lo + w * (i + 1) as f64)
-    }
-
-    /// Number of bins.
-    #[must_use]
-    pub fn num_bins(&self) -> usize {
-        self.bins.len()
-    }
-
-    /// Total observations including under/overflow.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Observations below `lo`.
-    #[must_use]
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    #[must_use]
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Renders a compact ASCII bar chart (used by experiment binaries).
-    #[must_use]
-    pub fn render_ascii(&self, width: usize) -> String {
-        let peak = self.bins.iter().copied().max().unwrap_or(0).max(1);
-        let mut out = String::new();
-        for (i, &c) in self.bins.iter().enumerate() {
-            let (lo, hi) = self.bin_edges(i);
-            let bar = "#".repeat(((c as f64 / peak as f64) * width as f64).round() as usize);
-            out.push_str(&format!("[{lo:>10.1}, {hi:>10.1}) {c:>8} {bar}\n"));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs = [1.0, 2.0, 3.0, 4.0, 100.0];
-        let mut s = OnlineStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / xs.len() as f64;
-        assert!((s.mean() - mean).abs() < 1e-12);
-        assert!((s.variance() - var).abs() < 1e-9);
-        assert_eq!(s.min(), Some(1.0));
-        assert_eq!(s.max(), Some(100.0));
-        assert_eq!(s.count(), 5);
-    }
-
-    #[test]
-    fn empty_stats_are_safe() {
-        let s = OnlineStats::new();
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
-        assert_eq!(s.min(), None);
-        assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| f64::from(i) * 0.7 - 20.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.push(x);
-        }
-        for &x in &xs[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert!((a.mean() - whole.mean()).abs() < 1e-10);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-        assert_eq!(a.count(), whole.count());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(5.0);
-        let before = a.mean();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.mean(), before);
-        let mut e = OnlineStats::new();
-        e.merge(&a);
-        assert_eq!(e.mean(), before);
-    }
 
     #[test]
     fn percentiles_known_values() {
@@ -484,36 +171,6 @@ mod tests {
         assert!((s.p90 - 900.1).abs() < 0.2);
         assert!((s.mean - 500.5).abs() < 1e-9);
     }
-
-    #[test]
-    fn histogram_binning() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        h.push(-1.0);
-        h.push(0.0);
-        h.push(5.5);
-        h.push(9.999);
-        h.push(10.0);
-        h.push(42.0);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bin_count(0), 1);
-        assert_eq!(h.bin_count(5), 1);
-        assert_eq!(h.bin_count(9), 1);
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.bin_edges(3), (3.0, 4.0));
-    }
-
-    #[test]
-    fn histogram_ascii_renders() {
-        let mut h = Histogram::new(0.0, 4.0, 4);
-        for _ in 0..8 {
-            h.push(1.5);
-        }
-        h.push(2.5);
-        let art = h.render_ascii(10);
-        assert!(art.contains("########"));
-        assert_eq!(art.lines().count(), 4);
-    }
 }
 
 #[cfg(test)]
@@ -538,31 +195,6 @@ mod proptests {
             let hi = xs.iter().copied().fold(f64::NEG_INFINITY, f64::max);
             prop_assert!(p.quantile(0.0).unwrap() >= lo - 1e-9);
             prop_assert!(p.quantile(1.0).unwrap() <= hi + 1e-9);
-        }
-
-        /// Welford merge is equivalent to pooling the samples, for any split.
-        #[test]
-        fn merge_any_split(xs in proptest::collection::vec(-1e3f64..1e3, 2..200), split_frac in 0.0f64..1.0) {
-            let split = ((xs.len() as f64) * split_frac) as usize;
-            let mut whole = OnlineStats::new();
-            for &x in &xs { whole.push(x); }
-            let mut a = OnlineStats::new();
-            let mut b = OnlineStats::new();
-            for &x in &xs[..split] { a.push(x); }
-            for &x in &xs[split..] { b.push(x); }
-            a.merge(&b);
-            prop_assert!((a.mean() - whole.mean()).abs() < 1e-6);
-            prop_assert!((a.variance() - whole.variance()).abs() < 1e-4);
-        }
-
-        /// Histogram conserves counts: bins + underflow + overflow == count.
-        #[test]
-        fn histogram_conserves(xs in proptest::collection::vec(-100f64..200.0, 0..300)) {
-            let mut h = Histogram::new(0.0, 100.0, 13);
-            for &x in &xs { h.push(x); }
-            let binned: u64 = (0..h.num_bins()).map(|i| h.bin_count(i)).sum();
-            prop_assert_eq!(binned + h.underflow() + h.overflow(), h.count());
-            prop_assert_eq!(h.count(), xs.len() as u64);
         }
     }
 }

@@ -23,6 +23,7 @@ use epa_cluster::node::NodeSpec;
 use epa_cluster::system::{System, SystemSpec};
 use epa_cluster::topology::Topology;
 use epa_faults::{ActuatorFaultConfig, DomainFaultConfig, FaultConfig, SensorFaultConfig};
+use epa_obs::ObsRegistry;
 use epa_sched::emergency::EmergencyPolicy;
 use epa_sched::engine::{ClusterSim, EngineConfig, SimOutcome};
 use epa_sched::policies::backfill::EasyBackfill;
@@ -94,16 +95,18 @@ fn chaos_config(seed: u64) -> EngineConfig {
 
 /// One fully-loaded chaos run: budget + demand response, emergency
 /// response, requeue + checkpointing, independent node failures, and
-/// every fault stream. Returns the outcome and the submitted-job count.
-fn chaos_run(seed: u64) -> (SimOutcome, u64) {
+/// every fault stream. Returns the outcome, the run's metrics registry,
+/// and the submitted-job count.
+fn chaos_run(seed: u64) -> (SimOutcome, ObsRegistry, u64) {
     let jobs = chaos_jobs(seed);
     let n = jobs.len() as u64;
     let mut policy = EasyBackfill;
-    let out = ClusterSim::new(chaos_system(), jobs, &mut policy, chaos_config(seed)).run();
-    (out, n)
+    let (out, bundle) =
+        ClusterSim::new(chaos_system(), jobs, &mut policy, chaos_config(seed)).run_traced();
+    (out, bundle.registry, n)
 }
 
-fn assert_invariants(out: &SimOutcome, n: u64, seed: u64) {
+fn assert_invariants(out: &SimOutcome, registry: &ObsRegistry, n: u64, seed: u64) {
     // 1. No job lost: exactly one clean terminal record per finished id,
     //    and terminal ids + unfinished account for every submission.
     let mut terminal: HashMap<u64, u64> = HashMap::new();
@@ -167,9 +170,22 @@ fn assert_invariants(out: &SimOutcome, n: u64, seed: u64) {
         "seed {seed}"
     );
 
-    // Robustness counters come from the obs metrics registry — the one
-    // source of truth — and are folded into both the typed outcome fields
-    // and the legacy counter map; the two views must agree.
+    // One namespace: the outcome's counter map is the run's registry,
+    // so every counter behind a decision is in its exposition too.
+    for (k, &v) in &out.counters {
+        assert_eq!(registry.counter(k), v, "seed {seed}: counter {k}");
+    }
+    assert_eq!(
+        registry.counters().count(),
+        out.counters.len(),
+        "seed {seed}"
+    );
+    assert!(
+        registry.to_prometheus_text().contains("epa_jobs_started"),
+        "seed {seed}"
+    );
+
+    // The typed robustness fields and the counter map must agree.
     let c = |k: &str| out.counters.get(k).copied().unwrap_or(0);
     assert_eq!(out.requeues, c("jobs/requeued"), "seed {seed}");
     assert_eq!(
@@ -184,10 +200,11 @@ fn assert_invariants(out: &SimOutcome, n: u64, seed: u64) {
 fn chaos_invariants_hold_across_seeds() {
     // Seeds are independent simulations — fan them across the pool and
     // assert over the collected outcomes in seed order.
-    let outcomes: Vec<(SimOutcome, u64)> = SEEDS.par_iter().map(|&seed| chaos_run(seed)).collect();
+    let outcomes: Vec<(SimOutcome, ObsRegistry, u64)> =
+        SEEDS.par_iter().map(|&seed| chaos_run(seed)).collect();
     let mut total_faults = 0u64;
-    for (&seed, (out, n)) in SEEDS.iter().zip(&outcomes) {
-        assert_invariants(out, *n, seed);
+    for (&seed, (out, registry, n)) in SEEDS.iter().zip(&outcomes) {
+        assert_invariants(out, registry, *n, seed);
         total_faults += out.node_failures;
     }
     // The harness must actually be chaotic: faults fired somewhere.
@@ -199,8 +216,8 @@ fn chaos_runs_are_byte_identical_per_seed() {
     let pairs: Vec<(u64, String, String)> = SEEDS[..4]
         .par_iter()
         .map(|&seed| {
-            let (a, _) = chaos_run(seed);
-            let (b, _) = chaos_run(seed);
+            let (a, ..) = chaos_run(seed);
+            let (b, ..) = chaos_run(seed);
             let sa = serde_json::to_string_pretty(&a).expect("serializes");
             let sb = serde_json::to_string_pretty(&b).expect("serializes");
             (seed, sa, sb)
@@ -221,7 +238,7 @@ fn chaos_resume_mid_horizon_is_byte_identical() {
     let results: Vec<(u64, String, String)> = SEEDS
         .par_iter()
         .map(|&seed| {
-            let (straight, _) = chaos_run(seed);
+            let (straight, ..) = chaos_run(seed);
             let mut policy = EasyBackfill;
             let mut sim = ClusterSim::new(
                 chaos_system(),

@@ -451,21 +451,45 @@ fn crafted_node_count_is_rejected_with_topology_mismatch() {
 }
 
 #[test]
-fn schema_v5_frame_is_rejected_with_unsupported_version() {
-    // A current payload under the previous schema's version number,
+fn crafted_histogram_name_is_rejected_before_it_can_panic() {
+    // Rename the obs registry's `sched/wait_secs` histogram to a
+    // same-length name: the frame stays well-formed, but the engine
+    // would observe into a histogram it never finds. Restore must
+    // reject the frame rather than resume into a panic.
+    let snap = small_snapshot(3);
+    let mut payload = snap.as_bytes()[HEADER_LEN..].to_vec();
+    let mut marker = SnapWriter::new();
+    marker.section("obs");
+    let marker = &marker.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
+    let find = |hay: &[u8], needle: &[u8]| hay.windows(needle.len()).position(|w| w == needle);
+    let obs = find(&payload, marker).expect("obs section present");
+    let at = obs + find(&payload[obs..], b"sched/wait_secs").expect("wait histogram present");
+    payload[at..at + 15].copy_from_slice(b"sched/wait_xecs");
+    let err = try_resume(&reframe(SNAPSHOT_SCHEMA_VERSION, &payload), 3).unwrap_err();
+    assert!(
+        matches!(err, SnapshotError::Corrupt { .. }),
+        "expected Corrupt, got {err:?}"
+    );
+}
+
+#[test]
+fn previous_schema_frames_are_rejected_with_unsupported_version() {
+    // A current payload under each previous schema's version number,
     // checksummed correctly: only the version check can reject it.
     let snap = small_snapshot(3);
-    let err = try_resume(&reframe(5, &snap.as_bytes()[HEADER_LEN..]), 3).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            SnapshotError::UnsupportedVersion {
-                found: 5,
-                expected: SNAPSHOT_SCHEMA_VERSION
-            }
-        ),
-        "expected UnsupportedVersion, got {err:?}"
-    );
+    for old in [5, 6] {
+        let err = try_resume(&reframe(old, &snap.as_bytes()[HEADER_LEN..]), 3).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SnapshotError::UnsupportedVersion {
+                    found,
+                    expected: SNAPSHOT_SCHEMA_VERSION
+                } if found == old
+            ),
+            "v{old}: expected UnsupportedVersion, got {err:?}"
+        );
+    }
 }
 
 #[test]
