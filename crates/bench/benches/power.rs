@@ -1,10 +1,9 @@
 //! Criterion benches for the power substrate: exact trace integration,
-//! RAPL window accounting, cap distribution, and dynamic power sharing —
-//! the inner loops of every power tick (DESIGN.md decision 1's
+//! RAPL window accounting, meter updates, and static vs dynamic power
+//! sharing — the inner loops of every power tick (DESIGN.md decision 1's
 //! telemetry-interval trade-off is bounded by these costs).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use epa_power::capmc::{CapDistribution, CapmcController};
 use epa_power::rapl::RaplDomain;
 use epa_sched::policies::power_sharing::{JobPowerNeed, PowerSharingManager};
 use epa_simcore::series::TimeSeries;
@@ -88,17 +87,6 @@ fn bench_rapl(c: &mut Criterion) {
     });
 }
 
-fn bench_capmc(c: &mut Criterion) {
-    let mut ctrl = CapmcController::new(100.0, 500.0).unwrap();
-    ctrl.set_system_cap(Some(100_000.0)).unwrap();
-    let demands: BTreeMap<_, _> = (0..1024u32)
-        .map(|i| (epa_cluster::node::NodeId(i), 300.0 + f64::from(i % 10)))
-        .collect();
-    c.bench_function("power/capmc-grant-1024-nodes", |b| {
-        b.iter(|| black_box(ctrl.grant(&demands, CapDistribution::ProportionalToDemand)));
-    });
-}
-
 fn bench_sharing(c: &mut Criterion) {
     let needs: BTreeMap<_, _> = (0..256u64)
         .map(|i| {
@@ -127,7 +115,6 @@ criterion_group!(
     bench_integration,
     bench_meter_updates,
     bench_rapl,
-    bench_capmc,
     bench_sharing
 );
 criterion_main!(benches);

@@ -7,7 +7,8 @@
 //! 1. **10k-job prefix equivalence** — the lazy-generator engine versus
 //!    the materialized engine over the same horizon, across threads
 //!    {1, 4}, plus a mid-run snapshot/resume of the streaming engine at
-//!    each thread count. The serialized [`SimOutcome`] and the exported
+//!    each thread count. The serialized
+//!    [`SimOutcome`](epa_sched::engine::SimOutcome) and the exported
 //!    JSONL decision trace of every run must be byte-identical to the
 //!    1-thread materialized baseline.
 //! 2. **1M-job streaming run** — must complete inside the CI

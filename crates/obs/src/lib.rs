@@ -8,7 +8,7 @@
 //! every job — the Operational Data Analytics (ODA) stream that turns the
 //! simulator into an analysis platform.
 //!
-//! Five pieces, each with a strict determinism contract:
+//! Four pieces, each with a strict determinism contract:
 //!
 //! - [`trace`] — a typed **trace bus**: [`trace::TraceEvent`] variants for
 //!   job lifecycle, cap actuations and retries, budget and emergency
@@ -27,19 +27,12 @@
 //! - [`profile`] — **wall-clock profiling scopes** around engine dispatch,
 //!   allocator, and meter phases. Profiles are *explicitly excluded* from
 //!   golden comparisons: wall time is the one non-deterministic output.
-//! - [`compress`] — a **lossless compressed trace log**: columnar
-//!   delta-compressed chunks with optional spill-to-writer, for
-//!   million-job campaigns that want the whole decision trace without
-//!   the ring's drop-oldest bound. Decoding reproduces the records (and
-//!   their JSONL export) byte-exactly.
 
-pub mod compress;
 pub mod export;
 pub mod profile;
 pub mod registry;
 pub mod trace;
 
-pub use compress::{CompressedTraceLog, TraceLogReader};
 pub use export::{trace_to_jsonl, verify_replay, ReplayDivergence, ReplayReport};
 pub use profile::{ProfileReport, Profiler, Scope};
 pub use registry::{Histogram, ObsRegistry};

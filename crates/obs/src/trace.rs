@@ -35,7 +35,8 @@ pub enum TraceCategory {
     Fault = 5,
     /// Telemetry sensor faults and staleness-fallback flips.
     Telemetry = 6,
-    /// Windowed cap-enforcement evaluations.
+    /// Windowed cap-enforcement evaluations. No engine component emits
+    /// these today; the bit stays reserved so masks keep their meaning.
     Enforcement = 7,
     /// Control-plane actions from external (learned) controllers and
     /// environment decision steps. Engineered adapter emissions are
@@ -441,7 +442,9 @@ pub enum TraceEvent {
         /// Age of the last accepted reading, seconds.
         age_secs: f64,
     },
-    /// A windowed cap-enforcement evaluation.
+    /// A windowed cap-enforcement evaluation. No engine component emits
+    /// it today; wire tag 20 stays reserved so the trace schema is
+    /// unchanged.
     Enforcement {
         /// Windowed average draw, watts.
         window_avg_watts: f64,
@@ -1249,6 +1252,154 @@ mod tests {
             .category(),
             TraceCategory::Control
         );
+    }
+
+    /// The wire tag of each variant. The exhaustive match makes a new
+    /// variant a compile error here until its tag is pinned.
+    fn wire_tag(e: &TraceEvent) -> u8 {
+        match e {
+            TraceEvent::JobSubmitted { .. } => 0,
+            TraceEvent::JobStarted { .. } => 1,
+            TraceEvent::JobFinished { .. } => 2,
+            TraceEvent::JobKilled { .. } => 3,
+            TraceEvent::JobRequeued { .. } => 4,
+            TraceEvent::StartRejected { .. } => 5,
+            TraceEvent::CapWrite { .. } => 6,
+            TraceEvent::ActuationRetry { .. } => 7,
+            TraceEvent::NodeFenced { .. } => 8,
+            TraceEvent::BudgetGrant { .. } => 9,
+            TraceEvent::BudgetDenied { .. } => 10,
+            TraceEvent::BudgetRelease { .. } => 11,
+            TraceEvent::BudgetResize { .. } => 12,
+            TraceEvent::EmergencyBreach { .. } => 13,
+            TraceEvent::EmergencyKill { .. } => 14,
+            TraceEvent::NodeFailed { .. } => 15,
+            TraceEvent::NodeRepaired { .. } => 16,
+            TraceEvent::SensorDropout => 17,
+            TraceEvent::SensorStuck { .. } => 18,
+            TraceEvent::TelemetryFallback { .. } => 19,
+            TraceEvent::Enforcement { .. } => 20,
+            TraceEvent::ControlAction { .. } => 21,
+            TraceEvent::EnvStep { .. } => 22,
+        }
+    }
+
+    #[test]
+    fn every_variant_roundtrips_with_its_wire_tag() {
+        use epa_simcore::snap::{SnapReader, SnapWriter};
+        let all = vec![
+            ev(1),
+            TraceEvent::JobStarted {
+                job: 2,
+                nodes: 8,
+                watts_per_node: 312.5,
+                wait_secs: 60.0,
+                backfilled: true,
+                capped_to_fit: false,
+            },
+            TraceEvent::JobFinished {
+                job: 3,
+                run_secs: 3600.0,
+                energy_joules: 1.5e9,
+            },
+            TraceEvent::JobKilled {
+                job: 4,
+                reason: KillReason::Failure,
+                run_secs: 12.0,
+            },
+            TraceEvent::JobRequeued {
+                job: 5,
+                remaining_secs: 99.0,
+            },
+            TraceEvent::StartRejected {
+                job: 6,
+                reason: RejectReason::ActuationFailed,
+            },
+            TraceEvent::CapWrite {
+                nodes: 4,
+                watts: 250.0,
+                attempts: 5,
+                succeeded: true,
+                delay_secs: 0.25,
+            },
+            TraceEvent::ActuationRetry {
+                node: 7,
+                attempts: 3,
+                succeeded: false,
+            },
+            TraceEvent::NodeFenced { node: 9 },
+            TraceEvent::BudgetGrant {
+                grant: 10,
+                watts: 1e4,
+                headroom_watts: 2e4,
+            },
+            TraceEvent::BudgetDenied {
+                grant: 11,
+                watts: 3e4,
+                headroom_watts: 1e3,
+            },
+            TraceEvent::BudgetRelease {
+                grant: 12,
+                watts: 1e4,
+            },
+            TraceEvent::BudgetResize {
+                total_watts: 5e5,
+                ok: false,
+            },
+            TraceEvent::EmergencyBreach {
+                observed_watts: 6e5,
+                limit_watts: 5e5,
+            },
+            TraceEvent::EmergencyKill {
+                job: 13,
+                shed_watts: 4e3,
+            },
+            TraceEvent::NodeFailed {
+                node: 14,
+                correlated: true,
+            },
+            TraceEvent::NodeRepaired {
+                node: 14,
+                down_secs: 7200.0,
+            },
+            TraceEvent::SensorDropout,
+            TraceEvent::SensorStuck { held_watts: 4.2e5 },
+            TraceEvent::TelemetryFallback {
+                engaged: true,
+                age_secs: 900.0,
+            },
+            TraceEvent::Enforcement {
+                window_avg_watts: 4.9e5,
+                cap_watts: 5e5,
+                delta_nodes: -3,
+            },
+            TraceEvent::ControlAction {
+                kind: ControlKind::EmergencyShed,
+                value: -1.0,
+                accepted: true,
+            },
+            TraceEvent::EnvStep {
+                step: 17,
+                reward: -0.5,
+                actions: 2,
+            },
+        ];
+        let tags: Vec<u8> = all.iter().map(wire_tag).collect();
+        assert_eq!(tags, (0..=22).collect::<Vec<u8>>(), "one event per variant");
+        for event in &all {
+            let mut w = SnapWriter::new();
+            event.snapshot_into(&mut w);
+            let bytes = w.finish(1);
+            // Frame header: magic, version, length, checksum (28 bytes).
+            assert_eq!(bytes[28], wire_tag(event), "{event:?}");
+            let mut r = SnapReader::open(&bytes, 1).unwrap();
+            let back = TraceEvent::restore_from(&mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(&back, event);
+            let mut w2 = SnapWriter::new();
+            back.snapshot_into(&mut w2);
+            assert_eq!(w2.finish(1), bytes, "{event:?}");
+        }
     }
 
     #[test]

@@ -8,8 +8,6 @@
 //!   utilization-dependent draw, cap-induced throttling.
 //! - [`rapl`] — Intel RAPL-style windowed average power limiting
 //!   (Ellsworth-style dynamic sharing builds on this).
-//! - [`capmc`] — Cray CAPMC-style out-of-band node and system power caps
-//!   (KAUST static capping, Trinity admin caps).
 //! - [`facility`] — the data-center envelope: site power budget, cooling
 //!   capacity, weather-driven PUE, dual supply sources (RIKEN grid vs. gas
 //!   turbine), and demand-response events.
@@ -20,7 +18,6 @@
 //!   grant and reclaim power allocations.
 
 pub mod budget;
-pub mod capmc;
 pub mod dvfs;
 pub mod error;
 pub mod facility;
@@ -30,7 +27,6 @@ pub mod rapl;
 pub mod telemetry;
 
 pub use budget::PowerBudget;
-pub use capmc::CapmcController;
 pub use dvfs::DvfsModel;
 pub use error::PowerError;
 pub use facility::{Facility, FacilityConfig, SupplySource, WeatherModel};

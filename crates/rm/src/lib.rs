@@ -3,42 +3,20 @@
 //! The "resource manager" half of EPA JSRM: privileged control over the
 //! physical machine, as §II-A of the survey defines it. Where `epa-sched`
 //! decides *what* runs, this crate models *how* the machine is actuated
-//! and observed:
+//! and what the resource manager reports back:
 //!
-//! - [`states`] — the formal node lifecycle state machine with transition
-//!   latencies and energies (boot, shutdown, drain, failure).
 //! - [`actuators`] — the actuation interface (DVFS, caps, power on/off,
-//!   VM operations) with a full audit log — the arrows of the survey's
-//!   Figure 1.
+//!   VM splits) with a full audit log, and the retrying, fencing actuator
+//!   the engine drives — the arrows of the survey's Figure 1.
 //! - [`interactions`] — the component-interaction ledger that regenerates
 //!   Figure 1: who talks to whom, how often.
-//! - [`enforcement`] — windowed power-cap enforcement (Tokyo Tech's ~30
-//!   minute window): boot/shutdown decisions from a windowed average.
-//! - [`monitoring`] — hierarchical power monitoring at data-center /
-//!   machine / job levels (STFC's production capability).
 //! - [`reports`] — post-job user energy reports and efficiency marks
 //!   (Tokyo Tech, JCAHPC production capabilities).
-//! - [`vm`] — virtual-machine splitting of compute nodes and the shutdown
-//!   complication it causes (Tokyo Tech).
 
 pub mod actuators;
-pub mod concurrent;
-pub mod enforcement;
-pub mod error;
 pub mod interactions;
-pub mod monitoring;
-pub mod powerapi;
 pub mod reports;
-pub mod states;
-pub mod vm;
 
 pub use actuators::{Actuation, ActuatorLog};
-pub use concurrent::{collect_concurrent, NodeReading};
-pub use enforcement::EnforcementWindow;
-pub use error::RmError;
 pub use interactions::{Component, InteractionLedger};
-pub use monitoring::MonitoringHierarchy;
-pub use powerapi::{SectionProfiler, SectionReport};
 pub use reports::{EfficiencyMark, UserEnergyReport};
-pub use states::{NodeLifecycle, NodeState};
-pub use vm::VmHost;

@@ -166,7 +166,7 @@ impl PhaseGovernor {
     }
 
     /// Control-plane adapter: collapses the per-phase plan into one
-    /// [`ControlAction::SetDefaultFrequency`] carrying the phase-weighted
+    /// [`ControlAction::SetDefaultFrequency`](crate::control::ControlAction::SetDefaultFrequency) carrying the phase-weighted
     /// mean frequency — the closest job-level default the engine's
     /// unified apply path can enforce (the engine has no intra-job phase
     /// actuation point). The action goes through the same validation

@@ -18,7 +18,7 @@
 //! system, workload, policy, and [`EngineConfig`](crate::engine::EngineConfig)
 //! at resume, and a config fingerprint embedded in the snapshot rejects a
 //! mismatched resume with a typed
-//! [`SnapshotError`](epa_simcore::snap::SnapshotError) instead of
+//! [`SnapshotError`] instead of
 //! silently diverging.
 
 use epa_simcore::snap::SnapshotError;

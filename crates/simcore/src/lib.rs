@@ -22,7 +22,6 @@
 //! - [`snap`] — versioned, checksummed binary snapshot codec (resumable
 //!   runs).
 
-pub mod chunk;
 pub mod engine;
 pub mod error;
 pub mod event;

@@ -17,6 +17,8 @@
 //!   [`WorkloadGenerator::generate`] without ever holding more than one
 //!   campaign's reorder buffer.
 //!
+//! [`WorkloadGenerator::generate`]: crate::generator::WorkloadGenerator::generate
+//!
 //! # Contract
 //!
 //! `next_job` must yield jobs with non-decreasing `submit` and must keep
@@ -253,6 +255,8 @@ pub fn swf_text_source(text: String, label: &str) -> SwfStreamSource<std::io::Cu
 /// `(submit, generation-seq)` keyed buffer is flushed exactly when no
 /// future arrival can precede its minimum, reproducing the sorted order
 /// online. Ids are assigned densely at emission.
+///
+/// [`WorkloadGenerator::generate`]: crate::generator::WorkloadGenerator::generate
 #[derive(Debug)]
 pub struct LazyGeneratorSource {
     params: WorkloadParams,
@@ -329,7 +333,8 @@ impl LazyGeneratorSource {
     }
 
     /// Expands one arrival into its (possibly campaign) batch — the
-    /// per-arrival body of [`WorkloadGenerator::generate`], same
+    /// per-arrival body of
+    /// [`WorkloadGenerator::generate`](crate::generator::WorkloadGenerator::generate), same
     /// attribute-stream draw order. Ids are placeholders until emission.
     fn expand(&mut self, submit: SimTime) {
         let nodes = self.params.sizes.sample(&mut self.attr_rng);
@@ -608,6 +613,23 @@ mod tests {
     fn swf_stream_parse_error_is_typed() {
         let mut src = swf_text_source("1 2 3\n".to_owned(), "bad");
         assert!(src.try_next().is_err());
+    }
+
+    #[test]
+    fn swf_stream_rejects_oversized_fields() {
+        let ok = "1 0 -1 60 4 -1 -1 4 60 -1 -1 0 -1 0 -1 -1 -1 -1\n";
+        for bad in [
+            "2 0 -1 60 4294967297 -1 -1 4 60 -1 -1 0 -1 0 -1 -1 -1 -1\n",
+            "2 0 -1 60 4 -1 -1 4 60 -1 -1 4294967296 -1 0 -1 -1 -1 -1\n",
+        ] {
+            let mut src = swf_text_source(format!("{ok}{bad}"), "big");
+            assert_eq!(src.try_next().unwrap().map(|j| j.nodes), Some(4));
+            let err = src.try_next().unwrap_err();
+            assert!(
+                matches!(err, crate::error::WorkloadError::Parse { line: 2, .. }),
+                "{err}"
+            );
+        }
     }
 
     #[test]

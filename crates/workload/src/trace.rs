@@ -65,11 +65,25 @@ pub(crate) fn parse_swf_line(
     let user = parse_i64(11)?;
     let app_id = parse_i64(13)?;
 
-    let nodes = if alloc > 0 { alloc } else { req_procs };
+    let (nodes_idx, nodes) = if alloc > 0 {
+        (4, alloc)
+    } else {
+        (7, req_procs)
+    };
     if nodes <= 0 || runtime <= 0 {
         // SWF traces carry cancelled jobs with -1; skip them.
         return Ok(None);
     }
+    // Sizes and user ids are u32 in the job model; a wider value is a
+    // malformed trace, not something to wrap into a different job.
+    let to_u32 = |idx: usize, v: i64| -> Result<u32, WorkloadError> {
+        u32::try_from(v).map_err(|_| WorkloadError::Parse {
+            line: lineno + 1,
+            message: format!("field {} out of range for u32: {v}", idx + 1),
+        })
+    };
+    let nodes = to_u32(nodes_idx, nodes)?;
+    let user = to_u32(11, user.max(0))?;
     let tag = tag_table
         .get(&(app_id.max(0) as usize))
         .cloned()
@@ -77,10 +91,10 @@ pub(crate) fn parse_swf_line(
     let est = if req_time > 0 { req_time } else { runtime };
     Ok(Some(Job {
         id: JobId(id.max(0) as u64),
-        user: user.max(0) as u32,
+        user,
         app: AppProfile::balanced(&tag),
         submit: SimTime::from_secs(submit.max(0) as f64),
-        nodes: nodes as u32,
+        nodes,
         walltime_estimate: SimDuration::from_secs(est.max(runtime) as f64),
         base_runtime: SimDuration::from_secs(runtime as f64),
         priority: 0,
@@ -281,6 +295,37 @@ mod tests {
             let _ = w.finish().unwrap();
         }
         assert_eq!(String::from_utf8(buf).unwrap(), write_swf(&jobs));
+    }
+
+    #[test]
+    fn oversized_node_count_is_error_not_wrapped() {
+        // 2^32 + 1 nodes used to wrap to a valid 1-node job, 2^32 to 0.
+        for nodes in ["4294967297", "4294967296"] {
+            let text = format!("1 0 -1 60 {nodes} -1 -1 -1 60 -1 -1 0 -1 0 -1 -1 -1 -1\n");
+            let err = read_swf(&text).unwrap_err();
+            assert!(
+                matches!(err, WorkloadError::Parse { line: 1, .. }),
+                "{nodes}: {err}"
+            );
+        }
+        // Requested processors (field 8) stand in when field 5 is -1.
+        let text = "1 0 -1 60 -1 -1 -1 4294967297 60 -1 -1 0 -1 0 -1 -1 -1 -1\n";
+        assert!(matches!(
+            read_swf(text),
+            Err(WorkloadError::Parse { line: 1, .. })
+        ));
+        let max = format!(
+            "1 0 -1 60 {} -1 -1 -1 60 -1 -1 0 -1 0 -1 -1 -1 -1\n",
+            u32::MAX
+        );
+        assert_eq!(read_swf(&max).unwrap()[0].nodes, u32::MAX);
+    }
+
+    #[test]
+    fn oversized_user_id_is_error_not_wrapped() {
+        let text = "; c\n1 0 -1 60 4 -1 -1 4 60 -1 -1 4294967299 -1 0 -1 -1 -1 -1\n";
+        let err = read_swf(text).unwrap_err();
+        assert!(matches!(err, WorkloadError::Parse { line: 2, .. }), "{err}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The build environment has no access to crates.io, so this workspace
 //! vendors a minimal, API-compatible subset of `rand` 0.9: the
 //! [`RngCore`]/[`SeedableRng`]/[`Rng`] traits and the uniform sampling
-//! used by `epa-simcore`'s [`SimRng`]. Only what the workspace calls is
+//! used by `epa-simcore`'s `SimRng`. Only what the workspace calls is
 //! implemented; the trait shapes match `rand` so swapping the real crate
 //! back in is a one-line Cargo change.
 

@@ -27,7 +27,7 @@ pub use epa_simcore as simcore;
 /// Machine model: nodes, topologies, allocators, facility layout.
 pub use epa_cluster as cluster;
 
-/// Power substrate: DVFS, RAPL, CAPMC, facility, meters, budgets.
+/// Power substrate: DVFS, RAPL, facility, meters, telemetry, budgets.
 pub use epa_power as power;
 
 /// Jobs and workload generation, SWF traces.
@@ -43,7 +43,8 @@ pub use epa_sched as sched;
 /// loop, follow-the-renewables federation.
 pub use epa_grid as grid;
 
-/// Resource management: state machines, actuators, monitoring, reports.
+/// Resource management: retrying actuators, the interaction ledger, user
+/// energy reports.
 pub use epa_rm as rm;
 
 /// Deterministic fault model: correlated failure domains, sensor and
