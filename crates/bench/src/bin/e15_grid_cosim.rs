@@ -21,14 +21,13 @@
 //!    the resulting (cost, carbon, deferral) triples form the federation
 //!    front.
 //!
-//! Determinism: everything is a pure function of the seeds; CI runs this
-//! bin twice — and across `EPA_JSRM_THREADS` settings — and byte-diffs
-//! the JSON.
+//! Determinism: everything is a pure function of the seeds; CI
+//! regenerates the committed `BENCH_grid_cosim.json` and byte-diffs it.
 //!
 //! Env vars:
 //! - `EPA_E15_SITES` — comma-separated site keys (default: all nine).
 //! - `EPA_E15_SMOKE` — any value: 1-day episodes and a reduced sweep,
-//!   for CI determinism checks.
+//!   for quick runs.
 //!
 //! Usage: `e15_grid_cosim [out.json]` (default `BENCH_grid_cosim.json`).
 

@@ -9,8 +9,8 @@
 //! (energy + slowdown + budget violation) as four engineered baselines:
 //! fcfs, easy-backfill, power-aware-backfill+dvfs, energy-aware(energy).
 //!
-//! Determinism: training is a pure function of the seeds; CI runs this
-//! bin twice and byte-diffs both the JSON and the trajectory dump.
+//! Determinism: training is a pure function of the seeds; CI
+//! regenerates the committed `BENCH_policy_env.json` and byte-diffs it.
 //!
 //! Env vars:
 //! - `EPA_E16_SITES` — comma-separated site keys to run (default: all nine).

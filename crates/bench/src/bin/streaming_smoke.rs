@@ -5,12 +5,11 @@
 //! landing on main. Two phases:
 //!
 //! 1. **10k-job prefix equivalence** — the lazy-generator engine versus
-//!    the materialized engine over the same horizon, across threads
-//!    {1, 4}, plus a mid-run snapshot/resume of the streaming engine at
-//!    each thread count. The serialized
+//!    the materialized engine over the same horizon, plus a mid-run
+//!    snapshot/resume of the streaming engine. The serialized
 //!    [`SimOutcome`](epa_sched::engine::SimOutcome) and the exported
-//!    JSONL decision trace of every run must be byte-identical to the
-//!    1-thread materialized baseline.
+//!    JSONL decision trace of both must be byte-identical to the
+//!    materialized run.
 //! 2. **1M-job streaming run** — must complete inside the CI
 //!    address-space cap, and its peak RSS must stay within
 //!    [`RSS_BOUND`]× of the process high-water mark after phase 1 (a
@@ -34,7 +33,6 @@ const RATE_PER_HOUR: f64 = 1000.0;
 const SEED: u64 = 2088;
 const PREFIX_JOBS: u64 = 10_000;
 const FULL_JOBS: u64 = 1_000_000;
-const THREAD_GRID: [usize; 2] = [1, 4];
 
 /// Peak RSS of the 1M-job run, relative to the high-water mark the
 /// 10k-job phase left behind.
@@ -129,36 +127,19 @@ fn streaming_resumed_run(horizon: SimTime) -> (String, String) {
 
 fn main() {
     // Phase 1: 10k-job prefix, materialized vs streaming vs
-    // streaming-with-crash across the thread grid.
+    // streaming-with-crash.
     let horizon = horizon_for(PREFIX_JOBS);
-    let (base_outcome, base_trace) = rayon::with_num_threads(1, || materialized_run(horizon));
-    for &threads in &THREAD_GRID {
-        let (m_out, m_trace) = rayon::with_num_threads(threads, || materialized_run(horizon));
-        let (s_out, s_trace) = rayon::with_num_threads(threads, || streaming_run(horizon));
-        let (r_out, r_trace) = rayon::with_num_threads(threads, || streaming_resumed_run(horizon));
-        for (label, out, trace) in [
-            ("materialized", &m_out, &m_trace),
-            ("streaming", &s_out, &s_trace),
-            ("streaming+resume", &r_out, &r_trace),
-        ] {
-            assert_eq!(
-                out, &base_outcome,
-                "{label} outcome diverged at {threads} threads"
-            );
-            assert_eq!(
-                trace, &base_trace,
-                "{label} trace diverged at {threads} threads"
-            );
-        }
-        eprintln!(
-            "prefix: {threads} threads: materialized, streaming, and crash/resume runs \
-             all byte-identical"
-        );
+    let (base_outcome, base_trace) = materialized_run(horizon);
+    for (label, (out, trace)) in [
+        ("streaming", streaming_run(horizon)),
+        ("streaming+resume", streaming_resumed_run(horizon)),
+    ] {
+        assert_eq!(out, base_outcome, "{label} outcome diverged");
+        assert_eq!(trace, base_trace, "{label} trace diverged");
     }
     eprintln!(
-        "prefix: {PREFIX_JOBS}-job outcome+trace identical across {} thread counts \
-         x 3 engine paths",
-        THREAD_GRID.len()
+        "prefix: {PREFIX_JOBS}-job outcome+trace identical across the materialized, \
+         streaming, and crash/resume runs"
     );
 
     // Phase 2: the million-job run, in bounded memory.

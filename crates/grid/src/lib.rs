@@ -18,8 +18,9 @@
 //! The engine couples to the twin only through the control plane
 //! (`ControlAction::ResizeBudget` / `EmergencyShed`) and ordinary
 //! simulation events, which is what preserves the standing invariant:
-//! byte-identical outcomes across thread counts, and byte-identical
-//! to the grid-less engine when no [`GridConfig`] is supplied.
+//! byte-identical replays, also across a crash and resume, and
+//! byte-identical to the grid-less engine when no [`GridConfig`] is
+//! supplied.
 
 #![warn(missing_docs)]
 

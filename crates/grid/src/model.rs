@@ -349,13 +349,30 @@ impl GridState {
 
     /// Decodes state written by [`GridState::snapshot_into`]. The config
     /// is re-supplied (it is fingerprint-guarded), and the trace bounds
-    /// are rebuilt from it.
+    /// are rebuilt from it. Cursors, the active event and the per-event
+    /// accumulators must fit the config's traces and contract, or the
+    /// frame is [`SnapshotError::Corrupt`].
     pub fn restore_from(r: &mut SnapReader<'_>, cfg: &GridConfig) -> Result<Self, SnapshotError> {
-        let price_cursor = TraceCursor::restore_from(r)?;
-        let carbon_cursor = TraceCursor::restore_from(r)?;
+        let price_cursor = TraceCursor::restore_from(r, &cfg.price)?;
+        let carbon_cursor = TraceCursor::restore_from(r, &cfg.carbon)?;
         let active_event = r.opt(|r| r.u32())?;
         let event_excess_joules = r.seq(|r| r.f64())?;
         let event_violation_secs = r.seq(|r| r.f64())?;
+        let events = cfg.contract.events.len();
+        if active_event.is_some_and(|i| i as usize >= events) {
+            return Err(SnapshotError::Corrupt {
+                detail: format!("active DR event {active_event:?} of {events}"),
+            });
+        }
+        if event_excess_joules.len() != events || event_violation_secs.len() != events {
+            return Err(SnapshotError::Corrupt {
+                detail: format!(
+                    "DR accumulators have {} and {} entries for {events} events",
+                    event_excess_joules.len(),
+                    event_violation_secs.len()
+                ),
+            });
+        }
         Ok(GridState {
             price_cursor,
             carbon_cursor,

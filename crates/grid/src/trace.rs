@@ -263,9 +263,19 @@ impl TraceCursor {
         w.u32(self.idx);
     }
 
-    /// Decodes a cursor written by [`TraceCursor::snapshot_into`].
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(TraceCursor { idx: r.u32()? })
+    /// Decodes a cursor written by [`TraceCursor::snapshot_into`] for
+    /// `trace`, rejecting a position past its last node.
+    pub fn restore_from(r: &mut SnapReader<'_>, trace: &GridTrace) -> Result<Self, SnapshotError> {
+        let idx = r.u32()?;
+        if idx as usize >= trace.nodes().len() {
+            return Err(SnapshotError::Corrupt {
+                detail: format!(
+                    "trace cursor {idx} is past the trace's {} nodes",
+                    trace.nodes().len()
+                ),
+            });
+        }
+        Ok(TraceCursor { idx })
     }
 }
 
@@ -368,7 +378,7 @@ mod tests {
                     cursor.snapshot_into(&mut w);
                     let bytes = w.finish(1);
                     let mut r = SnapReader::open(&bytes, 1).unwrap();
-                    let back = TraceCursor::restore_from(&mut r).unwrap();
+                    let back = TraceCursor::restore_from(&mut r, &trace).unwrap();
                     prop_assert_eq!(back, cursor);
                 }
             }

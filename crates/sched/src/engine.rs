@@ -1529,7 +1529,6 @@ impl<'p> ClusterSim<'p> {
     /// [`SnapshotError::ConfigMismatch`] / [`SnapshotError::TopologyMismatch`].
     /// A non-default predictor ([`ClusterSim::set_predictor`]) must be
     /// re-set after resume; built-in policies keep no cross-call state.
-    /// The thread count may change across the boundary.
     pub fn resume(
         system: System,
         jobs: Vec<Job>,
@@ -1603,6 +1602,9 @@ impl<'p> ClusterSim<'p> {
             let ev = Ev::restore_from(r)?;
             Ok((t, seq, ev))
         })?;
+        for (_, _, ev) in &entries {
+            self.check_restored_event(ev, n)?;
+        }
         self.sim.queue_mut().clear();
         for (t, seq, ev) in entries {
             self.sim.queue_mut().push_with_seq(t, seq, ev);
@@ -1791,6 +1793,29 @@ impl<'p> ClusterSim<'p> {
         self.summaries
             .sort_unstable_by_key(|s| (s.estimated_end, s.id));
         Ok(())
+    }
+
+    /// Rejects a restored event carrying an index its handler would use
+    /// out of range: a node past the machine, a domain event past the
+    /// fault plan, or a DR event past the grid contract.
+    fn check_restored_event(&self, ev: &Ev, n: usize) -> Result<(), SnapshotError> {
+        let in_range = match *ev {
+            Ev::BootDone(node) | Ev::RepairDone(node) | Ev::ShutdownDone(node) => node.index() < n,
+            Ev::DomainFail(idx) => (idx as usize) < self.fault_plan.domain_events.len(),
+            Ev::GridDrStart(idx) | Ev::GridDrEnd(idx) => self
+                .config
+                .grid
+                .as_ref()
+                .is_some_and(|g| g.event(idx).is_some()),
+            _ => true,
+        };
+        if in_range {
+            Ok(())
+        } else {
+            Err(SnapshotError::Corrupt {
+                detail: format!("queued event {ev:?} is out of range"),
+            })
+        }
     }
 
     /// Fails one uniformly-chosen operational node: the job running on it

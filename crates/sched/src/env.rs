@@ -10,7 +10,7 @@
 //!
 //! Determinism contract: the environment inherits the engine's guarantee
 //! — same seed, same action sequence ⇒ byte-identical observations,
-//! rewards, outcomes, and traces at any thread count. Training
+//! rewards, outcomes, and traces. Training
 //! loops are therefore exactly reproducible, and a mid-episode
 //! environment can be frozen with [`PolicyEnv::snapshot`] and revived
 //! with [`PolicyEnv::restore`] without perturbing a single byte of the

@@ -1,48 +1,17 @@
 //! Learned-controller determinism: training is a pure function of the
 //! seed. A fixed-seed Q-learning run produces an identical trajectory
 //! (every episode, step, chosen action, observation, and reward) every
-//! time it is repeated, and a mid-training environment can be frozen and
-//! revived without perturbing a byte of the remaining episode.
-//!
-//! CI runs the `e16_policy_env` bench twice and byte-diffs the emitted
-//! trajectory + JSON fingerprints; this suite is the fast in-tree check.
+//! time it is repeated. That an environment frozen mid-episode revives
+//! without perturbing a byte of the rest is checked by
+//! `tests/determinism_matrix.rs`.
 
-use epa_cluster::node::NodeSpec;
-use epa_cluster::system::{System, SystemSpec};
-use epa_cluster::topology::Topology;
-use epa_sched::engine::EngineConfig;
-use epa_sched::env::{EnvConfig, PolicyEnv, RewardConfig};
+mod common;
+
+use common::make_env;
 use epa_sched::learn::{
     context_bucket, observation_features, standard_tiling, ActionCatalog, BanditConfig,
     ContextualBandit, QConfig, QLearner, N_CONTEXTS,
 };
-use epa_simcore::time::{SimDuration, SimTime};
-use epa_workload::generator::{WorkloadGenerator, WorkloadParams};
-
-fn system() -> System {
-    SystemSpec {
-        name: "env-det-24".into(),
-        cabinets: 3,
-        nodes_per_cabinet: 8,
-        node: NodeSpec::typical_xeon(),
-        topology: Topology::FatTree { arity: 8 },
-        peak_tflops: 24.0,
-    }
-    .build()
-}
-
-fn make_env() -> PolicyEnv {
-    let horizon = SimTime::from_hours(24.0);
-    let jobs = WorkloadGenerator::new(WorkloadParams::typical(24, 11)).generate(horizon, 0);
-    let mut config = EngineConfig::new(horizon);
-    config.power_budget_watts = Some(24.0 * 290.0 * 0.8);
-    config.seed = 0xE16;
-    let env_config = EnvConfig {
-        decision_interval: SimDuration::from_hours(2.0),
-        reward: RewardConfig::default(),
-    };
-    PolicyEnv::new(system(), jobs, "easy-backfill", config, env_config).unwrap()
-}
 
 /// Trains a Q-learner for `episodes` episodes and returns the full
 /// trajectory, one line per step: `episode step action reward obs-json`.
@@ -148,59 +117,4 @@ fn bandit_training_is_byte_reproducible_from_seed() {
         lines
     };
     assert!(run() == run(), "fixed-seed bandit training diverged");
-}
-
-#[test]
-fn mid_training_env_snapshot_resumes_byte_identically() {
-    // Drive an episode with learner-chosen actions, freeze mid-episode,
-    // revive into a *fresh* environment, and check the remaining steps
-    // and final outcome agree byte-for-byte with the uninterrupted run.
-    let catalog = ActionCatalog::standard();
-    let drive = |env: &mut PolicyEnv, learner: &mut QLearner, steps: usize| -> Vec<String> {
-        let mut out = Vec::new();
-        for _ in 0..steps {
-            let x = observation_features(&env.observe());
-            let a = learner.act(&x);
-            let r = env.step(&catalog.entries[a].actions);
-            out.push(format!(
-                "{} {}",
-                catalog.entries[a].name,
-                serde_json::to_string(&r).unwrap()
-            ));
-            if r.done {
-                break;
-            }
-        }
-        out
-    };
-
-    // Uninterrupted run.
-    let mut learner = QLearner::new(standard_tiling(), catalog.len(), QConfig::default());
-    let mut env = make_env();
-    env.reset();
-    let head = drive(&mut env, &mut learner, 4);
-    let tail_straight = drive(&mut env, &mut learner, 20);
-    let out_straight = serde_json::to_string(&env.finish()).unwrap();
-
-    // Interrupted run: same learner seed, same head, freeze, revive.
-    let mut learner2 = QLearner::new(standard_tiling(), catalog.len(), QConfig::default());
-    let mut env2 = make_env();
-    env2.reset();
-    let head2 = drive(&mut env2, &mut learner2, 4);
-    assert!(head == head2, "pre-snapshot steps must already agree");
-    let frozen = env2.snapshot();
-    let mut env3 = make_env();
-    env3.restore(&frozen)
-        .expect("mid-training snapshot revives");
-    let tail_resumed = drive(&mut env3, &mut learner2, 20);
-    let out_resumed = serde_json::to_string(&env3.finish()).unwrap();
-
-    assert!(
-        tail_straight == tail_resumed,
-        "post-resume steps diverged from the uninterrupted run"
-    );
-    assert!(
-        out_straight == out_resumed,
-        "final outcome diverged after mid-training resume"
-    );
 }

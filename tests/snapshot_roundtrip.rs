@@ -237,81 +237,3 @@ proptest! {
         prop_assert_eq!(restored.summary(&cfg), state.summary(&cfg));
     }
 }
-
-/// A grid-enabled engine killed at a window barrier and resumed from the
-/// snapshot bytes must replay to the same outcome **and** the same grid
-/// settlement as the uninterrupted run — the v4 snapshot's grid section
-/// carries the twin's cursors and accumulators across the crash.
-#[test]
-fn grid_enabled_engine_resumes_byte_identically() {
-    use epa_cluster::system::SystemSpec;
-    use epa_sched::engine::{ClusterSim, EngineConfig};
-    use epa_sched::policies::backfill::EasyBackfill;
-    use epa_sched::Snapshot;
-    use epa_workload::generator::{WorkloadGenerator, WorkloadParams};
-
-    let nodes = 32u32;
-    let system = || {
-        SystemSpec {
-            name: "grid-resume-32".into(),
-            cabinets: 4,
-            nodes_per_cabinet: 8,
-            node: epa_cluster::node::NodeSpec::typical_xeon(),
-            topology: Topology::FatTree { arity: 16 },
-            peak_tflops: 32.0,
-        }
-        .build()
-    };
-    let horizon = SimTime::from_days(2.0);
-    let jobs = WorkloadGenerator::new(WorkloadParams::typical(nodes, 5)).generate(horizon, 0);
-    let nominal = f64::from(nodes) * system().spec().node.nominal_watts;
-    let config = || {
-        let mut grid = GridConfig::synthetic(nominal, nominal * 1.3, 90.0, 300.0, 2, 1.0, 77);
-        grid.price_follow = 0.4;
-        grid.carbon_follow = 0.2;
-        grid.contract = DrContract {
-            events: vec![DrEvent {
-                start: SimTime::from_hours(20.0),
-                end: SimTime::from_hours(24.0),
-                target_frac: 0.6,
-                enforce: true,
-            }],
-            penalty_per_excess_kwh: 10.0,
-            tolerance_kwh: 0.5,
-        };
-        let mut config = EngineConfig::new(horizon);
-        config.power_budget_watts = Some(nominal);
-        config.seed = 5;
-        config.grid = Some(grid);
-        config
-    };
-
-    let mut policy = EasyBackfill;
-    let (base_out, base_grid) =
-        ClusterSim::new(system(), jobs.clone(), &mut policy, config()).run_with_grid();
-    let base_grid = base_grid.expect("grid twin configured");
-
-    // Crash mid-DR-event (hour 22 of 48), resume from the bytes only.
-    let mut policy = EasyBackfill;
-    let mut sim = ClusterSim::new(system(), jobs.clone(), &mut policy, config());
-    let snap = sim.run_until(SimTime::from_hours(22.0));
-    drop(sim); // the crash
-    let bytes = Snapshot::from_bytes(snap.into_bytes());
-    bytes.verify_frame().expect("snapshot frame intact");
-    let mut policy = EasyBackfill;
-    let sim = ClusterSim::resume(system(), jobs, &mut policy, config(), &bytes)
-        .expect("resume from intact snapshot");
-    let (out, grid) = sim.run_with_grid();
-    let grid = grid.expect("grid twin survives resume");
-
-    assert_eq!(
-        serde_json::to_string_pretty(&out).unwrap(),
-        serde_json::to_string_pretty(&base_out).unwrap(),
-        "resumed outcome drifted from the uninterrupted run"
-    );
-    assert_eq!(
-        serde_json::to_string_pretty(&grid).unwrap(),
-        serde_json::to_string_pretty(&base_grid).unwrap(),
-        "resumed grid settlement drifted from the uninterrupted run"
-    );
-}
