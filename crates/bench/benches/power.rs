@@ -54,7 +54,7 @@ fn bench_meter_updates(c: &mut Criterion) {
     let mut g = c.benchmark_group("power/meter-update-256-nodes");
     g.bench_function("per-node", |b| {
         b.iter(|| {
-            let mut m = EnergyMeter::new();
+            let mut m = EnergyMeter::new(SimDuration::from_mins(5.0));
             for step in 0..16u32 {
                 let t = SimTime::from_secs(f64::from(step) * 60.0);
                 for &n in &nodes {
@@ -66,7 +66,7 @@ fn bench_meter_updates(c: &mut Criterion) {
     });
     g.bench_function("batched", |b| {
         b.iter(|| {
-            let mut m = EnergyMeter::new();
+            let mut m = EnergyMeter::new(SimDuration::from_mins(5.0));
             for step in 0..16u32 {
                 let t = SimTime::from_secs(f64::from(step) * 60.0);
                 m.set_alloc_watts(&nodes, t, 90.0 + f64::from(step));

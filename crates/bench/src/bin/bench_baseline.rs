@@ -242,12 +242,11 @@ fn stream_probe(mode: &str, jobs: u64) {
     let mut config = EngineConfig::new(horizon);
     config.seed = STREAM_SEED;
     // The streaming engine configuration on BOTH sides of the
-    // comparison: per-job records fold into aggregates, the power trace
-    // is bounded, no prediction history. The two runs then differ only
-    // in where jobs come from, so their outcomes must be byte-identical.
+    // comparison: per-job records fold into aggregates, no prediction
+    // history. The two runs then differ only in where jobs come from, so
+    // their outcomes must be byte-identical.
     config.record_history = false;
     config.retain_completed = false;
-    config.bounded_power_trace = true;
     // Wall time covers construction too: the materialized path pays its
     // full up-front generation there, the lazy path amortizes it into
     // the run — end-to-end is the honest comparison.

@@ -42,16 +42,14 @@ fn horizon_for(jobs: u64) -> SimTime {
     SimTime::from_hours(jobs as f64 / RATE_PER_HOUR)
 }
 
-/// The streaming engine configuration: aggregate-only completions,
-/// bounded power trace, no prediction history, full decision tracing
-/// (so the trace comparison exercises the ring across the crash
-/// boundary too).
+/// The streaming engine configuration: aggregate-only completions, no
+/// prediction history, full decision tracing (so the trace comparison
+/// exercises the ring across the crash boundary too).
 fn config(horizon: SimTime) -> EngineConfig {
     let mut config = EngineConfig::new(horizon);
     config.seed = SEED;
     config.record_history = false;
     config.retain_completed = false;
-    config.bounded_power_trace = true;
     config.trace = TraceConfig {
         mask: CategoryMask::ALL,
         ..TraceConfig::default()

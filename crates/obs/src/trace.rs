@@ -1060,7 +1060,7 @@ impl TraceBus {
         let capacity = r.usize()?;
         let records = r.seq(|r| {
             Ok(TraceRecord {
-                t: SimTime::from_secs(r.f64()?),
+                t: r.time()?,
                 seq: r.u64()?,
                 event: TraceEvent::restore_from(r)?,
             })

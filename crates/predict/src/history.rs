@@ -137,7 +137,7 @@ impl HistoryStore {
                 user: r.u32()?,
                 tag: r.str()?,
                 nodes: r.u32()?,
-                runtime_secs: r.f64()?,
+                runtime_secs: r.duration()?.as_secs(),
                 watts_per_node: r.f64()?,
                 ambient_c: r.f64()?,
             })

@@ -248,7 +248,7 @@ impl ActuatorLog {
     ) -> Result<Self, epa_simcore::snap::SnapshotError> {
         let records = r.seq(|r| {
             Ok(ActuationRecord {
-                t: SimTime::from_secs(r.f64()?),
+                t: r.time()?,
                 actuation: Actuation::restore_from(r)?,
             })
         })?;

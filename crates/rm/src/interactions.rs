@@ -258,8 +258,8 @@ impl InteractionLedger {
             .into_iter()
             .collect();
         let total = r.u64()?;
-        let first = r.opt(|r| Ok(SimTime::from_secs(r.f64()?)))?;
-        let last = r.opt(|r| Ok(SimTime::from_secs(r.f64()?)))?;
+        let first = r.opt(epa_simcore::snap::SnapReader::time)?;
+        let last = r.opt(epa_simcore::snap::SnapReader::time)?;
         Ok(InteractionLedger {
             counts,
             total,

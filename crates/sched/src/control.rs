@@ -202,9 +202,9 @@ fn write_shutdown_policy(w: &mut SnapWriter, p: &ShutdownPolicy) {
 
 fn read_shutdown_policy(r: &mut SnapReader<'_>) -> Result<ShutdownPolicy, SnapshotError> {
     Ok(ShutdownPolicy {
-        idle_threshold: SimDuration::from_secs(r.f64()?),
-        shutdown_time: SimDuration::from_secs(r.f64()?),
-        boot_time: SimDuration::from_secs(r.f64()?),
+        idle_threshold: r.duration()?,
+        shutdown_time: r.duration()?,
+        boot_time: r.duration()?,
         min_idle_reserve: r.u32()?,
         season: r.opt(|r| Ok((r.u32()?, r.u32()?)))?,
     })

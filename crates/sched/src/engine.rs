@@ -111,10 +111,10 @@ pub struct EngineConfig {
     /// the optional JSONL sink), `SimOutcome::jobs` comes back empty,
     /// and every other outcome field is byte-identical either way.
     pub retain_completed: bool,
-    /// Store the system power trace in bounded (segment-accumulator)
-    /// form instead of the full point list. The outcome's energy, peak,
-    /// average, and 5-minute `power_trace` stay byte-identical; raw
-    /// trace access ([`ClusterSim::meter`] → `system_trace`) panics.
+    /// Has no effect: the system power trace is always the bounded
+    /// 5-minute-grid accumulator, so the outcome, trace and snapshot are
+    /// the same either way and the field is not fingerprinted. It stays
+    /// only because the `perfbench` harness still assigns it.
     pub bounded_power_trace: bool,
     /// Facility digital twin: price/carbon traces, demand-response
     /// contract, cooling loop. `None` (the default) leaves every code
@@ -213,8 +213,8 @@ const STALENESS_AGE_BUCKETS: [f64; 6] = [60.0, 120.0, 300.0, 600.0, 1800.0, 3600
 const RUNTIME_SEQ_BASE: u64 = 1 << 40;
 
 /// Grid interval of the exported system power trace
-/// ([`SimOutcome::power_trace`]). The bounded trace mode samples on this
-/// grid as power steps arrive, so whole-run exports match the full
+/// ([`SimOutcome::power_trace`]). The meter samples on this grid as power
+/// steps arrive, so the whole-run export matches a full change-point
 /// series' resample bit-for-bit.
 fn power_trace_grid() -> SimDuration {
     SimDuration::from_mins(5.0)
@@ -389,12 +389,12 @@ impl RunningJob {
         Ok(RunningJob {
             job: Job::restore_from(r)?,
             nodes: NodeSet::restore_from(r, total)?,
-            start: SimTime::from_secs(r.f64()?),
-            estimated_end: SimTime::from_secs(r.f64()?),
+            start: r.time()?,
+            estimated_end: r.time()?,
             watts_per_node: r.f64()?,
             killed_at_walltime: r.bool()?,
             grant: r.opt(|r| Ok(GrantId(r.u64()?)))?,
-            base_effective: SimDuration::from_secs(r.f64()?),
+            base_effective: r.duration()?,
             true_run_secs: r.f64()?,
             phase_watts: r.seq(SnapReader::f64)?,
             meter_group: GroupId::from_raw(r.u32()?),
@@ -868,11 +868,7 @@ impl<'p> ClusterSim<'p> {
                 .as_ref()
                 .map(|a| RetryingActuator::new(a.clone(), f.seed))
         });
-        let mut meter = if config.bounded_power_trace {
-            EnergyMeter::with_bounded_trace(power_trace_grid())
-        } else {
-            EnergyMeter::new()
-        };
+        let mut meter = EnergyMeter::new(power_trace_grid());
         let n_nodes = total as usize;
         let all_nodes: Vec<NodeId> = system.nodes().collect();
         meter.set_alloc_watts(&all_nodes, SimTime::ZERO, system.spec().node.idle_watts);
@@ -995,12 +991,6 @@ impl<'p> ClusterSim<'p> {
     #[must_use]
     pub fn history(&self) -> &HistoryStore {
         &self.history
-    }
-
-    /// The energy meter (power traces).
-    #[must_use]
-    pub fn meter(&self) -> &EnergyMeter {
-        &self.meter
     }
 
     /// The actuation audit log (every attempt, including failed retries).
@@ -1403,7 +1393,6 @@ impl<'p> ClusterSim<'p> {
         fp.u64(u64::from(c.layout.is_some()));
         fp.u64(u64::from(c.record_history));
         fp.u64(u64::from(c.retain_completed));
-        fp.u64(u64::from(c.bounded_power_trace));
         match &c.grid {
             Some(g) => {
                 fp.u64(1);
@@ -1425,12 +1414,12 @@ impl<'p> ClusterSim<'p> {
     /// Legal between events — between [`ClusterSim::run_until`] calls,
     /// or before the run starts. Everything mutable is captured: the
     /// event queue with its sequence counter, RNG stream positions,
-    /// allocator spans, meter accumulators and open allocation groups,
-    /// the budget ledger, queued and running jobs, fault state, the
-    /// prediction history, metrics, completed-job records, and the
-    /// observability ring. Configuration
-    /// is *not* stored (the caller re-supplies it at
-    /// [`ClusterSim::resume`]); a fingerprint guards against mismatches.
+    /// allocator spans, the meter's run index, open allocation groups and
+    /// bounded power trace, the budget ledger, queued and running jobs,
+    /// fault state, the prediction history, metrics, completed-job
+    /// records, and the observability ring. Configuration is *not*
+    /// stored (the caller re-supplies it at [`ClusterSim::resume`]); a
+    /// fingerprint guards against mismatches.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
         let mut w = SnapWriter::new();
@@ -1592,12 +1581,12 @@ impl<'p> ClusterSim<'p> {
                 detail: format!("snapshot has {total} nodes, system has {n}"),
             });
         }
-        let now = SimTime::from_secs(r.f64()?);
+        let now = r.time()?;
         let processed = r.u64()?;
         r.section("sim")?;
         let queue_seq = r.u64()?;
         let entries = r.seq(|r| {
-            let t = SimTime::from_secs(r.f64()?);
+            let t = r.time()?;
             let seq = r.u64()?;
             let ev = Ev::restore_from(r)?;
             Ok((t, seq, ev))
@@ -1605,6 +1594,10 @@ impl<'p> ClusterSim<'p> {
         for (_, _, ev) in &entries {
             self.check_restored_event(ev, n)?;
         }
+        let submits = entries
+            .iter()
+            .filter(|(_, _, ev)| matches!(ev, Ev::Submit(_)))
+            .count();
         self.sim.queue_mut().clear();
         for (t, seq, ev) in entries {
             self.sim.queue_mut().push_with_seq(t, seq, ev);
@@ -1618,7 +1611,7 @@ impl<'p> ClusterSim<'p> {
             self.system.topology().clone(),
         )?;
         r.section("meter")?;
-        self.meter = EnergyMeter::restore_from(&mut r)?;
+        self.meter = EnergyMeter::restore_from(&mut r, power_trace_grid(), n as u32)?;
         r.section("budget")?;
         let budget = r.opt(PowerBudget::restore_from)?;
         if budget.is_some() != self.budget.is_some() {
@@ -1638,10 +1631,10 @@ impl<'p> ClusterSim<'p> {
         self.running = running.into_iter().map(|rj| (rj.job.id, rj)).collect();
         r.section("nodes")?;
         let node_state = r.seq(|r| node_state_from_tag(r.u8()?))?;
-        let idle_since = r.seq(|r| r.opt(|r| Ok(SimTime::from_secs(r.f64()?))))?;
+        let idle_since = r.seq(|r| r.opt(SnapReader::time))?;
         let down = r.seq(SnapReader::bool)?;
         let failure_counts = r.seq(SnapReader::u64)?;
-        let down_since = r.seq(|r| r.opt(|r| Ok(SimTime::from_secs(r.f64()?))))?;
+        let down_since = r.seq(|r| r.opt(SnapReader::time))?;
         for (name, len) in [
             ("node_state", node_state.len()),
             ("idle_since", idle_since.len()),
@@ -1664,15 +1657,15 @@ impl<'p> ClusterSim<'p> {
         self.emergency_kills = r.u64()?;
         self.busy_node_seconds = r.f64()?;
         self.violation_accum_secs = r.f64()?;
-        self.last_tick = SimTime::from_secs(r.f64()?);
+        self.last_tick = r.time()?;
         let (seed, pos) = (r.u64()?, r.u64()?);
         self.rng = epa_simcore::rng::SimRng::from_state(seed, pos);
         let attempts = r.seq(|r| Ok((JobId(r.u64()?), r.u32()?)))?;
         self.attempts = attempts.into_iter().collect();
-        self.start_hold_until = SimTime::from_secs(r.f64()?);
+        self.start_hold_until = r.time()?;
         self.hold_resume_pending = r.bool()?;
-        self.sensor_last = (SimTime::from_secs(r.f64()?), r.f64()?);
-        self.sensor_stuck_until = r.opt(|r| Ok((SimTime::from_secs(r.f64()?), r.f64()?)))?;
+        self.sensor_last = (r.time()?, r.f64()?);
+        self.sensor_stuck_until = r.opt(|r| Ok((r.time()?, r.f64()?)))?;
         self.telemetry_stale = r.bool()?;
         self.repair_downtime_secs = r.f64()?;
         self.repairs_completed = r.u64()?;
@@ -1709,8 +1702,16 @@ impl<'p> ClusterSim<'p> {
         r.section("arrivals")?;
         self.arrival_seq = r.u64()?;
         self.arrivals_exhausted = r.bool()?;
-        self.last_arrival_submit = SimTime::from_secs(r.f64()?);
+        self.last_arrival_submit = r.time()?;
         self.pending_arrival = r.opt(Job::restore_from)?;
+        // A Submit event takes the staged arrival, and staging one queues
+        // its Submit: exactly one of each, or neither.
+        let staged = usize::from(self.pending_arrival.is_some());
+        if submits != staged {
+            return Err(SnapshotError::Corrupt {
+                detail: format!("{submits} queued Submit events for {staged} staged arrivals"),
+            });
+        }
         self.agg = CompletionAggregates::restore_from(&mut r)?;
         // try_new already pulled the first arrival from the fresh
         // source; cursor restore is written to tolerate that (absolute
@@ -2286,7 +2287,7 @@ impl<'p> ClusterSim<'p> {
         let now = self.sim.now();
         RewardProbe {
             t: now,
-            energy_joules: self.meter.system_energy_joules(SimTime::ZERO, now),
+            energy_joules: self.meter.system_energy_joules(now),
             completed: self.agg.count,
             slowdown_sum: self.agg.slowdown_sum,
             violation_secs: self.violation_accum_secs,
@@ -3150,9 +3151,9 @@ impl<'p> ClusterSim<'p> {
         self.obs
             .registry
             .incr("sim/events_processed", self.sim.events_processed());
-        let energy = self.meter.system_energy_joules(SimTime::ZERO, end);
-        let peak = self.meter.peak_system_watts(SimTime::ZERO, end);
-        let avg = self.meter.avg_system_watts(SimTime::ZERO, end);
+        let energy = self.meter.system_energy_joules(end);
+        let peak = self.meter.peak_system_watts(end);
+        let avg = self.meter.avg_system_watts(end);
         let walltime_kills = self.agg.walltime_kills;
         let n_completed = self.agg.count;
         // Failure observability: downtime over completed repairs plus
@@ -3210,7 +3211,7 @@ impl<'p> ClusterSim<'p> {
             counters,
             power_trace: self
                 .meter
-                .power_trace_rows(SimTime::ZERO, end, power_trace_grid())
+                .power_trace_rows(end)
                 .into_iter()
                 .map(|(t, w)| (t.as_secs(), w))
                 .collect(),
@@ -3248,10 +3249,10 @@ mod tests {
 
     #[test]
     fn streaming_mode_matches_default_outcome_bitwise() {
-        // retain_completed=false + bounded_power_trace=true is the
-        // bounded-memory streaming configuration; every scalar the
-        // outcome reports (and the gridded power trace) must stay
-        // bit-identical to the default mode.
+        // retain_completed=false is the bounded-memory streaming
+        // configuration; every scalar the outcome reports (and the
+        // gridded power trace) must stay bit-identical to the default
+        // mode.
         let jobs: Vec<Job> = (0..40)
             .map(|i| {
                 JobBuilder::new(i + 1)
@@ -3273,9 +3274,22 @@ mod tests {
         .run();
         let mut streaming_cfg = EngineConfig::new(horizon);
         streaming_cfg.retain_completed = false;
-        streaming_cfg.bounded_power_trace = true;
         let streaming_out =
-            ClusterSim::new(small_system(8), jobs, &mut policy, streaming_cfg).run();
+            ClusterSim::new(small_system(8), jobs.clone(), &mut policy, streaming_cfg).run();
+
+        // The retired trace-mode flag is inert: either value gives the
+        // same mid-run snapshot bytes and the same outcome.
+        let flagged = |bounded_power_trace: bool| {
+            let mut config = EngineConfig::new(horizon);
+            config.bounded_power_trace = bounded_power_trace;
+            let mut policy = Fcfs;
+            let mut sim = ClusterSim::new(small_system(8), jobs.clone(), &mut policy, config);
+            let snapshot = sim.run_until(SimTime::from_hours(6.0));
+            (snapshot, format!("{:?}", sim.run()))
+        };
+        let (off, on) = (flagged(false), flagged(true));
+        assert_eq!(off.0.as_bytes(), on.0.as_bytes(), "snapshot bytes");
+        assert_eq!(off.1, on.1, "outcome");
 
         assert_eq!(default_out.completed, streaming_out.completed);
         assert_eq!(default_out.walltime_kills, streaming_out.walltime_kills);

@@ -322,7 +322,7 @@ impl PolicyEnv {
         let done = r.bool()?;
         let episode_return = r.f64()?;
         let probe = RewardProbe {
-            t: SimTime::from_secs(r.f64()?),
+            t: r.time()?,
             energy_joules: r.f64()?,
             completed: r.u64()?,
             slowdown_sum: r.f64()?,

@@ -41,8 +41,11 @@ use std::path::Path;
 /// entries (wire tags 10 and 11); v7 drops the `metrics` section — the
 /// engine's counters now live in the `obs` section's registry, and the
 /// exact wait-percentile store and per-tick power series it carried are
-/// gone.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 7;
+/// gone; v8 drops the meter's per-node energy, its runs' start times and
+/// its trace-mode tag — the meter is its node extent, its run index as
+/// `(start, len, group, watts)` runs, its groups and the bounded system
+/// trace, whose grid instants and interval are no longer stored.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 8;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///

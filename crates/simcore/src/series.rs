@@ -134,11 +134,7 @@ impl TimeSeries {
     pub fn restore_from(
         r: &mut crate::snap::SnapReader<'_>,
     ) -> Result<Self, crate::snap::SnapshotError> {
-        let points = r.seq(|r| {
-            let t = SimTime::from_secs(r.f64()?);
-            let v = r.f64()?;
-            Ok((t, v))
-        })?;
+        let points = r.seq(|r| Ok((r.time()?, r.f64()?)))?;
         let cum = r.seq(crate::snap::SnapReader::f64)?;
         if cum.len() != points.len() {
             return Err(crate::snap::SnapshotError::Corrupt {
@@ -267,10 +263,12 @@ impl TimeSeries {
 #[derive(Debug, Clone)]
 pub struct BoundedSeries {
     grid_dt: SimDuration,
-    /// Next grid instant not yet emitted; grid values are final once a
-    /// strictly later change point exists.
+    /// Next grid instant not yet emitted: `grid_vals.len()` steps of
+    /// `t += grid_dt` from t = 0. Grid values are final once a strictly
+    /// later change point exists.
     next_grid: SimTime,
-    grid_vals: Vec<(SimTime, f64)>,
+    /// Sampled values at the emitted grid instants `0, dt, 2·dt, …`.
+    grid_vals: Vec<f64>,
     /// The last change point — not yet folded into `acc`/`vmax` because
     /// an equal-time push may still overwrite it.
     pending: Option<(SimTime, f64)>,
@@ -309,7 +307,7 @@ impl BoundedSeries {
     fn emit_grid_to(&mut self, t: SimTime) {
         let v = self.pending.map_or(0.0, |(_, v)| v);
         while self.next_grid < t {
-            self.grid_vals.push((self.next_grid, v));
+            self.grid_vals.push(v);
             self.next_grid += self.grid_dt;
         }
     }
@@ -339,12 +337,6 @@ impl BoundedSeries {
         self.vmax = Some(self.vmax.map_or(last_v, |m| m.max(last_v)));
         self.pending = Some((t, value));
         self.len += 1;
-    }
-
-    /// The sample-grid interval this series was created with.
-    #[must_use]
-    pub fn grid_dt(&self) -> SimDuration {
-        self.grid_dt
     }
 
     /// Number of stored change points ([`TimeSeries::len`] equivalent).
@@ -410,13 +402,17 @@ impl BoundedSeries {
 
     /// `TimeSeries::resample(0, b, grid_dt)` for `b` at/after the last
     /// point: the already-final grid values plus the tail sampled at the
-    /// pending value.
+    /// pending value, on instants rebuilt by the same `t += dt` steps.
     #[must_use]
     pub fn sample_grid(&self, b: SimTime) -> Vec<(SimTime, f64)> {
         self.assert_whole_run(b);
-        let mut out = self.grid_vals.clone();
+        let mut out = Vec::with_capacity(self.grid_vals.len());
+        let mut t = SimTime::ZERO;
+        for &v in &self.grid_vals {
+            out.push((t, v));
+            t += self.grid_dt;
+        }
         let v = self.pending.map_or(0.0, |(_, v)| v);
-        let mut t = self.next_grid;
         while t <= b {
             out.push((t, v));
             t += self.grid_dt;
@@ -424,14 +420,11 @@ impl BoundedSeries {
         out
     }
 
-    /// Encodes the bounded series into a snapshot (bit-exact state).
+    /// Encodes the bounded series into a snapshot (bit-exact state). The
+    /// grid interval and the grid instants are not stored: the reader
+    /// supplies the interval and replays the `t += dt` steps.
     pub fn snapshot_into(&self, w: &mut crate::snap::SnapWriter) {
-        w.f64(self.grid_dt.as_secs());
-        w.f64(self.next_grid.as_secs());
-        w.seq(&self.grid_vals, |w, &(t, v)| {
-            w.f64(t.as_secs());
-            w.f64(v);
-        });
+        w.seq(&self.grid_vals, |w, &v| w.f64(v));
         w.opt(self.pending.as_ref(), |w, &(t, v)| {
             w.f64(t.as_secs());
             w.f64(v);
@@ -442,20 +435,46 @@ impl BoundedSeries {
         w.u64(self.len);
     }
 
-    /// Decodes a series written by [`BoundedSeries::snapshot_into`].
+    /// Decodes a series written by [`BoundedSeries::snapshot_into`] on a
+    /// `grid_dt` grid. The pending point must lie after the last emitted
+    /// grid instant and at or before the next one, and a series with no
+    /// point must have emitted none — anything else is
+    /// [`SnapshotError::Corrupt`](crate::snap::SnapshotError::Corrupt),
+    /// since the next push would otherwise emit a grid the series never
+    /// sampled.
+    ///
+    /// # Panics
+    /// Panics if `grid_dt` is zero (as [`BoundedSeries::new`] does).
     pub fn restore_from(
         r: &mut crate::snap::SnapReader<'_>,
+        grid_dt: SimDuration,
     ) -> Result<Self, crate::snap::SnapshotError> {
-        Ok(BoundedSeries {
-            grid_dt: SimDuration::from_secs(r.f64()?),
-            next_grid: SimTime::from_secs(r.f64()?),
-            grid_vals: r.seq(|r| Ok((SimTime::from_secs(r.f64()?), r.f64()?)))?,
-            pending: r.opt(|r| Ok((SimTime::from_secs(r.f64()?), r.f64()?)))?,
-            first_t: SimTime::from_secs(r.f64()?),
-            acc: r.f64()?,
-            vmax: r.opt(crate::snap::SnapReader::f64)?,
-            len: r.u64()?,
-        })
+        let mut s = BoundedSeries::new(grid_dt);
+        s.grid_vals = r.seq(crate::snap::SnapReader::f64)?;
+        s.pending = r.opt(|r| Ok((r.time()?, r.f64()?)))?;
+        s.first_t = r.time()?;
+        s.acc = r.f64()?;
+        s.vmax = r.opt(crate::snap::SnapReader::f64)?;
+        s.len = r.u64()?;
+        let mut last_emitted = None;
+        for _ in &s.grid_vals {
+            last_emitted = Some(s.next_grid);
+            s.next_grid += grid_dt;
+        }
+        let consistent = match s.pending {
+            None => last_emitted.is_none(),
+            Some((t, _)) => last_emitted.is_none_or(|e| e < t) && t <= s.next_grid,
+        };
+        if !consistent {
+            return Err(crate::snap::SnapshotError::Corrupt {
+                detail: format!(
+                    "bounded series point {:?} does not follow its {} grid samples",
+                    s.pending,
+                    s.grid_vals.len()
+                ),
+            });
+        }
+        Ok(s)
     }
 }
 
@@ -576,6 +595,57 @@ mod tests {
     }
 
     #[test]
+    fn bounded_restore_rejects_points_off_the_grid() {
+        let dt = SimDuration::from_secs(300.0);
+        // (grid samples, pending point): after 3 samples the emitted
+        // instants are 0, 300, 600 and the next one is 900.
+        let frame = |samples: usize, pending: Option<f64>| {
+            let mut w = crate::snap::SnapWriter::new();
+            w.seq(&vec![50.0; samples], |w, &v| w.f64(v));
+            w.opt(pending.as_ref(), |w, &at| {
+                w.f64(at);
+                w.f64(80.0);
+            });
+            w.f64(0.0);
+            w.f64(0.0);
+            w.opt(None::<&f64>, |w, &m| w.f64(m));
+            w.u64(u64::from(pending.is_some()));
+            w.finish(1)
+        };
+        let restore = |bytes: &[u8]| {
+            let mut r = crate::snap::SnapReader::open(bytes, 1).unwrap();
+            BoundedSeries::restore_from(&mut r, dt)
+        };
+        for (samples, pending) in [
+            (0, None),
+            (0, Some(0.0)),
+            (3, Some(601.0)),
+            (3, Some(900.0)),
+        ] {
+            assert!(
+                restore(&frame(samples, pending)).is_ok(),
+                "{samples} {pending:?}"
+            );
+        }
+        for (samples, pending) in [
+            (3, None),
+            (0, Some(1.0)),
+            (3, Some(600.0)),
+            (3, Some(900.5)),
+            (3, Some(-1.0)),
+            (3, Some(f64::NAN)),
+        ] {
+            assert!(
+                matches!(
+                    restore(&frame(samples, pending)),
+                    Err(crate::snap::SnapshotError::Corrupt { .. })
+                ),
+                "{samples} {pending:?}"
+            );
+        }
+    }
+
+    #[test]
     fn integrate_matches_naive_on_window_edges() {
         let mut ts = TimeSeries::new();
         for i in 0..50 {
@@ -693,6 +763,26 @@ mod proptests {
                 bounded.push(t(clock), val);
             }
             let end = t(clock + tail);
+            // A snapshot roundtrip must answer identically too.
+            let mut w = crate::snap::SnapWriter::new();
+            bounded.snapshot_into(&mut w);
+            let bytes = w.finish(1);
+            let mut r = crate::snap::SnapReader::open(&bytes, 1).unwrap();
+            let restored = BoundedSeries::restore_from(&mut r, dt).unwrap();
+            r.finish().unwrap();
+            prop_assert_eq!(restored.next_grid, bounded.next_grid);
+            prop_assert_eq!(
+                restored.sample_grid(end).len(), bounded.sample_grid(end).len());
+            for (&(rt, rv), &(bt, bv)) in
+                restored.sample_grid(end).iter().zip(&bounded.sample_grid(end))
+            {
+                prop_assert_eq!(rt, bt);
+                prop_assert_eq!(rv.to_bits(), bv.to_bits());
+            }
+            prop_assert_eq!(
+                restored.integrate_from_start(end).to_bits(),
+                bounded.integrate_from_start(end).to_bits()
+            );
             prop_assert_eq!(full.len() as u64, bounded.len());
             let (fi, bi) = (full.integrate(t(0.0), end), bounded.integrate_from_start(end));
             prop_assert_eq!(fi.to_bits(), bi.to_bits(), "integrate: {} vs {}", fi, bi);

@@ -22,6 +22,7 @@
 //! pattern, so restored floating-point state is bit-identical — the
 //! foundation of the engine's byte-identical-resume guarantee.
 
+use crate::time::{SimDuration, SimTime};
 use std::fmt;
 
 /// The 8-byte magic prefix of every snapshot.
@@ -407,6 +408,29 @@ impl<'a> SnapReader<'a> {
         Ok(f64::from_bits(self.u64()?))
     }
 
+    /// Reads a [`SimTime`], rejecting a negative or non-finite value
+    /// (which [`SimTime::from_secs`] would panic on).
+    pub fn time(&mut self) -> Result<SimTime, SnapshotError> {
+        self.secs("time").map(SimTime::from_secs)
+    }
+
+    /// Reads a [`SimDuration`], rejecting a negative or non-finite value
+    /// (which [`SimDuration::from_secs`] would panic on).
+    pub fn duration(&mut self) -> Result<SimDuration, SnapshotError> {
+        self.secs("duration").map(SimDuration::from_secs)
+    }
+
+    fn secs(&mut self, what: &str) -> Result<f64, SnapshotError> {
+        let secs = self.f64()?;
+        if secs.is_finite() && secs >= 0.0 {
+            Ok(secs)
+        } else {
+            Err(SnapshotError::Corrupt {
+                detail: format!("{what} {secs} is negative or not finite"),
+            })
+        }
+    }
+
     /// Reads a `bool`, rejecting anything but 0 or 1.
     pub fn bool(&mut self) -> Result<bool, SnapshotError> {
         match self.u8()? {
@@ -570,6 +594,25 @@ mod tests {
             r.section("beta").unwrap_err(),
             SnapshotError::Corrupt { .. }
         ));
+    }
+
+    #[test]
+    fn negative_and_non_finite_times_are_corrupt() {
+        let mut w = SnapWriter::new();
+        for secs in [-0.0, 90.5, -1.0, f64::NAN, f64::INFINITY] {
+            w.f64(secs);
+            w.f64(secs);
+        }
+        let bytes = w.finish(1);
+        let mut r = SnapReader::open(&bytes, 1).unwrap();
+        for _ in 0..2 {
+            assert_eq!(r.time().unwrap().as_secs(), r.duration().unwrap().as_secs());
+        }
+        for _ in 0..3 {
+            assert!(matches!(r.time(), Err(SnapshotError::Corrupt { .. })));
+            assert!(matches!(r.duration(), Err(SnapshotError::Corrupt { .. })));
+        }
+        r.finish().unwrap();
     }
 
     #[test]

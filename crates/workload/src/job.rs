@@ -190,10 +190,10 @@ impl Job {
                 utilization: r.f64()?,
             })
         })?;
-        let submit = SimTime::from_secs(r.f64()?);
+        let submit = r.time()?;
         let nodes = r.u32()?;
-        let walltime_estimate = SimDuration::from_secs(r.f64()?);
-        let base_runtime = SimDuration::from_secs(r.f64()?);
+        let walltime_estimate = r.duration()?;
+        let base_runtime = r.duration()?;
         let priority =
             i32::try_from(r.i64()?).map_err(|_| epa_simcore::snap::SnapshotError::Corrupt {
                 detail: format!("priority out of i32 range for job {}", id.0),

@@ -508,12 +508,12 @@ impl JobSource for LazyGeneratorSource {
         self.arr_rng = SimRng::from_state(seed, pos);
         let (seed, pos) = (r.u64()?, r.u64()?);
         self.attr_rng = SimRng::from_state(seed, pos);
-        self.t = SimTime::from_secs(r.f64()?);
+        self.t = r.time()?;
         self.arrivals_done = r.bool()?;
-        self.next_arrival = r.opt(|r| Ok(SimTime::from_secs(r.f64()?)))?;
+        self.next_arrival = r.opt(SnapReader::time)?;
         self.gen_seq = r.u64()?;
         let entries = r.seq(|r| {
-            let t = SimTime::from_secs(r.f64()?);
+            let t = r.time()?;
             let seq = r.u64()?;
             let job = Job::restore_from(r)?;
             Ok(((t, seq), job))

@@ -518,15 +518,14 @@ pub fn layout(seed: u64) -> Scenario {
     Scenario::typical(format!("layout/{seed}"), seed, config)
 }
 
-/// The streaming configuration (aggregate-only completions, bounded power
-/// trace, no prediction history) with full decision tracing, over either
-/// a lazy generator or the same jobs materialized.
+/// The streaming configuration (aggregate-only completions, no
+/// prediction history) with full decision tracing, over either a lazy
+/// generator or the same jobs materialized.
 pub fn stream(seed: u64, lazy: bool) -> Scenario {
     let mut config = EngineConfig::new(SimTime::from_hours(24.0));
     config.seed = seed;
     config.record_history = false;
     config.retain_completed = false;
-    config.bounded_power_trace = true;
     config.trace = TraceConfig {
         mask: CategoryMask::ALL,
         ..TraceConfig::default()

@@ -244,7 +244,7 @@ fn previous_schema_frames_are_rejected_with_unsupported_version() {
     // A current payload under each previous schema's version number,
     // checksummed correctly: only the version check can reject it.
     let snap = small_snapshot(3);
-    for old in [5, 6] {
+    for old in [5, 6, 7] {
         let err = try_resume(&reframe(old, &snap.as_bytes()[HEADER_LEN..]), 3).unwrap_err();
         assert!(
             matches!(
@@ -308,19 +308,91 @@ fn queue_len_at() -> usize {
     prefix.len()
 }
 
+/// Payload offset of the `meta` section's clock (`now`, an f64): after
+/// the section marker, the config fingerprint and the node count.
+fn now_at() -> usize {
+    let mut prefix = SnapWriter::new();
+    prefix.section("meta");
+    prefix.u64(0);
+    prefix.u32(0);
+    prefix.len()
+}
+
 /// Adds one event to the queue section: at hour 6, with a sequence number
-/// no real event uses, wire tag `tag` and a `u32` payload.
-fn push_event(payload: &mut Vec<u8>, tag: u8, arg: u32) {
+/// no real event uses, and the wire tag and payload `encode` writes.
+fn push_entry(payload: &mut Vec<u8>, encode: impl FnOnce(&mut SnapWriter)) {
     let at = queue_len_at();
     let len = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
     payload[at..at + 8].copy_from_slice(&(len + 1).to_le_bytes());
     let mut entry = SnapWriter::new();
     entry.f64(SimTime::from_hours(6.0).as_secs());
     entry.u64(u64::MAX);
-    entry.u8(tag);
-    entry.u32(arg);
+    encode(&mut entry);
     let entry = &entry.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
     payload.splice(at + 8..at + 8, entry.iter().copied());
+}
+
+/// [`push_entry`] for an event with wire tag `tag` and a `u32` payload.
+fn push_event(payload: &mut Vec<u8>, tag: u8, arg: u32) {
+    push_entry(payload, |w| {
+        w.u8(tag);
+        w.u32(arg);
+    });
+}
+
+/// Removes the staged arrival's Submit event from the queue section of a
+/// 6-hour `chaos_jobs(3)` frame. The staged arrival is the first job, in
+/// submit order, after hour 6; its Submit entry is its submit time, then
+/// its sequence number, wire tag 0 and an arrival index both equal to its
+/// position in that order.
+fn drop_submit(payload: &mut Vec<u8>) {
+    let mut jobs = chaos_jobs(3);
+    jobs.sort_by_key(|j| j.submit);
+    let seq = jobs
+        .iter()
+        .position(|j| j.submit > SimTime::from_hours(6.0))
+        .expect("an arrival after hour 6") as u64;
+    let mut entry = SnapWriter::new();
+    entry.f64(jobs[seq as usize].submit.as_secs());
+    entry.u64(seq);
+    entry.u8(0);
+    entry.usize(seq as usize);
+    let entry = &entry.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
+    let at = queue_len_at();
+    let len = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+    payload[at..at + 8].copy_from_slice(&(len - 1).to_le_bytes());
+    let start = at
+        + 8
+        + payload[at + 8..]
+            .windows(entry.len())
+            .position(|w| w == entry)
+            .expect("the staged Submit is queued");
+    payload.drain(start..start + entry.len());
+}
+
+/// Payload offset of the meter's bounded power trace's pending point (an
+/// option tag, then its time and value). The meter section holds the
+/// node extent (u32), the runs (u64 count, 20 bytes each), the groups
+/// (u64 count, 29 bytes each), the free group slots (u64 count, 4 bytes
+/// each), the system draw (f64), then the trace: its grid samples (u64
+/// count, 8 bytes each) and the pending point.
+fn meter_pending_at(payload: &[u8]) -> usize {
+    let mut marker = SnapWriter::new();
+    marker.section("meter");
+    let marker = &marker.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
+    let mut at = payload
+        .windows(marker.len())
+        .position(|w| w == marker)
+        .expect("meter section present")
+        + marker.len()
+        + 4;
+    for width in [20, 29, 4] {
+        let count = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+        at += 8 + width * count as usize;
+    }
+    at += 8;
+    let samples = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+    at + 8 + 8 * samples as usize
 }
 
 /// Payload offset of the grid state, the frame's last section. Its
@@ -341,9 +413,9 @@ fn grid_at(payload: &[u8]) -> usize {
 #[test]
 fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
     // Each frame is well-formed and correctly checksummed, but carries an
-    // index that a handler would later use out of range.
+    // index, time or pairing that a handler would later use out of range.
     type Edit = fn(&mut Vec<u8>);
-    let cases: [(&str, Edit); 9] = [
+    let cases: [(&str, Edit); 14] = [
         ("boot completion for a node past the machine", |p| {
             push_event(p, 3, NODES)
         }),
@@ -374,6 +446,25 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
             p[g + 10..g + 18].copy_from_slice(&0u64.to_le_bytes());
             p.drain(g + 18..g + 26);
         }),
+        ("negative clock", |p| {
+            let at = now_at();
+            p[at..at + 8].copy_from_slice(&(-1.0f64).to_le_bytes());
+        }),
+        ("NaN clock", |p| {
+            let at = now_at();
+            p[at..at + 8].copy_from_slice(&f64::NAN.to_le_bytes());
+        }),
+        ("power-trace point past its next grid instant", |p| {
+            let at = meter_pending_at(p);
+            p[at + 1..at + 9].copy_from_slice(&1e9f64.to_le_bytes());
+        }),
+        ("Submit queued without a staged arrival", |p| {
+            push_entry(p, |w| {
+                w.u8(0);
+                w.usize(1_000_000);
+            })
+        }),
+        ("staged arrival without a queued Submit", drop_submit),
     ];
     let mut policy = EasyBackfill;
     let jobs = chaos_jobs(3);
@@ -386,6 +477,13 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
         payload[g + 9..g + 18],
         [0, 1, 0, 0, 0, 0, 0, 0, 0],
         "no event in force"
+    );
+    let at = meter_pending_at(payload);
+    assert_eq!(payload[at], 1, "the power trace has a pending point");
+    let pending = f64::from_le_bytes(payload[at + 1..at + 9].try_into().unwrap());
+    assert!(
+        pending <= 6.0 * 3600.0,
+        "pending point {pending} s is in the past"
     );
     let mut failures = Vec::new();
     for (name, edit) in cases {

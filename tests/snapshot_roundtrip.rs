@@ -15,11 +15,16 @@ use epa_grid::{DrContract, DrEvent, GridConfig, GridState};
 use epa_power::meter::EnergyMeter;
 use epa_simcore::rng::SimRng;
 use epa_simcore::snap::{SnapReader, SnapWriter};
-use epa_simcore::time::SimTime;
+use epa_simcore::time::{SimDuration, SimTime};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
 const VERSION: u32 = 1;
+
+/// The meter's power-trace sample grid (the engine's 5 minutes).
+fn grid() -> SimDuration {
+    SimDuration::from_mins(5.0)
+}
 
 /// Freezes one component into a standalone test frame.
 fn freeze(f: impl FnOnce(&mut SnapWriter)) -> Vec<u8> {
@@ -97,7 +102,7 @@ proptest! {
     fn meter_roundtrip_is_byte_exact_with_open_groups(
         ops in vec((0u8..4, 0u32..16, 50.0f64..400.0, 0.5f64..600.0), 0..40),
     ) {
-        let mut meter = EnergyMeter::new();
+        let mut meter = EnergyMeter::new(grid());
         let mut t = 0.0f64;
         // Nodes not currently inside a group (groups must stay disjoint).
         let mut pool: Vec<u32> = (0..16).collect();
@@ -139,7 +144,7 @@ proptest! {
             }
         }
         let a = freeze(|w| meter.snapshot_into(w));
-        let restored = thaw(&a, EnergyMeter::restore_from);
+        let restored = thaw(&a, |r| EnergyMeter::restore_from(r, grid(), 16));
         let b = freeze(|w| restored.snapshot_into(w));
         prop_assert_eq!(&a, &b, "meter frames diverged ({} open groups)", open.len());
     }
