@@ -223,26 +223,6 @@ pub mod campaign {
             })
             .collect()
     }
-
-    /// Per-point means of an f64 campaign: cell results grouped by sweep
-    /// point, each group averaged in seed order (deterministic reduction).
-    #[must_use]
-    pub fn mean_by_point(n_points: usize, n_seeds: usize, cells: &[CellResult<f64>]) -> Vec<f64> {
-        debug_assert_eq!(cells.len(), n_points * n_seeds);
-        (0..n_points)
-            .map(|pi| {
-                let sum: f64 = cells[pi * n_seeds..(pi + 1) * n_seeds]
-                    .iter()
-                    .map(|c| c.result)
-                    .sum();
-                if n_seeds == 0 {
-                    0.0
-                } else {
-                    sum / n_seeds as f64
-                }
-            })
-            .collect()
-    }
 }
 
 /// Mean over replicated runs: executes `run(seed)` for `seeds` in
@@ -298,9 +278,9 @@ mod tests {
     #[test]
     fn experiment_system_sizes() {
         let s = experiment_system(64);
-        assert_eq!(s.num_nodes(), 64);
+        assert_eq!(s.spec().total_nodes(), 64);
         let s2 = experiment_system(100);
-        assert!(s2.num_nodes() >= 100);
+        assert!(s2.spec().total_nodes() >= 100);
     }
 
     #[test]
@@ -372,12 +352,6 @@ mod tests {
             vec![(0, 10), (0, 20), (0, 30), (1, 10), (1, 20), (1, 30)]
         );
         assert_eq!(cells[4].result, "b20");
-        let means = campaign::mean_by_point(
-            2,
-            3,
-            &campaign::run_campaign(&points, &seeds, |_, s| s as f64),
-        );
-        assert_eq!(means, vec![20.0, 20.0]);
     }
 }
 
@@ -405,7 +379,7 @@ mod proptests {
     proptest! {
         /// Satellite requirement: campaign results at any thread count
         /// 1–8 are bit-identical to serial execution for the same seed
-        /// set — cell order, per-cell values, and the reduced means.
+        /// set — cell order, per-cell values, and the replicate mean.
         #[test]
         fn parallel_campaign_identical_to_serial(
             points in proptest::collection::vec(0u64..1000, 1..5),
@@ -424,11 +398,6 @@ mod proptests {
                 prop_assert_eq!(a.seed, b.seed);
                 prop_assert_eq!(a.result.to_bits(), b.result.to_bits(),
                     "cell ({}, {}) drifted at {} threads", a.point_idx, a.seed, threads);
-            }
-            let ms = campaign::mean_by_point(points.len(), seeds.len(), &serial);
-            let mp = campaign::mean_by_point(points.len(), seeds.len(), &par);
-            for (a, b) in ms.iter().zip(&mp) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
             }
             // And the one-point wrapper.
             let rs = rayon::with_num_threads(1,

@@ -102,8 +102,8 @@ impl Allocator {
     }
 
     /// Number of administratively unavailable nodes (off, maintenance).
-    #[must_use]
-    pub fn unavailable_count(&self) -> usize {
+    #[cfg(test)]
+    fn unavailable_count(&self) -> usize {
         self.unavailable.len()
     }
 
@@ -123,8 +123,8 @@ impl Allocator {
     }
 
     /// True if `node` is currently allocated.
-    #[must_use]
-    pub fn is_busy(&self, node: NodeId) -> bool {
+    #[cfg(test)]
+    fn is_busy(&self, node: NodeId) -> bool {
         node.0 < self.total && !self.is_free(node) && !self.unavailable.contains(&node)
     }
 
@@ -136,8 +136,9 @@ impl Allocator {
     }
 
     /// Iterates over the busy set in ascending order. O(n log n) — for
-    /// diagnostics and tests, not the scheduling path.
-    pub fn busy_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+    /// tests, not the scheduling path.
+    #[cfg(test)]
+    fn busy_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
         (0..self.total).map(NodeId).filter(|&n| self.is_busy(n))
     }
 

@@ -92,21 +92,9 @@ impl System {
         &self.spec
     }
 
-    /// Total node count.
-    #[must_use]
-    pub fn num_nodes(&self) -> usize {
-        self.spec.total_nodes() as usize
-    }
-
     /// Iterates over all node ids.
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> {
         (0..self.spec.total_nodes()).map(NodeId)
-    }
-
-    /// The cabinet index a node sits in.
-    #[must_use]
-    pub fn cabinet_of(&self, node: NodeId) -> u32 {
-        node.0 / self.spec.nodes_per_cabinet
     }
 
     /// All nodes in one cabinet.
@@ -152,10 +140,7 @@ mod tests {
     #[test]
     fn cabinet_mapping() {
         let sys = small_spec().build();
-        assert_eq!(sys.num_nodes(), 64);
-        assert_eq!(sys.cabinet_of(NodeId(0)), 0);
-        assert_eq!(sys.cabinet_of(NodeId(15)), 0);
-        assert_eq!(sys.cabinet_of(NodeId(16)), 1);
+        assert_eq!(sys.spec().total_nodes(), 64);
         assert_eq!(
             sys.cabinet_nodes(3),
             (48..64).map(NodeId).collect::<Vec<_>>()

@@ -1,11 +1,11 @@
 //! The Q1–Q8 questionnaire (survey §IV) as a typed schema.
 //!
 //! The paper's §IV lists eight questions with sub-items. Here each
-//! question is a variant of [`Question`] carrying its official text, and
-//! [`SiteResponse`] holds a site's structured answers — the quantitative
-//! ones (Q2 power figures, Q3 workload statistics, Q7 results) computed
-//! from the site simulation, the categorical ones (Q1, Q4–Q6, Q8) derived
-//! from the site's declared capabilities and metadata.
+//! question is a variant of [`Question`], and [`SiteResponse`] holds a
+//! site's structured answers — the quantitative ones (Q2 power figures,
+//! Q3 workload statistics, Q7 results) computed from the site
+//! simulation, the categorical ones (Q1, Q4–Q6, Q8) derived from the
+//! site's declared capabilities and metadata.
 
 use epa_simcore::stats::SummaryStats;
 use epa_sites::config::SiteConfig;
@@ -46,37 +46,6 @@ impl Question {
         Question::Q7Efficacy,
         Question::Q8NextSteps,
     ];
-
-    /// The question's official wording (abridged from §IV).
-    #[must_use]
-    pub fn text(self) -> &'static str {
-        match self {
-            Question::Q1Motivation => {
-                "What motivated your site's development and implementation of energy or power aware job scheduling or resource management capabilities?"
-            }
-            Question::Q2SystemDescription => {
-                "Please describe your data center and major HPC system(s) where EPA JSRM capabilities have been deployed (site power budget, cooling capacity, cabinets/nodes/cores, peak performance, power draw)."
-            }
-            Question::Q3Workload => {
-                "Describe the general workload on your HPC system(s): running snapshot, backlog, throughput, scheduling goal, job size and wallclock percentiles."
-            }
-            Question::Q4Capabilities => {
-                "Describe the energy and power aware job scheduling and resource management capabilities of your large-scale HPC system(s)."
-            }
-            Question::Q5Elements => {
-                "List and briefly describe all elements that comprise your EPA JSRM capabilities (implementation time, commercial availability, non-portable work)."
-            }
-            Question::Q6JointOptimization => {
-                "Do you have application/task level joint optimization, such as topology-aware task allocation, as a way of directly or indirectly improving energy consumption?"
-            }
-            Question::Q7Efficacy => {
-                "How well does your solution work? What are the advantages and disadvantages of your implementation?"
-            }
-            Question::Q8NextSteps => {
-                "What are the next steps for the EPA JSRM capability you have developed?"
-            }
-        }
-    }
 }
 
 /// Q2's quantitative answer.
@@ -295,16 +264,6 @@ mod tests {
         assert_eq!(r.site, "stfc");
         assert_eq!(r.system.nodes, 360);
         assert!(r.workload.is_some());
-    }
-
-    #[test]
-    fn question_texts_match_survey() {
-        assert!(Question::Q1Motivation.text().contains("motivated"));
-        assert!(Question::Q3Workload.text().contains("workload"));
-        assert!(Question::Q6JointOptimization
-            .text()
-            .contains("topology-aware"));
-        assert_eq!(Question::ALL.len(), 8);
     }
 
     #[test]

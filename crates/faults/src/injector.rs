@@ -4,12 +4,12 @@
 //! schedule (which rack/PDU fails, when) as a pure function of the fault
 //! seed, so a simulation can schedule every domain event up front and two
 //! runs with the same seed replay the same schedule byte-for-byte.
-//! [`FaultInjector`] owns the *online* streams — sensor-sample faults and
-//! actuator-command faults — that must be drawn at event time.
+//! [`FaultInjector`] owns the *online* sensor-sample fault stream, which
+//! must be drawn at event time. Actuator-command faults are drawn by the
+//! resource manager's retrying actuator from its own stream.
 
 use crate::config::{FaultConfig, SensorFaultConfig};
 use crate::error::FaultError;
-use crate::retry::{execute_with_retry, AttemptReport};
 use epa_simcore::rng::SimRng;
 use epa_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
@@ -88,34 +88,25 @@ pub enum SensorSample {
     Stuck,
 }
 
-/// Online fault streams: sensor-sample and actuator-command faults.
+/// The online sensor-sample fault stream.
 ///
-/// All draws come from substreams of the fault seed, independent of the
+/// All draws come from a substream of the fault seed, independent of the
 /// engine's own RNG, so enabling faults cannot perturb workload or
 /// failure-injection randomness (common-random-numbers discipline).
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     config: FaultConfig,
     sensor_rng: SimRng,
-    actuator_rng: SimRng,
 }
 
 impl FaultInjector {
     /// Creates an injector from a validated config.
     pub fn new(config: FaultConfig) -> Result<Self, FaultError> {
         config.validate()?;
-        let root = SimRng::new(config.seed);
         Ok(FaultInjector {
-            sensor_rng: root.stream("faults-sensor"),
-            actuator_rng: root.stream("faults-actuator"),
+            sensor_rng: SimRng::new(config.seed).stream("faults-sensor"),
             config,
         })
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
     }
 
     /// The sensor sub-config, if sensor faults are enabled.
@@ -124,31 +115,23 @@ impl FaultInjector {
         self.config.sensor.as_ref()
     }
 
-    /// Encodes the positions of the two online fault streams. The config
+    /// Encodes the position of the sensor fault stream. The config
     /// is not stored — it is re-supplied at [`FaultInjector::restore_from`]
     /// (and cross-checked against the engine fingerprint by the caller).
     pub fn snapshot_into(&self, w: &mut epa_simcore::snap::SnapWriter) {
         let (seed, pos) = self.sensor_rng.snapshot_state();
         w.u64(seed);
         w.u64(pos);
-        let (seed, pos) = self.actuator_rng.snapshot_state();
-        w.u64(seed);
-        w.u64(pos);
     }
 
-    /// Rebuilds an injector at the exact stream positions written by
+    /// Rebuilds an injector at the exact stream position written by
     /// [`FaultInjector::snapshot_into`].
     pub fn restore_from(
         r: &mut epa_simcore::snap::SnapReader<'_>,
         config: FaultConfig,
     ) -> Result<Self, epa_simcore::snap::SnapshotError> {
         let sensor_rng = SimRng::from_state(r.u64()?, r.u64()?);
-        let actuator_rng = SimRng::from_state(r.u64()?, r.u64()?);
-        Ok(FaultInjector {
-            config,
-            sensor_rng,
-            actuator_rng,
-        })
+        Ok(FaultInjector { config, sensor_rng })
     }
 
     /// Draws the fate of one telemetry sample. Returns [`SensorSample::Ok`]
@@ -164,20 +147,6 @@ impl FaultInjector {
             return SensorSample::Stuck;
         }
         SensorSample::Ok
-    }
-
-    /// Runs one actuator command through the retry policy. Returns an
-    /// always-successful zero-delay report when actuator faults are
-    /// disabled.
-    pub fn actuate(&mut self) -> AttemptReport {
-        match &self.config.actuator {
-            Some(a) => execute_with_retry(a, &mut self.actuator_rng),
-            None => AttemptReport {
-                attempts: 1,
-                succeeded: true,
-                total_delay: SimDuration::ZERO,
-            },
-        }
     }
 }
 
@@ -237,9 +206,6 @@ mod tests {
         let mut inj = FaultInjector::new(FaultConfig::default()).unwrap();
         for _ in 0..100 {
             assert_eq!(inj.sensor_sample(), SensorSample::Ok);
-            let r = inj.actuate();
-            assert!(r.succeeded);
-            assert!(r.total_delay.is_zero());
         }
     }
 
@@ -276,18 +242,12 @@ mod tests {
     fn injector_streams_deterministic() {
         let cfg = FaultConfig {
             sensor: Some(SensorFaultConfig::default()),
-            actuator: Some(ActuatorFaultConfig {
-                fail_prob: 0.5,
-                ..ActuatorFaultConfig::default()
-            }),
             seed: 9,
             ..FaultConfig::default()
         };
         let run = || {
             let mut inj = FaultInjector::new(cfg.clone()).unwrap();
-            let s: Vec<SensorSample> = (0..50).map(|_| inj.sensor_sample()).collect();
-            let a: Vec<AttemptReport> = (0..50).map(|_| inj.actuate()).collect();
-            (s, a)
+            (0..50).map(|_| inj.sensor_sample()).collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }

@@ -10,10 +10,11 @@
 //!   command failures with retry/backoff/fencing parameters.
 //! - [`injector::FaultPlan`] — the pre-generated, seed-deterministic
 //!   schedule of correlated domain events.
-//! - [`injector::FaultInjector`] — the online sensor/actuator fault
-//!   streams, drawn from substreams independent of the engine's RNG.
+//! - [`injector::FaultInjector`] — the online sensor fault stream, drawn
+//!   from a substream independent of the engine's RNG.
 //! - [`retry::execute_with_retry`] — the exponential-backoff retry
-//!   machinery actuator wrappers build on.
+//!   machinery the resource manager's retrying actuator builds on; it
+//!   draws actuator faults from its own stream.
 //!
 //! Determinism is the design center: every fault is a pure function of
 //! the fault seed, so chaos tests can assert byte-identical outcomes and

@@ -58,14 +58,6 @@ impl GridTrace {
         Ok(GridTrace { nodes })
     }
 
-    /// A constant trace.
-    #[must_use]
-    pub fn flat(value: f64) -> Self {
-        GridTrace {
-            nodes: vec![(0.0, value)],
-        }
-    }
-
     /// The trace nodes.
     #[must_use]
     pub fn nodes(&self) -> &[(f64, f64)] {
@@ -89,18 +81,6 @@ impl GridTrace {
             hi = hi.max(v);
         }
         (lo, hi)
-    }
-
-    /// The value at `t` normalized into `[0, 1]` by the trace bounds
-    /// (0.5 for a flat trace): the "how expensive/dirty is now, relative
-    /// to this trace" signal follow-the-renewables policies key off.
-    #[must_use]
-    pub fn normalized_at(&self, t: SimTime) -> f64 {
-        let (lo, hi) = self.bounds();
-        if hi - lo <= 1e-12 {
-            return 0.5;
-        }
-        ((self.value_at(t) - lo) / (hi - lo)).clamp(0.0, 1.0)
     }
 
     /// Index of the last node at or before `t_secs` (0 when `t` precedes
@@ -303,14 +283,6 @@ mod tests {
         assert!((tr.value_at(SimTime::from_secs(1800.0)) - 15.0).abs() < 1e-9);
         assert_eq!(tr.value_at(SimTime::from_secs(3600.0)), 20.0);
         assert_eq!(tr.value_at(SimTime::from_secs(99_999.0)), 40.0);
-    }
-
-    #[test]
-    fn normalized_uses_bounds() {
-        let tr = ramp();
-        assert!((tr.normalized_at(SimTime::ZERO) - 0.0).abs() < 1e-9);
-        assert!((tr.normalized_at(SimTime::from_secs(7200.0)) - 1.0).abs() < 1e-9);
-        assert_eq!(GridTrace::flat(55.0).normalized_at(SimTime::ZERO), 0.5);
     }
 
     #[test]

@@ -15,11 +15,10 @@
 //!   transitions, fault injections, and telemetry-fallback flips, recorded
 //!   into a bounded ring buffer. A per-category enable mask makes the
 //!   disabled path a single branch on a bitset.
-//! - [`registry`] — the engine's one **metrics registry**: counters,
-//!   gauges, and fixed-bucket histograms with Prometheus-text and JSON
-//!   exposition. Every engine counter lands here (the outcome's counter
-//!   map is collected from it), and bumping an existing name allocates
-//!   nothing.
+//! - [`registry`] — the engine's one **metrics registry**: counters and
+//!   fixed-bucket histograms with Prometheus-text and JSON exposition.
+//!   Every engine counter lands here (the outcome's counter map is
+//!   collected from it), and bumping an existing name allocates nothing.
 //! - [`export`] — a **JSONL trace exporter** plus a replay verifier that
 //!   re-runs a seed and byte-diffs the decision trace. Every payload is
 //!   keyed on `SimTime`, never wall clock, so traces join the
@@ -56,7 +55,7 @@ pub const OBS_SCHEMA_VERSION: u32 = 1;
 pub struct ObsBundle {
     /// The recorded decision trace.
     pub trace: TraceBus,
-    /// Counters, gauges, and histograms recorded during the run.
+    /// Counters and histograms recorded during the run.
     pub registry: ObsRegistry,
     /// Aggregated wall-clock profile (non-deterministic; excluded from
     /// golden comparisons).

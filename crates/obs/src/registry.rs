@@ -1,4 +1,4 @@
-//! The metrics registry: counters, gauges, and fixed-bucket histograms
+//! The metrics registry: counters and fixed-bucket histograms
 //! with Prometheus-text and JSON exposition.
 //!
 //! It is the engine's only registry: every engine counter lands here, and
@@ -113,11 +113,10 @@ impl Histogram {
     }
 }
 
-/// The registry: string-keyed counters, gauges, and histograms.
+/// The registry: string-keyed counters and histograms.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsRegistry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -143,25 +142,6 @@ impl ObsRegistry {
     #[must_use]
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Sets gauge `name` to `value`.
-    pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
-    }
-
-    /// Raises gauge `name` to `value` if higher (a high-water mark).
-    pub fn gauge_max(&mut self, name: &str, value: f64) {
-        let g = self.gauges.entry(name.to_string()).or_insert(f64::MIN);
-        if value > *g {
-            *g = value;
-        }
-    }
-
-    /// Reads gauge `name`.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 
     /// Registers histogram `name` over the given bounds (no-op if it
@@ -205,11 +185,6 @@ impl ObsRegistry {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
-    /// Iterates gauges in key order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
     /// Iterates histograms in key order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
         self.histograms.iter().map(|(k, v)| (k.as_str(), v))
@@ -218,20 +193,15 @@ impl ObsRegistry {
     /// True when nothing has been recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.is_empty() && self.histograms.is_empty()
     }
 
-    /// Encodes the full registry (counters, gauges, histograms).
+    /// Encodes the full registry (counters, histograms).
     pub fn snapshot_into(&self, w: &mut SnapWriter) {
         let counters: Vec<_> = self.counters.iter().collect();
         w.seq(&counters, |w, (k, v)| {
             w.str(k);
             w.u64(**v);
-        });
-        let gauges: Vec<_> = self.gauges.iter().collect();
-        w.seq(&gauges, |w, (k, v)| {
-            w.str(k);
-            w.f64(**v);
         });
         let histograms: Vec<_> = self.histograms.iter().collect();
         w.seq(&histograms, |w, (k, h)| {
@@ -251,7 +221,6 @@ impl ObsRegistry {
     /// counts summing to `total` — or the frame is rejected as corrupt.
     pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         let counters = r.seq(|r| Ok((r.str()?, r.u64()?)))?.into_iter().collect();
-        let gauges = r.seq(|r| Ok((r.str()?, r.f64()?)))?.into_iter().collect();
         let histograms: BTreeMap<String, Histogram> = r
             .seq(|r| {
                 let name = r.str()?;
@@ -295,7 +264,6 @@ impl ObsRegistry {
             .collect();
         Ok(ObsRegistry {
             counters,
-            gauges,
             histograms,
         })
     }
@@ -308,10 +276,6 @@ impl ObsRegistry {
         for (name, &v) in &self.counters {
             let m = prom_name(name);
             out.push_str(&format!("# TYPE {m} counter\n{m} {v}\n"));
-        }
-        for (name, &v) in &self.gauges {
-            let m = prom_name(name);
-            out.push_str(&format!("# TYPE {m} gauge\n{m} {v}\n"));
         }
         for (name, h) in &self.histograms {
             let m = prom_name(name);
@@ -338,7 +302,6 @@ impl ObsRegistry {
             ),
             ("kind".to_string(), Value::String("epa-obs-metrics".into())),
             ("counters".to_string(), self.counters.to_value()),
-            ("gauges".to_string(), self.gauges.to_value()),
             ("histograms".to_string(), self.histograms.to_value()),
         ])
     }
@@ -370,18 +333,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counters_and_gauges() {
+    fn counters_accumulate() {
         let mut r = ObsRegistry::new();
         r.incr("jobs/started", 3);
         r.incr("jobs/started", 2);
-        r.set_gauge("queue/depth", 7.0);
-        r.gauge_max("queue/depth_peak", 4.0);
-        r.gauge_max("queue/depth_peak", 9.0);
-        r.gauge_max("queue/depth_peak", 2.0);
         assert_eq!(r.counter("jobs/started"), 5);
         assert_eq!(r.counter("jobs/never"), 0);
-        assert_eq!(r.gauge("queue/depth"), Some(7.0));
-        assert_eq!(r.gauge("queue/depth_peak"), Some(9.0));
     }
 
     #[test]
@@ -429,14 +386,12 @@ mod tests {
     fn prometheus_exposition_format() {
         let mut r = ObsRegistry::new();
         r.incr("jobs/started", 5);
-        r.set_gauge("power/headroom_watts", 1200.5);
         r.register_histogram("sched/wait_secs", &[60.0, 300.0]);
         r.observe("sched/wait_secs", 10.0);
         r.observe("sched/wait_secs", 100.0);
         r.observe("sched/wait_secs", 999.0);
         let text = r.to_prometheus_text();
         assert!(text.contains("# TYPE epa_jobs_started counter\nepa_jobs_started 5\n"));
-        assert!(text.contains("epa_power_headroom_watts 1200.5\n"));
         // Buckets are cumulative in the exposition.
         assert!(text.contains("epa_sched_wait_secs_bucket{le=\"60\"} 1\n"));
         assert!(text.contains("epa_sched_wait_secs_bucket{le=\"300\"} 2\n"));
@@ -453,11 +408,10 @@ mod tests {
         assert!(text.contains("\"counters\":{\"c\":1}"));
     }
 
-    /// A registry frame with no counters or gauges and one histogram
+    /// A registry frame with no counters and one histogram
     /// `h` written field by field, as a crafted snapshot would carry it.
     fn histogram_frame(bounds: &[f64], counts: &[u64], total: u64) -> Vec<u8> {
         let mut w = SnapWriter::new();
-        w.seq::<u8>(&[], |_, _| {});
         w.seq::<u8>(&[], |_, _| {});
         w.seq(&[()], |w, ()| {
             w.str("h");
@@ -477,7 +431,6 @@ mod tests {
     fn restore_roundtrips_a_valid_registry() {
         let mut r = ObsRegistry::new();
         r.incr("c", 2);
-        r.set_gauge("g", 1.5);
         r.register_histogram("h", &[1.0, 10.0]);
         r.observe("h", 5.0);
         let mut w = SnapWriter::new();

@@ -9,9 +9,8 @@
 //!
 //! Budgets can be re-sized at runtime (Tokyo Tech's seasonal caps, RIKEN's
 //! emergency reductions); shrinking below the currently-granted amount
-//! leaves the ledger temporarily over-committed, which callers detect via
-//! [`PowerBudget::overcommitted_watts`] and resolve by killing or
-//! throttling jobs.
+//! leaves the ledger temporarily over-committed (zero headroom) until
+//! callers release grants by killing or throttling jobs.
 
 use crate::error::PowerError;
 use epa_obs::{TraceBus, TraceCategory, TraceEvent};
@@ -30,8 +29,6 @@ pub struct PowerBudget {
     total_watts: f64,
     grants: BTreeMap<GrantId, f64>,
     granted_watts: f64,
-    peak_granted_watts: f64,
-    rejections: u64,
 }
 
 impl PowerBudget {
@@ -46,8 +43,6 @@ impl PowerBudget {
             total_watts,
             grants: BTreeMap::new(),
             granted_watts: 0.0,
-            peak_granted_watts: 0.0,
-            rejections: 0,
         })
     }
 
@@ -57,51 +52,16 @@ impl PowerBudget {
         self.total_watts
     }
 
-    /// Currently granted watts.
-    #[must_use]
-    pub fn granted_watts(&self) -> f64 {
-        self.granted_watts
-    }
-
     /// Remaining headroom in watts (0 when over-committed).
     #[must_use]
     pub fn headroom_watts(&self) -> f64 {
         (self.total_watts - self.granted_watts).max(0.0)
     }
 
-    /// Watts granted beyond the budget (only after a shrink), else 0.
-    #[must_use]
-    pub fn overcommitted_watts(&self) -> f64 {
-        (self.granted_watts - self.total_watts).max(0.0)
-    }
-
-    /// Highest granted total ever observed.
-    #[must_use]
-    pub fn peak_granted_watts(&self) -> f64 {
-        self.peak_granted_watts
-    }
-
-    /// Number of grant requests refused for lack of headroom.
-    #[must_use]
-    pub fn rejections(&self) -> u64 {
-        self.rejections
-    }
-
-    /// Number of live grants.
-    #[must_use]
-    pub fn active_grants(&self) -> usize {
-        self.grants.len()
-    }
-
     /// The wattage of one grant, if live.
     #[must_use]
     pub fn grant_watts(&self, id: GrantId) -> Option<f64> {
         self.grants.get(&id).copied()
-    }
-
-    /// Iterates over live grants (ascending id).
-    pub fn grants(&self) -> impl Iterator<Item = (GrantId, f64)> + '_ {
-        self.grants.iter().map(|(&id, &w)| (id, w))
     }
 
     /// Requests `watts` for `id`. Fails without mutation if the headroom is
@@ -116,7 +76,6 @@ impl PowerBudget {
             return Err(PowerError::DuplicateGrant(id.0));
         }
         if self.granted_watts + watts > self.total_watts + 1e-9 {
-            self.rejections += 1;
             return Err(PowerError::BudgetExceeded {
                 requested: watts,
                 headroom: self.headroom_watts(),
@@ -124,7 +83,6 @@ impl PowerBudget {
         }
         self.grants.insert(id, watts);
         self.granted_watts += watts;
-        self.peak_granted_watts = self.peak_granted_watts.max(self.granted_watts);
         Ok(())
     }
 
@@ -142,31 +100,6 @@ impl PowerBudget {
         }
     }
 
-    /// Adjusts a live grant to a new wattage (dynamic power sharing —
-    /// Ellsworth). Fails if growing beyond the headroom.
-    pub fn adjust(&mut self, id: GrantId, new_watts: f64) -> Result<(), PowerError> {
-        if !new_watts.is_finite() || new_watts < 0.0 {
-            return Err(PowerError::InvalidConfig(format!(
-                "grant must be non-negative and finite, got {new_watts}"
-            )));
-        }
-        let Some(&old) = self.grants.get(&id) else {
-            return Err(PowerError::UnknownGrant(id.0));
-        };
-        let delta = new_watts - old;
-        if delta > 0.0 && self.granted_watts + delta > self.total_watts + 1e-9 {
-            self.rejections += 1;
-            return Err(PowerError::BudgetExceeded {
-                requested: delta,
-                headroom: self.headroom_watts(),
-            });
-        }
-        self.grants.insert(id, new_watts);
-        self.granted_watts += delta;
-        self.peak_granted_watts = self.peak_granted_watts.max(self.granted_watts);
-        Ok(())
-    }
-
     /// Resizes the budget. Shrinking below the granted total is allowed and
     /// leaves the ledger over-committed (see module docs).
     pub fn resize(&mut self, new_total_watts: f64) -> Result<(), PowerError> {
@@ -179,8 +112,8 @@ impl PowerBudget {
         Ok(())
     }
 
-    /// Encodes the full ledger — grants, running totals, high-water mark,
-    /// rejection count — bit-exactly.
+    /// Encodes the full ledger — budget, grants, running total —
+    /// bit-exactly.
     pub fn snapshot_into(&self, w: &mut epa_simcore::snap::SnapWriter) {
         w.f64(self.total_watts);
         let grants: Vec<(u64, f64)> = self.grants.iter().map(|(&id, &g)| (id.0, g)).collect();
@@ -189,28 +122,38 @@ impl PowerBudget {
             w.f64(g);
         });
         w.f64(self.granted_watts);
-        w.f64(self.peak_granted_watts);
-        w.u64(self.rejections);
     }
 
-    /// Decodes a ledger written by [`PowerBudget::snapshot_into`].
+    /// Decodes a ledger written by [`PowerBudget::snapshot_into`]. The
+    /// frame is held to the rules [`PowerBudget::new`] and
+    /// [`PowerBudget::request`] enforce — a positive finite budget,
+    /// non-negative finite grants under distinct ids, a non-negative
+    /// finite running total — or rejected as corrupt.
     pub fn restore_from(
         r: &mut epa_simcore::snap::SnapReader<'_>,
     ) -> Result<Self, epa_simcore::snap::SnapshotError> {
+        let corrupt = |detail: String| epa_simcore::snap::SnapshotError::Corrupt { detail };
         let total_watts = r.f64()?;
-        let grants: BTreeMap<GrantId, f64> = r
-            .seq(|r| Ok((GrantId(r.u64()?), r.f64()?)))?
-            .into_iter()
-            .collect();
+        if !total_watts.is_finite() || total_watts <= 0.0 {
+            return Err(corrupt(format!("budget total {total_watts} W")));
+        }
+        let mut grants = BTreeMap::new();
+        for (id, watts) in r.seq(|r| Ok((GrantId(r.u64()?), r.f64()?)))? {
+            if !watts.is_finite() || watts < 0.0 {
+                return Err(corrupt(format!("grant {} of {watts} W", id.0)));
+            }
+            if grants.insert(id, watts).is_some() {
+                return Err(corrupt(format!("duplicate grant id {}", id.0)));
+            }
+        }
         let granted_watts = r.f64()?;
-        let peak_granted_watts = r.f64()?;
-        let rejections = r.u64()?;
+        if !granted_watts.is_finite() || granted_watts < 0.0 {
+            return Err(corrupt(format!("granted total {granted_watts} W")));
+        }
         Ok(PowerBudget {
             total_watts,
             grants,
             granted_watts,
-            peak_granted_watts,
-            rejections,
         })
     }
 
@@ -298,11 +241,11 @@ mod tests {
         let mut b = PowerBudget::new(1000.0).unwrap();
         b.request(g(1), 400.0).unwrap();
         b.request(g(2), 500.0).unwrap();
-        assert_eq!(b.granted_watts(), 900.0);
+        assert_eq!(b.granted_watts, 900.0);
         assert!((b.headroom_watts() - 100.0).abs() < 1e-9);
         assert_eq!(b.release(g(1)).unwrap(), 400.0);
-        assert_eq!(b.granted_watts(), 500.0);
-        assert_eq!(b.active_grants(), 1);
+        assert_eq!(b.granted_watts, 500.0);
+        assert_eq!(b.grants.len(), 1);
     }
 
     #[test]
@@ -311,8 +254,7 @@ mod tests {
         b.request(g(1), 900.0).unwrap();
         let err = b.request(g(2), 200.0).unwrap_err();
         assert!(matches!(err, PowerError::BudgetExceeded { .. }));
-        assert_eq!(b.rejections(), 1);
-        assert_eq!(b.granted_watts(), 900.0);
+        assert_eq!(b.granted_watts, 900.0);
     }
 
     #[test]
@@ -332,43 +274,23 @@ mod tests {
     }
 
     #[test]
-    fn adjust_grows_and_shrinks() {
-        let mut b = PowerBudget::new(1000.0).unwrap();
-        b.request(g(1), 400.0).unwrap();
-        b.adjust(g(1), 800.0).unwrap();
-        assert_eq!(b.granted_watts(), 800.0);
-        b.adjust(g(1), 100.0).unwrap();
-        assert_eq!(b.granted_watts(), 100.0);
-        assert!(b.adjust(g(1), 1100.0).is_err());
-        assert_eq!(b.grant_watts(g(1)), Some(100.0));
-    }
-
-    #[test]
     fn shrink_creates_overcommit() {
         let mut b = PowerBudget::new(1000.0).unwrap();
         b.request(g(1), 900.0).unwrap();
         b.resize(600.0).unwrap();
-        assert!((b.overcommitted_watts() - 300.0).abs() < 1e-9);
+        assert_eq!(b.granted_watts, 900.0);
         assert_eq!(b.headroom_watts(), 0.0);
+        assert!(b.request(g(2), 1.0).is_err());
         // Releasing resolves the overcommit.
         b.release(g(1)).unwrap();
-        assert_eq!(b.overcommitted_watts(), 0.0);
-    }
-
-    #[test]
-    fn peak_tracks_high_water_mark() {
-        let mut b = PowerBudget::new(1000.0).unwrap();
-        b.request(g(1), 700.0).unwrap();
-        b.release(g(1)).unwrap();
-        b.request(g(2), 300.0).unwrap();
-        assert_eq!(b.peak_granted_watts(), 700.0);
+        assert_eq!(b.headroom_watts(), 600.0);
     }
 
     #[test]
     fn zero_watt_grant_allowed() {
         let mut b = PowerBudget::new(100.0).unwrap();
         b.request(g(1), 0.0).unwrap();
-        assert_eq!(b.granted_watts(), 0.0);
+        assert_eq!(b.granted_watts, 0.0);
     }
 
     #[test]
@@ -406,7 +328,7 @@ mod tests {
         let mut b2 = PowerBudget::new(1000.0).unwrap();
         b2.request_traced(g(1), 900.0, t0, &mut off).unwrap();
         assert!(off.is_empty());
-        assert_eq!(b2.granted_watts(), 900.0);
+        assert_eq!(b2.granted_watts, 900.0);
     }
 
     #[test]
@@ -429,7 +351,6 @@ mod proptests {
     enum Op {
         Request(u64, f64),
         Release(u64),
-        Adjust(u64, f64),
     }
 
     fn arb_ops() -> impl Strategy<Value = Vec<Op>> {
@@ -437,7 +358,6 @@ mod proptests {
             prop_oneof![
                 ((0u64..16), (0.0f64..600.0)).prop_map(|(i, w)| Op::Request(i, w)),
                 (0u64..16).prop_map(Op::Release),
-                ((0u64..16), (0.0f64..600.0)).prop_map(|(i, w)| Op::Adjust(i, w)),
             ],
             1..120,
         )
@@ -453,11 +373,10 @@ mod proptests {
                 match op {
                     Op::Request(i, w) => { let _ = b.request(GrantId(i), w); }
                     Op::Release(i) => { let _ = b.release(GrantId(i)); }
-                    Op::Adjust(i, w) => { let _ = b.adjust(GrantId(i), w); }
                 }
-                prop_assert!(b.granted_watts() <= b.total_watts() + 1e-6);
-                let sum: f64 = b.grants().map(|(_, w)| w).sum();
-                prop_assert!((sum - b.granted_watts()).abs() < 1e-6);
+                prop_assert!(b.granted_watts <= b.total_watts() + 1e-6);
+                let sum: f64 = b.grants.values().sum();
+                prop_assert!((sum - b.granted_watts).abs() < 1e-6);
             }
         }
     }

@@ -15,7 +15,6 @@
 //! This is exactly the structure that makes mid-range frequencies
 //! energy-optimal for memory-bound codes (reproduced by experiment E2).
 
-use crate::error::PowerError;
 use epa_cluster::node::{CpuSpec, NodeSpec};
 use serde::{Deserialize, Serialize};
 
@@ -36,19 +35,6 @@ impl DvfsModel {
             dynamic_fraction: 0.7,
             node,
         }
-    }
-
-    /// Creates the model with an explicit dynamic-power fraction.
-    pub fn with_dynamic_fraction(node: NodeSpec, fraction: f64) -> Result<Self, PowerError> {
-        if !(0.0..=1.0).contains(&fraction) {
-            return Err(PowerError::InvalidConfig(format!(
-                "dynamic fraction must be in [0,1], got {fraction}"
-            )));
-        }
-        Ok(DvfsModel {
-            dynamic_fraction: fraction,
-            node,
-        })
     }
 
     /// The CPU spec this model describes.
@@ -217,12 +203,6 @@ mod tests {
     }
 
     #[test]
-    fn invalid_dynamic_fraction_rejected() {
-        assert!(DvfsModel::with_dynamic_fraction(NodeSpec::typical_xeon(), 1.5).is_err());
-        assert!(DvfsModel::with_dynamic_fraction(NodeSpec::typical_xeon(), -0.1).is_err());
-    }
-
-    #[test]
     fn phase_energy_consistency() {
         let m = model();
         let base = m.cpu().base_freq_ghz;
@@ -241,7 +221,10 @@ mod proptests {
         /// [idle, ~peak-ish] for any in-range frequency and dynamic share.
         #[test]
         fn power_bounded(f in 0.5f64..4.0, dyn_frac in 0.0f64..1.0) {
-            let m = DvfsModel::with_dynamic_fraction(NodeSpec::typical_xeon(), dyn_frac).unwrap();
+            let m = DvfsModel {
+                dynamic_fraction: dyn_frac,
+                ..DvfsModel::new(NodeSpec::typical_xeon())
+            };
             let w = m.busy_watts(f);
             prop_assert!(w >= m.cpu().min_freq_ghz * 0.0 + 90.0 - 1e-9);
             // At max frequency the cubic blowup is bounded by

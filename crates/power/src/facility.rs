@@ -194,29 +194,6 @@ impl Facility {
             .max(1.0)
     }
 
-    /// Facility-side draw (watts at the meter) for a given IT draw at `t`.
-    #[must_use]
-    pub fn facility_watts(&self, it_watts: f64, t: SimTime) -> f64 {
-        it_watts * self.pue(t)
-    }
-
-    /// Headroom between the site budget and the facility draw implied by
-    /// `it_watts` at time `t`. Negative when over budget.
-    #[must_use]
-    pub fn budget_headroom_watts(&self, it_watts: f64, t: SimTime) -> f64 {
-        self.config.site_budget_watts - self.facility_watts(it_watts, t)
-    }
-
-    /// Maximum IT draw that keeps the facility inside its site budget and
-    /// cooling capacity at time `t` — the number a power-aware scheduler
-    /// treats as its system cap.
-    #[must_use]
-    pub fn max_it_watts(&self, t: SimTime) -> f64 {
-        let by_budget = self.config.site_budget_watts / self.pue(t);
-        // Cooling must remove all IT heat: cooling capacity bounds IT draw.
-        by_budget.min(self.config.cooling_capacity_watts)
-    }
-
     /// Dispatches a facility-side demand onto the supply sources in config
     /// order (cheapest-first by convention), reporting cost and shortfall.
     ///
@@ -311,25 +288,6 @@ mod tests {
         let cold = f2.pue(SimTime::from_hours(15.0));
         assert!(hot > cold);
         assert!(cold >= 1.0);
-    }
-
-    #[test]
-    fn headroom_and_max_it_are_consistent() {
-        let mut config = FacilityConfig::simple(1e6);
-        config.weather.noise_std_c = 0.0;
-        let f = Facility::new(config).unwrap();
-        let t = SimTime::from_hours(12.0);
-        let max_it = f.max_it_watts(t);
-        assert!(f.budget_headroom_watts(max_it, t) >= -1e-6);
-        assert!(f.budget_headroom_watts(max_it * 1.1, t) < 0.0);
-    }
-
-    #[test]
-    fn cooling_capacity_binds_when_small() {
-        let mut config = FacilityConfig::simple(1e6);
-        config.cooling_capacity_watts = 100e3;
-        let f = Facility::new(config).unwrap();
-        assert!(f.max_it_watts(SimTime::ZERO) <= 100e3);
     }
 
     #[test]

@@ -600,9 +600,10 @@ impl EnergyMeter {
     }
 
     /// Current draw of one node in watts (0 if never recorded). Grouped
-    /// nodes report their group's live draw.
-    #[must_use]
-    pub fn node_watts(&self, node: NodeId) -> f64 {
+    /// nodes report their group's live draw. The per-node reference
+    /// proptests check it after every operation.
+    #[cfg(test)]
+    fn node_watts(&self, node: NodeId) -> f64 {
         if node.0 >= self.extent() {
             return 0.0;
         }

@@ -17,7 +17,6 @@ pub struct RaplDomain {
     limit_watts: f64,
     window: SimDuration,
     trace: TimeSeries,
-    violations: u64,
 }
 
 impl RaplDomain {
@@ -37,31 +36,7 @@ impl RaplDomain {
             limit_watts,
             window,
             trace: TimeSeries::new(),
-            violations: 0,
         })
-    }
-
-    /// The configured limit in watts.
-    #[must_use]
-    pub fn limit_watts(&self) -> f64 {
-        self.limit_watts
-    }
-
-    /// Updates the limit (software-configurable, as on real hardware).
-    pub fn set_limit(&mut self, limit_watts: f64) -> Result<(), PowerError> {
-        if limit_watts <= 0.0 {
-            return Err(PowerError::InvalidConfig(format!(
-                "RAPL limit must be positive, got {limit_watts}"
-            )));
-        }
-        self.limit_watts = limit_watts;
-        Ok(())
-    }
-
-    /// The averaging window.
-    #[must_use]
-    pub fn window(&self) -> SimDuration {
-        self.window
     }
 
     /// Records that the domain draws `watts` starting at time `t`.
@@ -85,44 +60,9 @@ impl RaplDomain {
     }
 
     /// True when the windowed average exceeds the limit at `now`.
-    /// Counts the violation when it does.
-    pub fn check(&mut self, now: SimTime) -> bool {
-        let violated = self.windowed_average(now) > self.limit_watts + 1e-9;
-        if violated {
-            self.violations += 1;
-        }
-        violated
-    }
-
-    /// How many watts of *instantaneous* draw are admissible right now so
-    /// that the windowed average stays at or under the limit, assuming the
-    /// new draw holds for `dt`.
-    ///
-    /// Solves `(E_past + w·dt) / (window) <= limit` for `w`, where `E_past`
-    /// is the energy already accumulated over the trailing
-    /// `window − dt`. This is the headroom RAPL-aware schedulers query
-    /// before raising a node's operating point.
     #[must_use]
-    pub fn admissible_watts(&self, now: SimTime, dt: SimDuration) -> f64 {
-        let dt = dt.min(self.window);
-        if dt.is_zero() {
-            return self.limit_watts;
-        }
-        let hist_span = self.window - dt;
-        let hist_start = if now.as_secs() > hist_span.as_secs() {
-            now - hist_span
-        } else {
-            SimTime::ZERO
-        };
-        let e_past = self.trace.integrate(hist_start, now);
-        let budget = self.limit_watts * self.window.as_secs() - e_past;
-        (budget / dt.as_secs()).max(0.0)
-    }
-
-    /// Number of window violations observed by [`check`](Self::check).
-    #[must_use]
-    pub fn violations(&self) -> u64 {
-        self.violations
+    pub fn check(&self, now: SimTime) -> bool {
+        self.windowed_average(now) > self.limit_watts + 1e-9
     }
 }
 
@@ -155,7 +95,6 @@ mod tests {
         assert!(!r.check(t(10.0)));
         // Sustained burst eventually violates.
         assert!(r.check(t(15.0))); // (4*100+6*400)/10 = 280 > 200
-        assert_eq!(r.violations(), 1);
     }
 
     #[test]
@@ -169,39 +108,10 @@ mod tests {
     }
 
     #[test]
-    fn admissible_watts_reflects_history() {
-        let r0 = RaplDomain::new(200.0, d(10.0)).unwrap();
-        // No history: full budget spread over dt.
-        assert!((r0.admissible_watts(t(0.0), d(10.0)) - 200.0).abs() < 1e-9);
-
-        let mut r = RaplDomain::new(200.0, d(10.0)).unwrap();
-        r.record(t(0.0), 200.0);
-        // After 5 s at the limit, the next 5 s must average 200 too.
-        let adm = r.admissible_watts(t(5.0), d(5.0));
-        assert!((adm - 200.0).abs() < 1e-9);
-
-        let mut r2 = RaplDomain::new(200.0, d(10.0)).unwrap();
-        r2.record(t(0.0), 400.0);
-        // 5 s at 400 W consumed the whole 2000 J window budget.
-        let adm2 = r2.admissible_watts(t(5.0), d(5.0));
-        assert!(adm2 < 1e-9);
-    }
-
-    #[test]
-    fn admissible_watts_zero_dt_is_limit() {
-        let r = RaplDomain::new(150.0, d(10.0)).unwrap();
-        assert_eq!(r.admissible_watts(t(5.0), d(0.0)), 150.0);
-    }
-
-    #[test]
     fn invalid_configs_rejected() {
         assert!(RaplDomain::new(0.0, d(1.0)).is_err());
         assert!(RaplDomain::new(-5.0, d(1.0)).is_err());
         assert!(RaplDomain::new(100.0, d(0.0)).is_err());
-        let mut r = RaplDomain::new(100.0, d(1.0)).unwrap();
-        assert!(r.set_limit(-1.0).is_err());
-        assert!(r.set_limit(120.0).is_ok());
-        assert_eq!(r.limit_watts(), 120.0);
     }
 }
 
@@ -224,36 +134,6 @@ mod proptests {
                 clock += dt;
             }
             prop_assert!(!r.check(SimTime::from_secs(clock)));
-        }
-
-        /// Drawing exactly the admissible wattage for dt brings the window
-        /// average to at most the limit.
-        #[test]
-        fn admissible_is_safe(
-            steps in proptest::collection::vec((0.5f64..10.0, 0.0f64..400.0), 1..20),
-            dt in 0.5f64..10.0,
-        ) {
-            let mut r = RaplDomain::new(200.0, SimDuration::from_secs(30.0)).unwrap();
-            let mut clock = 0.0;
-            for (step_dt, w) in &steps {
-                r.record(SimTime::from_secs(clock), *w);
-                clock += step_dt;
-            }
-            let now = SimTime::from_secs(clock);
-            let adm = r.admissible_watts(now, SimDuration::from_secs(dt));
-            let before = r.windowed_average(now);
-            r.record(now, adm);
-            let after = now + SimDuration::from_secs(dt);
-            let avg = r.windowed_average(after);
-            if adm > 0.0 {
-                // Positive headroom: drawing exactly the admissible wattage
-                // keeps the window at or under the limit.
-                prop_assert!(avg <= 200.0 + 1e-6, "avg {} with adm {}", avg, adm);
-            } else {
-                // History already blew the window budget; drawing zero must
-                // at least not worsen the average.
-                prop_assert!(avg <= before + 1e-6);
-            }
         }
     }
 }

@@ -8,16 +8,11 @@
 //! *degraded* view of the true power. This module models that degradation,
 //! and the sampling-interval ablation bench quantifies its effect.
 //!
-//! Beyond noise, sensors *fail*: samples drop out (the consumer's last
-//! reading ages) and sensors stick at an old value while still reporting
-//! fresh timestamps. [`Telemetry::with_faults`] wires an
-//! [`epa_faults::SensorFaultConfig`] into the sampling pipeline, and the
-//! staleness accessors ([`Telemetry::age_at`], [`Telemetry::stale_at`])
-//! give every consumer the reading age it needs to decide when to stop
-//! trusting telemetry and degrade to static estimates.
+//! Sensor *failures* (dropout, stuck-at) are not modelled here: the
+//! engine draws them from `epa_faults::FaultInjector::sensor_sample` and
+//! tracks reading staleness itself.
 
 use crate::error::PowerError;
-use epa_faults::SensorFaultConfig;
 use epa_simcore::rng::SimRng;
 use epa_simcore::series::TimeSeries;
 use epa_simcore::time::{SimDuration, SimTime};
@@ -82,13 +77,7 @@ pub struct Reading {
 #[derive(Debug, Clone)]
 pub struct Telemetry {
     config: TelemetryConfig,
-    faults: Option<SensorFaultConfig>,
     readings: Vec<Reading>,
-    samples_taken: u64,
-    dropouts: u64,
-    stuck_windows: u64,
-    /// End of the current stuck-at window and the held value, if any.
-    stuck_until: Option<(SimTime, f64)>,
 }
 
 impl Telemetry {
@@ -97,83 +86,29 @@ impl Telemetry {
         config.validate()?;
         Ok(Telemetry {
             config,
-            faults: None,
             readings: Vec::new(),
-            samples_taken: 0,
-            dropouts: 0,
-            stuck_windows: 0,
-            stuck_until: None,
         })
     }
 
-    /// Creates a pipeline whose sensor is subject to dropout and stuck-at
-    /// faults.
-    pub fn with_faults(
-        config: TelemetryConfig,
-        faults: SensorFaultConfig,
-    ) -> Result<Self, PowerError> {
-        faults
-            .validate()
-            .map_err(|e| PowerError::InvalidConfig(e.to_string()))?;
-        let mut t = Telemetry::new(config)?;
-        t.faults = Some(faults);
-        Ok(t)
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> &TelemetryConfig {
-        &self.config
-    }
-
     /// Samples the true trace over `[from, to]` at the configured interval,
-    /// appending degraded readings. Returns the number of samples taken
-    /// (dropped samples are not taken — the reading age grows across the
-    /// gap).
+    /// appending degraded readings. Returns the number of samples taken.
     pub fn sample_trace(&mut self, trace: &TimeSeries, from: SimTime, to: SimTime) -> usize {
         let mut rng = SimRng::new(self.config.seed).stream_indexed(
             "telemetry",
             // Distinct noise per sampling campaign, deterministic per start.
             from.as_secs().to_bits(),
         );
-        // Fault draws come from their own substream so enabling faults
-        // does not perturb the noise sequence.
-        let mut fault_rng = SimRng::new(self.config.seed)
-            .stream_indexed("telemetry-faults", from.as_secs().to_bits());
         let mut t = from;
         let mut taken = 0;
         while t <= to {
             let truth = trace.value_at(t).unwrap_or(0.0);
             let noisy = truth * (1.0 + rng.normal(0.0, self.config.noise_fraction));
             let q = self.config.quantization_watts;
-            let mut watts = if q > 0.0 {
+            let watts = if q > 0.0 {
                 (noisy / q).round() * q
             } else {
                 noisy
             };
-            if let Some(f) = &self.faults {
-                if fault_rng.bernoulli(f.dropout_prob) {
-                    // Lost sample: no reading, the last one ages.
-                    self.dropouts += 1;
-                    t += self.config.interval;
-                    continue;
-                }
-                match self.stuck_until {
-                    Some((until, held)) if t < until => {
-                        // Stuck-at: fresh timestamp, old value.
-                        watts = held;
-                    }
-                    _ => {
-                        self.stuck_until = None;
-                        if fault_rng.bernoulli(f.stuck_prob) {
-                            let held = self.latest().map_or(watts, |r| r.watts);
-                            self.stuck_until = Some((t + f.stuck_duration, held));
-                            self.stuck_windows += 1;
-                            watts = held;
-                        }
-                    }
-                }
-            }
             self.readings.push(Reading {
                 t,
                 watts: watts.max(0.0),
@@ -181,7 +116,6 @@ impl Telemetry {
             taken += 1;
             t += self.config.interval;
         }
-        self.samples_taken += taken as u64;
         taken
     }
 
@@ -189,47 +123,6 @@ impl Telemetry {
     #[must_use]
     pub fn readings(&self) -> &[Reading] {
         &self.readings
-    }
-
-    /// The most recent reading, if any.
-    #[must_use]
-    pub fn latest(&self) -> Option<Reading> {
-        self.readings.last().copied()
-    }
-
-    /// Total samples taken (a telemetry-traffic proxy for Fig. 1 analysis).
-    #[must_use]
-    pub fn samples_taken(&self) -> u64 {
-        self.samples_taken
-    }
-
-    /// Samples lost to sensor dropout.
-    #[must_use]
-    pub fn dropouts(&self) -> u64 {
-        self.dropouts
-    }
-
-    /// Stuck-at windows entered.
-    #[must_use]
-    pub fn stuck_windows(&self) -> u64 {
-        self.stuck_windows
-    }
-
-    /// Age of the most recent reading at `now` — the staleness every
-    /// consumer must check before trusting telemetry. `None` when no
-    /// reading has ever arrived (infinitely stale).
-    #[must_use]
-    pub fn age_at(&self, now: SimTime) -> Option<SimDuration> {
-        self.latest().map(|r| now.saturating_since(r.t))
-    }
-
-    /// True when the last reading is older than `bound` at `now` (or no
-    /// reading exists). Consumers seeing `true` must degrade to static
-    /// estimates instead of acting on stale data.
-    #[must_use]
-    pub fn stale_at(&self, now: SimTime, bound: SimDuration) -> bool {
-        self.age_at(now)
-            .is_none_or(|age| age.as_secs() > bound.as_secs())
     }
 
     /// Mean of readings in `[from, to]` — what a monitoring dashboard or a
@@ -278,7 +171,7 @@ mod tests {
         assert_eq!(tel.readings()[0].watts, 100.0);
         assert_eq!(tel.readings()[4].watts, 100.0);
         assert_eq!(tel.readings()[5].watts, 250.0);
-        assert_eq!(tel.latest().unwrap().watts, 250.0);
+        assert_eq!(tel.readings().last().unwrap().watts, 250.0);
     }
 
     #[test]
@@ -323,7 +216,7 @@ mod tests {
         let mut tel = Telemetry::new(cfg).unwrap();
         let n = tel.sample_trace(&trace, t(0.0), t(60.0));
         assert_eq!(n, 13);
-        assert_eq!(tel.samples_taken(), 13);
+        assert_eq!(tel.readings().len(), 13);
     }
 
     #[test]
@@ -338,90 +231,6 @@ mod tests {
             ..TelemetryConfig::default()
         };
         assert!(Telemetry::new(cfg2).is_err());
-    }
-
-    #[test]
-    fn dropouts_skip_samples_and_age_grows() {
-        let mut trace = TimeSeries::new();
-        trace.push(t(0.0), 100.0);
-        let faults = epa_faults::SensorFaultConfig {
-            dropout_prob: 1.0,
-            stuck_prob: 0.0,
-            ..epa_faults::SensorFaultConfig::default()
-        };
-        let mut tel = Telemetry::with_faults(noiseless(), faults).unwrap();
-        let n = tel.sample_trace(&trace, t(0.0), t(9.0));
-        assert_eq!(n, 0, "every sample dropped");
-        assert_eq!(tel.dropouts(), 10);
-        assert_eq!(tel.age_at(t(9.0)), None);
-        assert!(tel.stale_at(t(9.0), SimDuration::from_secs(5.0)));
-    }
-
-    #[test]
-    fn stuck_sensor_reports_old_value_with_fresh_timestamps() {
-        let mut trace = TimeSeries::new();
-        trace.push(t(0.0), 100.0);
-        trace.push(t(1.0), 500.0);
-        let faults = epa_faults::SensorFaultConfig {
-            dropout_prob: 0.0,
-            stuck_prob: 1.0,
-            stuck_duration: SimDuration::from_secs(100.0),
-            ..epa_faults::SensorFaultConfig::default()
-        };
-        let mut tel = Telemetry::with_faults(noiseless(), faults).unwrap();
-        tel.sample_trace(&trace, t(0.0), t(9.0));
-        // The first sample starts a stuck window holding the first value;
-        // later samples keep the stuck value despite the 500 W truth.
-        assert_eq!(tel.stuck_windows(), 1);
-        assert!(tel.readings().iter().all(|r| r.watts == 100.0));
-        // Timestamps are fresh, so the reading is NOT stale — stuck-at is
-        // the failure staleness bounds cannot catch.
-        assert!(!tel.stale_at(t(9.0), SimDuration::from_secs(5.0)));
-    }
-
-    #[test]
-    fn partial_dropout_is_deterministic_and_stale_detectable() {
-        let mut trace = TimeSeries::new();
-        trace.push(t(0.0), 100.0);
-        let faults = epa_faults::SensorFaultConfig {
-            dropout_prob: 0.5,
-            stuck_prob: 0.0,
-            ..epa_faults::SensorFaultConfig::default()
-        };
-        let run = || {
-            let mut tel = Telemetry::with_faults(noiseless(), faults.clone()).unwrap();
-            tel.sample_trace(&trace, t(0.0), t(99.0));
-            (tel.readings().to_vec(), tel.dropouts())
-        };
-        let (a, da) = run();
-        let (b, db) = run();
-        assert_eq!(a, b);
-        assert_eq!(da, db);
-        assert!(da > 10 && da < 90, "≈50% dropout, got {da}");
-        // Age right after a taken sample is small.
-        let last = a.last().unwrap().t;
-        assert_eq!(tel_age(&a, last), Some(SimDuration::ZERO));
-    }
-
-    fn tel_age(readings: &[Reading], now: SimTime) -> Option<SimDuration> {
-        readings.last().map(|r| now.saturating_since(r.t))
-    }
-
-    #[test]
-    fn faultless_pipeline_unchanged_by_fault_plumbing() {
-        let mut trace = TimeSeries::new();
-        trace.push(t(0.0), 200.0);
-        let cfg = TelemetryConfig::default();
-        let mut plain = Telemetry::new(cfg.clone()).unwrap();
-        let faults = epa_faults::SensorFaultConfig {
-            dropout_prob: 0.0,
-            stuck_prob: 0.0,
-            ..epa_faults::SensorFaultConfig::default()
-        };
-        let mut faulty = Telemetry::with_faults(cfg, faults).unwrap();
-        plain.sample_trace(&trace, t(0.0), t(50.0));
-        faulty.sample_trace(&trace, t(0.0), t(50.0));
-        assert_eq!(plain.readings(), faulty.readings());
     }
 
     #[test]

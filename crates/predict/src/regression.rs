@@ -43,12 +43,6 @@ impl LinearRegression {
         self.n
     }
 
-    /// Feature dimension (without the intercept).
-    #[must_use]
-    pub fn dim(&self) -> usize {
-        self.dim
-    }
-
     /// Adds one observation.
     ///
     /// # Panics

@@ -5,11 +5,10 @@
 //! decides *what* runs, this crate models *how* the machine is actuated
 //! and what the resource manager reports back:
 //!
-//! - [`actuators`] — the actuation interface (DVFS, caps, power on/off,
-//!   VM splits) with a full audit log, and the retrying, fencing actuator
-//!   the engine drives — the arrows of the survey's Figure 1.
+//! - [`actuators`] — the retrying, fencing cap-write actuator the engine
+//!   drives — the control arrows of the survey's Figure 1.
 //! - [`interactions`] — the component-interaction ledger that regenerates
-//!   Figure 1: who talks to whom, how often.
+//!   Figure 1 from a run's counters: who talks to whom, how often.
 //! - [`reports`] — post-job user energy reports and efficiency marks
 //!   (Tokyo Tech, JCAHPC production capabilities).
 
@@ -17,6 +16,5 @@ pub mod actuators;
 pub mod interactions;
 pub mod reports;
 
-pub use actuators::{Actuation, ActuatorLog};
 pub use interactions::{Component, InteractionLedger};
 pub use reports::{EfficiencyMark, UserEnergyReport};

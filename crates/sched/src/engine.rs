@@ -42,8 +42,7 @@ use epa_power::meter::{EnergyMeter, GroupId};
 use epa_power::node_power::{NodePowerModel, NodePowerState};
 use epa_predict::history::HistoryStore;
 use epa_predict::predictors::{PowerPredictor, TagMeanPredictor};
-use epa_rm::actuators::{ActuatorLog, RetryingActuator};
-use epa_rm::interactions::InteractionLedger;
+use epa_rm::actuators::RetryingActuator;
 use epa_simcore::engine::Simulation;
 use epa_simcore::snap::{Fingerprint, SnapReader, SnapWriter, SnapshotError};
 use epa_simcore::time::{SimDuration, SimTime};
@@ -51,7 +50,6 @@ use epa_workload::job::{Job, JobId};
 use epa_workload::source::{JobSource, MaterializedSource};
 use serde::Serialize;
 use std::collections::BTreeMap;
-use std::io::Write;
 
 /// Engine configuration.
 #[derive(Clone)]
@@ -107,9 +105,9 @@ pub struct EngineConfig {
     /// simulated outcome is byte-identical either way.
     pub trace: TraceConfig,
     /// Keep per-job [`CompletedJob`] records in memory. Streaming runs
-    /// turn this off: completions fold into incremental aggregates (and
-    /// the optional JSONL sink), `SimOutcome::jobs` comes back empty,
-    /// and every other outcome field is byte-identical either way.
+    /// turn this off: completions fold into incremental aggregates,
+    /// `SimOutcome::jobs` comes back empty, and every other outcome field
+    /// is byte-identical either way.
     pub retain_completed: bool,
     /// Has no effect: the system power trace is always the bounded
     /// 5-minute-grid accumulator, so the outcome, trace and snapshot are
@@ -666,8 +664,8 @@ pub struct ClusterSim<'p> {
     /// exactly the order `SchedView` promises — and updated on job
     /// start/completion instead of rebuilt and re-sorted per decision.
     /// `granted_watts` is snapshotted at start: grant amounts are fixed
-    /// for a grant's lifetime (the engine never calls `PowerBudget::
-    /// adjust`), so the snapshot equals the live query.
+    /// for a grant's lifetime (`PowerBudget` cannot resize a live grant),
+    /// so the snapshot equals the live query.
     summaries: Vec<RunningSummary>,
     booting: u32,
     /// Pull-based arrival stream (materialized, lazy SWF, or lazy
@@ -689,10 +687,6 @@ pub struct ClusterSim<'p> {
     /// Streaming completion statistics (kept in both retain modes; the
     /// only source of the outcome's wait/slowdown/kill numbers).
     agg: CompletionAggregates,
-    /// Optional JSONL sink receiving one [`CompletedJob`] line per
-    /// completion. Not part of snapshots: a resumed run re-attaches its
-    /// own sink and re-emits only post-resume completions.
-    completion_sink: Option<Box<dyn Write + Send>>,
     emergency_kills: u64,
     busy_node_seconds: f64,
     violation_accum_secs: f64,
@@ -712,10 +706,6 @@ pub struct ClusterSim<'p> {
     injector: Option<FaultInjector>,
     /// Unreliable-actuator front-end (present only with actuator faults).
     actuator: Option<RetryingActuator>,
-    /// Audit log of every actuation attempt.
-    actuator_log: ActuatorLog,
-    /// Component-interaction ledger fed by the actuator log.
-    ledger: InteractionLedger,
     /// Last accepted telemetry reading `(timestamp, watts)`; under sensor
     /// dropout the timestamp ages, under stuck-at it stays fresh while
     /// the value goes wrong.
@@ -749,42 +739,34 @@ pub struct ClusterSim<'p> {
 }
 
 impl<'p> ClusterSim<'p> {
-    /// Creates an engine over `system` running `jobs` under `policy`.
+    /// Creates an engine over `system` running `jobs` under `policy`. The
+    /// job list is wrapped in a [`MaterializedSource`] — submit-time
+    /// order with input order preserved among ties, exactly the order the
+    /// event queue produced when every Submit was pre-scheduled.
     ///
     /// # Panics
     ///
-    /// Panics when the configuration is degenerate; use [`Self::try_new`]
-    /// to handle the error.
+    /// Panics when the configuration is degenerate; use
+    /// [`Self::try_new_with_source`] over a [`MaterializedSource`] to
+    /// handle the error.
     pub fn new(
         system: System,
         jobs: Vec<Job>,
         policy: &'p mut dyn Policy,
         config: EngineConfig,
     ) -> Self {
-        Self::try_new(system, jobs, policy, config).expect("invalid engine config")
-    }
-
-    /// Creates an engine, validating the configuration first. The job
-    /// list is wrapped in a [`MaterializedSource`] — submit-time order
-    /// with input order preserved among ties, exactly the order the
-    /// event queue produced when every Submit was pre-scheduled.
-    pub fn try_new(
-        system: System,
-        jobs: Vec<Job>,
-        policy: &'p mut dyn Policy,
-        config: EngineConfig,
-    ) -> Result<Self, SchedError> {
         Self::try_new_with_source(
             system,
             Box::new(MaterializedSource::new(jobs)),
             policy,
             config,
         )
+        .expect("invalid engine config")
     }
 
     /// Creates an engine over a pull-based [`JobSource`]. Arrivals are
     /// staged one at a time — peak memory is flat in the job count —
-    /// and a [`MaterializedSource`] reproduces [`ClusterSim::try_new`]
+    /// and a [`MaterializedSource`] reproduces [`ClusterSim::new`]
     /// byte-for-byte.
     pub fn try_new_with_source(
         system: System,
@@ -909,7 +891,6 @@ impl<'p> ClusterSim<'p> {
             history: HistoryStore::new(),
             completed: Vec::new(),
             agg: CompletionAggregates::default(),
-            completion_sink: None,
             emergency_kills: 0,
             busy_node_seconds: 0.0,
             violation_accum_secs: 0.0,
@@ -922,8 +903,6 @@ impl<'p> ClusterSim<'p> {
             fault_plan,
             injector,
             actuator,
-            actuator_log: ActuatorLog::new(),
-            ledger: InteractionLedger::new(),
             sensor_last: (SimTime::ZERO, idle_system_watts),
             sensor_stuck_until: None,
             telemetry_stale: false,
@@ -978,31 +957,10 @@ impl<'p> ClusterSim<'p> {
         self.predictor = p;
     }
 
-    /// Attaches a JSONL completion sink: one serialized [`CompletedJob`]
-    /// line per completion, written as jobs finish, so a streaming run
-    /// (`retain_completed: false`) keeps full per-job output without
-    /// retaining it. The sink is not part of snapshots — a resumed run
-    /// re-attaches its own and receives only post-resume completions.
-    pub fn set_completion_sink(&mut self, sink: Box<dyn Write + Send>) {
-        self.completion_sink = Some(sink);
-    }
-
     /// Access to the prediction history accumulated during the run.
     #[must_use]
     pub fn history(&self) -> &HistoryStore {
         &self.history
-    }
-
-    /// The actuation audit log (every attempt, including failed retries).
-    #[must_use]
-    pub fn actuator_log(&self) -> &ActuatorLog {
-        &self.actuator_log
-    }
-
-    /// The component-interaction ledger fed by actuations.
-    #[must_use]
-    pub fn interaction_ledger(&self) -> &InteractionLedger {
-        &self.ledger
     }
 
     fn ambient_c(&self, t: SimTime) -> f64 {
@@ -1485,8 +1443,6 @@ impl<'p> ClusterSim<'p> {
         w.section("faults");
         w.opt(self.injector.as_ref(), |w, i| i.snapshot_into(w));
         w.opt(self.actuator.as_ref(), |w, a| a.snapshot_into(w));
-        self.actuator_log.snapshot_into(&mut w);
-        self.ledger.snapshot_into(&mut w);
         w.section("history");
         self.history.snapshot_into(&mut w);
         w.section("completed");
@@ -1513,7 +1469,7 @@ impl<'p> ClusterSim<'p> {
     /// trace.
     ///
     /// The caller re-supplies `system`, `jobs`, `policy`, and `config`
-    /// exactly as given to the original [`ClusterSim::try_new`] — they
+    /// exactly as given to the original [`ClusterSim::new`] — they
     /// are configuration, not state, and a disagreement is rejected as
     /// [`SnapshotError::ConfigMismatch`] / [`SnapshotError::TopologyMismatch`].
     /// A non-default predictor ([`ClusterSim::set_predictor`]) must be
@@ -1558,8 +1514,8 @@ impl<'p> ClusterSim<'p> {
 
     /// Overwrites this freshly-constructed engine's state from snapshot
     /// bytes. Pure-config-derived state (fault plan, predictor, power
-    /// model) keeps the `try_new` values; everything mutable is replaced;
-    /// derived structures (node-owner index, state tallies, running
+    /// model) keeps the constructor's values; everything mutable is
+    /// replaced; derived structures (node-owner index, state tallies, running
     /// summaries) are rebuilt from the restored primaries.
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let n = self.system.spec().total_nodes() as usize;
@@ -1693,8 +1649,6 @@ impl<'p> ClusterSim<'p> {
                 })?;
             RetryingActuator::restore_from(r, cfg)
         })?;
-        self.actuator_log = ActuatorLog::restore_from(&mut r)?;
-        self.ledger = InteractionLedger::restore_from(&mut r)?;
         r.section("history")?;
         self.history = HistoryStore::restore_from(&mut r)?;
         r.section("completed")?;
@@ -1713,7 +1667,7 @@ impl<'p> ClusterSim<'p> {
             });
         }
         self.agg = CompletionAggregates::restore_from(&mut r)?;
-        // try_new already pulled the first arrival from the fresh
+        // The constructor already pulled the first arrival from the fresh
         // source; cursor restore is written to tolerate that (absolute
         // for materialized/generator sources, replay-from-current for
         // the SWF stream).
@@ -2732,8 +2686,6 @@ impl<'p> ClusterSim<'p> {
                     now,
                     &nodes.to_vec(),
                     Some(op.watts),
-                    &mut self.actuator_log,
-                    &mut self.ledger,
                     &mut self.obs.bus,
                 );
                 self.obs
@@ -2996,9 +2948,9 @@ impl<'p> ClusterSim<'p> {
         if r.killed_at_walltime {
             self.obs.registry.incr("jobs/walltime_kills", 1);
         }
-        // Node ids are materialized only for consumers that keep or emit
-        // them; the aggregates never read them.
-        let node_ids = if self.config.retain_completed || self.completion_sink.is_some() {
+        // Node ids are materialized only when completions are retained;
+        // the aggregates never read them.
+        let node_ids = if self.config.retain_completed {
             r.nodes.iter().map(|n| n.0).collect()
         } else {
             Vec::new()
@@ -3016,10 +2968,6 @@ impl<'p> ClusterSim<'p> {
             start_secs: r.start.as_secs(),
         };
         self.agg.fold(&record);
-        if let Some(sink) = self.completion_sink.as_mut() {
-            let line = serde_json::to_string(&record).expect("CompletedJob serializes");
-            let _ = writeln!(sink, "{line}");
-        }
         if self.config.retain_completed {
             self.completed.push(record);
         }
@@ -3742,20 +3690,24 @@ mod tests {
                 EngineConfig::new(SimTime::from_hours(1.0)),
             )
         };
+        let build = |sys, jobs, policy: &mut Fcfs, config| {
+            let source = Box::new(MaterializedSource::new(jobs));
+            ClusterSim::try_new_with_source(sys, source, policy, config).err()
+        };
         let (sys, jobs, mut config) = mk();
         config.node_mtbf = Some(SimDuration::ZERO);
         let mut policy = Fcfs;
-        let err = ClusterSim::try_new(sys, jobs, &mut policy, config).err();
+        let err = build(sys, jobs, &mut policy, config);
         assert_eq!(err, Some(SchedError::NonPositiveMtbf));
 
         let (sys, jobs, mut config) = mk();
         config.repair_time = SimDuration::ZERO;
-        let err = ClusterSim::try_new(sys, jobs, &mut policy, config).err();
+        let err = build(sys, jobs, &mut policy, config);
         assert_eq!(err, Some(SchedError::NonPositiveRepairTime));
 
         let (sys, jobs, mut config) = mk();
         config.checkpoint_interval = Some(SimDuration::ZERO);
-        let err = ClusterSim::try_new(sys, jobs, &mut policy, config).err();
+        let err = build(sys, jobs, &mut policy, config);
         assert_eq!(err, Some(SchedError::ZeroCheckpointInterval));
 
         let (sys, jobs, mut config) = mk();
@@ -3766,12 +3718,12 @@ mod tests {
             }),
             ..epa_faults::FaultConfig::default()
         });
-        let err = ClusterSim::try_new(sys, jobs, &mut policy, config).err();
+        let err = build(sys, jobs, &mut policy, config);
         assert!(matches!(err, Some(SchedError::InvalidConfig(_))));
 
         // A valid config still constructs.
         let (sys, jobs, config) = mk();
-        assert!(ClusterSim::try_new(sys, jobs, &mut policy, config).is_ok());
+        assert!(build(sys, jobs, &mut policy, config).is_none());
     }
 
     #[test]

@@ -28,8 +28,9 @@ use epa_workload::job::Job;
 use serde::Serialize;
 
 /// Schema version of the environment snapshot frame (env bookkeeping +
-/// embedded engine snapshot). Bump on layout change.
-pub const ENV_SNAPSHOT_VERSION: u32 = 1;
+/// embedded engine snapshot). Bump on layout change; v2 dropped the
+/// episode return, which nothing read.
+pub const ENV_SNAPSHOT_VERSION: u32 = 2;
 
 /// Reward blend weights. The reward for one decision interval is
 ///
@@ -118,8 +119,8 @@ pub struct EnvConfig {
 
 impl EnvConfig {
     /// An hourly decision cadence with the default reward blend.
-    #[must_use]
-    pub fn hourly() -> Self {
+    #[cfg(test)]
+    fn hourly() -> Self {
         EnvConfig {
             decision_interval: SimDuration::from_hours(1.0),
             reward: RewardConfig::default(),
@@ -158,7 +159,6 @@ pub struct PolicyEnv {
     step_idx: u64,
     done: bool,
     last_probe: Option<RewardProbe>,
-    episode_return: f64,
 }
 
 impl PolicyEnv {
@@ -184,7 +184,6 @@ impl PolicyEnv {
             step_idx: 0,
             done: false,
             last_probe: None,
-            episode_return: 0.0,
         })
     }
 
@@ -211,7 +210,6 @@ impl PolicyEnv {
         .expect("engine config validated at env construction");
         self.step_idx = 0;
         self.done = false;
-        self.episode_return = 0.0;
         self.last_probe = Some(sim.reward_probe());
         let obs = sim.control_observation();
         self.sim = Some(sim);
@@ -257,7 +255,6 @@ impl PolicyEnv {
         let before = self.last_probe.expect("probe recorded at reset");
         let reward = self.env_config.reward.reward_between(&before, &probe);
         self.last_probe = Some(probe);
-        self.episode_return += reward;
         self.done = ran_out;
         StepResult {
             observation: sim.control_observation(),
@@ -265,12 +262,6 @@ impl PolicyEnv {
             actions_applied,
             done: self.done,
         }
-    }
-
-    /// Total reward accrued this episode so far.
-    #[must_use]
-    pub fn episode_return(&self) -> f64 {
-        self.episode_return
     }
 
     /// Ends the episode: runs the engine to completion (if steps didn't
@@ -298,7 +289,6 @@ impl PolicyEnv {
         w.section("env");
         w.u64(self.step_idx);
         w.bool(self.done);
-        w.f64(self.episode_return);
         w.f64(probe.t.as_secs());
         w.f64(probe.energy_joules);
         w.u64(probe.completed);
@@ -320,7 +310,6 @@ impl PolicyEnv {
         r.section("env")?;
         let step_idx = r.u64()?;
         let done = r.bool()?;
-        let episode_return = r.f64()?;
         let probe = RewardProbe {
             t: r.time()?,
             energy_joules: r.f64()?,
@@ -345,7 +334,6 @@ impl PolicyEnv {
         self.sim = Some(sim);
         self.step_idx = step_idx;
         self.done = done;
-        self.episode_return = episode_return;
         self.last_probe = Some(probe);
         Ok(())
     }

@@ -60,12 +60,6 @@ impl PhaseGovernor {
         PhaseGovernor { dvfs, objective }
     }
 
-    /// The objective.
-    #[must_use]
-    pub fn objective(&self) -> GovernorObjective {
-        self.objective
-    }
-
     /// Plans frequencies for normalized phases (weights should sum to 1;
     /// they are re-normalized defensively).
     ///
@@ -163,33 +157,6 @@ impl PhaseGovernor {
             }
         }
         idx.into_iter().map(|i| ladder[i]).collect()
-    }
-
-    /// Control-plane adapter: collapses the per-phase plan into one
-    /// [`ControlAction::SetDefaultFrequency`](crate::control::ControlAction::SetDefaultFrequency) carrying the phase-weighted
-    /// mean frequency — the closest job-level default the engine's
-    /// unified apply path can enforce (the engine has no intra-job phase
-    /// actuation point). The action goes through the same validation
-    /// funnel as every learned controller's frequency request.
-    ///
-    /// # Panics
-    /// Panics if `phases` is empty (same contract as [`Self::plan`]).
-    #[must_use]
-    pub fn as_control_action(&self, phases: &[Phase]) -> crate::control::ControlAction {
-        let plan = self.plan(phases);
-        let total_w: f64 = phases.iter().map(|p| p.weight).sum();
-        let mean = if total_w > 0.0 {
-            phases
-                .iter()
-                .zip(&plan.freqs_ghz)
-                .map(|(p, &f)| p.weight / total_w * f)
-                .sum()
-        } else {
-            plan.freqs_ghz.iter().sum::<f64>() / plan.freqs_ghz.len() as f64
-        };
-        crate::control::ControlAction::SetDefaultFrequency {
-            freq_ghz: Some(mean),
-        }
     }
 
     fn evaluate_internal(&self, phases: &[Phase], freqs: Vec<f64>, base: f64) -> PhasePlan {
@@ -340,27 +307,5 @@ mod tests {
     fn empty_phases_panic() {
         let g = governor(GovernorObjective::MaxPerformance);
         let _ = g.plan(&[]);
-    }
-
-    #[test]
-    fn control_action_carries_weighted_mean_frequency() {
-        let g = governor(GovernorObjective::MaxPerformance);
-        let app = AppProfile::balanced("x");
-        // MaxPerformance pins every phase to max, so the weighted mean is
-        // exactly the max frequency.
-        match g.as_control_action(&app.phases) {
-            crate::control::ControlAction::SetDefaultFrequency { freq_ghz: Some(f) } => {
-                assert!((f - g.dvfs.cpu().max_freq_ghz).abs() < 1e-9, "{f}");
-            }
-            other => panic!("unexpected action {other:?}"),
-        }
-        // An energy plan's mean sits inside the ladder's range.
-        let g = governor(GovernorObjective::EnergyWithinSlowdown { max_slowdown: 1.1 });
-        match g.as_control_action(&app.phases) {
-            crate::control::ControlAction::SetDefaultFrequency { freq_ghz: Some(f) } => {
-                assert!(f >= g.dvfs.cpu().min_freq_ghz && f <= g.dvfs.cpu().max_freq_ghz);
-            }
-            other => panic!("unexpected action {other:?}"),
-        }
     }
 }

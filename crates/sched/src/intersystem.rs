@@ -143,8 +143,8 @@ pub struct GridObjective {
 
 impl GridObjective {
     /// Pure cost minimization.
-    #[must_use]
-    pub fn cheapest() -> Self {
+    #[cfg(test)]
+    fn cheapest() -> Self {
         GridObjective {
             cost_weight: 1.0,
             carbon_weight: 0.0,
@@ -152,8 +152,8 @@ impl GridObjective {
     }
 
     /// Pure carbon minimization.
-    #[must_use]
-    pub fn greenest() -> Self {
+    #[cfg(test)]
+    fn greenest() -> Self {
         GridObjective {
             cost_weight: 0.0,
             carbon_weight: 1.0,
@@ -202,12 +202,6 @@ impl FollowRenewablesPlanner {
             ));
         }
         Ok(FollowRenewablesPlanner { objective })
-    }
-
-    /// The planner's objective.
-    #[must_use]
-    pub fn objective(&self) -> GridObjective {
-        self.objective
     }
 
     /// Each site's attractiveness score this window — *lower is better*.

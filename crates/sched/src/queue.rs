@@ -63,12 +63,6 @@ impl JobQueue {
     pub fn head(&self) -> Option<&Job> {
         self.jobs.first()
     }
-
-    /// Total nodes requested by all queued jobs (Q3b backlog size).
-    #[must_use]
-    pub fn backlog_nodes(&self) -> u64 {
-        self.jobs.iter().map(|j| u64::from(j.nodes)).sum()
-    }
 }
 
 #[cfg(test)]
@@ -119,14 +113,5 @@ mod tests {
         assert!(q.remove(JobId(1)).is_some());
         assert!(q.remove(JobId(1)).is_none());
         assert_eq!(q.len(), 1);
-    }
-
-    #[test]
-    fn backlog_accounting() {
-        let mut q = JobQueue::new();
-        q.push(JobBuilder::new(1).nodes(16).build());
-        q.push(JobBuilder::new(2).nodes(8).build());
-        assert_eq!(q.backlog_nodes(), 24);
-        assert!(!q.is_empty());
     }
 }

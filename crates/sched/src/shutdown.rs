@@ -42,15 +42,6 @@ impl Default for ShutdownPolicy {
 }
 
 impl ShutdownPolicy {
-    /// True when the policy is active at simulation time `t`, assuming the
-    /// simulation starts at day-of-year 0. Sites whose calendar starts
-    /// elsewhere (the engine aligns with the facility's weather model)
-    /// should use [`Self::season_active_on`].
-    #[must_use]
-    pub fn season_active(&self, t: SimTime) -> bool {
-        self.season_active_on(t, 0)
-    }
-
     /// True when the policy is active at simulation time `t` for a
     /// simulation whose t = 0 falls on `start_day_of_year`.
     #[must_use]
@@ -77,8 +68,8 @@ mod tests {
     #[test]
     fn no_season_always_active() {
         let p = ShutdownPolicy::default();
-        assert!(p.season_active(SimTime::ZERO));
-        assert!(p.season_active(SimTime::from_days(400.0)));
+        assert!(p.season_active_on(SimTime::ZERO, 0));
+        assert!(p.season_active_on(SimTime::from_days(400.0), 0));
     }
 
     #[test]
@@ -87,11 +78,11 @@ mod tests {
             season: Some((152, 244)), // Jun–Aug
             ..Default::default()
         };
-        assert!(!p.season_active(SimTime::from_days(10.0)));
-        assert!(p.season_active(SimTime::from_days(180.0)));
-        assert!(!p.season_active(SimTime::from_days(300.0)));
+        assert!(!p.season_active_on(SimTime::from_days(10.0), 0));
+        assert!(p.season_active_on(SimTime::from_days(180.0), 0));
+        assert!(!p.season_active_on(SimTime::from_days(300.0), 0));
         // Wraps into the next year.
-        assert!(p.season_active(SimTime::from_days(365.0 + 180.0)));
+        assert!(p.season_active_on(SimTime::from_days(365.0 + 180.0), 0));
     }
 
     #[test]
@@ -100,8 +91,8 @@ mod tests {
             season: Some((330, 60)), // Nov–Feb
             ..Default::default()
         };
-        assert!(p.season_active(SimTime::from_days(340.0)));
-        assert!(p.season_active(SimTime::from_days(10.0)));
-        assert!(!p.season_active(SimTime::from_days(180.0)));
+        assert!(p.season_active_on(SimTime::from_days(340.0), 0));
+        assert!(p.season_active_on(SimTime::from_days(10.0), 0));
+        assert!(!p.season_active_on(SimTime::from_days(180.0), 0));
     }
 }

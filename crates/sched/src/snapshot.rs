@@ -44,8 +44,12 @@ use std::path::Path;
 /// gone; v8 drops the meter's per-node energy, its runs' start times and
 /// its trace-mode tag — the meter is its node extent, its run index as
 /// `(start, len, group, watts)` runs, its groups and the bounded system
-/// trace, whose grid instants and interval are no longer stored.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 8;
+/// trace, whose grid instants and interval are no longer stored; v9
+/// drops the `faults` section's actuation audit log and interaction
+/// ledger and the injector's unused actuator stream, the power budget's
+/// high-water mark and rejection count, and the metrics registry's
+/// gauges.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 9;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///

@@ -57,27 +57,6 @@ pub struct SchedView<'a> {
     pub predicted_watts_per_node: &'a dyn Fn(&Job) -> f64,
 }
 
-impl SchedView<'_> {
-    /// Estimated time at which `nodes_needed` nodes will be free, assuming
-    /// running jobs end at their estimates and nothing new starts — the
-    /// "shadow time" of EASY backfilling. Off nodes are not counted; the
-    /// engine boots them separately when demand warrants.
-    #[must_use]
-    pub fn shadow_time(&self, nodes_needed: u32) -> Option<SimTime> {
-        if nodes_needed <= self.free_nodes {
-            return Some(self.now);
-        }
-        let mut avail = self.free_nodes;
-        for r in self.running {
-            avail += r.nodes;
-            if avail >= nodes_needed {
-                return Some(r.estimated_end);
-            }
-        }
-        None
-    }
-}
-
 /// A policy's instruction to the engine.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Decision {
@@ -121,54 +100,6 @@ pub trait Policy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use epa_cluster::node::NodeSpec;
-
-    fn summaries() -> Vec<RunningSummary> {
-        vec![
-            RunningSummary {
-                id: JobId(1),
-                nodes: 4,
-                estimated_end: SimTime::from_secs(100.0),
-                watts: 400.0,
-                granted_watts: None,
-            },
-            RunningSummary {
-                id: JobId(2),
-                nodes: 8,
-                estimated_end: SimTime::from_secs(200.0),
-                watts: 800.0,
-                granted_watts: None,
-            },
-        ]
-    }
-
-    #[test]
-    fn shadow_time_progression() {
-        let dvfs = DvfsModel::new(NodeSpec::typical_xeon());
-        let running = summaries();
-        let predict = |_: &Job| 290.0;
-        let view = SchedView {
-            now: SimTime::from_secs(50.0),
-            free_nodes: 2,
-            off_nodes: 0,
-            total_nodes: 14,
-            running: &running,
-            power_headroom_watts: f64::INFINITY,
-            power_budget_watts: f64::INFINITY,
-            system_watts: 1200.0,
-            temperature_c: 20.0,
-            dvfs: &dvfs,
-            predicted_watts_per_node: &predict,
-        };
-        // 2 free now.
-        assert_eq!(view.shadow_time(2), Some(SimTime::from_secs(50.0)));
-        // Needs job 1's 4 nodes: at t=100.
-        assert_eq!(view.shadow_time(5), Some(SimTime::from_secs(100.0)));
-        // Needs both: at t=200.
-        assert_eq!(view.shadow_time(14), Some(SimTime::from_secs(200.0)));
-        // More than the machine: never.
-        assert_eq!(view.shadow_time(15), None);
-    }
 
     #[test]
     fn decision_start_defaults() {

@@ -96,12 +96,6 @@ impl<E> Simulation<E> {
         self.queue.push(self.now + delay, event);
     }
 
-    /// Schedules an event at the current time (delivered after all events
-    /// already queued for this instant — FIFO within a timestamp).
-    pub fn schedule_now(&mut self, event: E) {
-        self.queue.push(self.now, event);
-    }
-
     /// Time of the next pending event, if any.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
@@ -146,19 +140,12 @@ impl<E> Simulation<E> {
     }
 
     /// Overwrites the clock and the processed-event count (snapshot
-    /// restore). Unlike [`Simulation::advance_to`] this may rewind —
-    /// restoring a snapshot into a freshly-built simulation is the one
-    /// legitimate case where the monotonic-clock invariant resets.
+    /// restore). This may rewind — restoring a snapshot into a
+    /// freshly-built simulation is the one legitimate case where the
+    /// monotonic-clock invariant resets.
     pub fn restore_clock(&mut self, now: SimTime, processed: u64) {
         self.now = now;
         self.processed = processed;
-    }
-
-    /// Advances the clock without delivering an event (e.g. to the horizon
-    /// after the queue drains). Panics if `to` is in the past.
-    pub fn advance_to(&mut self, to: SimTime) {
-        assert!(to >= self.now, "cannot rewind the clock");
-        self.now = to;
     }
 }
 
@@ -221,21 +208,5 @@ mod tests {
         let mut sim = Simulation::with_horizon(SimTime::from_secs(100.0));
         sim.schedule_at(SimTime::from_secs(100.0), Ev::Tick(0));
         assert!(sim.next_event().is_some());
-    }
-
-    #[test]
-    fn schedule_now_fifo() {
-        let mut sim = Simulation::new();
-        sim.schedule_now(Ev::Tick(0));
-        sim.schedule_now(Ev::Tick(1));
-        assert_eq!(sim.next_event().unwrap().1, Ev::Tick(0));
-        assert_eq!(sim.next_event().unwrap().1, Ev::Tick(1));
-    }
-
-    #[test]
-    fn advance_to_moves_clock() {
-        let mut sim: Simulation<Ev> = Simulation::new();
-        sim.advance_to(SimTime::from_secs(42.0));
-        assert_eq!(sim.now().as_secs(), 42.0);
     }
 }

@@ -144,7 +144,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Drains all events in time order into a vector.
-    pub fn drain_sorted(&mut self) -> Vec<(SimTime, E)> {
+    #[cfg(test)]
+    fn drain_sorted(&mut self) -> Vec<(SimTime, E)> {
         let mut out = Vec::with_capacity(self.heap.len());
         while let Some(e) = self.pop() {
             out.push(e);

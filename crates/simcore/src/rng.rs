@@ -144,14 +144,6 @@ impl SimRng {
         }
         weights.len() - 1
     }
-
-    /// Fisher–Yates shuffle in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.uniform_usize(0, i + 1);
-            items.swap(i, j);
-        }
-    }
 }
 
 impl RngCore for SimRng {
@@ -282,16 +274,6 @@ mod tests {
         assert_eq!(counts[0], 0);
         let ratio = counts[2] as f64 / counts[1] as f64;
         assert!((ratio - 3.0).abs() < 0.5, "ratio {ratio}");
-    }
-
-    #[test]
-    fn shuffle_is_permutation() {
-        let mut rng = SimRng::new(6);
-        let mut v: Vec<u32> = (0..50).collect();
-        rng.shuffle(&mut v);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..50).collect::<Vec<_>>());
     }
 
     #[test]

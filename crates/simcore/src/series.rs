@@ -38,15 +38,6 @@ impl TimeSeries {
         }
     }
 
-    /// Creates a series with an initial value at t = 0.
-    #[must_use]
-    pub fn with_initial(value: f64) -> Self {
-        TimeSeries {
-            points: vec![(SimTime::ZERO, value)],
-            cum: vec![0.0],
-        }
-    }
-
     /// Appends a change point. Equal-time appends overwrite the previous
     /// value at that instant (last write wins), matching event semantics
     /// where several updates may land on one timestamp.
@@ -509,7 +500,8 @@ mod tests {
 
     #[test]
     fn redundant_points_skipped() {
-        let mut ts = TimeSeries::with_initial(5.0);
+        let mut ts = TimeSeries::new();
+        ts.push(t(0.0), 5.0);
         ts.push(t(10.0), 5.0);
         ts.push(t(20.0), 6.0);
         assert_eq!(ts.len(), 2);

@@ -80,11 +80,6 @@ impl Percentiles {
         Some(lo + frac * (hi - lo))
     }
 
-    /// Percentile `p` in `[0, 100]`.
-    pub fn percentile(&mut self, p: f64) -> Option<f64> {
-        self.quantile(p / 100.0)
-    }
-
     /// The survey's Q3(e) report: min, p10, p25, median, p75, p90, max, mean.
     pub fn summary(&mut self) -> Option<SummaryStats> {
         if self.samples.is_empty() {
@@ -139,7 +134,7 @@ mod tests {
         assert_eq!(p.quantile(0.0), Some(1.0));
         assert_eq!(p.quantile(1.0), Some(100.0));
         assert!((p.quantile(0.5).unwrap() - 50.5).abs() < 1e-9);
-        assert!((p.percentile(25.0).unwrap() - 25.75).abs() < 1e-9);
+        assert!((p.quantile(0.25).unwrap() - 25.75).abs() < 1e-9);
     }
 
     #[test]

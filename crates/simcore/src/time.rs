@@ -51,12 +51,6 @@ impl SimTime {
         self.0
     }
 
-    /// Hours since simulation start.
-    #[must_use]
-    pub fn as_hours(self) -> f64 {
-        self.0 / 3600.0
-    }
-
     /// Days since simulation start.
     #[must_use]
     pub fn as_days(self) -> f64 {
@@ -150,12 +144,6 @@ impl SimDuration {
     #[must_use]
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// Span length in hours.
-    #[must_use]
-    pub fn as_hours(self) -> f64 {
-        self.0 / 3600.0
     }
 
     /// True when the span has zero length.

@@ -112,10 +112,9 @@ fn synthesize_interactions(site: &SiteConfig, outcome: &SimOutcome) -> Interacti
     let c = &outcome.counters;
     let get = |k: &str| c.get(k).copied().unwrap_or(0);
     let mut ledger = InteractionLedger::new();
-    let t = SimTime::ZERO;
     let mut record_n = |n: u64, from, to, kind| {
         for _ in 0..n.min(1_000_000) {
-            ledger.record(t, from, to, kind);
+            ledger.record(from, to, kind);
         }
     };
     // Users submit jobs to the scheduler.

@@ -258,13 +258,6 @@ impl Job {
         f64::from(self.nodes) * self.base_runtime.as_secs()
     }
 
-    /// True when the walltime estimate is at least the true runtime (the
-    /// job completes rather than being killed at the limit).
-    #[must_use]
-    pub fn estimate_sufficient(&self) -> bool {
-        self.walltime_estimate >= self.base_runtime
-    }
-
     /// Validates basic job sanity.
     pub fn validate(&self) -> Result<(), String> {
         if self.nodes == 0 {
@@ -394,7 +387,7 @@ mod tests {
     fn builder_defaults_validate() {
         let j = JobBuilder::new(1).build();
         assert_eq!(j.id, JobId(1));
-        assert!(j.estimate_sufficient());
+        assert!(j.walltime_estimate >= j.base_runtime);
         assert!(j.validate().is_ok());
     }
 
@@ -434,15 +427,6 @@ mod tests {
         assert!(b > 0.4 && b < 0.8, "got {b}");
         let u = app.mean_utilization();
         assert!(u > 0.7 && u <= 1.0, "got {u}");
-    }
-
-    #[test]
-    fn insufficient_estimate_detected() {
-        let j = JobBuilder::new(1)
-            .runtime(SimDuration::from_hours(3.0))
-            .estimate(SimDuration::from_hours(1.0))
-            .build();
-        assert!(!j.estimate_sufficient());
     }
 
     #[test]

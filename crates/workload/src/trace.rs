@@ -110,7 +110,6 @@ pub(crate) fn parse_swf_line(
 pub struct SwfWriter<W: Write> {
     out: W,
     app_ids: BTreeMap<String, usize>,
-    jobs_written: u64,
 }
 
 impl<W: Write> SwfWriter<W> {
@@ -120,7 +119,6 @@ impl<W: Write> SwfWriter<W> {
         Ok(SwfWriter {
             out,
             app_ids: BTreeMap::new(),
-            jobs_written: 0,
         })
     }
 
@@ -136,7 +134,6 @@ impl<W: Write> SwfWriter<W> {
                 id
             }
         };
-        self.jobs_written += 1;
         // Columns:       1   2  3   4   5  6  7   8   9 10  11  12 13  14 15 16 17 18
         writeln!(
             self.out,
@@ -150,12 +147,6 @@ impl<W: Write> SwfWriter<W> {
             j.user,
             app,
         )
-    }
-
-    /// Number of job lines written so far.
-    #[must_use]
-    pub fn jobs_written(&self) -> u64 {
-        self.jobs_written
     }
 
     /// Flushes and returns the underlying writer.
@@ -270,7 +261,6 @@ mod tests {
             let mut w = SwfWriter::new(&mut buf).unwrap();
             w.push_job(&a).unwrap();
             w.push_job(&b).unwrap();
-            assert_eq!(w.jobs_written(), 2);
             let _ = w.finish().unwrap();
         }
         let text = String::from_utf8(buf).unwrap();

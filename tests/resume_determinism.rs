@@ -244,7 +244,7 @@ fn previous_schema_frames_are_rejected_with_unsupported_version() {
     // A current payload under each previous schema's version number,
     // checksummed correctly: only the version check can reject it.
     let snap = small_snapshot(3);
-    for old in [5, 6, 7] {
+    for old in [5, 6, 7, 8] {
         let err = try_resume(&reframe(old, &snap.as_bytes()[HEADER_LEN..]), 3).unwrap_err();
         assert!(
             matches!(
@@ -395,6 +395,20 @@ fn meter_pending_at(payload: &[u8]) -> usize {
     at + 8 + 8 * samples as usize
 }
 
+/// Payload offset of the power budget. Its layout: option tag (1), total
+/// watts (f64), the grants (u64 count, then a u64 id and an f64 wattage
+/// each, in ascending id order), then the granted total.
+fn budget_at(payload: &[u8]) -> usize {
+    let mut marker = SnapWriter::new();
+    marker.section("budget");
+    let marker = &marker.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
+    payload
+        .windows(marker.len())
+        .position(|w| w == marker)
+        .expect("budget section present")
+        + marker.len()
+}
+
 /// Payload offset of the grid state, the frame's last section. Its
 /// layout: option tag (1), price cursor (u32), carbon cursor (u32),
 /// active-event option (0 here), per-event excess joules (u64 length and
@@ -415,7 +429,7 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
     // Each frame is well-formed and correctly checksummed, but carries an
     // index, time or pairing that a handler would later use out of range.
     type Edit = fn(&mut Vec<u8>);
-    let cases: [(&str, Edit); 14] = [
+    let cases: [(&str, Edit); 17] = [
         ("boot completion for a node past the machine", |p| {
             push_event(p, 3, NODES)
         }),
@@ -465,6 +479,19 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
             })
         }),
         ("staged arrival without a queued Submit", drop_submit),
+        ("NaN budget total", |p| {
+            let b = budget_at(p);
+            p[b + 1..b + 9].copy_from_slice(&f64::NAN.to_le_bytes());
+        }),
+        ("negative grant", |p| {
+            let b = budget_at(p);
+            p[b + 25..b + 33].copy_from_slice(&(-1.0f64).to_le_bytes());
+        }),
+        ("duplicate grant id", |p| {
+            let b = budget_at(p);
+            let first: [u8; 8] = p[b + 17..b + 25].try_into().unwrap();
+            p[b + 33..b + 41].copy_from_slice(&first);
+        }),
     ];
     let mut policy = EasyBackfill;
     let jobs = chaos_jobs(3);
@@ -478,6 +505,10 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
         [0, 1, 0, 0, 0, 0, 0, 0, 0],
         "no event in force"
     );
+    let b = budget_at(payload);
+    assert_eq!(payload[b], 1, "budget present");
+    let grants = u64::from_le_bytes(payload[b + 9..b + 17].try_into().unwrap());
+    assert!(grants >= 2, "{grants} live grants");
     let at = meter_pending_at(payload);
     assert_eq!(payload[at], 1, "the power trace has a pending point");
     let pending = f64::from_le_bytes(payload[at + 1..at + 9].try_into().unwrap());
