@@ -4,9 +4,9 @@
 //! Design constraints, in priority order:
 //!
 //! 1. **Disabled is free.** With a category masked off, recording is one
-//!    branch on a `u32` bitset — no event payload is built, nothing
-//!    allocates. The engine's hot paths guard on [`TraceBus::enabled`]
-//!    before even constructing the event.
+//!    branch on a `u32` bitset and nothing allocates: [`TraceBus::record`]
+//!    and [`TraceEvent::category`] inline into the call site, so callers
+//!    pass their small, copy-only payloads without guarding first.
 //! 2. **Deterministic.** Every payload is keyed on [`SimTime`], never wall
 //!    clock; the ring buffer, sampling strides, and sequence numbers are
 //!    pure functions of the event stream. Identical seeds produce
@@ -853,6 +853,7 @@ impl TraceEvent {
     }
 
     /// The category this event records under.
+    #[inline]
     #[must_use]
     pub fn category(&self) -> TraceCategory {
         match self {

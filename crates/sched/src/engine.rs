@@ -22,20 +22,19 @@ use crate::control::{ActionSource, ControlAction, ControlState, Observation};
 use crate::emergency::{EmergencyPolicy, VictimOrder};
 use crate::error::SchedError;
 use crate::limiting::JobLimitGate;
+use crate::nodes::NodeTable;
 use crate::queue::JobQueue;
 use crate::shutdown::ShutdownPolicy;
 use crate::snapshot::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
 use crate::view::{Decision, Policy, RunningSummary, SchedView};
-use epa_cluster::alloc::{AllocStrategy, Allocator};
+use epa_cluster::alloc::AllocStrategy;
 use epa_cluster::layout::FacilityLayout;
 use epa_cluster::node::NodeId;
 use epa_cluster::nodeset::NodeSet;
 use epa_cluster::system::System;
 use epa_faults::{FaultConfig, FaultInjector, FaultPlan, SensorFaultConfig, SensorSample};
 use epa_grid::{GridConfig, GridState, GridSummary};
-use epa_obs::{
-    KillReason, Obs, ObsBundle, RejectReason, Scope, TraceCategory, TraceConfig, TraceEvent,
-};
+use epa_obs::{KillReason, Obs, ObsBundle, RejectReason, Scope, TraceConfig, TraceEvent};
 use epa_power::budget::{GrantId, PowerBudget};
 use epa_power::facility::Facility;
 use epa_power::meter::{EnergyMeter, GroupId};
@@ -58,9 +57,6 @@ pub struct EngineConfig {
     pub horizon: SimTime,
     /// Node placement strategy.
     pub alloc_strategy: AllocStrategy,
-    /// Interval between power ticks (telemetry, emergency checks,
-    /// shutdown scans).
-    pub power_tick: SimDuration,
     /// System power budget for admission control, if any (IT watts).
     pub power_budget_watts: Option<f64>,
     /// Idle-node shutdown policy, if enabled.
@@ -130,7 +126,6 @@ impl EngineConfig {
         EngineConfig {
             horizon,
             alloc_strategy: AllocStrategy::FirstFit,
-            power_tick: SimDuration::from_mins(1.0),
             power_budget_watts: None,
             shutdown: None,
             emergency: None,
@@ -210,6 +205,12 @@ const STALENESS_AGE_BUCKETS: [f64; 6] = [60.0, 120.0, 300.0, 600.0, 1800.0, 3600
 /// above before the two ranges could meet.
 const RUNTIME_SEQ_BASE: u64 = 1 << 40;
 
+/// Interval between power ticks (telemetry, emergency checks, shutdown
+/// scans).
+fn power_tick() -> SimDuration {
+    SimDuration::from_mins(1.0)
+}
+
 /// Grid interval of the exported system power trace
 /// ([`SimOutcome::power_trace`]). The meter samples on this grid as power
 /// steps arrive, so the whole-run export matches a full change-point
@@ -221,7 +222,7 @@ fn power_trace_grid() -> SimDuration {
 /// Engine events, delivered in one `(t, seq)` order.
 #[derive(Debug)]
 enum Ev {
-    Submit(usize),
+    Submit,
     /// Job completion for a specific execution attempt: a kill + requeue
     /// starts a new attempt, and the stale event must not complete it.
     Finish(JobId, u32),
@@ -249,10 +250,7 @@ impl Ev {
     /// Wire tags are part of the snapshot format: stable, append-only.
     fn snapshot_into(&self, w: &mut SnapWriter) {
         match self {
-            Ev::Submit(i) => {
-                w.u8(0);
-                w.usize(*i);
-            }
+            Ev::Submit => w.u8(0),
             Ev::Finish(id, attempt) => {
                 w.u8(1);
                 w.u64(id.0);
@@ -299,7 +297,7 @@ impl Ev {
 
     fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
         Ok(match r.u8()? {
-            0 => Ev::Submit(r.usize()?),
+            0 => Ev::Submit,
             1 => Ev::Finish(JobId(r.u64()?), r.u32()?),
             2 => Ev::PowerTick,
             3 => Ev::BootDone(NodeId(r.u32()?)),
@@ -318,30 +316,6 @@ impl Ev {
             }
         })
     }
-}
-
-/// `NodePowerState` wire tags (snapshot format: stable, append-only).
-fn node_state_tag(s: NodePowerState) -> u8 {
-    match s {
-        NodePowerState::Off => 0,
-        NodePowerState::Booting => 1,
-        NodePowerState::Idle => 2,
-        NodePowerState::Busy => 3,
-    }
-}
-
-fn node_state_from_tag(tag: u8) -> Result<NodePowerState, SnapshotError> {
-    Ok(match tag {
-        0 => NodePowerState::Off,
-        1 => NodePowerState::Booting,
-        2 => NodePowerState::Idle,
-        3 => NodePowerState::Busy,
-        t => {
-            return Err(SnapshotError::Corrupt {
-                detail: format!("unknown node power state tag {t}"),
-            })
-        }
-    })
 }
 
 #[derive(Debug, Clone)]
@@ -643,23 +617,12 @@ pub struct ClusterSim<'p> {
     predictor: Box<dyn PowerPredictor>,
 
     sim: Simulation<Ev>,
-    allocator: Allocator,
+    /// Allocation and the per-node power-state machine.
+    nodes: NodeTable,
     meter: EnergyMeter,
     budget: Option<PowerBudget>,
     queue: JobQueue,
     running: BTreeMap<JobId, RunningJob>,
-    /// Power state per node, indexed by `NodeId::index()` (node ids are
-    /// dense `0..total`).
-    node_state: Vec<NodePowerState>,
-    /// When each node last became idle (`None` while busy/off/booting),
-    /// indexed by `NodeId::index()`.
-    idle_since: Vec<Option<SimTime>>,
-    /// Count of nodes in `NodePowerState::Off`, maintained on every state
-    /// transition so `try_schedule` does not rescan all nodes.
-    off_count: u32,
-    /// Count of nodes in `NodePowerState::Busy`, maintained the same way
-    /// so per-event estimates never rescan summaries or node states.
-    busy_count: u32,
     /// Running-job summaries kept sorted by `(estimated_end, id)` —
     /// exactly the order `SchedView` promises — and updated on job
     /// start/completion instead of rebuilt and re-sorted per decision.
@@ -667,7 +630,6 @@ pub struct ClusterSim<'p> {
     /// for a grant's lifetime (`PowerBudget` cannot resize a live grant),
     /// so the snapshot equals the live query.
     summaries: Vec<RunningSummary>,
-    booting: u32,
     /// Pull-based arrival stream (materialized, lazy SWF, or lazy
     /// generator). Only one arrival is ever staged ahead of the clock.
     source: Box<dyn JobSource>,
@@ -692,8 +654,6 @@ pub struct ClusterSim<'p> {
     violation_accum_secs: f64,
     last_tick: SimTime,
     rng: epa_simcore::rng::SimRng,
-    /// Failed (awaiting repair) flag per node, indexed by `NodeId::index()`.
-    down: Vec<bool>,
     attempts: BTreeMap<JobId, u32>,
     /// No new starts before this instant (emergency cooldown).
     start_hold_until: SimTime,
@@ -715,10 +675,6 @@ pub struct ClusterSim<'p> {
     /// Telemetry is currently past the staleness bound (for counting
     /// fallback transitions, not per-tick noise).
     telemetry_stale: bool,
-    /// Failure events per node, indexed by `NodeId::index()`.
-    failure_counts: Vec<u64>,
-    /// When each currently-down node went down.
-    down_since: Vec<Option<SimTime>>,
     /// Downtime seconds over *completed* repairs (MTTR numerator).
     repair_downtime_secs: f64,
     /// Completed repairs (MTTR denominator).
@@ -784,8 +740,6 @@ impl<'p> ClusterSim<'p> {
         config: EngineConfig,
     ) -> Result<Self, SchedError> {
         config.validate()?;
-        let total = system.spec().total_nodes();
-        let allocator = Allocator::new(total, config.alloc_strategy, system.topology().clone());
         let power_model = NodePowerModel::new(system.spec().node.clone());
         let budget = config
             .power_budget_watts
@@ -803,11 +757,8 @@ impl<'p> ClusterSim<'p> {
         match source.next_job() {
             Some(job) if job.submit <= config.horizon => {
                 last_arrival_submit = job.submit;
-                sim.queue_mut().push_with_seq(
-                    job.submit,
-                    arrival_seq,
-                    Ev::Submit(arrival_seq as usize),
-                );
+                sim.queue_mut()
+                    .push_with_seq(job.submit, arrival_seq, Ev::Submit);
                 arrival_seq += 1;
                 pending_arrival = Some(job);
             }
@@ -851,7 +802,6 @@ impl<'p> ClusterSim<'p> {
                 .map(|a| RetryingActuator::new(a.clone(), f.seed))
         });
         let mut meter = EnergyMeter::new(power_trace_grid());
-        let n_nodes = total as usize;
         let all_nodes: Vec<NodeId> = system.nodes().collect();
         meter.set_alloc_watts(&all_nodes, SimTime::ZERO, system.spec().node.idle_watts);
         let idle_system_watts = system.spec().idle_watts();
@@ -865,6 +815,8 @@ impl<'p> ClusterSim<'p> {
         obs.registry
             .register_histogram("telemetry/staleness_age_secs", &STALENESS_AGE_BUCKETS);
         let grid_state = config.grid.as_ref().map(GridState::new);
+        let total = system.spec().total_nodes();
+        let nodes = NodeTable::new(total, config.alloc_strategy, system.topology().clone());
         Ok(ClusterSim {
             config,
             system,
@@ -872,17 +824,12 @@ impl<'p> ClusterSim<'p> {
             policy,
             predictor: Box::new(TagMeanPredictor),
             sim,
-            allocator,
+            nodes,
             meter,
             budget,
             queue: JobQueue::new(),
             running: BTreeMap::new(),
-            node_state: vec![NodePowerState::Idle; n_nodes],
-            idle_since: vec![Some(SimTime::ZERO); n_nodes],
-            off_count: 0,
-            busy_count: 0,
             summaries: Vec::new(),
-            booting: 0,
             source,
             pending_arrival,
             arrival_seq,
@@ -896,7 +843,6 @@ impl<'p> ClusterSim<'p> {
             violation_accum_secs: 0.0,
             last_tick: SimTime::ZERO,
             rng,
-            down: vec![false; n_nodes],
             attempts: BTreeMap::new(),
             start_hold_until: SimTime::ZERO,
             hold_resume_pending: false,
@@ -906,8 +852,6 @@ impl<'p> ClusterSim<'p> {
             sensor_last: (SimTime::ZERO, idle_system_watts),
             sensor_stuck_until: None,
             telemetry_stale: false,
-            failure_counts: vec![0; n_nodes],
-            down_since: vec![None; n_nodes],
             repair_downtime_secs: 0.0,
             repairs_completed: 0,
             obs,
@@ -1016,7 +960,7 @@ impl<'p> ClusterSim<'p> {
         };
         let t_dispatch = self.obs.profiler.start();
         match ev {
-            Ev::Submit(_) => {
+            Ev::Submit => {
                 let job = self
                     .pending_arrival
                     .take()
@@ -1028,16 +972,14 @@ impl<'p> ClusterSim<'p> {
                 self.obs
                     .registry
                     .observe("sched/queue_depth", self.queue.len() as f64);
-                if self.obs.bus.enabled(TraceCategory::Job) {
-                    self.obs.bus.record(
-                        t,
-                        TraceEvent::JobSubmitted {
-                            job: jid,
-                            nodes: jnodes,
-                            queue_depth: self.queue.len() as u64,
-                        },
-                    );
-                }
+                self.obs.bus.record(
+                    t,
+                    TraceEvent::JobSubmitted {
+                        job: jid,
+                        nodes: jnodes,
+                        queue_depth: self.queue.len() as u64,
+                    },
+                );
                 self.try_schedule();
             }
             Ev::Finish(id, attempt) => {
@@ -1056,18 +998,12 @@ impl<'p> ClusterSim<'p> {
                     self.hold_resume_pending = false;
                     self.try_schedule();
                 }
-                let next = t + self.config.power_tick;
+                let next = t + power_tick();
                 if next <= self.config.horizon {
                     self.sim.schedule_at(next, Ev::PowerTick);
                 }
             }
-            Ev::BootDone(n) => {
-                self.booting = self.booting.saturating_sub(1);
-                self.set_node_state(n, NodePowerState::Idle, t);
-                self.allocator.mark_available(n);
-                self.idle_since[n.index()] = Some(t);
-                self.try_schedule();
-            }
+            Ev::BootDone(n) => self.bring_up(n, t),
             Ev::BudgetResize(w) => {
                 // The demand-response schedule is an engineered adapter:
                 // the resize flows through the unified apply path.
@@ -1089,25 +1025,19 @@ impl<'p> ClusterSim<'p> {
                 }
             }
             Ev::RepairDone(n) => {
-                if let Some(since) = self.down_since[n.index()].take() {
+                if let Some(since) = self.nodes.repair(n) {
                     self.repair_downtime_secs += (t - since).as_secs();
                     self.repairs_completed += 1;
-                    if self.obs.bus.enabled(TraceCategory::Fault) {
-                        self.obs.bus.record(
-                            t,
-                            TraceEvent::NodeRepaired {
-                                node: n.0,
-                                down_secs: (t - since).as_secs(),
-                            },
-                        );
-                    }
+                    self.obs.bus.record(
+                        t,
+                        TraceEvent::NodeRepaired {
+                            node: n.0,
+                            down_secs: (t - since).as_secs(),
+                        },
+                    );
                 }
-                self.down[n.index()] = false;
-                self.set_node_state(n, NodePowerState::Idle, t);
-                self.allocator.mark_available(n);
-                self.idle_since[n.index()] = Some(t);
                 self.obs.registry.incr("rm/repairs", 1);
-                self.try_schedule();
+                self.bring_up(n, t);
             }
             Ev::DomainFail(idx) => {
                 let event = self.fault_plan.domain_events[idx as usize];
@@ -1115,21 +1045,14 @@ impl<'p> ClusterSim<'p> {
                 // Only operational nodes go down; Off/Booting nodes
                 // ride through (their state machines are elsewhere).
                 for n in self.system.cabinet_nodes(event.domain) {
-                    let i = n.index();
-                    if matches!(
-                        self.node_state[i],
-                        NodePowerState::Idle | NodePowerState::Busy
-                    ) && !self.down[i]
-                    {
-                        if self.obs.bus.enabled(TraceCategory::Fault) {
-                            self.obs.bus.record(
-                                t,
-                                TraceEvent::NodeFailed {
-                                    node: n.0,
-                                    correlated: true,
-                                },
-                            );
-                        }
+                    if self.nodes.is_operational(n) {
+                        self.obs.bus.record(
+                            t,
+                            TraceEvent::NodeFailed {
+                                node: n.0,
+                                correlated: true,
+                            },
+                        );
                         self.take_node_down(n, t, event.repair_time);
                     }
                 }
@@ -1153,7 +1076,11 @@ impl<'p> ClusterSim<'p> {
                     }
                 }
             }
-            Ev::ShutdownDone(n) => self.set_node_state(n, NodePowerState::Off, t),
+            Ev::ShutdownDone(n) => {
+                if self.nodes.shutdown_done(n) {
+                    self.meter_node(n, NodePowerState::Off, t);
+                }
+            }
         }
         self.obs.profiler.stop(Scope::Dispatch, t_dispatch);
         false
@@ -1295,7 +1222,6 @@ impl<'p> ClusterSim<'p> {
         let mut fp = Fingerprint::new();
         fp.u64(c.seed);
         fp.f64(c.horizon.as_secs());
-        fp.f64(c.power_tick.as_secs());
         match c.power_budget_watts {
             Some(w) => {
                 fp.u64(1);
@@ -1393,8 +1319,6 @@ impl<'p> ClusterSim<'p> {
             w.u64(seq);
             ev.snapshot_into(w);
         });
-        w.section("alloc");
-        self.allocator.snapshot_into(&mut w);
         w.section("meter");
         self.meter.snapshot_into(&mut w);
         w.section("budget");
@@ -1405,15 +1329,7 @@ impl<'p> ClusterSim<'p> {
         let running: Vec<&RunningJob> = self.running.values().collect();
         w.seq(&running, |w, r| r.snapshot_into(w));
         w.section("nodes");
-        w.seq(&self.node_state, |w, &s| w.u8(node_state_tag(s)));
-        w.seq(&self.idle_since, |w, since| {
-            w.opt(since.as_ref(), |w, t| w.f64(t.as_secs()));
-        });
-        w.seq(&self.down, |w, &d| w.bool(d));
-        w.seq(&self.failure_counts, |w, &c| w.u64(c));
-        w.seq(&self.down_since, |w, since| {
-            w.opt(since.as_ref(), |w, t| w.f64(t.as_secs()));
-        });
+        self.nodes.snapshot_into(&mut w);
         w.section("engine");
         w.u64(self.emergency_kills);
         w.f64(self.busy_node_seconds);
@@ -1515,8 +1431,8 @@ impl<'p> ClusterSim<'p> {
     /// Overwrites this freshly-constructed engine's state from snapshot
     /// bytes. Pure-config-derived state (fault plan, predictor, power
     /// model) keeps the constructor's values; everything mutable is
-    /// replaced; derived structures (node-owner index, state tallies, running
-    /// summaries) are rebuilt from the restored primaries.
+    /// replaced; derived structures (node tallies, running summaries)
+    /// are rebuilt from the restored primaries.
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let n = self.system.spec().total_nodes() as usize;
         let mut r = SnapReader::open(bytes, SNAPSHOT_SCHEMA_VERSION)?;
@@ -1552,7 +1468,7 @@ impl<'p> ClusterSim<'p> {
         }
         let submits = entries
             .iter()
-            .filter(|(_, _, ev)| matches!(ev, Ev::Submit(_)))
+            .filter(|(_, _, ev)| matches!(ev, Ev::Submit))
             .count();
         self.sim.queue_mut().clear();
         for (t, seq, ev) in entries {
@@ -1560,12 +1476,6 @@ impl<'p> ClusterSim<'p> {
         }
         self.sim.queue_mut().set_seq(queue_seq);
         self.sim.restore_clock(now, processed);
-        r.section("alloc")?;
-        self.allocator = Allocator::restore_from(
-            &mut r,
-            self.config.alloc_strategy,
-            self.system.topology().clone(),
-        )?;
         r.section("meter")?;
         self.meter = EnergyMeter::restore_from(&mut r, power_trace_grid(), n as u32)?;
         r.section("budget")?;
@@ -1586,29 +1496,9 @@ impl<'p> ClusterSim<'p> {
         let running = r.seq(|r| RunningJob::restore_from(r, n as u32))?;
         self.running = running.into_iter().map(|rj| (rj.job.id, rj)).collect();
         r.section("nodes")?;
-        let node_state = r.seq(|r| node_state_from_tag(r.u8()?))?;
-        let idle_since = r.seq(|r| r.opt(SnapReader::time))?;
-        let down = r.seq(SnapReader::bool)?;
-        let failure_counts = r.seq(SnapReader::u64)?;
-        let down_since = r.seq(|r| r.opt(SnapReader::time))?;
-        for (name, len) in [
-            ("node_state", node_state.len()),
-            ("idle_since", idle_since.len()),
-            ("down", down.len()),
-            ("failure_counts", failure_counts.len()),
-            ("down_since", down_since.len()),
-        ] {
-            if len != n {
-                return Err(SnapshotError::Corrupt {
-                    detail: format!("{name} has {len} entries for a {n}-node system"),
-                });
-            }
-        }
-        self.node_state = node_state;
-        self.idle_since = idle_since;
-        self.down = down;
-        self.failure_counts = failure_counts;
-        self.down_since = down_since;
+        let (strategy, topology) = (self.config.alloc_strategy, self.system.topology().clone());
+        let claims = self.running.values().map(|rj| &rj.nodes);
+        self.nodes = NodeTable::restore_from(&mut r, total, strategy, topology, now, claims)?;
         r.section("engine")?;
         self.emergency_kills = r.u64()?;
         self.busy_node_seconds = r.f64()?;
@@ -1707,31 +1597,6 @@ impl<'p> ClusterSim<'p> {
         r.finish()?;
 
         // Rebuild derived structures from the restored primaries.
-        let mut claims: Vec<(u32, u32, JobId)> = self
-            .running
-            .iter()
-            .flat_map(|(&id, rj)| rj.nodes.runs().iter().map(move |&(s, l)| (s, l, id)))
-            .collect();
-        claims.sort_unstable_by_key(|&(s, _, _)| s);
-        if let Some(w) = claims.windows(2).find(|w| w[0].0 + w[0].1 > w[1].0) {
-            return Err(SnapshotError::Corrupt {
-                detail: format!(
-                    "running jobs {} and {} both claim node {}",
-                    w[0].2 .0, w[1].2 .0, w[1].0
-                ),
-            });
-        }
-        self.off_count = 0;
-        self.busy_count = 0;
-        self.booting = 0;
-        for s in &self.node_state {
-            match s {
-                NodePowerState::Off => self.off_count += 1,
-                NodePowerState::Busy => self.busy_count += 1,
-                NodePowerState::Booting => self.booting += 1,
-                NodePowerState::Idle => {}
-            }
-        }
         self.summaries = self
             .running
             .values()
@@ -1779,28 +1644,18 @@ impl<'p> ClusterSim<'p> {
     fn on_node_fail(&mut self, t: SimTime) {
         // Ascending node-id order, matching the old sorted-map scan, so the
         // RNG draw sequence (and thus every seeded run) is unchanged.
-        let operational: Vec<NodeId> = self
-            .node_state
-            .iter()
-            .enumerate()
-            .filter(|&(i, s)| {
-                matches!(s, NodePowerState::Idle | NodePowerState::Busy) && !self.down[i]
-            })
-            .map(|(i, _)| NodeId(i as u32))
-            .collect();
+        let operational = self.nodes.operational();
         if operational.is_empty() {
             return;
         }
         let victim = *self.rng.choose(&operational);
-        if self.obs.bus.enabled(TraceCategory::Fault) {
-            self.obs.bus.record(
-                t,
-                TraceEvent::NodeFailed {
-                    node: victim.0,
-                    correlated: false,
-                },
-            );
-        }
+        self.obs.bus.record(
+            t,
+            TraceEvent::NodeFailed {
+                node: victim.0,
+                correlated: false,
+            },
+        );
         self.take_node_down(victim, t, self.config.repair_time);
         self.try_schedule();
     }
@@ -1811,18 +1666,14 @@ impl<'p> ClusterSim<'p> {
     /// fencing — the operation order is load-bearing for determinism.
     fn take_node_down(&mut self, victim: NodeId, t: SimTime, repair: SimDuration) {
         self.obs.registry.incr("rm/failures", 1);
-        self.failure_counts[victim.index()] += 1;
         // Kill the job occupying the node, if any.
         if let Some(id) = self.owner_of(victim) {
             let r = self.running.remove(&id).expect("holder is running");
             self.complete(r, t, Departure::Failure);
         }
         // Take the node down (it is free/idle now).
-        self.allocator.mark_unavailable(victim);
-        self.idle_since[victim.index()] = None;
-        self.down[victim.index()] = true;
-        self.down_since[victim.index()] = Some(t);
-        self.set_node_state(victim, NodePowerState::Off, t);
+        self.nodes.take_down(victim, t);
+        self.meter_node(victim, NodePowerState::Off, t);
         self.sim.schedule_in(repair, Ev::RepairDone(victim));
     }
 
@@ -1837,48 +1688,20 @@ impl<'p> ClusterSim<'p> {
             .map(|(&id, _)| id)
     }
 
-    /// Transitions a node's recorded power state, keeping the `off_count`
-    /// and `busy_count` tallies consistent. Does not touch the meter.
-    fn set_state(&mut self, node: NodeId, state: NodePowerState) {
-        let old = std::mem::replace(&mut self.node_state[node.index()], state);
-        match old {
-            NodePowerState::Off => self.off_count -= 1,
-            NodePowerState::Busy => self.busy_count -= 1,
-            _ => {}
-        }
-        match state {
-            NodePowerState::Off => self.off_count += 1,
-            NodePowerState::Busy => self.busy_count += 1,
-            _ => {}
-        }
-    }
-
-    /// Count of nodes in `NodePowerState::Idle`, derived arithmetically
-    /// from the maintained tallies (every node is exactly one of
-    /// idle/busy/off/booting). Cross-checked against a scan in debug.
-    fn idle_count(&self) -> u32 {
-        let idle = self
-            .system
-            .spec()
-            .total_nodes()
-            .saturating_sub(self.busy_count + self.off_count + self.booting);
-        debug_assert_eq!(
-            idle,
-            self.node_state
-                .iter()
-                .filter(|s| matches!(s, NodePowerState::Idle))
-                .count() as u32,
-            "idle tally must match the node-state scan"
-        );
-        idle
-    }
-
-    fn set_node_state(&mut self, node: NodeId, state: NodePowerState, t: SimTime) {
-        self.set_state(node, state);
+    /// Meters `node` at its draw in `state`, after its node-table
+    /// transition.
+    fn meter_node(&mut self, node: NodeId, state: NodePowerState, t: SimTime) {
         let watts = self
             .power_model
             .watts(state, 0.0, self.system.spec().node.cpu.base_freq_ghz);
         self.meter.set_node_watts(node, t, watts);
+    }
+
+    /// A booted or repaired node comes up idle and may take queued work.
+    fn bring_up(&mut self, node: NodeId, t: SimTime) {
+        self.nodes.bring_up(node, t);
+        self.meter_node(node, NodePowerState::Idle, t);
+        self.try_schedule();
     }
 
     /// Inserts a summary at its sorted position. The `(estimated_end, id)`
@@ -1910,7 +1733,7 @@ impl<'p> ClusterSim<'p> {
     /// degraded mode must never under-estimate draw.
     fn conservative_estimate(&self, cfg: &SensorFaultConfig) -> f64 {
         let node = &self.system.spec().node;
-        let busy = self.busy_count;
+        let busy = self.nodes.busy_count();
         debug_assert_eq!(
             busy,
             self.summaries.iter().map(|s| s.nodes).sum::<u32>(),
@@ -1920,7 +1743,7 @@ impl<'p> ClusterSim<'p> {
             .system
             .spec()
             .total_nodes()
-            .saturating_sub(self.off_count + busy);
+            .saturating_sub(self.nodes.off_count() + busy);
         (f64::from(busy) * node.peak_watts + f64::from(on_others) * node.idle_watts)
             * (1.0 + cfg.safety_margin_frac)
     }
@@ -1958,20 +1781,16 @@ impl<'p> ClusterSim<'p> {
                 SensorSample::Dropout => {
                     // The sample is lost; the last reading ages.
                     self.obs.registry.incr("faults/telemetry_dropouts", 1);
-                    if self.obs.bus.enabled(TraceCategory::Telemetry) {
-                        self.obs.bus.record(t, TraceEvent::SensorDropout);
-                    }
+                    self.obs.bus.record(t, TraceEvent::SensorDropout);
                 }
                 SensorSample::Stuck => {
                     let held = self.sensor_last.1;
                     self.sensor_stuck_until = Some((t + cfg.stuck_duration, held));
                     self.sensor_last = (t, held);
                     self.obs.registry.incr("faults/telemetry_stuck", 1);
-                    if self.obs.bus.enabled(TraceCategory::Telemetry) {
-                        self.obs
-                            .bus
-                            .record(t, TraceEvent::SensorStuck { held_watts: held });
-                    }
+                    self.obs
+                        .bus
+                        .record(t, TraceEvent::SensorStuck { held_watts: held });
                 }
             }
         }
@@ -1980,15 +1799,13 @@ impl<'p> ClusterSim<'p> {
             if !self.telemetry_stale {
                 self.telemetry_stale = true;
                 self.obs.registry.incr("faults/telemetry_fallbacks", 1);
-                if self.obs.bus.enabled(TraceCategory::Telemetry) {
-                    self.obs.bus.record(
-                        t,
-                        TraceEvent::TelemetryFallback {
-                            engaged: true,
-                            age_secs: age.as_secs(),
-                        },
-                    );
-                }
+                self.obs.bus.record(
+                    t,
+                    TraceEvent::TelemetryFallback {
+                        engaged: true,
+                        age_secs: age.as_secs(),
+                    },
+                );
             }
             self.obs.registry.incr("faults/telemetry_stale_ticks", 1);
             self.obs
@@ -1996,7 +1813,7 @@ impl<'p> ClusterSim<'p> {
                 .observe("telemetry/staleness_age_secs", age.as_secs());
             self.conservative_estimate(&cfg)
         } else {
-            if self.telemetry_stale && self.obs.bus.enabled(TraceCategory::Telemetry) {
+            if self.telemetry_stale {
                 self.obs.bus.record(
                     t,
                     TraceEvent::TelemetryFallback {
@@ -2055,16 +1872,14 @@ impl<'p> ClusterSim<'p> {
 
     /// Records an external control action on the trace (mask-gated).
     fn trace_control(&mut self, t: SimTime, action: &ControlAction, accepted: bool) {
-        if self.obs.bus.enabled(TraceCategory::Control) {
-            self.obs.bus.record(
-                t,
-                TraceEvent::ControlAction {
-                    kind: action.kind(),
-                    value: action.trace_value(),
-                    accepted,
-                },
-            );
-        }
+        self.obs.bus.record(
+            t,
+            TraceEvent::ControlAction {
+                kind: action.kind(),
+                value: action.trace_value(),
+                accepted,
+            },
+        );
     }
 
     /// Sanity bounds for *external* actions. Engineered adapters emit
@@ -2200,10 +2015,10 @@ impl<'p> ClusterSim<'p> {
             queued_node_demand: self.queue.jobs().iter().map(|j| u64::from(j.nodes)).sum(),
             wait_p50_secs,
             wait_p90_secs,
-            free_nodes: self.allocator.free_count() as u32,
-            off_nodes: self.off_count,
-            down_nodes: self.down.iter().filter(|&&d| d).count() as u32,
-            booting_nodes: self.booting,
+            free_nodes: self.nodes.free_count(),
+            off_nodes: self.nodes.off_count(),
+            down_nodes: self.nodes.down_count(),
+            booting_nodes: self.nodes.booting_count(),
             total_nodes: self.system.spec().total_nodes(),
             running_jobs: self.running.len() as u64,
             system_watts,
@@ -2296,15 +2111,13 @@ impl<'p> ClusterSim<'p> {
         cooldown: SimDuration,
     ) {
         self.obs.registry.incr("emergency/breaches", 1);
-        if self.obs.bus.enabled(TraceCategory::Emergency) {
-            self.obs.bus.record(
-                t,
-                TraceEvent::EmergencyBreach {
-                    observed_watts: observed,
-                    limit_watts,
-                },
-            );
-        }
+        self.obs.bus.record(
+            t,
+            TraceEvent::EmergencyBreach {
+                observed_watts: observed,
+                limit_watts,
+            },
+        );
         let mut excess = observed - target_watts;
         // Victim ordering per policy: youngest-first (least sunk cost)
         // or most-powerful-first (fewest kills per watt).
@@ -2331,15 +2144,13 @@ impl<'p> ClusterSim<'p> {
             excess -= shed;
             self.emergency_kills += 1;
             self.obs.registry.incr("emergency/kills", 1);
-            if self.obs.bus.enabled(TraceCategory::Emergency) {
-                self.obs.bus.record(
-                    t,
-                    TraceEvent::EmergencyKill {
-                        job: id.0,
-                        shed_watts: shed,
-                    },
-                );
-            }
+            self.obs.bus.record(
+                t,
+                TraceEvent::EmergencyKill {
+                    job: id.0,
+                    shed_watts: shed,
+                },
+            );
             self.complete(r, t, Departure::Emergency);
         }
         self.start_hold_until = t + cooldown;
@@ -2355,32 +2166,18 @@ impl<'p> ClusterSim<'p> {
         min_idle_reserve: u32,
         shutdown_time: SimDuration,
     ) {
-        let now = t;
         // Keep a reserve of idle nodes for responsiveness. The O(1)
         // tally gates the candidate scan entirely: on the common tick
         // (nothing shuttable) no per-node work runs.
-        let can_shut = self.idle_count().saturating_sub(min_idle_reserve);
+        let can_shut = self.nodes.idle_count().saturating_sub(min_idle_reserve);
         if can_shut == 0 {
             return;
         }
-        let candidates: Vec<NodeId> = self
-            .idle_since
-            .iter()
-            .enumerate()
-            .filter_map(|(i, since)| since.map(|s| (i, s)))
-            .filter(|&(i, since)| {
-                matches!(self.node_state[i], NodePowerState::Idle)
-                    && (now - since) >= idle_threshold
-            })
-            .map(|(i, _)| NodeId(i as u32))
-            .collect();
-        for n in candidates.into_iter().take(can_shut as usize) {
-            if self.allocator.mark_unavailable(n) {
-                self.idle_since[n.index()] = None;
-                self.obs.registry.incr("rm/shutdowns", 1);
-                // Shutdown takes effect after a short drain.
-                self.sim.schedule_at(t + shutdown_time, Ev::ShutdownDone(n));
-            }
+        for n in self.nodes.shutdown_candidates(t, idle_threshold, can_shut) {
+            self.nodes.drain(n);
+            self.obs.registry.incr("rm/shutdowns", 1);
+            // Shutdown takes effect after a short drain.
+            self.sim.schedule_at(t + shutdown_time, Ev::ShutdownDone(n));
         }
     }
 
@@ -2437,8 +2234,8 @@ impl<'p> ClusterSim<'p> {
             };
             let view = SchedView {
                 now,
-                free_nodes: self.allocator.free_count() as u32,
-                off_nodes: self.off_count,
+                free_nodes: self.nodes.free_count(),
+                off_nodes: self.nodes.off_count(),
                 total_nodes: self.system.spec().total_nodes(),
                 running: &self.summaries,
                 power_headroom_watts: headroom,
@@ -2507,26 +2304,16 @@ impl<'p> ClusterSim<'p> {
         let Some(head) = self.queue.head() else {
             return;
         };
-        let free = self.allocator.free_count() as u32;
-        let need = head.nodes.saturating_sub(free + self.booting);
-        if need == 0 || self.off_count == 0 {
+        let need = head
+            .nodes
+            .saturating_sub(self.nodes.free_count() + self.nodes.booting_count());
+        if need == 0 || self.nodes.off_count() == 0 {
             return;
         }
-        // Down nodes are Off too, but they belong to the repair state
-        // machine: booting one would bring it up with a RepairDone still
-        // pending and its downtime accounting live.
-        let off: Vec<NodeId> = self
-            .node_state
-            .iter()
-            .enumerate()
-            .filter(|&(i, s)| matches!(s, NodePowerState::Off) && !self.down[i])
-            .map(|(i, _)| NodeId(i as u32))
-            .take(need as usize)
-            .collect();
         let now = self.sim.now();
-        for n in off {
-            self.set_node_state(n, NodePowerState::Booting, now);
-            self.booting += 1;
+        for n in self.nodes.bootable(need) {
+            self.nodes.boot(n);
+            self.meter_node(n, NodePowerState::Booting, now);
             self.obs.registry.incr("rm/boots", 1);
             self.sim.schedule_in(sd.boot_time, Ev::BootDone(n));
         }
@@ -2535,12 +2322,10 @@ impl<'p> ClusterSim<'p> {
     /// Records a start rejection on the trace (mask-gated, no-op when
     /// scheduler tracing is off).
     fn trace_reject(&mut self, id: JobId, reason: RejectReason) {
-        if self.obs.bus.enabled(TraceCategory::Sched) {
-            self.obs.bus.record(
-                self.sim.now(),
-                TraceEvent::StartRejected { job: id.0, reason },
-            );
-        }
+        self.obs.bus.record(
+            self.sim.now(),
+            TraceEvent::StartRejected { job: id.0, reason },
+        );
     }
 
     fn start_job(
@@ -2571,7 +2356,7 @@ impl<'p> ClusterSim<'p> {
             base_runtime = m.runtime_on(n, job.nodes, job.base_runtime);
             nodes_requested = n;
         }
-        if nodes_requested > self.allocator.free_count() as u32 {
+        if nodes_requested > self.nodes.free_count() {
             self.queue.push(job);
             self.obs.registry.incr("sched/start_insufficient_nodes", 1);
             self.trace_reject(id, RejectReason::InsufficientNodes);
@@ -2656,10 +2441,7 @@ impl<'p> ClusterSim<'p> {
                 .collect()
         });
         let t_alloc = self.obs.profiler.start();
-        let alloc_result = match &affected {
-            Some(excluded) => self.allocator.allocate_excluding(nodes_requested, excluded),
-            None => self.allocator.allocate(nodes_requested),
-        };
+        let alloc_result = self.nodes.allocate(nodes_requested, affected.as_ref());
         self.obs.profiler.stop(Scope::Allocator, t_alloc);
         let nodes = match alloc_result {
             Ok(nodes) => nodes,
@@ -2699,7 +2481,7 @@ impl<'p> ClusterSim<'p> {
                 } else {
                     self.obs.registry.incr("faults/actuator_cap_failures", 1);
                     self.obs.registry.incr("sched/start_actuation_failed", 1);
-                    self.allocator.release(&nodes);
+                    self.nodes.release_unoccupied(&nodes);
                     if let (Some(budget), Some(g)) = (self.budget.as_mut(), grant) {
                         let _ = budget.release_traced(g, now, &mut self.obs.bus);
                     }
@@ -2759,21 +2541,7 @@ impl<'p> ClusterSim<'p> {
         };
 
         let first_watts = phase_watts.first().copied().unwrap_or(watts_per_node);
-        // Bulk Idle→Busy, one slice fill per span: allocated nodes are
-        // free, and free nodes are idle by construction, so the tallies
-        // move once per batch.
-        for &(start, len) in nodes.runs() {
-            let span = start as usize..(start + len) as usize;
-            debug_assert!(
-                self.node_state[span.clone()]
-                    .iter()
-                    .all(|s| matches!(s, NodePowerState::Idle)),
-                "allocated node must be idle"
-            );
-            self.node_state[span.clone()].fill(NodePowerState::Busy);
-            self.idle_since[span].fill(None);
-        }
-        self.busy_count += nodes.len();
+        self.nodes.occupy(&nodes);
         // One allocation group per running job: phase changes retarget
         // the whole allocation in O(1), and closing the group at job end
         // yields the job's energy directly.
@@ -2781,19 +2549,17 @@ impl<'p> ClusterSim<'p> {
         self.obs.registry.incr("jobs/started", 1);
         let wait_secs = (now - job.submit).as_secs();
         self.obs.registry.observe("sched/wait_secs", wait_secs);
-        if self.obs.bus.enabled(TraceCategory::Job) {
-            self.obs.bus.record(
-                now,
-                TraceEvent::JobStarted {
-                    job: job.id.0,
-                    nodes: nodes.len(),
-                    watts_per_node,
-                    wait_secs,
-                    backfilled,
-                    capped_to_fit,
-                },
-            );
-        }
+        self.obs.bus.record(
+            now,
+            TraceEvent::JobStarted {
+                job: job.id.0,
+                nodes: nodes.len(),
+                watts_per_node,
+                wait_secs,
+                backfilled,
+                capped_to_fit,
+            },
+        );
         let attempt = {
             let a = self.attempts.entry(job.id).or_insert(0);
             *a += 1;
@@ -2865,7 +2631,7 @@ impl<'p> ClusterSim<'p> {
         self.arrival_seq += 1;
         self.sim
             .queue_mut()
-            .push_with_seq(job.submit, seq, Ev::Submit(seq as usize));
+            .push_with_seq(job.submit, seq, Ev::Submit);
         self.pending_arrival = Some(job);
     }
 
@@ -2885,20 +2651,7 @@ impl<'p> ClusterSim<'p> {
         self.summary_remove(r.job.id, r.estimated_end);
         let run_secs = (t - r.start).as_secs();
         self.busy_node_seconds += run_secs * f64::from(r.nodes.len());
-        // Bulk Busy→Idle, one slice fill per span: a running job's nodes
-        // are all busy, so the tallies move once per batch.
-        for &(start, len) in r.nodes.runs() {
-            let span = start as usize..(start + len) as usize;
-            debug_assert!(
-                self.node_state[span.clone()]
-                    .iter()
-                    .all(|s| matches!(s, NodePowerState::Busy)),
-                "running job's node must be busy"
-            );
-            self.node_state[span.clone()].fill(NodePowerState::Idle);
-            self.idle_since[span].fill(Some(t));
-        }
-        self.busy_count -= r.nodes.len();
+        self.nodes.vacate(&r.nodes, t);
         let idle_watts = self.power_model.watts(
             NodePowerState::Idle,
             0.0,
@@ -2910,32 +2663,29 @@ impl<'p> ClusterSim<'p> {
         let energy = self
             .meter
             .close_group(r.meter_group, &r.nodes, t, idle_watts);
-        self.allocator.release(&r.nodes);
-        if self.obs.bus.enabled(TraceCategory::Job) {
-            let event = match departure {
-                Departure::Normal if r.killed_at_walltime => TraceEvent::JobKilled {
-                    job: r.job.id.0,
-                    reason: KillReason::Walltime,
-                    run_secs,
-                },
-                Departure::Normal => TraceEvent::JobFinished {
-                    job: r.job.id.0,
-                    run_secs,
-                    energy_joules: energy,
-                },
-                Departure::Emergency => TraceEvent::JobKilled {
-                    job: r.job.id.0,
-                    reason: KillReason::Emergency,
-                    run_secs,
-                },
-                Departure::Failure => TraceEvent::JobKilled {
-                    job: r.job.id.0,
-                    reason: KillReason::Failure,
-                    run_secs,
-                },
-            };
-            self.obs.bus.record(t, event);
-        }
+        let event = match departure {
+            Departure::Normal if r.killed_at_walltime => TraceEvent::JobKilled {
+                job: r.job.id.0,
+                reason: KillReason::Walltime,
+                run_secs,
+            },
+            Departure::Normal => TraceEvent::JobFinished {
+                job: r.job.id.0,
+                run_secs,
+                energy_joules: energy,
+            },
+            Departure::Emergency => TraceEvent::JobKilled {
+                job: r.job.id.0,
+                reason: KillReason::Emergency,
+                run_secs,
+            },
+            Departure::Failure => TraceEvent::JobKilled {
+                job: r.job.id.0,
+                reason: KillReason::Failure,
+                run_secs,
+            },
+        };
+        self.obs.bus.record(t, event);
         if let (Some(budget), Some(g)) = (self.budget.as_mut(), r.grant) {
             let _ = budget.release_traced(g, t, &mut self.obs.bus);
         }
@@ -3002,15 +2752,13 @@ impl<'p> ClusterSim<'p> {
             continuation.moldable = None; // the continuation is rigid
             continuation.submit = t;
             self.obs.registry.incr("jobs/requeued", 1);
-            if self.obs.bus.enabled(TraceCategory::Job) {
-                self.obs.bus.record(
-                    t,
-                    TraceEvent::JobRequeued {
-                        job: r.job.id.0,
-                        remaining_secs: remaining,
-                    },
-                );
-            }
+            self.obs.bus.record(
+                t,
+                TraceEvent::JobRequeued {
+                    job: r.job.id.0,
+                    remaining_secs: remaining,
+                },
+            );
             self.queue.push(continuation);
         }
     }
@@ -3106,12 +2854,8 @@ impl<'p> ClusterSim<'p> {
         let n_completed = self.agg.count;
         // Failure observability: downtime over completed repairs plus
         // nodes still down at the horizon, accrued to the end.
-        let mut node_downtime_secs = self.repair_downtime_secs;
-        let mut nodes_down_at_end = 0u64;
-        for since in self.down_since.iter().flatten() {
-            node_downtime_secs += end.saturating_since(*since).as_secs();
-            nodes_down_at_end += 1;
-        }
+        let node_downtime_secs = self.nodes.downtime_to(end, self.repair_downtime_secs);
+        let nodes_down_at_end = u64::from(self.nodes.down_count());
         let mttr_secs = if self.repairs_completed > 0 {
             self.repair_downtime_secs / self.repairs_completed as f64
         } else {
@@ -3127,6 +2871,7 @@ impl<'p> ClusterSim<'p> {
         let telemetry_fallbacks = self.obs.registry.counter("faults/telemetry_fallbacks");
         let fenced_nodes = self.obs.registry.counter("faults/fenced_nodes");
         let bundle = self.obs.into_bundle();
+        let per_node_failures = self.nodes.into_failure_counts();
         let outcome = SimOutcome {
             policy: self.policy.name().to_owned(),
             completed: n_completed,
@@ -3147,8 +2892,8 @@ impl<'p> ClusterSim<'p> {
             } else {
                 0.0
             },
-            node_failures: self.failure_counts.iter().sum(),
-            per_node_failures: self.failure_counts,
+            node_failures: per_node_failures.iter().sum(),
+            per_node_failures,
             node_downtime_secs,
             mttr_secs,
             requeues,

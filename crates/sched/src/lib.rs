@@ -39,6 +39,7 @@ pub mod governor;
 pub mod intersystem;
 pub mod learn;
 pub mod limiting;
+mod nodes;
 pub mod policies;
 pub mod queue;
 pub mod shutdown;

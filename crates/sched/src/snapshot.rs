@@ -48,8 +48,12 @@ use std::path::Path;
 /// drops the `faults` section's actuation audit log and interaction
 /// ledger and the injector's unused actuator stream, the power budget's
 /// high-water mark and rejection count, and the metrics registry's
-/// gauges.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 9;
+/// gauges; v10 folds the `alloc` section into `nodes` (the node table's
+/// state tags, idle and down timestamps and failure counts, without
+/// length prefixes, then the allocator's spans), drops the per-node
+/// `down` flags, which duplicated `down_since`, and drops the unread
+/// arrival index from `Submit` events.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 10;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///

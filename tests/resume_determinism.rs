@@ -244,7 +244,7 @@ fn previous_schema_frames_are_rejected_with_unsupported_version() {
     // A current payload under each previous schema's version number,
     // checksummed correctly: only the version check can reject it.
     let snap = small_snapshot(3);
-    for old in [5, 6, 7, 8] {
+    for old in [5, 6, 7, 8, 9] {
         let err = try_resume(&reframe(old, &snap.as_bytes()[HEADER_LEN..]), 3).unwrap_err();
         assert!(
             matches!(
@@ -343,8 +343,7 @@ fn push_event(payload: &mut Vec<u8>, tag: u8, arg: u32) {
 /// Removes the staged arrival's Submit event from the queue section of a
 /// 6-hour `chaos_jobs(3)` frame. The staged arrival is the first job, in
 /// submit order, after hour 6; its Submit entry is its submit time, then
-/// its sequence number, wire tag 0 and an arrival index both equal to its
-/// position in that order.
+/// a sequence number equal to its position in that order, then wire tag 0.
 fn drop_submit(payload: &mut Vec<u8>) {
     let mut jobs = chaos_jobs(3);
     jobs.sort_by_key(|j| j.submit);
@@ -356,7 +355,6 @@ fn drop_submit(payload: &mut Vec<u8>) {
     entry.f64(jobs[seq as usize].submit.as_secs());
     entry.u64(seq);
     entry.u8(0);
-    entry.usize(seq as usize);
     let entry = &entry.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
     let at = queue_len_at();
     let len = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
@@ -409,6 +407,29 @@ fn budget_at(payload: &[u8]) -> usize {
         + marker.len()
 }
 
+/// Payload offset of the node table. It opens with one power-state tag
+/// per node (0 off, 1 booting, 2 idle, 3 busy), with no length prefix.
+fn nodes_at(payload: &[u8]) -> usize {
+    let mut marker = SnapWriter::new();
+    marker.section("nodes");
+    let marker = &marker.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
+    payload
+        .windows(marker.len())
+        .position(|w| w == marker)
+        .expect("nodes section present")
+        + marker.len()
+}
+
+/// Rewrites every node's power-state tag `from` to `to`.
+fn retag_nodes(payload: &mut [u8], from: u8, to: u8) {
+    let at = nodes_at(payload);
+    for tag in &mut payload[at..at + NODES as usize] {
+        if *tag == from {
+            *tag = to;
+        }
+    }
+}
+
 /// Payload offset of the grid state, the frame's last section. Its
 /// layout: option tag (1), price cursor (u32), carbon cursor (u32),
 /// active-event option (0 here), per-event excess joules (u64 length and
@@ -429,7 +450,7 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
     // Each frame is well-formed and correctly checksummed, but carries an
     // index, time or pairing that a handler would later use out of range.
     type Edit = fn(&mut Vec<u8>);
-    let cases: [(&str, Edit); 17] = [
+    let cases: [(&str, Edit); 20] = [
         ("boot completion for a node past the machine", |p| {
             push_event(p, 3, NODES)
         }),
@@ -473,10 +494,7 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
             p[at + 1..at + 9].copy_from_slice(&1e9f64.to_le_bytes());
         }),
         ("Submit queued without a staged arrival", |p| {
-            push_entry(p, |w| {
-                w.u8(0);
-                w.usize(1_000_000);
-            })
+            push_entry(p, |w| w.u8(0))
         }),
         ("staged arrival without a queued Submit", drop_submit),
         ("NaN budget total", |p| {
@@ -492,6 +510,9 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
             let first: [u8; 8] = p[b + 17..b + 25].try_into().unwrap();
             p[b + 33..b + 41].copy_from_slice(&first);
         }),
+        ("busy nodes tagged idle", |p| retag_nodes(p, 3, 2)),
+        ("idle nodes tagged off", |p| retag_nodes(p, 2, 0)),
+        ("idle nodes tagged busy", |p| retag_nodes(p, 2, 3)),
     ];
     let mut policy = EasyBackfill;
     let jobs = chaos_jobs(3);
@@ -509,6 +530,12 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
     assert_eq!(payload[b], 1, "budget present");
     let grants = u64::from_le_bytes(payload[b + 9..b + 17].try_into().unwrap());
     assert!(grants >= 2, "{grants} live grants");
+    let at = nodes_at(payload);
+    let tags = &payload[at..at + NODES as usize];
+    assert!(
+        tags.contains(&2) && tags.contains(&3),
+        "idle and busy nodes: {tags:?}"
+    );
     let at = meter_pending_at(payload);
     assert_eq!(payload[at], 1, "the power trace has a pending point");
     let pending = f64::from_le_bytes(payload[at + 1..at + 9].try_into().unwrap());
