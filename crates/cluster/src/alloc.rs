@@ -107,12 +107,6 @@ impl Allocator {
         self.unavailable.len()
     }
 
-    /// The placement strategy in use.
-    #[must_use]
-    pub fn strategy(&self) -> AllocStrategy {
-        self.strategy
-    }
-
     /// True if `node` is currently free.
     #[must_use]
     pub fn is_free(&self, node: NodeId) -> bool {

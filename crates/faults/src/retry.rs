@@ -7,7 +7,7 @@
 //! identical seeds replay identical attempt histories.
 
 use crate::config::ActuatorFaultConfig;
-use epa_obs::{TraceBus, TraceCategory, TraceEvent};
+use epa_obs::{TraceBus, TraceEvent};
 use epa_simcore::rng::SimRng;
 use epa_simcore::time::{SimDuration, SimTime};
 
@@ -64,7 +64,7 @@ pub fn execute_with_retry_traced(
     bus: &mut TraceBus,
 ) -> AttemptReport {
     let report = execute_with_retry(cfg, rng);
-    if (report.attempts > 1 || !report.succeeded) && bus.enabled(TraceCategory::Actuation) {
+    if report.attempts > 1 || !report.succeeded {
         bus.record(
             t,
             TraceEvent::ActuationRetry {

@@ -943,14 +943,6 @@ impl TraceBus {
         self.mask
     }
 
-    /// True when `cat` is being recorded. Hot paths guard on this before
-    /// constructing an event payload.
-    #[inline]
-    #[must_use]
-    pub fn enabled(&self, cat: TraceCategory) -> bool {
-        self.mask.enabled(cat)
-    }
-
     /// Sets the sampling stride for a category: every `stride`-th enabled
     /// event is recorded (0 is treated as 1).
     pub fn set_stride(&mut self, cat: TraceCategory, stride: u32) {

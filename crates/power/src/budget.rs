@@ -13,7 +13,7 @@
 //! callers release grants by killing or throttling jobs.
 
 use crate::error::PowerError;
-use epa_obs::{TraceBus, TraceCategory, TraceEvent};
+use epa_obs::{TraceBus, TraceEvent};
 use epa_simcore::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -158,8 +158,9 @@ impl PowerBudget {
     }
 
     /// [`PowerBudget::request`] with decision tracing: the grant or denial
-    /// is recorded on `bus` (one bitset branch when the `Budget` category
-    /// is masked off). Semantics are identical to the untraced call.
+    /// is recorded on `bus` ([`TraceBus::record`] drops it when the
+    /// `Budget` category is masked off). Semantics are identical to the
+    /// untraced call.
     pub fn request_traced(
         &mut self,
         id: GrantId,
@@ -168,24 +169,22 @@ impl PowerBudget {
         bus: &mut TraceBus,
     ) -> Result<(), PowerError> {
         let result = self.request(id, watts);
-        if bus.enabled(TraceCategory::Budget) {
-            let headroom_watts = self.headroom_watts();
-            bus.record(
-                t,
-                match result {
-                    Ok(()) => TraceEvent::BudgetGrant {
-                        grant: id.0,
-                        watts,
-                        headroom_watts,
-                    },
-                    Err(_) => TraceEvent::BudgetDenied {
-                        grant: id.0,
-                        watts,
-                        headroom_watts,
-                    },
+        let headroom_watts = self.headroom_watts();
+        bus.record(
+            t,
+            match result {
+                Ok(()) => TraceEvent::BudgetGrant {
+                    grant: id.0,
+                    watts,
+                    headroom_watts,
                 },
-            );
-        }
+                Err(_) => TraceEvent::BudgetDenied {
+                    grant: id.0,
+                    watts,
+                    headroom_watts,
+                },
+            },
+        );
         result
     }
 
@@ -199,9 +198,7 @@ impl PowerBudget {
     ) -> Result<f64, PowerError> {
         let result = self.release(id);
         if let Ok(watts) = result {
-            if bus.enabled(TraceCategory::Budget) {
-                bus.record(t, TraceEvent::BudgetRelease { grant: id.0, watts });
-            }
+            bus.record(t, TraceEvent::BudgetRelease { grant: id.0, watts });
         }
         result
     }
@@ -215,15 +212,13 @@ impl PowerBudget {
         bus: &mut TraceBus,
     ) -> Result<(), PowerError> {
         let result = self.resize(new_total_watts);
-        if bus.enabled(TraceCategory::Budget) {
-            bus.record(
-                t,
-                TraceEvent::BudgetResize {
-                    total_watts: new_total_watts,
-                    ok: result.is_ok(),
-                },
-            );
-        }
+        bus.record(
+            t,
+            TraceEvent::BudgetResize {
+                total_watts: new_total_watts,
+                ok: result.is_ok(),
+            },
+        );
         result
     }
 }

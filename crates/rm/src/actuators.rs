@@ -10,7 +10,7 @@
 
 use epa_cluster::node::NodeId;
 use epa_faults::{execute_with_retry_traced, ActuatorFaultConfig};
-use epa_obs::{TraceBus, TraceCategory, TraceEvent};
+use epa_obs::{TraceBus, TraceEvent};
 use epa_simcore::rng::SimRng;
 use epa_simcore::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -129,24 +129,20 @@ impl RetryingActuator {
                 if *count >= self.config.fence_after {
                     self.consecutive_failures.remove(&node.0);
                     report.fence.push(node);
-                    if bus.enabled(TraceCategory::Actuation) {
-                        bus.record(t, TraceEvent::NodeFenced { node: node.0 });
-                    }
+                    bus.record(t, TraceEvent::NodeFenced { node: node.0 });
                 }
             }
         }
-        if bus.enabled(TraceCategory::Actuation) {
-            bus.record(
-                t,
-                TraceEvent::CapWrite {
-                    nodes: nodes.len() as u32,
-                    watts: watts.unwrap_or(0.0),
-                    attempts: report.attempts,
-                    succeeded: report.succeeded,
-                    delay_secs: report.total_delay.as_secs(),
-                },
-            );
-        }
+        bus.record(
+            t,
+            TraceEvent::CapWrite {
+                nodes: nodes.len() as u32,
+                watts: watts.unwrap_or(0.0),
+                attempts: report.attempts,
+                succeeded: report.succeeded,
+                delay_secs: report.total_delay.as_secs(),
+            },
+        );
         report
     }
 }

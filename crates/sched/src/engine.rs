@@ -1,6 +1,6 @@
 //! The cluster scheduling engine.
 //!
-//! [`ClusterSim`] wires every substrate together: the event kernel
+//! [`ClusterSim`] wires every substrate together: the event queue
 //! (`epa-simcore`), the machine model and allocator (`epa-cluster`), the
 //! power models, meter, and budget (`epa-power`), the workload
 //! (`epa-workload`), and prediction (`epa-predict`). A [`Policy`] makes
@@ -21,6 +21,7 @@
 use crate::control::{ActionSource, ControlAction, ControlState, Observation};
 use crate::emergency::{EmergencyPolicy, VictimOrder};
 use crate::error::SchedError;
+use crate::events::{Ev, EventLoop, Next};
 use crate::limiting::JobLimitGate;
 use crate::nodes::NodeTable;
 use crate::queue::JobQueue;
@@ -42,7 +43,6 @@ use epa_power::node_power::{NodePowerModel, NodePowerState};
 use epa_predict::history::HistoryStore;
 use epa_predict::predictors::{PowerPredictor, TagMeanPredictor};
 use epa_rm::actuators::RetryingActuator;
-use epa_simcore::engine::Simulation;
 use epa_simcore::snap::{Fingerprint, SnapReader, SnapWriter, SnapshotError};
 use epa_simcore::time::{SimDuration, SimTime};
 use epa_workload::job::{Job, JobId};
@@ -196,15 +196,6 @@ const QUEUE_DEPTH_BUCKETS: [f64; 9] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128
 const ACTUATION_DELAY_BUCKETS: [f64; 8] = [0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0, 300.0];
 const STALENESS_AGE_BUCKETS: [f64; 6] = [60.0, 120.0, 300.0, 600.0, 1800.0, 3600.0];
 
-/// Sequence-number base for runtime events (power ticks, resizes,
-/// failures). Staged Submit events take sequence numbers 0, 1, 2, … in
-/// arrival order, so at equal timestamps every Submit precedes every
-/// runtime event — exactly the order the engine produced when the whole
-/// workload was pre-scheduled ahead of the runtime events. 2⁴⁰ leaves
-/// room for a trillion arrivals below and 2²⁴ × 2⁴⁰ runtime events
-/// above before the two ranges could meet.
-const RUNTIME_SEQ_BASE: u64 = 1 << 40;
-
 /// Interval between power ticks (telemetry, emergency checks, shutdown
 /// scans).
 fn power_tick() -> SimDuration {
@@ -217,105 +208,6 @@ fn power_tick() -> SimDuration {
 /// series' resample bit-for-bit.
 fn power_trace_grid() -> SimDuration {
     SimDuration::from_mins(5.0)
-}
-
-/// Engine events, delivered in one `(t, seq)` order.
-#[derive(Debug)]
-enum Ev {
-    Submit,
-    /// Job completion for a specific execution attempt: a kill + requeue
-    /// starts a new attempt, and the stale event must not complete it.
-    Finish(JobId, u32),
-    PowerTick,
-    BootDone(NodeId),
-    BudgetResize(f64),
-    NodeFail,
-    RepairDone(NodeId),
-    /// A correlated failure-domain event: index into the pre-generated
-    /// [`FaultPlan`]'s `domain_events`.
-    DomainFail(u32),
-    /// A demand-response curtailment window opens: index into the grid
-    /// config's contract events.
-    GridDrStart(u32),
-    /// The matching curtailment window closes.
-    GridDrEnd(u32),
-    /// A running job enters its `usize`-th phase. Attempt-stamped: a
-    /// kill + requeue since scheduling makes it a no-op.
-    PhaseChange(JobId, u32, usize),
-    /// An idle node finishes its shutdown drain and powers off.
-    ShutdownDone(NodeId),
-}
-
-impl Ev {
-    /// Wire tags are part of the snapshot format: stable, append-only.
-    fn snapshot_into(&self, w: &mut SnapWriter) {
-        match self {
-            Ev::Submit => w.u8(0),
-            Ev::Finish(id, attempt) => {
-                w.u8(1);
-                w.u64(id.0);
-                w.u32(*attempt);
-            }
-            Ev::PowerTick => w.u8(2),
-            Ev::BootDone(n) => {
-                w.u8(3);
-                w.u32(n.0);
-            }
-            Ev::BudgetResize(watts) => {
-                w.u8(4);
-                w.f64(*watts);
-            }
-            Ev::NodeFail => w.u8(5),
-            Ev::RepairDone(n) => {
-                w.u8(6);
-                w.u32(n.0);
-            }
-            Ev::DomainFail(idx) => {
-                w.u8(7);
-                w.u32(*idx);
-            }
-            Ev::GridDrStart(idx) => {
-                w.u8(8);
-                w.u32(*idx);
-            }
-            Ev::GridDrEnd(idx) => {
-                w.u8(9);
-                w.u32(*idx);
-            }
-            Ev::PhaseChange(id, attempt, phase) => {
-                w.u8(10);
-                w.u64(id.0);
-                w.u32(*attempt);
-                w.usize(*phase);
-            }
-            Ev::ShutdownDone(n) => {
-                w.u8(11);
-                w.u32(n.0);
-            }
-        }
-    }
-
-    fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(match r.u8()? {
-            0 => Ev::Submit,
-            1 => Ev::Finish(JobId(r.u64()?), r.u32()?),
-            2 => Ev::PowerTick,
-            3 => Ev::BootDone(NodeId(r.u32()?)),
-            4 => Ev::BudgetResize(r.f64()?),
-            5 => Ev::NodeFail,
-            6 => Ev::RepairDone(NodeId(r.u32()?)),
-            7 => Ev::DomainFail(r.u32()?),
-            8 => Ev::GridDrStart(r.u32()?),
-            9 => Ev::GridDrEnd(r.u32()?),
-            10 => Ev::PhaseChange(JobId(r.u64()?), r.u32()?, r.usize()?),
-            11 => Ev::ShutdownDone(NodeId(r.u32()?)),
-            tag => {
-                return Err(SnapshotError::Corrupt {
-                    detail: format!("unknown engine event tag {tag}"),
-                })
-            }
-        })
-    }
 }
 
 #[derive(Debug, Clone)]
@@ -616,7 +508,8 @@ pub struct ClusterSim<'p> {
     policy: PolicyHolder<'p>,
     predictor: Box<dyn PowerPredictor>,
 
-    sim: Simulation<Ev>,
+    /// The clock, the runtime event queue and the staged arrival.
+    events: EventLoop,
     /// Allocation and the per-node power-state machine.
     nodes: NodeTable,
     meter: EnergyMeter,
@@ -630,20 +523,6 @@ pub struct ClusterSim<'p> {
     /// for a grant's lifetime (`PowerBudget` cannot resize a live grant),
     /// so the snapshot equals the live query.
     summaries: Vec<RunningSummary>,
-    /// Pull-based arrival stream (materialized, lazy SWF, or lazy
-    /// generator). Only one arrival is ever staged ahead of the clock.
-    source: Box<dyn JobSource>,
-    /// The arrival whose Submit event is in the queue, if any.
-    pending_arrival: Option<Job>,
-    /// Sequence number of the next staged Submit event (counts staged
-    /// arrivals; always below [`RUNTIME_SEQ_BASE`]).
-    arrival_seq: u64,
-    /// Submit time of the last pulled arrival, for enforcing the
-    /// [`JobSource`] non-decreasing-submit contract.
-    last_arrival_submit: SimTime,
-    /// No further arrival will be staged: the source is exhausted or
-    /// yielded a past-horizon submit (all later ones are later still).
-    arrivals_exhausted: bool,
     history: HistoryStore,
     completed: Vec<CompletedJob>,
     /// Streaming completion statistics (kept in both retain modes; the
@@ -744,41 +623,22 @@ impl<'p> ClusterSim<'p> {
         let budget = config
             .power_budget_watts
             .map(|w| PowerBudget::new(w).expect("positive budget"));
-        let mut sim = Simulation::with_horizon(config.horizon);
-        // Runtime events number from RUNTIME_SEQ_BASE; staged Submits
-        // take 0, 1, 2, … so every (t, seq) tie resolves as if the
-        // whole workload had been scheduled before this point.
-        sim.queue_mut().set_seq(RUNTIME_SEQ_BASE);
-        let mut source = source;
-        let mut pending_arrival = None;
-        let mut arrival_seq = 0u64;
-        let mut arrivals_exhausted = false;
-        let mut last_arrival_submit = SimTime::ZERO;
-        match source.next_job() {
-            Some(job) if job.submit <= config.horizon => {
-                last_arrival_submit = job.submit;
-                sim.queue_mut()
-                    .push_with_seq(job.submit, arrival_seq, Ev::Submit);
-                arrival_seq += 1;
-                pending_arrival = Some(job);
-            }
-            _ => arrivals_exhausted = true,
-        }
-        sim.schedule_at(SimTime::ZERO, Ev::PowerTick);
+        let mut events = EventLoop::new(config.horizon, source);
+        events.schedule_at(SimTime::ZERO, Ev::PowerTick);
         for &(t, w) in &config.budget_schedule {
-            sim.schedule_at(t, Ev::BudgetResize(w));
+            events.schedule_at(t, Ev::BudgetResize(w));
         }
         // Grid DR windows ride the same event queue as everything else.
         if let Some(g) = &config.grid {
             for (i, ev) in g.contract.events.iter().enumerate() {
-                sim.schedule_at(ev.start, Ev::GridDrStart(i as u32));
-                sim.schedule_at(ev.end, Ev::GridDrEnd(i as u32));
+                events.schedule_at(ev.start, Ev::GridDrStart(i as u32));
+                events.schedule_at(ev.end, Ev::GridDrEnd(i as u32));
             }
         }
         let mut rng = epa_simcore::rng::SimRng::new(config.seed).stream("engine-failures");
         if let Some(mtbf) = config.node_mtbf {
             let first = rng.exponential(1.0 / mtbf.as_secs().max(1e-9));
-            sim.schedule_at(SimTime::from_secs(first), Ev::NodeFail);
+            events.schedule_at(SimTime::from_secs(first), Ev::NodeFail);
         }
         // Correlated failure domains: the whole schedule is a pure
         // function of the fault seed, pre-generated and pre-scheduled so
@@ -787,7 +647,7 @@ impl<'p> ClusterSim<'p> {
             FaultPlan::generate(f, config.horizon, system.spec().cabinets)
         });
         for (i, e) in fault_plan.domain_events.iter().enumerate() {
-            sim.schedule_at(e.t, Ev::DomainFail(i as u32));
+            events.schedule_at(e.t, Ev::DomainFail(i as u32));
         }
         let injector = match &config.faults {
             Some(f) if f.sensor.is_some() => Some(
@@ -823,18 +683,13 @@ impl<'p> ClusterSim<'p> {
             power_model,
             policy,
             predictor: Box::new(TagMeanPredictor),
-            sim,
+            events,
             nodes,
             meter,
             budget,
             queue: JobQueue::new(),
             running: BTreeMap::new(),
             summaries: Vec::new(),
-            source,
-            pending_arrival,
-            arrival_seq,
-            last_arrival_submit,
-            arrivals_exhausted,
             history: HistoryStore::new(),
             completed: Vec::new(),
             agg: CompletionAggregates::default(),
@@ -901,12 +756,6 @@ impl<'p> ClusterSim<'p> {
         self.predictor = p;
     }
 
-    /// Access to the prediction history accumulated during the run.
-    #[must_use]
-    pub fn history(&self) -> &HistoryStore {
-        &self.history
-    }
-
     fn ambient_c(&self, t: SimTime) -> f64 {
         self.config
             .facility
@@ -955,33 +804,39 @@ impl<'p> ClusterSim<'p> {
     /// from then on, so callers may keep stepping safely. Every instant
     /// *between* two `step` calls is a legal snapshot point.
     fn step(&mut self) -> bool {
-        let Some((t, ev)) = self.sim.next_event() else {
+        let Some((t, next)) = self.events.next() else {
             return true;
         };
         let t_dispatch = self.obs.profiler.start();
+        match next {
+            Next::Arrival(job) => self.on_arrival(t, job),
+            Next::Event(ev) => self.on_event(t, ev),
+        }
+        self.obs.profiler.stop(Scope::Dispatch, t_dispatch);
+        false
+    }
+
+    /// A job arrives: it joins the queue and a scheduling round runs.
+    fn on_arrival(&mut self, t: SimTime, job: Job) {
+        let (jid, jnodes) = (job.id.0, job.nodes);
+        self.obs.registry.incr("jobs/submitted", 1);
+        self.queue.push(job);
+        self.obs
+            .registry
+            .observe("sched/queue_depth", self.queue.len() as f64);
+        self.obs.bus.record(
+            t,
+            TraceEvent::JobSubmitted {
+                job: jid,
+                nodes: jnodes,
+                queue_depth: self.queue.len() as u64,
+            },
+        );
+        self.try_schedule();
+    }
+
+    fn on_event(&mut self, t: SimTime, ev: Ev) {
         match ev {
-            Ev::Submit => {
-                let job = self
-                    .pending_arrival
-                    .take()
-                    .expect("a Submit event implies a staged arrival");
-                let (jid, jnodes) = (job.id.0, job.nodes);
-                self.obs.registry.incr("jobs/submitted", 1);
-                self.queue.push(job);
-                self.stage_next_arrival();
-                self.obs
-                    .registry
-                    .observe("sched/queue_depth", self.queue.len() as f64);
-                self.obs.bus.record(
-                    t,
-                    TraceEvent::JobSubmitted {
-                        job: jid,
-                        nodes: jnodes,
-                        queue_depth: self.queue.len() as u64,
-                    },
-                );
-                self.try_schedule();
-            }
             Ev::Finish(id, attempt) => {
                 self.finish_job(id, attempt, t);
                 self.try_schedule();
@@ -1000,7 +855,7 @@ impl<'p> ClusterSim<'p> {
                 }
                 let next = t + power_tick();
                 if next <= self.config.horizon {
-                    self.sim.schedule_at(next, Ev::PowerTick);
+                    self.events.schedule_at(next, Ev::PowerTick);
                 }
             }
             Ev::BootDone(n) => self.bring_up(n, t),
@@ -1020,7 +875,7 @@ impl<'p> ClusterSim<'p> {
                     let gap = self.rng.exponential(1.0 / mtbf.as_secs().max(1e-9));
                     let next = t + SimDuration::from_secs(gap);
                     if next <= self.config.horizon {
-                        self.sim.schedule_at(next, Ev::NodeFail);
+                        self.events.schedule_at(next, Ev::NodeFail);
                     }
                 }
             }
@@ -1082,8 +937,6 @@ impl<'p> ClusterSim<'p> {
                 }
             }
         }
-        self.obs.profiler.stop(Scope::Dispatch, t_dispatch);
-        false
     }
 
     /// A DR curtailment window opens: mark it active in the twin, drop
@@ -1197,7 +1050,7 @@ impl<'p> ClusterSim<'p> {
     /// engine with [`ClusterSim::run`] afterwards finalizes the outcome.
     pub fn advance_until(&mut self, until: SimTime) -> bool {
         loop {
-            if self.sim.peek_time().is_some_and(|t| t > until) {
+            if self.events.peek_time().is_some_and(|t| t > until) {
                 return false;
             }
             if self.step() {
@@ -1209,7 +1062,7 @@ impl<'p> ClusterSim<'p> {
     /// The current simulation time (the time of the last applied event).
     #[must_use]
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.events.now()
     }
 
     /// Fingerprint of everything the snapshot does *not* store but the
@@ -1287,7 +1140,7 @@ impl<'p> ClusterSim<'p> {
             }
         }
         fp.str(self.policy.name());
-        self.source.fingerprint(&mut fp);
+        self.events.source().fingerprint(&mut fp);
         fp.u64(u64::from(self.system.spec().total_nodes()));
         fp.u64(u64::from(self.system.spec().cabinets));
         fp.finish()
@@ -1297,11 +1150,12 @@ impl<'p> ClusterSim<'p> {
     ///
     /// Legal between events — between [`ClusterSim::run_until`] calls,
     /// or before the run starts. Everything mutable is captured: the
-    /// event queue with its sequence counter, RNG stream positions,
-    /// allocator spans, the meter's run index, open allocation groups and
-    /// bounded power trace, the budget ledger, queued and running jobs,
-    /// fault state, the prediction history, metrics, completed-job
-    /// records, and the observability ring. Configuration is *not*
+    /// event queue with its sequence counter, the staged arrival and the
+    /// source cursor, RNG stream positions, allocator spans, the meter's
+    /// run index, open allocation groups and bounded power trace, the
+    /// budget ledger, queued and running jobs, fault state, the
+    /// prediction history, metrics, completed-job records, and the
+    /// observability ring. Configuration is *not*
     /// stored (the caller re-supplies it at [`ClusterSim::resume`]); a
     /// fingerprint guards against mismatches.
     #[must_use]
@@ -1310,15 +1164,10 @@ impl<'p> ClusterSim<'p> {
         w.section("meta");
         w.u64(self.fingerprint());
         w.u32(self.system.spec().total_nodes());
-        w.f64(self.sim.now().as_secs());
-        w.u64(self.sim.events_processed());
+        w.f64(self.events.now().as_secs());
+        w.u64(self.events.processed());
         w.section("sim");
-        w.u64(self.sim.queue().seq());
-        w.seq(&self.sim.queue().sorted_entries(), |w, &(t, seq, ev)| {
-            w.f64(t.as_secs());
-            w.u64(seq);
-            ev.snapshot_into(w);
-        });
+        self.events.snapshot_queue(&mut w);
         w.section("meter");
         self.meter.snapshot_into(&mut w);
         w.section("budget");
@@ -1363,13 +1212,9 @@ impl<'p> ClusterSim<'p> {
         self.history.snapshot_into(&mut w);
         w.section("completed");
         w.seq(&self.completed, |w, c| c.snapshot_into(w));
-        w.section("arrivals");
-        w.u64(self.arrival_seq);
-        w.bool(self.arrivals_exhausted);
-        w.f64(self.last_arrival_submit.as_secs());
-        w.opt(self.pending_arrival.as_ref(), |w, j| j.snapshot_into(w));
         self.agg.snapshot_into(&mut w);
-        self.source.snapshot_cursor(&mut w);
+        w.section("arrivals");
+        self.events.snapshot_arrivals(&mut w);
         w.section("obs");
         self.obs.snapshot_into(&mut w);
         w.section("grid");
@@ -1456,26 +1301,21 @@ impl<'p> ClusterSim<'p> {
         let now = r.time()?;
         let processed = r.u64()?;
         r.section("sim")?;
-        let queue_seq = r.u64()?;
-        let entries = r.seq(|r| {
-            let t = r.time()?;
-            let seq = r.u64()?;
-            let ev = Ev::restore_from(r)?;
-            Ok((t, seq, ev))
-        })?;
-        for (_, _, ev) in &entries {
-            self.check_restored_event(ev, n)?;
-        }
-        let submits = entries
-            .iter()
-            .filter(|(_, _, ev)| matches!(ev, Ev::Submit))
-            .count();
-        self.sim.queue_mut().clear();
-        for (t, seq, ev) in entries {
-            self.sim.queue_mut().push_with_seq(t, seq, ev);
-        }
-        self.sim.queue_mut().set_seq(queue_seq);
-        self.sim.restore_clock(now, processed);
+        // A restored event must not carry an index its handler would use
+        // out of range: a node past the machine, a domain event past the
+        // fault plan, or a DR event past the grid contract.
+        let (domain_events, grid) = (self.fault_plan.domain_events.len(), &self.config.grid);
+        self.events
+            .restore_queue(&mut r, now, processed, |ev| match *ev {
+                Ev::BootDone(node) | Ev::RepairDone(node) | Ev::ShutdownDone(node) => {
+                    node.index() < n
+                }
+                Ev::DomainFail(idx) => (idx as usize) < domain_events,
+                Ev::GridDrStart(idx) | Ev::GridDrEnd(idx) => {
+                    grid.as_ref().is_some_and(|g| g.event(idx).is_some())
+                }
+                _ => true,
+            })?;
         r.section("meter")?;
         self.meter = EnergyMeter::restore_from(&mut r, power_trace_grid(), n as u32)?;
         r.section("budget")?;
@@ -1543,25 +1383,9 @@ impl<'p> ClusterSim<'p> {
         self.history = HistoryStore::restore_from(&mut r)?;
         r.section("completed")?;
         self.completed = r.seq(CompletedJob::restore_from)?;
-        r.section("arrivals")?;
-        self.arrival_seq = r.u64()?;
-        self.arrivals_exhausted = r.bool()?;
-        self.last_arrival_submit = r.time()?;
-        self.pending_arrival = r.opt(Job::restore_from)?;
-        // A Submit event takes the staged arrival, and staging one queues
-        // its Submit: exactly one of each, or neither.
-        let staged = usize::from(self.pending_arrival.is_some());
-        if submits != staged {
-            return Err(SnapshotError::Corrupt {
-                detail: format!("{submits} queued Submit events for {staged} staged arrivals"),
-            });
-        }
         self.agg = CompletionAggregates::restore_from(&mut r)?;
-        // The constructor already pulled the first arrival from the fresh
-        // source; cursor restore is written to tolerate that (absolute
-        // for materialized/generator sources, replay-from-current for
-        // the SWF stream).
-        self.source.restore_cursor(&mut r)?;
+        r.section("arrivals")?;
+        self.events.restore_arrivals(&mut r)?;
         r.section("obs")?;
         let obs = Obs::restore_from(&mut r, self.config.trace.profile)?;
         // The engine observes into the histograms it registered at build;
@@ -1615,29 +1439,6 @@ impl<'p> ClusterSim<'p> {
         Ok(())
     }
 
-    /// Rejects a restored event carrying an index its handler would use
-    /// out of range: a node past the machine, a domain event past the
-    /// fault plan, or a DR event past the grid contract.
-    fn check_restored_event(&self, ev: &Ev, n: usize) -> Result<(), SnapshotError> {
-        let in_range = match *ev {
-            Ev::BootDone(node) | Ev::RepairDone(node) | Ev::ShutdownDone(node) => node.index() < n,
-            Ev::DomainFail(idx) => (idx as usize) < self.fault_plan.domain_events.len(),
-            Ev::GridDrStart(idx) | Ev::GridDrEnd(idx) => self
-                .config
-                .grid
-                .as_ref()
-                .is_some_and(|g| g.event(idx).is_some()),
-            _ => true,
-        };
-        if in_range {
-            Ok(())
-        } else {
-            Err(SnapshotError::Corrupt {
-                detail: format!("queued event {ev:?} is out of range"),
-            })
-        }
-    }
-
     /// Fails one uniformly-chosen operational node: the job running on it
     /// (if any) is killed, the node goes down and is repaired after the
     /// configured repair time.
@@ -1674,7 +1475,7 @@ impl<'p> ClusterSim<'p> {
         // Take the node down (it is free/idle now).
         self.nodes.take_down(victim, t);
         self.meter_node(victim, NodePowerState::Off, t);
-        self.sim.schedule_in(repair, Ev::RepairDone(victim));
+        self.events.schedule_in(repair, Ev::RepairDone(victim));
     }
 
     /// The running job holding `node`, if any: a span lookup over the
@@ -1987,7 +1788,7 @@ impl<'p> ClusterSim<'p> {
     /// Each action is validated, counted, and recorded on the `Control`
     /// trace category.
     pub fn apply_external_actions(&mut self, actions: &[ControlAction]) -> u32 {
-        let now = self.sim.now();
+        let now = self.events.now();
         let mut applied = 0;
         for action in actions {
             if self.apply_action(now, action, ActionSource::External) {
@@ -2002,7 +1803,7 @@ impl<'p> ClusterSim<'p> {
     /// the engine's existing bookkeeping without mutating anything.
     #[must_use]
     pub fn control_observation(&self) -> Observation {
-        let now = self.sim.now();
+        let now = self.events.now();
         let (system_watts, stale) = self.observed_system_watts(now);
         let (wait_p50_secs, wait_p90_secs) = self
             .obs
@@ -2053,7 +1854,7 @@ impl<'p> ClusterSim<'p> {
     /// slowdown mass, and violation time.
     #[must_use]
     pub fn reward_probe(&self) -> RewardProbe {
-        let now = self.sim.now();
+        let now = self.events.now();
         RewardProbe {
             t: now,
             energy_joules: self.meter.system_energy_joules(now),
@@ -2086,7 +1887,7 @@ impl<'p> ClusterSim<'p> {
     /// Gate adapter: re-derives the temperature-conditioned concurrency
     /// cap and writes it through the control plane.
     fn refresh_gate_limit(&mut self) {
-        let now = self.sim.now();
+        let now = self.events.now();
         let limit = match &self.config.limit_gate {
             Some(gate) => gate.limit_at(self.ambient_c(now)),
             None => return,
@@ -2177,7 +1978,8 @@ impl<'p> ClusterSim<'p> {
             self.nodes.drain(n);
             self.obs.registry.incr("rm/shutdowns", 1);
             // Shutdown takes effect after a short drain.
-            self.sim.schedule_at(t + shutdown_time, Ev::ShutdownDone(n));
+            self.events
+                .schedule_at(t + shutdown_time, Ev::ShutdownDone(n));
         }
     }
 
@@ -2189,7 +1991,7 @@ impl<'p> ClusterSim<'p> {
 
     fn try_schedule_inner(&mut self) {
         // Emergency cooldown: after a response, hold new starts.
-        if self.sim.now() < self.start_hold_until {
+        if self.events.now() < self.start_hold_until {
             return;
         }
         // The gate may cap how many jobs can run concurrently: refresh
@@ -2198,7 +2000,7 @@ impl<'p> ClusterSim<'p> {
         if !self.admits_start() {
             return;
         }
-        let now = self.sim.now();
+        let now = self.events.now();
         let headroom = self
             .budget
             .as_ref()
@@ -2310,12 +2112,12 @@ impl<'p> ClusterSim<'p> {
         if need == 0 || self.nodes.off_count() == 0 {
             return;
         }
-        let now = self.sim.now();
+        let now = self.events.now();
         for n in self.nodes.bootable(need) {
             self.nodes.boot(n);
             self.meter_node(n, NodePowerState::Booting, now);
             self.obs.registry.incr("rm/boots", 1);
-            self.sim.schedule_in(sd.boot_time, Ev::BootDone(n));
+            self.events.schedule_in(sd.boot_time, Ev::BootDone(n));
         }
     }
 
@@ -2323,7 +2125,7 @@ impl<'p> ClusterSim<'p> {
     /// scheduler tracing is off).
     fn trace_reject(&mut self, id: JobId, reason: RejectReason) {
         self.obs.bus.record(
-            self.sim.now(),
+            self.events.now(),
             TraceEvent::StartRejected { job: id.0, reason },
         );
     }
@@ -2347,7 +2149,7 @@ impl<'p> ClusterSim<'p> {
             self.trace_reject(id, RejectReason::UnknownJob);
             return false;
         };
-        let now = self.sim.now();
+        let now = self.events.now();
         // Moldable override.
         let mut nodes_requested = job.nodes;
         let mut base_runtime = job.base_runtime;
@@ -2565,12 +2367,12 @@ impl<'p> ClusterSim<'p> {
             *a += 1;
             *a
         };
-        self.sim.schedule_at(end, Ev::Finish(job.id, attempt));
+        self.events.schedule_at(end, Ev::Finish(job.id, attempt));
         // Stage the phase transitions that occur before the job ends.
         for (k, &t_k) in phase_ends.iter().enumerate() {
             let next = k + 1;
             if next < phase_watts.len() && t_k < end {
-                self.sim
+                self.events
                     .schedule_at(t_k, Ev::PhaseChange(job.id, attempt, next));
             }
         }
@@ -2598,41 +2400,6 @@ impl<'p> ClusterSim<'p> {
             },
         );
         true
-    }
-
-    /// Pulls the next arrival from the source and schedules its Submit
-    /// event. Arrivals past the horizon end the stream (the source
-    /// contract guarantees all later ones are past it too), so an
-    /// unbounded generator never runs ahead of the horizon.
-    fn stage_next_arrival(&mut self) {
-        debug_assert!(
-            self.pending_arrival.is_none(),
-            "one staged arrival at a time"
-        );
-        if self.arrivals_exhausted {
-            return;
-        }
-        let Some(job) = self.source.next_job() else {
-            self.arrivals_exhausted = true;
-            return;
-        };
-        assert!(
-            job.submit >= self.last_arrival_submit,
-            "JobSource must yield non-decreasing submit times ({} after {})",
-            job.submit,
-            self.last_arrival_submit,
-        );
-        self.last_arrival_submit = job.submit;
-        if job.submit > self.config.horizon {
-            self.arrivals_exhausted = true;
-            return;
-        }
-        let seq = self.arrival_seq;
-        self.arrival_seq += 1;
-        self.sim
-            .queue_mut()
-            .push_with_seq(job.submit, seq, Ev::Submit);
-        self.pending_arrival = Some(job);
     }
 
     fn finish_job(&mut self, id: JobId, attempt: u32, t: SimTime) {
@@ -2835,7 +2602,7 @@ impl<'p> ClusterSim<'p> {
     }
 
     fn finalize(mut self) -> (SimOutcome, ObsBundle) {
-        let end = self.sim.now().max(self.config.horizon);
+        let end = self.events.now().max(self.config.horizon);
         // Account busy time of still-running jobs up to the horizon.
         let running: Vec<RunningJob> = self.running.values().cloned().collect();
         for r in &running {
@@ -2846,7 +2613,7 @@ impl<'p> ClusterSim<'p> {
         let total_nodes = f64::from(self.system.spec().total_nodes());
         self.obs
             .registry
-            .incr("sim/events_processed", self.sim.events_processed());
+            .incr("sim/events_processed", self.events.processed());
         let energy = self.meter.system_energy_joules(end);
         let peak = self.meter.peak_system_watts(end);
         let avg = self.meter.avg_system_watts(end);
@@ -3056,6 +2823,35 @@ mod tests {
         // so between idle and nominal).
         assert!(c.energy_joules > 4.0 * 90.0 * 3600.0);
         assert!(c.energy_joules < 4.0 * 290.0 * 3600.0 + 1.0);
+    }
+
+    #[test]
+    fn arrival_precedes_an_event_at_the_same_instant() {
+        // A fills the machine and finishes at exactly 1 h, when B arrives:
+        // B's submission must be handled before A's finish.
+        let job = |id, submit| {
+            JobBuilder::new(id)
+                .nodes(8)
+                .runtime(SimDuration::from_hours(1.0))
+                .estimate(SimDuration::from_hours(2.0))
+                .submit(SimTime::from_hours(submit))
+                .build()
+        };
+        let mut policy = Fcfs;
+        let mut config = EngineConfig::new(SimTime::from_hours(4.0));
+        config.trace = TraceConfig::all();
+        let jobs = vec![job(1, 0.0), job(2, 1.0)];
+        let (out, obs) = ClusterSim::new(small_system(8), jobs, &mut policy, config).run_traced();
+        assert_eq!(out.completed, 2);
+        let at = |want: fn(&TraceEvent) -> bool| {
+            let r = obs.trace.iter().find(|r| want(&r.event)).unwrap();
+            (r.t, r.seq)
+        };
+        let submitted = at(|e| matches!(e, TraceEvent::JobSubmitted { job: 2, .. }));
+        let finished = at(|e| matches!(e, TraceEvent::JobFinished { job: 1, .. }));
+        assert_eq!(submitted.0, SimTime::from_hours(1.0));
+        assert_eq!(finished.0, SimTime::from_hours(1.0));
+        assert!(submitted.1 < finished.1, "{submitted:?} vs {finished:?}");
     }
 
     #[test]

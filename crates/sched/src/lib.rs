@@ -35,6 +35,7 @@ pub mod emergency;
 pub mod engine;
 pub mod env;
 pub mod error;
+mod events;
 pub mod governor;
 pub mod intersystem;
 pub mod learn;

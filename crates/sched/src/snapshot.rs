@@ -52,8 +52,14 @@ use std::path::Path;
 /// state tags, idle and down timestamps and failure counts, without
 /// length prefixes, then the allocator's spans), drops the per-node
 /// `down` flags, which duplicated `down_since`, and drops the unread
-/// arrival index from `Submit` events.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 10;
+/// arrival index from `Submit` events; v11 takes arrivals off the event
+/// queue — the `sim` section holds runtime events only (wire tag 0,
+/// `Submit`, is retired), runtime sequence numbers start at 0 rather
+/// than 2⁴⁰, and the `arrivals` section drops its arrival counter,
+/// exhaustion flag and last submit time, keeping the staged arrival and
+/// the source cursor; the completion aggregates move to the end of the
+/// `completed` section.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 11;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///

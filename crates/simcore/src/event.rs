@@ -79,9 +79,8 @@ impl<E> EventQueue<E> {
         self.heap.push(Entry { time, seq, payload });
     }
 
-    /// Inserts an event under a caller-chosen sequence number (staged
-    /// arrivals, snapshot restore). Does not advance the queue's own
-    /// counter.
+    /// Re-inserts a snapshotted event under its saved sequence number
+    /// (snapshot restore only). Does not advance the queue's own counter.
     pub fn push_with_seq(&mut self, time: SimTime, seq: u64, payload: E) {
         self.heap.push(Entry { time, seq, payload });
     }

@@ -1,20 +1,20 @@
-//! # epa-simcore — discrete-event simulation engine
+//! # epa-simcore — discrete-event simulation primitives
 //!
-//! Foundation crate for the EPA JSRM framework: a deterministic
-//! discrete-event simulation kernel plus the numeric utilities every other
-//! crate builds on.
+//! Foundation crate for the EPA JSRM framework: the building blocks of a
+//! deterministic discrete-event simulation plus the numeric utilities
+//! every other crate builds on.
 //!
-//! The design follows the classic event-list pattern: a [`Simulation`]
-//! owns a monotonic clock and a stable priority queue of events; consumers
-//! pop events, advance the clock, and react. Power accounting elsewhere in
-//! the workspace is *piecewise between events*, so correctness of the engine
-//! (ordering, stability, monotonicity) is the base invariant of the whole
-//! reproduction — it is covered by property tests here.
+//! The design follows the classic event-list pattern: a stable priority
+//! queue of timestamped events that a consumer (the scheduling engine's
+//! event loop in `epa-sched`) pops in order, advancing its own monotonic
+//! clock. Power accounting elsewhere in the workspace is *piecewise
+//! between events*, so the queue's ordering and stability are the base
+//! invariant of the whole reproduction — they are covered by property
+//! tests here.
 //!
 //! Modules:
 //! - [`time`] — simulation time and durations (seconds as `f64`, checked).
 //! - [`event`] — stable time-ordered event queue.
-//! - [`engine`] — the [`Simulation`] driver combining clock + queue.
 //! - [`rng`] — seedable, stream-splittable deterministic RNG.
 //! - [`stats`] — exact percentiles (the survey's Q3(e) summary shape).
 //! - [`series`] — time series with piecewise-constant integration.
@@ -22,7 +22,6 @@
 //! - [`snap`] — versioned, checksummed binary snapshot codec (resumable
 //!   runs).
 
-pub mod engine;
 pub mod error;
 pub mod event;
 pub mod fsum;
@@ -32,7 +31,6 @@ pub mod snap;
 pub mod stats;
 pub mod time;
 
-pub use engine::Simulation;
 pub use error::SimError;
 pub use event::EventQueue;
 pub use rng::SimRng;

@@ -244,7 +244,7 @@ fn previous_schema_frames_are_rejected_with_unsupported_version() {
     // A current payload under each previous schema's version number,
     // checksummed correctly: only the version check can reject it.
     let snap = small_snapshot(3);
-    for old in [5, 6, 7, 8, 9] {
+    for old in [5, 6, 7, 8, 9, 10] {
         let err = try_resume(&reframe(old, &snap.as_bytes()[HEADER_LEN..]), 3).unwrap_err();
         assert!(
             matches!(
@@ -321,11 +321,16 @@ fn now_at() -> usize {
 /// Adds one event to the queue section: at hour 6, with a sequence number
 /// no real event uses, and the wire tag and payload `encode` writes.
 fn push_entry(payload: &mut Vec<u8>, encode: impl FnOnce(&mut SnapWriter)) {
+    push_entry_at(payload, SimTime::from_hours(6.0), encode);
+}
+
+/// [`push_entry`] at time `t`.
+fn push_entry_at(payload: &mut Vec<u8>, t: SimTime, encode: impl FnOnce(&mut SnapWriter)) {
     let at = queue_len_at();
     let len = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
     payload[at..at + 8].copy_from_slice(&(len + 1).to_le_bytes());
     let mut entry = SnapWriter::new();
-    entry.f64(SimTime::from_hours(6.0).as_secs());
+    entry.f64(t.as_secs());
     entry.u64(u64::MAX);
     encode(&mut entry);
     let entry = &entry.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
@@ -340,32 +345,29 @@ fn push_event(payload: &mut Vec<u8>, tag: u8, arg: u32) {
     });
 }
 
-/// Removes the staged arrival's Submit event from the queue section of a
-/// 6-hour `chaos_jobs(3)` frame. The staged arrival is the first job, in
-/// submit order, after hour 6; its Submit entry is its submit time, then
-/// a sequence number equal to its position in that order, then wire tag 0.
-fn drop_submit(payload: &mut Vec<u8>) {
+/// Re-encodes the staged arrival of a 6-hour `chaos_jobs(3)` frame with
+/// submit time `submit`. The staged arrival is the first job, in submit
+/// order, after hour 6; the `arrivals` section opens with it.
+fn restage(payload: &mut Vec<u8>, submit: SimTime) {
     let mut jobs = chaos_jobs(3);
     jobs.sort_by_key(|j| j.submit);
-    let seq = jobs
-        .iter()
-        .position(|j| j.submit > SimTime::from_hours(6.0))
-        .expect("an arrival after hour 6") as u64;
-    let mut entry = SnapWriter::new();
-    entry.f64(jobs[seq as usize].submit.as_secs());
-    entry.u64(seq);
-    entry.u8(0);
-    let entry = &entry.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
-    let at = queue_len_at();
-    let len = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
-    payload[at..at + 8].copy_from_slice(&(len - 1).to_le_bytes());
-    let start = at
-        + 8
-        + payload[at + 8..]
-            .windows(entry.len())
-            .position(|w| w == entry)
-            .expect("the staged Submit is queued");
-    payload.drain(start..start + entry.len());
+    let mut job = jobs
+        .into_iter()
+        .find(|j| j.submit > SimTime::from_hours(6.0))
+        .expect("an arrival after hour 6");
+    let encode = |job: &Job| {
+        let mut w = SnapWriter::new();
+        w.section("arrivals");
+        w.opt(Some(job), |w, j| j.snapshot_into(w));
+        w.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..].to_vec()
+    };
+    let staged = encode(&job);
+    let at = payload
+        .windows(staged.len())
+        .position(|w| w == staged)
+        .expect("the arrivals section opens with the staged arrival");
+    job.submit = submit;
+    payload.splice(at..at + staged.len(), encode(&job));
 }
 
 /// Payload offset of the meter's bounded power trace's pending point (an
@@ -450,7 +452,7 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
     // Each frame is well-formed and correctly checksummed, but carries an
     // index, time or pairing that a handler would later use out of range.
     type Edit = fn(&mut Vec<u8>);
-    let cases: [(&str, Edit); 20] = [
+    let cases: [(&str, Edit); 21] = [
         ("boot completion for a node past the machine", |p| {
             push_event(p, 3, NODES)
         }),
@@ -493,10 +495,15 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
             let at = meter_pending_at(p);
             p[at + 1..at + 9].copy_from_slice(&1e9f64.to_le_bytes());
         }),
-        ("Submit queued without a staged arrival", |p| {
-            push_entry(p, |w| w.u8(0))
+        ("power tick queued before the clock", |p| {
+            push_entry_at(p, SimTime::from_hours(1.0), |w| w.u8(2))
         }),
-        ("staged arrival without a queued Submit", drop_submit),
+        ("staged arrival before the clock", |p| {
+            restage(p, SimTime::from_hours(1.0))
+        }),
+        ("staged arrival past the horizon", |p| {
+            restage(p, SimTime::from_days(3.0))
+        }),
         ("NaN budget total", |p| {
             let b = budget_at(p);
             p[b + 1..b + 9].copy_from_slice(&f64::NAN.to_le_bytes());
