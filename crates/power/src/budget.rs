@@ -64,6 +64,11 @@ impl PowerBudget {
         self.grants.get(&id).copied()
     }
 
+    /// The ids holding a live grant, in ascending order.
+    pub fn grant_ids(&self) -> impl Iterator<Item = GrantId> + '_ {
+        self.grants.keys().copied()
+    }
+
     /// Requests `watts` for `id`. Fails without mutation if the headroom is
     /// insufficient or the id already holds a grant.
     pub fn request(&mut self, id: GrantId, watts: f64) -> Result<(), PowerError> {

@@ -599,6 +599,41 @@ impl EnergyMeter {
         Ok(m)
     }
 
+    /// Checks a restored meter against the running jobs, given as each
+    /// job's `(group, node set)`: every open group must belong to exactly
+    /// one job, and its runs must be exactly that job's spans. Anything
+    /// else is [`SnapshotError::Corrupt`] — closing a group that is not
+    /// open, or that another job holds, would panic or meter the wrong
+    /// nodes.
+    pub fn check_groups<'a>(
+        &self,
+        owners: impl IntoIterator<Item = (GroupId, &'a NodeSet)>,
+    ) -> Result<(), SnapshotError> {
+        let corrupt = |detail: String| Err(SnapshotError::Corrupt { detail });
+        let mut owned = vec![false; self.groups.len()];
+        for (gid, nodes) in owners {
+            let g = gid.0 as usize;
+            if !self.groups.get(g).is_some_and(|g| g.in_use)
+                || std::mem::replace(&mut owned[g], true)
+            {
+                return corrupt(format!("group {g} is not open or has two owners"));
+            }
+            let is_run = |&(start, len): &(u32, u32)| {
+                start < self.extent()
+                    && self.heads.contains(start)
+                    && self.runs[start as usize].group == gid.0
+                    && self.runs[start as usize].len == len
+            };
+            if self.groups[g].members != nodes.len() || !nodes.runs().iter().all(is_run) {
+                return corrupt(format!("group {g}'s runs are not its owner's node spans"));
+            }
+        }
+        match (0..owned.len()).find(|&g| self.groups[g].in_use && !owned[g]) {
+            Some(g) => corrupt(format!("open group {g} has no owner")),
+            None => Ok(()),
+        }
+    }
+
     /// Current draw of one node in watts (0 if never recorded). Grouped
     /// nodes report their group's live draw. The per-node reference
     /// proptests check it after every operation.
@@ -805,6 +840,35 @@ mod tests {
         assert_eq!(m.groups.len(), 1);
         let e = m.close_group(g2, &set(&[1, 2]), t(4.0), 0.0);
         assert!((e - 200.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn group_check_wants_each_open_group_owned_once_over_its_spans() {
+        let mut m = meter();
+        m.set_alloc_watts(&(0..8).map(n).collect::<Vec<_>>(), t(0.0), 10.0);
+        let (a, b) = (set(&[0, 1, 4]), set(&[2, 3]));
+        let ga = m.open_group(&a, t(0.0), 100.0);
+        let gb = m.open_group(&b, t(0.0), 100.0);
+        let closed = m.open_group(&set(&[6]), t(0.0), 100.0);
+        m.close_group(closed, &set(&[6]), t(1.0), 10.0);
+        m.check_groups([(ga, &a), (gb, &b)])
+            .expect("one owner each");
+        let other = set(&[0, 1, 5]);
+        let cases = [
+            ("unowned open group", vec![(ga, &a)]),
+            ("two owners", vec![(ga, &a), (gb, &b), (gb, &b)]),
+            ("closed group", vec![(ga, &a), (gb, &b), (closed, &b)]),
+            ("unknown group", vec![(ga, &a), (gb, &b), (GroupId(9), &b)]),
+            ("spans of another set", vec![(ga, &other), (gb, &b)]),
+            ("swapped owners", vec![(ga, &b), (gb, &a)]),
+        ];
+        for (name, owners) in cases {
+            let err = m.check_groups(owners).err();
+            assert!(
+                matches!(err, Some(SnapshotError::Corrupt { .. })),
+                "{name}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -22,12 +22,12 @@ use crate::control::{ActionSource, ControlAction, ControlState, Observation};
 use crate::emergency::{EmergencyPolicy, VictimOrder};
 use crate::error::SchedError;
 use crate::events::{Ev, EventLoop, Next};
+use crate::jobs::{JobTable, RunningJob};
 use crate::limiting::JobLimitGate;
 use crate::nodes::NodeTable;
-use crate::queue::JobQueue;
 use crate::shutdown::ShutdownPolicy;
 use crate::snapshot::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
-use crate::view::{Decision, Policy, RunningSummary, SchedView};
+use crate::view::{Decision, Policy, SchedView};
 use epa_cluster::alloc::AllocStrategy;
 use epa_cluster::layout::FacilityLayout;
 use epa_cluster::node::NodeId;
@@ -38,7 +38,7 @@ use epa_grid::{GridConfig, GridState, GridSummary};
 use epa_obs::{KillReason, Obs, ObsBundle, RejectReason, Scope, TraceConfig, TraceEvent};
 use epa_power::budget::{GrantId, PowerBudget};
 use epa_power::facility::Facility;
-use epa_power::meter::{EnergyMeter, GroupId};
+use epa_power::meter::EnergyMeter;
 use epa_power::node_power::{NodePowerModel, NodePowerState};
 use epa_predict::history::HistoryStore;
 use epa_predict::predictors::{PowerPredictor, TagMeanPredictor};
@@ -48,7 +48,8 @@ use epa_simcore::time::{SimDuration, SimTime};
 use epa_workload::job::{Job, JobId};
 use epa_workload::source::{JobSource, MaterializedSource};
 use serde::Serialize;
-use std::collections::BTreeMap;
+
+pub use crate::jobs::CompletedJob;
 
 /// Engine configuration.
 #[derive(Clone)]
@@ -210,188 +211,6 @@ fn power_trace_grid() -> SimDuration {
     SimDuration::from_mins(5.0)
 }
 
-#[derive(Debug, Clone)]
-struct RunningJob {
-    job: Job,
-    nodes: NodeSet,
-    start: SimTime,
-    /// Scheduler-visible end estimate.
-    estimated_end: SimTime,
-    watts_per_node: f64,
-    killed_at_walltime: bool,
-    grant: Option<GrantId>,
-    /// Base runtime after any moldable override (progress accounting).
-    base_effective: SimDuration,
-    /// Physical runtime the job would take uninterrupted, seconds.
-    true_run_secs: f64,
-    /// Per-node draw in each phase, watts.
-    phase_watts: Vec<f64>,
-    /// The meter's allocation group for this attempt: opened at start,
-    /// stepped O(1) on each phase change, closed at completion (which
-    /// yields the job's energy directly — no per-node walk per phase).
-    meter_group: GroupId,
-}
-
-impl RunningJob {
-    fn snapshot_into(&self, w: &mut SnapWriter) {
-        self.job.snapshot_into(w);
-        self.nodes.snapshot_into(w);
-        w.f64(self.start.as_secs());
-        w.f64(self.estimated_end.as_secs());
-        w.f64(self.watts_per_node);
-        w.bool(self.killed_at_walltime);
-        w.opt(self.grant.as_ref(), |w, g| w.u64(g.0));
-        w.f64(self.base_effective.as_secs());
-        w.f64(self.true_run_secs);
-        w.seq(&self.phase_watts, |w, &p| w.f64(p));
-        w.u32(self.meter_group.raw());
-    }
-
-    /// Decodes a running job on a `total`-node machine; its node spans
-    /// must be canonical and in range (typed `Corrupt` otherwise).
-    fn restore_from(r: &mut SnapReader<'_>, total: u32) -> Result<Self, SnapshotError> {
-        Ok(RunningJob {
-            job: Job::restore_from(r)?,
-            nodes: NodeSet::restore_from(r, total)?,
-            start: r.time()?,
-            estimated_end: r.time()?,
-            watts_per_node: r.f64()?,
-            killed_at_walltime: r.bool()?,
-            grant: r.opt(|r| Ok(GrantId(r.u64()?)))?,
-            base_effective: r.duration()?,
-            true_run_secs: r.f64()?,
-            phase_watts: r.seq(SnapReader::f64)?,
-            meter_group: GroupId::from_raw(r.u32()?),
-        })
-    }
-}
-
-/// Completed-job record for metrics.
-#[derive(Debug, Clone, Serialize)]
-pub struct CompletedJob {
-    /// Job id.
-    pub id: JobId,
-    /// Nodes used.
-    pub nodes: u32,
-    /// Submit → start wait.
-    pub wait_secs: f64,
-    /// Actual execution time.
-    pub run_secs: f64,
-    /// Energy consumed by the job's nodes during execution, joules.
-    pub energy_joules: f64,
-    /// True when the job hit its walltime limit.
-    pub killed_at_walltime: bool,
-    /// True when the job was killed by the emergency policy.
-    pub killed_by_emergency: bool,
-    /// True when the job was killed by a node failure.
-    pub killed_by_failure: bool,
-    /// The node ids the job ran on.
-    pub node_ids: Vec<u32>,
-    /// Start time of the execution, seconds.
-    pub start_secs: f64,
-}
-
-impl CompletedJob {
-    fn snapshot_into(&self, w: &mut SnapWriter) {
-        w.u64(self.id.0);
-        w.u32(self.nodes);
-        w.f64(self.wait_secs);
-        w.f64(self.run_secs);
-        w.f64(self.energy_joules);
-        w.bool(self.killed_at_walltime);
-        w.bool(self.killed_by_emergency);
-        w.bool(self.killed_by_failure);
-        w.seq(&self.node_ids, |w, &n| w.u32(n));
-        w.f64(self.start_secs);
-    }
-
-    fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(CompletedJob {
-            id: JobId(r.u64()?),
-            nodes: r.u32()?,
-            wait_secs: r.f64()?,
-            run_secs: r.f64()?,
-            energy_joules: r.f64()?,
-            killed_at_walltime: r.bool()?,
-            killed_by_emergency: r.bool()?,
-            killed_by_failure: r.bool()?,
-            node_ids: r.seq(SnapReader::u32)?,
-            start_secs: r.f64()?,
-        })
-    }
-}
-
-/// Streaming completion accounting: every [`CompletedJob`] folds into
-/// these as it finishes, in completion order, so the outcome's wait /
-/// slowdown / kill statistics never need the retained record list. The
-/// folds replicate the retained path bit-for-bit: `wait_sum` is the
-/// same left-to-right f64 sum `Percentiles::summary` computes for its
-/// mean, and `wait_max` the same max over non-negative samples.
-#[derive(Debug, Clone, Copy, Default)]
-struct CompletionAggregates {
-    count: u64,
-    wait_sum: f64,
-    wait_max: f64,
-    slowdown_sum: f64,
-    walltime_kills: u64,
-}
-
-impl CompletionAggregates {
-    fn fold(&mut self, c: &CompletedJob) {
-        self.count += 1;
-        self.wait_sum += c.wait_secs;
-        self.wait_max = self.wait_max.max(c.wait_secs);
-        let denom = c.run_secs.max(10.0);
-        self.slowdown_sum += ((c.wait_secs + c.run_secs) / denom).max(1.0);
-        self.walltime_kills += u64::from(c.killed_at_walltime);
-    }
-
-    fn mean_wait(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.wait_sum / self.count as f64
-        }
-    }
-
-    fn mean_slowdown(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.slowdown_sum / self.count as f64
-        }
-    }
-
-    fn snapshot_into(&self, w: &mut SnapWriter) {
-        w.u64(self.count);
-        w.f64(self.wait_sum);
-        w.f64(self.wait_max);
-        w.f64(self.slowdown_sum);
-        w.u64(self.walltime_kills);
-    }
-
-    fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(CompletionAggregates {
-            count: r.u64()?,
-            wait_sum: r.f64()?,
-            wait_max: r.f64()?,
-            slowdown_sum: r.f64()?,
-            walltime_kills: r.u64()?,
-        })
-    }
-}
-
-/// Why a job left the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Departure {
-    /// Ran to its natural end (or walltime limit).
-    Normal,
-    /// Killed by the emergency power response.
-    Emergency,
-    /// Killed by a node failure.
-    Failure,
-}
-
 /// Aggregated results of one simulation run.
 #[derive(Debug, Clone, Serialize)]
 pub struct SimOutcome {
@@ -455,30 +274,6 @@ pub struct SimOutcome {
     pub power_trace: Vec<(f64, f64)>,
 }
 
-/// The scheduling policy, borrowed (the classic constructors) or owned
-/// (the [`crate::env::PolicyEnv`] constructors, which need a `'static`
-/// engine they can hold across decision steps).
-enum PolicyHolder<'p> {
-    Borrowed(&'p mut dyn Policy),
-    Owned(Box<dyn Policy>),
-}
-
-impl PolicyHolder<'_> {
-    fn name(&self) -> &str {
-        match self {
-            PolicyHolder::Borrowed(p) => p.name(),
-            PolicyHolder::Owned(p) => p.name(),
-        }
-    }
-
-    fn schedule(&mut self, view: &SchedView<'_>, queue: &[Job]) -> Vec<Decision> {
-        match self {
-            PolicyHolder::Borrowed(p) => p.schedule(view, queue),
-            PolicyHolder::Owned(p) => p.schedule(view, queue),
-        }
-    }
-}
-
 /// A point-in-time reading of the cumulative quantities the environment
 /// reward is computed from ([`ClusterSim::reward_probe`]). Differences
 /// between two probes give the per-interval energy, slowdown mass,
@@ -505,7 +300,10 @@ pub struct ClusterSim<'p> {
     config: EngineConfig,
     system: System,
     power_model: NodePowerModel,
-    policy: PolicyHolder<'p>,
+    /// The scheduling policy, borrowed (the classic constructors) or owned
+    /// (the [`crate::env::PolicyEnv`] constructors, which need a `'static`
+    /// engine they can hold across decision steps).
+    policy: Box<dyn Policy + 'p>,
     predictor: Box<dyn PowerPredictor>,
 
     /// The clock, the runtime event queue and the staged arrival.
@@ -514,26 +312,12 @@ pub struct ClusterSim<'p> {
     nodes: NodeTable,
     meter: EnergyMeter,
     budget: Option<PowerBudget>,
-    queue: JobQueue,
-    running: BTreeMap<JobId, RunningJob>,
-    /// Running-job summaries kept sorted by `(estimated_end, id)` —
-    /// exactly the order `SchedView` promises — and updated on job
-    /// start/completion instead of rebuilt and re-sorted per decision.
-    /// `granted_watts` is snapshotted at start: grant amounts are fixed
-    /// for a grant's lifetime (`PowerBudget` cannot resize a live grant),
-    /// so the snapshot equals the live query.
-    summaries: Vec<RunningSummary>,
+    /// Queued, running and departed jobs.
+    jobs: JobTable,
     history: HistoryStore,
-    completed: Vec<CompletedJob>,
-    /// Streaming completion statistics (kept in both retain modes; the
-    /// only source of the outcome's wait/slowdown/kill numbers).
-    agg: CompletionAggregates,
-    emergency_kills: u64,
-    busy_node_seconds: f64,
     violation_accum_secs: f64,
     last_tick: SimTime,
     rng: epa_simcore::rng::SimRng,
-    attempts: BTreeMap<JobId, u32>,
     /// No new starts before this instant (emergency cooldown).
     start_hold_until: SimTime,
     /// A cooldown is in effect; the first tick past it must reschedule.
@@ -609,13 +393,13 @@ impl<'p> ClusterSim<'p> {
         policy: &'p mut dyn Policy,
         config: EngineConfig,
     ) -> Result<Self, SchedError> {
-        Self::build(system, source, PolicyHolder::Borrowed(policy), config)
+        Self::build(system, source, Box::new(policy), config)
     }
 
     fn build(
         system: System,
         source: Box<dyn JobSource>,
-        policy: PolicyHolder<'p>,
+        policy: Box<dyn Policy + 'p>,
         config: EngineConfig,
     ) -> Result<Self, SchedError> {
         config.validate()?;
@@ -677,6 +461,7 @@ impl<'p> ClusterSim<'p> {
         let grid_state = config.grid.as_ref().map(GridState::new);
         let total = system.spec().total_nodes();
         let nodes = NodeTable::new(total, config.alloc_strategy, system.topology().clone());
+        let jobs = JobTable::new(config.retain_completed);
         Ok(ClusterSim {
             config,
             system,
@@ -687,18 +472,11 @@ impl<'p> ClusterSim<'p> {
             nodes,
             meter,
             budget,
-            queue: JobQueue::new(),
-            running: BTreeMap::new(),
-            summaries: Vec::new(),
+            jobs,
             history: HistoryStore::new(),
-            completed: Vec::new(),
-            agg: CompletionAggregates::default(),
-            emergency_kills: 0,
-            busy_node_seconds: 0.0,
             violation_accum_secs: 0.0,
             last_tick: SimTime::ZERO,
             rng,
-            attempts: BTreeMap::new(),
             start_hold_until: SimTime::ZERO,
             hold_resume_pending: false,
             fault_plan,
@@ -728,7 +506,7 @@ impl<'p> ClusterSim<'p> {
         ClusterSim::build(
             system,
             Box::new(MaterializedSource::new(jobs)),
-            PolicyHolder::Owned(policy),
+            policy,
             config,
         )
     }
@@ -820,16 +598,15 @@ impl<'p> ClusterSim<'p> {
     fn on_arrival(&mut self, t: SimTime, job: Job) {
         let (jid, jnodes) = (job.id.0, job.nodes);
         self.obs.registry.incr("jobs/submitted", 1);
-        self.queue.push(job);
-        self.obs
-            .registry
-            .observe("sched/queue_depth", self.queue.len() as f64);
+        self.jobs.queue(job);
+        let depth = self.jobs.queued().len();
+        self.obs.registry.observe("sched/queue_depth", depth as f64);
         self.obs.bus.record(
             t,
             TraceEvent::JobSubmitted {
                 job: jid,
                 nodes: jnodes,
-                queue_depth: self.queue.len() as u64,
+                queue_depth: depth as u64,
             },
         );
         self.try_schedule();
@@ -837,8 +614,10 @@ impl<'p> ClusterSim<'p> {
 
     fn on_event(&mut self, t: SimTime, ev: Ev) {
         match ev {
-            Ev::Finish(id, attempt) => {
-                self.finish_job(id, attempt, t);
+            Ev::Finish(id, token) => {
+                if let Some(r) = self.jobs.take(id, token) {
+                    self.complete(r, t, None);
+                }
                 self.try_schedule();
             }
             Ev::PowerTick => {
@@ -848,8 +627,8 @@ impl<'p> ClusterSim<'p> {
                 // The tick after an emergency cooldown expires resumes
                 // scheduling (a full heartbeat on *every* tick would be
                 // quadratic with conservative backfilling's planning).
-                if self.hold_resume_pending && t >= self.start_hold_until && !self.queue.is_empty()
-                {
+                let waiting = !self.jobs.queued().is_empty();
+                if self.hold_resume_pending && t >= self.start_hold_until && waiting {
                     self.hold_resume_pending = false;
                     self.try_schedule();
                 }
@@ -921,13 +700,11 @@ impl<'p> ClusterSim<'p> {
                 self.on_grid_dr_end(t, idx);
                 self.try_schedule();
             }
-            Ev::PhaseChange(id, attempt, phase) => {
-                if self.attempts.get(&id).copied() == Some(attempt) {
-                    if let Some(r) = self.running.get(&id) {
-                        if let Some(&watts) = r.phase_watts.get(phase) {
-                            self.meter.set_group_watts(r.meter_group, t, watts);
-                            self.obs.registry.incr("jobs/phase_changes", 1);
-                        }
+            Ev::PhaseChange(id, token, phase) => {
+                if let Some(r) = self.jobs.started(id, token) {
+                    if let Some(&watts) = r.phase_watts.get(phase) {
+                        self.meter.set_group_watts(r.meter_group, t, watts);
+                        self.obs.registry.incr("jobs/phase_changes", 1);
                     }
                 }
             }
@@ -1172,26 +949,16 @@ impl<'p> ClusterSim<'p> {
         self.meter.snapshot_into(&mut w);
         w.section("budget");
         w.opt(self.budget.as_ref(), |w, b| b.snapshot_into(w));
-        w.section("queue");
-        w.seq(self.queue.jobs(), |w, j| j.snapshot_into(w));
-        w.section("running");
-        let running: Vec<&RunningJob> = self.running.values().collect();
-        w.seq(&running, |w, r| r.snapshot_into(w));
+        w.section("jobs");
+        self.jobs.snapshot_into(&mut w);
         w.section("nodes");
         self.nodes.snapshot_into(&mut w);
         w.section("engine");
-        w.u64(self.emergency_kills);
-        w.f64(self.busy_node_seconds);
         w.f64(self.violation_accum_secs);
         w.f64(self.last_tick.as_secs());
         let (seed, pos) = self.rng.snapshot_state();
         w.u64(seed);
         w.u64(pos);
-        let attempts: Vec<(JobId, u32)> = self.attempts.iter().map(|(&k, &v)| (k, v)).collect();
-        w.seq(&attempts, |w, &(id, a)| {
-            w.u64(id.0);
-            w.u32(a);
-        });
         w.f64(self.start_hold_until.as_secs());
         w.bool(self.hold_resume_pending);
         w.f64(self.sensor_last.0.as_secs());
@@ -1210,9 +977,6 @@ impl<'p> ClusterSim<'p> {
         w.opt(self.actuator.as_ref(), |w, a| a.snapshot_into(w));
         w.section("history");
         self.history.snapshot_into(&mut w);
-        w.section("completed");
-        w.seq(&self.completed, |w, c| c.snapshot_into(w));
-        self.agg.snapshot_into(&mut w);
         w.section("arrivals");
         self.events.snapshot_arrivals(&mut w);
         w.section("obs");
@@ -1326,28 +1090,18 @@ impl<'p> ClusterSim<'p> {
             });
         }
         self.budget = budget;
-        r.section("queue")?;
-        let queued = r.seq(Job::restore_from)?;
-        self.queue = JobQueue::new();
-        for job in queued {
-            self.queue.push(job);
-        }
-        r.section("running")?;
-        let running = r.seq(|r| RunningJob::restore_from(r, n as u32))?;
-        self.running = running.into_iter().map(|rj| (rj.job.id, rj)).collect();
+        r.section("jobs")?;
+        let (retain, budget) = (self.config.retain_completed, self.budget.as_ref());
+        self.jobs = JobTable::restore_from(&mut r, total, now, retain, budget, &self.meter)?;
         r.section("nodes")?;
         let (strategy, topology) = (self.config.alloc_strategy, self.system.topology().clone());
-        let claims = self.running.values().map(|rj| &rj.nodes);
+        let claims = self.jobs.running().map(|rj| &rj.nodes);
         self.nodes = NodeTable::restore_from(&mut r, total, strategy, topology, now, claims)?;
         r.section("engine")?;
-        self.emergency_kills = r.u64()?;
-        self.busy_node_seconds = r.f64()?;
         self.violation_accum_secs = r.f64()?;
         self.last_tick = r.time()?;
         let (seed, pos) = (r.u64()?, r.u64()?);
         self.rng = epa_simcore::rng::SimRng::from_state(seed, pos);
-        let attempts = r.seq(|r| Ok((JobId(r.u64()?), r.u32()?)))?;
-        self.attempts = attempts.into_iter().collect();
         self.start_hold_until = r.time()?;
         self.hold_resume_pending = r.bool()?;
         self.sensor_last = (r.time()?, r.f64()?);
@@ -1381,9 +1135,6 @@ impl<'p> ClusterSim<'p> {
         })?;
         r.section("history")?;
         self.history = HistoryStore::restore_from(&mut r)?;
-        r.section("completed")?;
-        self.completed = r.seq(CompletedJob::restore_from)?;
-        self.agg = CompletionAggregates::restore_from(&mut r)?;
         r.section("arrivals")?;
         self.events.restore_arrivals(&mut r)?;
         r.section("obs")?;
@@ -1418,25 +1169,7 @@ impl<'p> ClusterSim<'p> {
             });
         }
         self.grid = grid;
-        r.finish()?;
-
-        // Rebuild derived structures from the restored primaries.
-        self.summaries = self
-            .running
-            .values()
-            .map(|rj| RunningSummary {
-                id: rj.job.id,
-                nodes: rj.nodes.len(),
-                estimated_end: rj.estimated_end,
-                watts: rj.watts_per_node * f64::from(rj.nodes.len()),
-                granted_watts: rj
-                    .grant
-                    .and_then(|g| self.budget.as_ref().and_then(|b| b.grant_watts(g))),
-            })
-            .collect();
-        self.summaries
-            .sort_unstable_by_key(|s| (s.estimated_end, s.id));
-        Ok(())
+        r.finish()
     }
 
     /// Fails one uniformly-chosen operational node: the job running on it
@@ -1468,25 +1201,13 @@ impl<'p> ClusterSim<'p> {
     fn take_node_down(&mut self, victim: NodeId, t: SimTime, repair: SimDuration) {
         self.obs.registry.incr("rm/failures", 1);
         // Kill the job occupying the node, if any.
-        if let Some(id) = self.owner_of(victim) {
-            let r = self.running.remove(&id).expect("holder is running");
-            self.complete(r, t, Departure::Failure);
+        if let Some(r) = self.jobs.take_holder(victim) {
+            self.complete(r, t, Some(KillReason::Failure));
         }
         // Take the node down (it is free/idle now).
         self.nodes.take_down(victim, t);
         self.meter_node(victim, NodePowerState::Off, t);
         self.events.schedule_in(repair, Ev::RepairDone(victim));
-    }
-
-    /// The running job holding `node`, if any: a span lookup over the
-    /// running jobs, O(running · log spans). Only failures and fencing
-    /// ask, so no per-node owner index is kept up to date on every start
-    /// and finish.
-    fn owner_of(&self, node: NodeId) -> Option<JobId> {
-        self.running
-            .iter()
-            .find(|(_, r)| r.nodes.contains(node))
-            .map(|(&id, _)| id)
     }
 
     /// Meters `node` at its draw in `state`, after its node-table
@@ -1505,29 +1226,6 @@ impl<'p> ClusterSim<'p> {
         self.try_schedule();
     }
 
-    /// Inserts a summary at its sorted position. The `(estimated_end, id)`
-    /// key reproduces the old rebuild exactly: a stable sort by
-    /// `estimated_end` over jobs iterated in id order ties by id.
-    fn summary_insert(&mut self, s: RunningSummary) {
-        let key = (s.estimated_end, s.id);
-        let pos = self
-            .summaries
-            .partition_point(|x| (x.estimated_end, x.id) < key);
-        self.summaries.insert(pos, s);
-    }
-
-    /// Removes the summary for `id` (binary search on its sort key).
-    fn summary_remove(&mut self, id: JobId, estimated_end: SimTime) {
-        let pos = self
-            .summaries
-            .partition_point(|x| (x.estimated_end, x.id) < (estimated_end, id));
-        debug_assert!(
-            self.summaries.get(pos).is_some_and(|s| s.id == id),
-            "summary for {id:?} must exist at its sort position"
-        );
-        self.summaries.remove(pos);
-    }
-
     /// Conservative static power estimate used while telemetry is stale:
     /// busy nodes at nameplate peak, every other powered node at idle,
     /// plus the configured safety margin. Deliberately pessimistic — the
@@ -1537,7 +1235,7 @@ impl<'p> ClusterSim<'p> {
         let busy = self.nodes.busy_count();
         debug_assert_eq!(
             busy,
-            self.summaries.iter().map(|s| s.nodes).sum::<u32>(),
+            self.jobs.summaries().iter().map(|s| s.nodes).sum::<u32>(),
             "busy tally must match the running-summary scan"
         );
         let on_others = self
@@ -1812,8 +1510,8 @@ impl<'p> ClusterSim<'p> {
             .map_or((0.0, 0.0), |h| (h.quantile(0.5), h.quantile(0.9)));
         Observation {
             t: now,
-            queue_depth: self.queue.len() as u64,
-            queued_node_demand: self.queue.jobs().iter().map(|j| u64::from(j.nodes)).sum(),
+            queue_depth: self.jobs.queued().len() as u64,
+            queued_node_demand: self.jobs.queued().iter().map(|j| u64::from(j.nodes)).sum(),
             wait_p50_secs,
             wait_p90_secs,
             free_nodes: self.nodes.free_count(),
@@ -1821,7 +1519,7 @@ impl<'p> ClusterSim<'p> {
             down_nodes: self.nodes.down_count(),
             booting_nodes: self.nodes.booting_count(),
             total_nodes: self.system.spec().total_nodes(),
-            running_jobs: self.running.len() as u64,
+            running_jobs: self.jobs.running_count() as u64,
             system_watts,
             budget_watts: self
                 .budget
@@ -1855,13 +1553,14 @@ impl<'p> ClusterSim<'p> {
     #[must_use]
     pub fn reward_probe(&self) -> RewardProbe {
         let now = self.events.now();
+        let agg = self.jobs.aggregates();
         RewardProbe {
             t: now,
             energy_joules: self.meter.system_energy_joules(now),
-            completed: self.agg.count,
-            slowdown_sum: self.agg.slowdown_sum,
+            completed: agg.count,
+            slowdown_sum: agg.slowdown_sum,
             violation_secs: self.violation_accum_secs,
-            emergency_kills: self.emergency_kills,
+            emergency_kills: agg.emergency_kills,
         }
     }
 
@@ -1881,7 +1580,7 @@ impl<'p> ClusterSim<'p> {
     fn admits_start(&self) -> bool {
         self.control
             .job_limit
-            .is_none_or(|l| self.running.len() < l)
+            .is_none_or(|l| self.jobs.running_count() < l)
     }
 
     /// Gate adapter: re-derives the temperature-conditioned concurrency
@@ -1922,28 +1621,25 @@ impl<'p> ClusterSim<'p> {
         let mut excess = observed - target_watts;
         // Victim ordering per policy: youngest-first (least sunk cost)
         // or most-powerful-first (fewest kills per watt).
-        let mut victims: Vec<JobId> = self.running.keys().copied().collect();
+        let mut victims: Vec<&RunningJob> = self.jobs.running().collect();
         match victim_order {
             VictimOrder::Youngest => {
-                victims.sort_by_key(|id| {
-                    std::cmp::Reverse(self.running[id].start.as_secs().to_bits())
-                });
+                victims.sort_by_key(|r| std::cmp::Reverse(r.start.as_secs().to_bits()));
             }
             VictimOrder::MostPowerful => {
-                victims.sort_by_key(|id| {
-                    let r = &self.running[id];
+                victims.sort_by_key(|r| {
                     std::cmp::Reverse(((r.watts_per_node * f64::from(r.nodes.len())) * 1e3) as u64)
                 });
             }
         }
-        for id in victims {
+        let victims: Vec<(JobId, u32)> = victims.iter().map(|r| (r.job.id, r.token)).collect();
+        for (id, token) in victims {
             if excess <= 0.0 {
                 break;
             }
-            let r = self.running.remove(&id).expect("victim is running");
+            let r = self.jobs.take(id, token).expect("victim is running");
             let shed = r.watts_per_node * f64::from(r.nodes.len());
             excess -= shed;
-            self.emergency_kills += 1;
             self.obs.registry.incr("emergency/kills", 1);
             self.obs.bus.record(
                 t,
@@ -1952,7 +1648,7 @@ impl<'p> ClusterSim<'p> {
                     shed_watts: shed,
                 },
             );
-            self.complete(r, t, Departure::Emergency);
+            self.complete(r, t, Some(KillReason::Emergency));
         }
         self.start_hold_until = t + cooldown;
         self.hold_resume_pending = !cooldown.is_zero();
@@ -2039,7 +1735,7 @@ impl<'p> ClusterSim<'p> {
                 free_nodes: self.nodes.free_count(),
                 off_nodes: self.nodes.off_count(),
                 total_nodes: self.system.spec().total_nodes(),
-                running: &self.summaries,
+                running: self.jobs.summaries(),
                 power_headroom_watts: headroom,
                 power_budget_watts: budget_total,
                 system_watts: observed_watts,
@@ -2050,7 +1746,7 @@ impl<'p> ClusterSim<'p> {
             // Backfill-depth knob: cap how far into the queue the policy
             // may look. `None` hands the policy the full queue, the
             // pre-refactor behaviour.
-            let queue = self.queue.jobs();
+            let queue = self.jobs.queued();
             let queue = match self.control.backfill_depth {
                 Some(d) => &queue[..queue.len().min(d as usize)],
                 None => queue,
@@ -2103,7 +1799,7 @@ impl<'p> ClusterSim<'p> {
         let Some(sd) = self.effective_shutdown().cloned() else {
             return;
         };
-        let Some(head) = self.queue.head() else {
+        let Some(head) = self.jobs.queued().first() else {
             return;
         };
         let need = head
@@ -2143,8 +1839,10 @@ impl<'p> ClusterSim<'p> {
         let freq_ghz = freq_ghz.or(self.control.default_freq_ghz);
         // A start for a job that is not at the head of the queue is a
         // backfill decision (recorded on the trace, not used otherwise).
-        let backfilled = self.queue.head().is_some_and(|h| h.id != id);
-        let Some(job) = self.queue.remove(id) else {
+        let backfilled = self.jobs.queued().first().is_some_and(|h| h.id != id);
+        // The job stays queued until the start commits, so a rejection
+        // leaves the queue as it was.
+        let Some(job) = self.jobs.queued().iter().find(|j| j.id == id) else {
             self.obs.registry.incr("sched/start_unknown_job", 1);
             self.trace_reject(id, RejectReason::UnknownJob);
             return false;
@@ -2159,7 +1857,6 @@ impl<'p> ClusterSim<'p> {
             nodes_requested = n;
         }
         if nodes_requested > self.nodes.free_count() {
-            self.queue.push(job);
             self.obs.registry.incr("sched/start_insufficient_nodes", 1);
             self.trace_reject(id, RejectReason::InsufficientNodes);
             return false;
@@ -2222,7 +1919,6 @@ impl<'p> ClusterSim<'p> {
             match budget.request_traced(gid, need, now, &mut self.obs.bus) {
                 Ok(()) => Some(gid),
                 Err(_) => {
-                    self.queue.push(job);
                     self.obs.registry.incr("sched/start_power_denied", 1);
                     self.trace_reject(id, RejectReason::PowerDenied);
                     return false;
@@ -2251,7 +1947,6 @@ impl<'p> ClusterSim<'p> {
                 if let (Some(budget), Some(g)) = (self.budget.as_mut(), grant) {
                     let _ = budget.release_traced(g, now, &mut self.obs.bus);
                 }
-                self.queue.push(job);
                 self.obs.registry.incr("sched/start_alloc_failed", 1);
                 self.trace_reject(id, RejectReason::AllocFailed);
                 return false;
@@ -2260,7 +1955,7 @@ impl<'p> ClusterSim<'p> {
 
         // Program the operating point through the (possibly unreliable)
         // actuator when the start needs a cap or frequency write. On
-        // failure the start is rolled back, the job requeued, and any
+        // failure the start is rolled back, the job stays queued, and any
         // node past the consecutive-failure threshold is fenced; on
         // success the accumulated retry backoff delays the job.
         let mut actuation_delay = SimDuration::ZERO;
@@ -2291,7 +1986,6 @@ impl<'p> ClusterSim<'p> {
                         self.obs.registry.incr("faults/fenced_nodes", 1);
                         self.take_node_down(n, now, self.config.repair_time);
                     }
-                    self.queue.push(job);
                     self.trace_reject(id, RejectReason::ActuationFailed);
                     return false;
                 }
@@ -2343,18 +2037,18 @@ impl<'p> ClusterSim<'p> {
         };
 
         let first_watts = phase_watts.first().copied().unwrap_or(watts_per_node);
+        let wait_secs = (now - job.submit).as_secs();
         self.nodes.occupy(&nodes);
         // One allocation group per running job: phase changes retarget
         // the whole allocation in O(1), and closing the group at job end
         // yields the job's energy directly.
         let meter_group = self.meter.open_group(&nodes, now, first_watts);
         self.obs.registry.incr("jobs/started", 1);
-        let wait_secs = (now - job.submit).as_secs();
         self.obs.registry.observe("sched/wait_secs", wait_secs);
         self.obs.bus.record(
             now,
             TraceEvent::JobStarted {
-                job: job.id.0,
+                job: id.0,
                 nodes: nodes.len(),
                 watts_per_node,
                 wait_secs,
@@ -2362,62 +2056,36 @@ impl<'p> ClusterSim<'p> {
                 capped_to_fit,
             },
         );
-        let attempt = {
-            let a = self.attempts.entry(job.id).or_insert(0);
-            *a += 1;
-            *a
-        };
-        self.events.schedule_at(end, Ev::Finish(job.id, attempt));
+        let granted_watts = grant.and_then(|g| self.budget.as_ref()?.grant_watts(g));
+        let token = self.jobs.start(id, granted_watts, |job, token| RunningJob {
+            job,
+            token,
+            nodes,
+            start: now,
+            estimated_end,
+            watts_per_node,
+            killed_at_walltime: killed,
+            grant,
+            base_effective: base_runtime,
+            true_run_secs: true_run.as_secs(),
+            phase_watts,
+            meter_group,
+        });
+        self.events.schedule_at(end, Ev::Finish(id, token));
         // Stage the phase transitions that occur before the job ends.
         for (k, &t_k) in phase_ends.iter().enumerate() {
-            let next = k + 1;
-            if next < phase_watts.len() && t_k < end {
+            if k + 1 < phases.len() && t_k < end {
                 self.events
-                    .schedule_at(t_k, Ev::PhaseChange(job.id, attempt, next));
+                    .schedule_at(t_k, Ev::PhaseChange(id, token, k + 1));
             }
         }
-        self.summary_insert(RunningSummary {
-            id: job.id,
-            nodes: nodes.len(),
-            estimated_end,
-            watts: watts_per_node * f64::from(nodes.len()),
-            granted_watts: grant.and_then(|g| self.budget.as_ref().and_then(|b| b.grant_watts(g))),
-        });
-        self.running.insert(
-            job.id,
-            RunningJob {
-                job,
-                nodes,
-                start: now,
-                estimated_end,
-                watts_per_node,
-                killed_at_walltime: killed,
-                grant,
-                base_effective: base_runtime,
-                true_run_secs: true_run.as_secs(),
-                phase_watts,
-                meter_group,
-            },
-        );
         true
     }
 
-    fn finish_job(&mut self, id: JobId, attempt: u32, t: SimTime) {
-        // A stale Finish (the attempt was killed, possibly requeued and
-        // restarted) must not touch the current attempt.
-        if self.attempts.get(&id).copied() != Some(attempt) {
-            return;
-        }
-        let Some(r) = self.running.remove(&id) else {
-            return; // already killed by emergency or failure
-        };
-        self.complete(r, t, Departure::Normal);
-    }
-
-    fn complete(&mut self, r: RunningJob, t: SimTime, departure: Departure) {
-        self.summary_remove(r.job.id, r.estimated_end);
+    /// A running job departs at `t`: killed for `kill`, or at its natural
+    /// end (or walltime limit) when `None`.
+    fn complete(&mut self, r: RunningJob, t: SimTime, kill: Option<KillReason>) {
         let run_secs = (t - r.start).as_secs();
-        self.busy_node_seconds += run_secs * f64::from(r.nodes.len());
         self.nodes.vacate(&r.nodes, t);
         let idle_watts = self.power_model.watts(
             NodePowerState::Idle,
@@ -2430,26 +2098,18 @@ impl<'p> ClusterSim<'p> {
         let energy = self
             .meter
             .close_group(r.meter_group, &r.nodes, t, idle_watts);
-        let event = match departure {
-            Departure::Normal if r.killed_at_walltime => TraceEvent::JobKilled {
-                job: r.job.id.0,
-                reason: KillReason::Walltime,
+        let id = r.job.id;
+        let reason = kill.or(r.killed_at_walltime.then_some(KillReason::Walltime));
+        let event = match reason {
+            Some(reason) => TraceEvent::JobKilled {
+                job: id.0,
+                reason,
                 run_secs,
             },
-            Departure::Normal => TraceEvent::JobFinished {
-                job: r.job.id.0,
+            None => TraceEvent::JobFinished {
+                job: id.0,
                 run_secs,
                 energy_joules: energy,
-            },
-            Departure::Emergency => TraceEvent::JobKilled {
-                job: r.job.id.0,
-                reason: KillReason::Emergency,
-                run_secs,
-            },
-            Departure::Failure => TraceEvent::JobKilled {
-                job: r.job.id.0,
-                reason: KillReason::Failure,
-                run_secs,
             },
         };
         self.obs.bus.record(t, event);
@@ -2472,34 +2132,22 @@ impl<'p> ClusterSim<'p> {
         } else {
             Vec::new()
         };
-        let record = CompletedJob {
-            id: r.job.id,
+        self.jobs.record(CompletedJob {
+            id,
             nodes: r.nodes.len(),
             wait_secs: (r.start - r.job.submit).as_secs(),
             run_secs,
             energy_joules: energy,
-            killed_at_walltime: r.killed_at_walltime && departure == Departure::Normal,
-            killed_by_emergency: departure == Departure::Emergency,
-            killed_by_failure: departure == Departure::Failure,
+            killed_at_walltime: reason == Some(KillReason::Walltime),
+            killed_by_emergency: kill == Some(KillReason::Emergency),
+            killed_by_failure: kill == Some(KillReason::Failure),
             node_ids,
             start_secs: r.start.as_secs(),
-        };
-        self.agg.fold(&record);
-        if self.config.retain_completed {
-            self.completed.push(record);
-        }
-        // The attempt-table entry exists to invalidate stale Finish and
-        // PhaseChange events, whose guards treat a missing entry and a
-        // mismatched one identically — so once the job can never restart
-        // (normal end, or killed with requeueing off) the entry can go,
-        // keeping the table bounded by live jobs on streaming runs.
-        if departure == Departure::Normal || !self.config.requeue_killed {
-            self.attempts.remove(&r.job.id);
-        }
+        });
         // Requeue killed work (Tokyo Tech: avoid *losing* jobs to power
         // actions). With checkpointing the continuation resumes from the
         // last checkpoint; without it, from the beginning.
-        if departure != Departure::Normal && self.config.requeue_killed {
+        if kill.is_some() && self.config.requeue_killed {
             let frac = if r.true_run_secs > 0.0 {
                 (run_secs / r.true_run_secs).clamp(0.0, 1.0)
             } else {
@@ -2513,7 +2161,7 @@ impl<'p> ClusterSim<'p> {
                 _ => 0.0,
             };
             let remaining = (r.base_effective.as_secs() - saved).max(1.0);
-            let mut continuation = r.job.clone();
+            let mut continuation = r.job;
             continuation.base_runtime = SimDuration::from_secs(remaining);
             continuation.nodes = r.nodes.len();
             continuation.moldable = None; // the continuation is rigid
@@ -2522,11 +2170,11 @@ impl<'p> ClusterSim<'p> {
             self.obs.bus.record(
                 t,
                 TraceEvent::JobRequeued {
-                    job: r.job.id.0,
+                    job: id.0,
                     remaining_secs: remaining,
                 },
             );
-            self.queue.push(continuation);
+            self.jobs.queue(continuation);
         }
     }
 
@@ -2603,12 +2251,6 @@ impl<'p> ClusterSim<'p> {
 
     fn finalize(mut self) -> (SimOutcome, ObsBundle) {
         let end = self.events.now().max(self.config.horizon);
-        // Account busy time of still-running jobs up to the horizon.
-        let running: Vec<RunningJob> = self.running.values().cloned().collect();
-        for r in &running {
-            self.busy_node_seconds +=
-                (end.saturating_since(r.start)).as_secs() * f64::from(r.nodes.len());
-        }
         let span = end.as_secs().max(1e-9);
         let total_nodes = f64::from(self.system.spec().total_nodes());
         self.obs
@@ -2617,8 +2259,8 @@ impl<'p> ClusterSim<'p> {
         let energy = self.meter.system_energy_joules(end);
         let peak = self.meter.peak_system_watts(end);
         let avg = self.meter.avg_system_watts(end);
-        let walltime_kills = self.agg.walltime_kills;
-        let n_completed = self.agg.count;
+        let agg = *self.jobs.aggregates();
+        let n_completed = agg.count;
         // Failure observability: downtime over completed repairs plus
         // nodes still down at the horizon, accrued to the end.
         let node_downtime_secs = self.nodes.downtime_to(end, self.repair_downtime_secs);
@@ -2642,13 +2284,14 @@ impl<'p> ClusterSim<'p> {
         let outcome = SimOutcome {
             policy: self.policy.name().to_owned(),
             completed: n_completed,
-            walltime_kills,
-            emergency_kills: self.emergency_kills,
-            unfinished: (self.queue.len() + running.len()) as u64,
-            utilization: self.busy_node_seconds / (total_nodes * span),
-            mean_wait_secs: self.agg.mean_wait(),
-            max_wait_secs: self.agg.wait_max,
-            mean_bounded_slowdown: self.agg.mean_slowdown(),
+            walltime_kills: agg.walltime_kills,
+            emergency_kills: agg.emergency_kills,
+            unfinished: self.jobs.unfinished(),
+            // Busy time of still-running jobs counts up to the horizon.
+            utilization: self.jobs.busy_node_seconds(end) / (total_nodes * span),
+            mean_wait_secs: agg.mean_wait(),
+            max_wait_secs: agg.wait_max,
+            mean_bounded_slowdown: agg.mean_slowdown(),
             energy_joules: energy,
             peak_watts: peak,
             avg_watts: avg,
@@ -2667,7 +2310,7 @@ impl<'p> ClusterSim<'p> {
             telemetry_fallbacks,
             fenced_nodes,
             nodes_down_at_end,
-            jobs: self.completed,
+            jobs: self.jobs.into_completed(),
             counters,
             power_trace: self
                 .meter

@@ -29,8 +29,9 @@ use epa_workload::source::JobSource;
 /// arrival due at the same instant.
 #[derive(Debug)]
 pub(crate) enum Ev {
-    /// Job completion for a specific execution attempt: a kill + requeue
-    /// starts a new attempt, and the stale event must not complete it.
+    /// Job completion for the start with this token: after a kill +
+    /// requeue the job runs under a new token, and the stale event must
+    /// not complete it.
     Finish(JobId, u32),
     PowerTick,
     BootDone(NodeId),
@@ -45,8 +46,8 @@ pub(crate) enum Ev {
     GridDrStart(u32),
     /// The matching curtailment window closes.
     GridDrEnd(u32),
-    /// A running job enters its `usize`-th phase. Attempt-stamped: a
-    /// kill + requeue since scheduling makes it a no-op.
+    /// A running job enters its `usize`-th phase. Token-stamped like
+    /// `Finish`: a kill + requeue since scheduling makes it a no-op.
     PhaseChange(JobId, u32, usize),
     /// An idle node finishes its shutdown drain and powers off.
     ShutdownDone(NodeId),
@@ -57,10 +58,10 @@ impl Ev {
     /// Tag 0 (the retired queued arrival) is never reused.
     fn snapshot_into(&self, w: &mut SnapWriter) {
         match self {
-            Ev::Finish(id, attempt) => {
+            Ev::Finish(id, token) => {
                 w.u8(1);
                 w.u64(id.0);
-                w.u32(*attempt);
+                w.u32(*token);
             }
             Ev::PowerTick => w.u8(2),
             Ev::BootDone(n) => {
@@ -88,10 +89,10 @@ impl Ev {
                 w.u8(9);
                 w.u32(*idx);
             }
-            Ev::PhaseChange(id, attempt, phase) => {
+            Ev::PhaseChange(id, token, phase) => {
                 w.u8(10);
                 w.u64(id.0);
-                w.u32(*attempt);
+                w.u32(*token);
                 w.usize(*phase);
             }
             Ev::ShutdownDone(n) => {

@@ -29,6 +29,10 @@
 //!   facility is hot ("do less when it's too hot").
 //! - [`intersystem::InterSystemCoordinator`] — Tokyo Tech's shared
 //!   facility budget between two systems (TSUBAME 2 and 3).
+//!
+//! [`engine::ClusterSim`] keeps its state in crate-private owners that
+//! each encode and check their own snapshot sections: the event loop
+//! (`events`), the node table (`nodes`) and the job table (`jobs`).
 
 pub mod control;
 pub mod emergency;
@@ -38,11 +42,11 @@ pub mod error;
 mod events;
 pub mod governor;
 pub mod intersystem;
+mod jobs;
 pub mod learn;
 pub mod limiting;
 mod nodes;
 pub mod policies;
-pub mod queue;
 pub mod shutdown;
 pub mod snapshot;
 pub mod view;
@@ -56,7 +60,6 @@ pub use governor::{GovernorObjective, PhaseGovernor, PhasePlan};
 pub use intersystem::InterSystemCoordinator;
 pub use learn::{ActionCatalog, BanditConfig, ContextualBandit, QConfig, QLearner, TileCoding};
 pub use limiting::JobLimitGate;
-pub use queue::JobQueue;
 pub use shutdown::ShutdownPolicy;
 pub use snapshot::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
 pub use view::{Decision, Policy, RunningSummary, SchedView};

@@ -58,8 +58,14 @@ use std::path::Path;
 /// than 2⁴⁰, and the `arrivals` section drops its arrival counter,
 /// exhaustion flag and last submit time, keeping the staged arrival and
 /// the source cursor; the completion aggregates move to the end of the
-/// `completed` section.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 11;
+/// `completed` section; v12 merges the `queue`, `running` and `completed`
+/// sections, the completion aggregates and the `engine` section's
+/// emergency-kill count and busy node-seconds into one `jobs` section
+/// after `budget` (the job table's queue, running jobs, start-token
+/// counter, completions and aggregates, which now count emergency kills
+/// and departed jobs' node-seconds), replaces the per-job attempt map
+/// with a start token on each running job, and drops the map.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 12;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///

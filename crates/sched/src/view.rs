@@ -97,6 +97,17 @@ pub trait Policy {
     fn schedule(&mut self, view: &SchedView<'_>, queue: &[Job]) -> Vec<Decision>;
 }
 
+/// A borrowed policy schedules as the policy it borrows.
+impl<P: Policy + ?Sized> Policy for &mut P {
+    fn name(&self) -> &str {
+        (**self).name()
+    }
+
+    fn schedule(&mut self, view: &SchedView<'_>, queue: &[Job]) -> Vec<Decision> {
+        (**self).schedule(view, queue)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -63,15 +63,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Creates an empty queue with pre-allocated capacity.
-    #[must_use]
-    pub fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            seq: 0,
-        }
-    }
-
     /// Inserts an event at an absolute time.
     pub fn push(&mut self, time: SimTime, payload: E) {
         let seq = self.seq;
@@ -97,14 +88,14 @@ impl<E> EventQueue<E> {
     }
 
     /// Number of pending events.
-    #[must_use]
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// True when no events are pending.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 

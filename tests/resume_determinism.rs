@@ -244,7 +244,7 @@ fn previous_schema_frames_are_rejected_with_unsupported_version() {
     // A current payload under each previous schema's version number,
     // checksummed correctly: only the version check can reject it.
     let snap = small_snapshot(3);
-    for old in [5, 6, 7, 8, 9, 10] {
+    for old in [5, 6, 7, 8, 9, 10, 11] {
         let err = try_resume(&reframe(old, &snap.as_bytes()[HEADER_LEN..]), 3).unwrap_err();
         assert!(
             matches!(
@@ -432,6 +432,80 @@ fn retag_nodes(payload: &mut [u8], from: u8, to: u8) {
     }
 }
 
+/// The little-endian `u64` at `at`, as a length.
+fn len_at(payload: &[u8], at: usize) -> usize {
+    u64::from_le_bytes(payload[at..at + 8].try_into().unwrap()) as usize
+}
+
+/// End of the job encoded at `at`: id (u64), user (u32), app tag (u64
+/// length, then bytes), phases (u64 count, 24 bytes each), submit (f64),
+/// nodes (u32), walltime and base runtime (f64 each), priority (i64),
+/// then the moldable option (1, or 17 when present).
+fn job_end(payload: &[u8], at: usize) -> usize {
+    let at = at + 12;
+    let at = at + 8 + len_at(payload, at);
+    let at = at + 8 + 24 * len_at(payload, at);
+    let at = at + 36;
+    at + if payload[at] == 1 { 17 } else { 1 }
+}
+
+/// Payload offsets of one running job's id, start time and meter group.
+struct RunningAt {
+    id: usize,
+    start: usize,
+    group: usize,
+}
+
+/// Payload offsets in the `jobs` section: the first queued job's id, and
+/// each running job's fields in id order. The section opens with the
+/// queue (u64 count, then each job) and the running jobs (u64 count, then
+/// each job's encoding, its node spans (u64 count, 8 bytes each), start,
+/// estimated end and per-node watts (f64 each), the walltime flag (1), the
+/// grant option (1, or 9 when present), base and true runtime (f64
+/// each), the phase draws (u64 count, 8 bytes each), the meter group and
+/// the start token (u32 each)).
+fn jobs_at(payload: &[u8]) -> (Option<usize>, Vec<RunningAt>) {
+    let mut marker = SnapWriter::new();
+    marker.section("jobs");
+    let marker = &marker.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
+    let mut at = payload
+        .windows(marker.len())
+        .position(|w| w == marker)
+        .expect("jobs section present")
+        + marker.len();
+    let queued = len_at(payload, at);
+    at += 8;
+    let first_queued = (queued > 0).then_some(at);
+    for _ in 0..queued {
+        at = job_end(payload, at);
+    }
+    let running = len_at(payload, at);
+    at += 8;
+    let mut entries = Vec::new();
+    for _ in 0..running {
+        let id = at;
+        at = job_end(payload, at);
+        at += 8 + 8 * len_at(payload, at);
+        let start = at;
+        at += 25;
+        at += if payload[at] == 1 { 9 } else { 1 };
+        at += 16;
+        at += 8 + 8 * len_at(payload, at);
+        entries.push(RunningAt {
+            id,
+            start,
+            group: at,
+        });
+        at += 8;
+    }
+    (first_queued, entries)
+}
+
+/// Copies the `len` bytes at `from` over those at `to`.
+fn copy_within(payload: &mut [u8], from: usize, to: usize, len: usize) {
+    payload.copy_within(from..from + len, to);
+}
+
 /// Payload offset of the grid state, the frame's last section. Its
 /// layout: option tag (1), price cursor (u32), carbon cursor (u32),
 /// active-event option (0 here), per-event excess joules (u64 length and
@@ -452,7 +526,7 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
     // Each frame is well-formed and correctly checksummed, but carries an
     // index, time or pairing that a handler would later use out of range.
     type Edit = fn(&mut Vec<u8>);
-    let cases: [(&str, Edit); 21] = [
+    let cases: [(&str, Edit); 27] = [
         ("boot completion for a node past the machine", |p| {
             push_event(p, 3, NODES)
         }),
@@ -520,6 +594,30 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
         ("busy nodes tagged idle", |p| retag_nodes(p, 3, 2)),
         ("idle nodes tagged off", |p| retag_nodes(p, 2, 0)),
         ("idle nodes tagged busy", |p| retag_nodes(p, 2, 3)),
+        ("running job started after the clock", |p| {
+            let at = jobs_at(p).1[0].start;
+            p[at..at + 8].copy_from_slice(&(7.0f64 * 3600.0).to_le_bytes());
+        }),
+        ("running job names a meter group that does not exist", |p| {
+            let at = jobs_at(p).1.last().unwrap().group;
+            p[at..at + 4].copy_from_slice(&1_000_000u32.to_le_bytes());
+        }),
+        ("running job names another job's meter group", |p| {
+            let running = jobs_at(p).1;
+            copy_within(p, running[0].group, running.last().unwrap().group, 4);
+        }),
+        ("one job id running twice", |p| {
+            let running = jobs_at(p).1;
+            copy_within(p, running[0].id, running.last().unwrap().id, 8);
+        }),
+        ("job both queued and running", |p| {
+            let (queued, running) = jobs_at(p);
+            copy_within(p, queued.unwrap(), running[0].id, 8);
+        }),
+        ("live grant held by no running job", |p| {
+            let b = budget_at(p);
+            p[b + 17..b + 25].copy_from_slice(&u64::MAX.to_le_bytes());
+        }),
     ];
     let mut policy = EasyBackfill;
     let jobs = chaos_jobs(3);
@@ -543,6 +641,9 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
         tags.contains(&2) && tags.contains(&3),
         "idle and busy nodes: {tags:?}"
     );
+    let (queued, running) = jobs_at(payload);
+    assert!(queued.is_some(), "a queued job");
+    assert_eq!(running.len() as u64, grants, "one grant per running job");
     let at = meter_pending_at(payload);
     assert_eq!(payload[at], 1, "the power trace has a pending point");
     let pending = f64::from_le_bytes(payload[at + 1..at + 9].try_into().unwrap());
@@ -569,7 +670,7 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
                 let _ = sim.run_with_grid();
                 failures.push(format!("{name}: accepted"));
             }
-        }
+        };
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
