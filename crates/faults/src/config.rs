@@ -13,6 +13,7 @@
 //!   retried with exponential backoff before the node is fenced.
 
 use crate::error::FaultError;
+use epa_simcore::snap::Fingerprint;
 use epa_simcore::time::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -195,10 +196,31 @@ impl FaultConfig {
         Ok(())
     }
 
-    /// True when no fault source is configured.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.domain.is_none() && self.sensor.is_none() && self.actuator.is_none()
+    /// Folds the seed and every field of every sub-model into the
+    /// engine's resume fingerprint.
+    pub fn fingerprint(&self, fp: &mut Fingerprint) {
+        fp.u64(self.seed);
+        fp.u64(u64::from(self.domain.is_some()));
+        if let Some(d) = &self.domain {
+            fp.f64(d.mtbf.as_secs());
+            fp.f64(d.repair_time.as_secs());
+        }
+        fp.u64(u64::from(self.sensor.is_some()));
+        if let Some(s) = &self.sensor {
+            fp.f64(s.dropout_prob);
+            fp.f64(s.stuck_prob);
+            fp.f64(s.stuck_duration.as_secs());
+            fp.f64(s.staleness_bound.as_secs());
+            fp.f64(s.safety_margin_frac);
+        }
+        fp.u64(u64::from(self.actuator.is_some()));
+        if let Some(a) = &self.actuator {
+            fp.f64(a.fail_prob);
+            fp.u64(u64::from(a.max_retries));
+            fp.f64(a.backoff_base.as_secs());
+            fp.f64(a.backoff_factor);
+            fp.u64(u64::from(a.fence_after));
+        }
     }
 }
 
@@ -211,7 +233,6 @@ mod tests {
         FaultConfig::default().validate().unwrap();
         SensorFaultConfig::default().validate().unwrap();
         ActuatorFaultConfig::default().validate().unwrap();
-        assert!(FaultConfig::default().is_empty());
     }
 
     #[test]
@@ -267,6 +288,50 @@ mod tests {
             ..FaultConfig::default()
         };
         assert!(bad.validate().is_err());
-        assert!(!bad.is_empty());
+    }
+
+    #[test]
+    fn fingerprint_covers_every_field() {
+        let hash = |c: &FaultConfig| {
+            let mut fp = Fingerprint::new();
+            c.fingerprint(&mut fp);
+            fp.finish()
+        };
+        let full = FaultConfig {
+            domain: Some(DomainFaultConfig {
+                mtbf: SimDuration::from_hours(12.0),
+                repair_time: SimDuration::from_hours(2.0),
+            }),
+            sensor: Some(SensorFaultConfig::default()),
+            actuator: Some(ActuatorFaultConfig::default()),
+            seed: 1,
+        };
+        type Edit = fn(&mut FaultConfig);
+        let edits: [Edit; 16] = [
+            |c| c.seed = 2,
+            |c| c.domain = None,
+            |c| c.domain.as_mut().unwrap().mtbf = SimDuration::from_hours(3.0),
+            |c| c.domain.as_mut().unwrap().repair_time = SimDuration::from_hours(1.0),
+            |c| c.sensor = None,
+            |c| c.sensor.as_mut().unwrap().dropout_prob = 0.5,
+            |c| c.sensor.as_mut().unwrap().stuck_prob = 0.5,
+            |c| c.sensor.as_mut().unwrap().stuck_duration = SimDuration::from_mins(1.0),
+            |c| c.sensor.as_mut().unwrap().staleness_bound = SimDuration::from_mins(1.0),
+            |c| c.sensor.as_mut().unwrap().safety_margin_frac = 0.5,
+            |c| c.actuator = None,
+            |c| c.actuator.as_mut().unwrap().fail_prob = 0.5,
+            |c| c.actuator.as_mut().unwrap().max_retries = 9,
+            |c| c.actuator.as_mut().unwrap().backoff_base = SimDuration::from_secs(5.0),
+            |c| c.actuator.as_mut().unwrap().backoff_factor = 3.0,
+            |c| c.actuator.as_mut().unwrap().fence_after = 9,
+        ];
+        let mut seen = vec![hash(&full)];
+        for edit in edits {
+            let mut c = full.clone();
+            edit(&mut c);
+            let h = hash(&c);
+            assert!(!seen.contains(&h), "{c:?} collides");
+            seen.push(h);
+        }
     }
 }

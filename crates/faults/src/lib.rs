@@ -8,24 +8,23 @@
 //! - [`config::FaultConfig`] — what can go wrong: correlated failure
 //!   domains (rack/PDU events), sensor dropout/stuck-at, actuator
 //!   command failures with retry/backoff/fencing parameters.
-//! - [`injector::FaultPlan`] — the pre-generated, seed-deterministic
-//!   schedule of correlated domain events.
-//! - [`injector::FaultInjector`] — the online sensor fault stream, drawn
-//!   from a substream independent of the engine's RNG.
+//! - [`FaultPlan`] — the pre-generated, seed-deterministic schedule of
+//!   correlated domain events.
 //! - [`retry::execute_with_retry`] — the exponential-backoff retry
 //!   machinery the resource manager's retrying actuator builds on; it
 //!   draws actuator faults from its own stream.
 //!
-//! Determinism is the design center: every fault is a pure function of
-//! the fault seed, so chaos tests can assert byte-identical outcomes and
-//! bisect regressions by seed.
+//! The engine draws sensor faults online from its own `faults-sensor`
+//! stream. Determinism is the design center: every fault is a pure
+//! function of the fault seed, so chaos tests can assert byte-identical
+//! outcomes and bisect regressions by seed.
 
 pub mod config;
 pub mod error;
-pub mod injector;
+mod plan;
 pub mod retry;
 
 pub use config::{ActuatorFaultConfig, DomainFaultConfig, FaultConfig, SensorFaultConfig};
 pub use error::FaultError;
-pub use injector::{DomainEvent, FaultInjector, FaultPlan, SensorSample};
+pub use plan::{DomainEvent, FaultPlan};
 pub use retry::{execute_with_retry, execute_with_retry_traced, AttemptReport};

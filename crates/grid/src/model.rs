@@ -134,9 +134,11 @@ impl GridConfig {
     }
 }
 
-/// Mutable grid runtime state, advanced at window barriers only.
+/// Mutable grid runtime state, advanced at window barriers only, over
+/// the configuration it owns.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridState {
+    config: GridConfig,
     price_cursor: TraceCursor,
     carbon_cursor: TraceCursor,
     /// Cached trace bounds (config-derived; rebuilt at resume).
@@ -163,7 +165,7 @@ pub struct GridState {
 impl GridState {
     /// Fresh state for a config (reads the traces at t = 0).
     #[must_use]
-    pub fn new(cfg: &GridConfig) -> Self {
+    pub fn new(cfg: GridConfig) -> Self {
         GridState {
             price_cursor: TraceCursor::new(),
             carbon_cursor: TraceCursor::new(),
@@ -180,7 +182,14 @@ impl GridState {
             last_carbon: cfg.carbon.value_at(SimTime::ZERO),
             last_pue: 1.0,
             dr_active: false,
+            config: cfg,
         }
+    }
+
+    /// The configuration this state runs over.
+    #[must_use]
+    pub fn config(&self) -> &GridConfig {
+        &self.config
     }
 
     /// Advances the twin over `(t - dt_secs, t]`: settles cost/carbon
@@ -191,13 +200,13 @@ impl GridState {
     /// (the engine passes its static facility PUE, or 1.0).
     pub fn on_tick(
         &mut self,
-        cfg: &GridConfig,
         t: SimTime,
         dt_secs: f64,
         it_watts: f64,
         temp_c: f64,
         fallback_pue: f64,
     ) -> f64 {
+        let cfg = &self.config;
         let price = self.price_cursor.value(&cfg.price, t);
         let carbon = self.carbon_cursor.value(&cfg.carbon, t);
         let pue = match &cfg.cooling {
@@ -230,14 +239,15 @@ impl GridState {
         self.last_carbon = carbon;
         self.last_pue = pue;
 
-        self.budget_target(cfg, temp_c)
+        self.budget_target(temp_c)
     }
 
     /// The IT budget target at the current readings: cooling-limited
     /// base, derated by the follow-the-renewables weights, then capped
     /// by any active DR curtailment.
     #[must_use]
-    pub fn budget_target(&self, cfg: &GridConfig, temp_c: f64) -> f64 {
+    pub fn budget_target(&self, temp_c: f64) -> f64 {
+        let cfg = &self.config;
         let base = match &cfg.cooling {
             Some(c) => c
                 .effective_it_budget(temp_c, cfg.nominal_it_watts)
@@ -295,7 +305,8 @@ impl GridState {
 
     /// Settles the run into a summary (penalties per the contract).
     #[must_use]
-    pub fn summary(&self, cfg: &GridConfig) -> GridSummary {
+    pub fn summary(&self) -> GridSummary {
+        let cfg = &self.config;
         let mut dr = DrAccounting::default();
         for (i, _ev) in cfg.contract.events.iter().enumerate() {
             let excess_kwh = self.event_excess_joules[i] / 3.6e6;
@@ -347,12 +358,13 @@ impl GridState {
         w.bool(self.dr_active);
     }
 
-    /// Decodes state written by [`GridState::snapshot_into`]. The config
-    /// is re-supplied (it is fingerprint-guarded), and the trace bounds
-    /// are rebuilt from it. Cursors, the active event and the per-event
-    /// accumulators must fit the config's traces and contract, or the
-    /// frame is [`SnapshotError::Corrupt`].
-    pub fn restore_from(r: &mut SnapReader<'_>, cfg: &GridConfig) -> Result<Self, SnapshotError> {
+    /// Overwrites the state with one written by
+    /// [`GridState::snapshot_into`] over the same config (the engine's
+    /// resume fingerprint guards it). Cursors, the active event and the
+    /// per-event accumulators must fit the config's traces and contract,
+    /// or the frame is [`SnapshotError::Corrupt`].
+    pub fn restore_from(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapshotError> {
+        let cfg = &self.config;
         let price_cursor = TraceCursor::restore_from(r, &cfg.price)?;
         let carbon_cursor = TraceCursor::restore_from(r, &cfg.carbon)?;
         let active_event = r.opt(|r| r.u32())?;
@@ -373,23 +385,20 @@ impl GridState {
                 ),
             });
         }
-        Ok(GridState {
-            price_cursor,
-            carbon_cursor,
-            price_bounds: cfg.price.bounds(),
-            carbon_bounds: cfg.carbon.bounds(),
-            active_event,
-            event_excess_joules,
-            event_violation_secs,
-            cost_total: r.f64()?,
-            carbon_kg_total: r.f64()?,
-            energy_it_joules: r.f64()?,
-            energy_facility_joules: r.f64()?,
-            last_price: r.f64()?,
-            last_carbon: r.f64()?,
-            last_pue: r.f64()?,
-            dr_active: r.bool()?,
-        })
+        self.price_cursor = price_cursor;
+        self.carbon_cursor = carbon_cursor;
+        self.active_event = active_event;
+        self.event_excess_joules = event_excess_joules;
+        self.event_violation_secs = event_violation_secs;
+        self.cost_total = r.f64()?;
+        self.carbon_kg_total = r.f64()?;
+        self.energy_it_joules = r.f64()?;
+        self.energy_facility_joules = r.f64()?;
+        self.last_price = r.f64()?;
+        self.last_carbon = r.f64()?;
+        self.last_pue = r.f64()?;
+        self.dr_active = r.bool()?;
+        Ok(())
     }
 }
 
@@ -456,11 +465,11 @@ mod tests {
     #[test]
     fn tick_settles_cost_and_carbon() {
         let c = cfg();
-        let mut s = GridState::new(&c);
+        let mut s = GridState::new(c.clone());
         // One hour at full IT draw.
-        let target = s.on_tick(&c, SimTime::from_hours(1.0), 3600.0, 1000.0, 15.0, 1.0);
+        let target = s.on_tick(SimTime::from_hours(1.0), 3600.0, 1000.0, 15.0, 1.0);
         assert!(target > 0.0 && target <= c.nominal_it_watts);
-        let sum = s.summary(&c);
+        let sum = s.summary();
         assert!((sum.energy_it_mwh - 1e-3).abs() < 1e-12);
         assert!(sum.energy_facility_mwh > sum.energy_it_mwh, "PUE > 1");
         assert!(sum.cost > 0.0 && sum.carbon_kg > 0.0);
@@ -469,16 +478,15 @@ mod tests {
 
     #[test]
     fn dr_event_caps_target_and_accrues_excess() {
-        let c = cfg();
-        let mut s = GridState::new(&c);
+        let mut s = GridState::new(cfg());
         s.on_event_start(0);
         assert!(s.dr_active());
         // Draw 1000 W against the 500 W target for an hour inside the event.
-        let target = s.on_tick(&c, SimTime::from_hours(11.0), 3600.0, 1000.0, 15.0, 1.0);
+        let target = s.on_tick(SimTime::from_hours(11.0), 3600.0, 1000.0, 15.0, 1.0);
         assert!(target <= 500.0 + 1e-9, "target {target} not capped by DR");
         s.on_event_end(0);
         assert!(!s.dr_active());
-        let sum = s.summary(&c);
+        let sum = s.summary();
         assert!((sum.dr.events[0].excess_kwh - 0.5).abs() < 1e-9);
         assert!((sum.penalty - (0.5 - 0.1) * 5.0).abs() < 1e-9);
         assert!((sum.cost_with_penalty - (sum.cost + sum.penalty)).abs() < 1e-12);
@@ -486,36 +494,28 @@ mod tests {
 
     #[test]
     fn follow_weights_shrink_target() {
-        let mut c = cfg();
-        let mut s = GridState::new(&c);
+        let mut s = GridState::new(cfg());
         let t = SimTime::from_hours(18.0); // evening price peak
-        let base = s.on_tick(&c, t, 0.0, 800.0, 15.0, 1.0);
-        c.price_follow = 0.8;
-        let derated = s.budget_target(&c, 15.0);
+        let base = s.on_tick(t, 0.0, 800.0, 15.0, 1.0);
+        s.config.price_follow = 0.8;
+        let derated = s.budget_target(15.0);
         assert!(derated < base, "derated {derated} vs base {base}");
         assert!(derated >= base * FOLLOW_FLOOR - 1e-9);
     }
 
     #[test]
     fn state_snapshot_roundtrips() {
-        let c = cfg();
-        let mut s = GridState::new(&c);
+        let mut s = GridState::new(cfg());
         s.on_event_start(0);
         for h in 1..30 {
-            s.on_tick(
-                &c,
-                SimTime::from_hours(f64::from(h)),
-                3600.0,
-                900.0,
-                18.0,
-                1.0,
-            );
+            s.on_tick(SimTime::from_hours(f64::from(h)), 3600.0, 900.0, 18.0, 1.0);
         }
         let mut w = SnapWriter::new();
         s.snapshot_into(&mut w);
         let bytes = w.finish(1);
         let mut r = SnapReader::open(&bytes, 1).unwrap();
-        let back = GridState::restore_from(&mut r, &c).unwrap();
+        let mut back = GridState::new(cfg());
+        back.restore_from(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(back, s);
         // And the restored state re-snapshots byte-identically.

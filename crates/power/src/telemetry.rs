@@ -9,8 +9,8 @@
 //! and the sampling-interval ablation bench quantifies its effect.
 //!
 //! Sensor *failures* (dropout, stuck-at) are not modelled here: the
-//! engine draws them from `epa_faults::FaultInjector::sensor_sample` and
-//! tracks reading staleness itself.
+//! engine's fault plane draws them from its own `faults-sensor` stream
+//! and tracks reading staleness itself.
 
 use crate::error::PowerError;
 use epa_simcore::rng::SimRng;

@@ -62,7 +62,8 @@ impl RetryingActuator {
     }
 
     /// Encodes the retry stream position and per-node escalation counters.
-    /// The fault config is re-supplied at [`RetryingActuator::restore_from`].
+    /// The fault config is not stored: [`RetryingActuator::restore_from`]
+    /// restores over an actuator built from it.
     pub fn snapshot_into(&self, w: &mut epa_simcore::snap::SnapWriter) {
         let (seed, pos) = self.rng.snapshot_state();
         w.u64(seed);
@@ -78,20 +79,15 @@ impl RetryingActuator {
         });
     }
 
-    /// Rebuilds an actuator at the exact stream position and escalation
-    /// state written by [`RetryingActuator::snapshot_into`].
+    /// Overwrites the stream position and escalation state with those
+    /// written by [`RetryingActuator::snapshot_into`]; the config stays.
     pub fn restore_from(
+        &mut self,
         r: &mut epa_simcore::snap::SnapReader<'_>,
-        config: ActuatorFaultConfig,
-    ) -> Result<Self, epa_simcore::snap::SnapshotError> {
-        let rng = SimRng::from_state(r.u64()?, r.u64()?);
-        let consecutive_failures: BTreeMap<u32, u32> =
-            r.seq(|r| Ok((r.u32()?, r.u32()?)))?.into_iter().collect();
-        Ok(RetryingActuator {
-            config,
-            rng,
-            consecutive_failures,
-        })
+    ) -> Result<(), epa_simcore::snap::SnapshotError> {
+        self.rng = SimRng::from_state(r.u64()?, r.u64()?);
+        self.consecutive_failures = r.seq(|r| Ok((r.u32()?, r.u32()?)))?.into_iter().collect();
+        Ok(())
     }
 
     /// Programs a per-node power cap (`watts`; `None` clears) on every

@@ -22,18 +22,19 @@ use crate::control::{ActionSource, ControlAction, ControlState, Observation};
 use crate::emergency::{EmergencyPolicy, VictimOrder};
 use crate::error::SchedError;
 use crate::events::{Ev, EventLoop, Next};
+use crate::faults::FaultPlane;
 use crate::jobs::{JobTable, RunningJob};
 use crate::limiting::JobLimitGate;
 use crate::nodes::NodeTable;
 use crate::shutdown::ShutdownPolicy;
-use crate::snapshot::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
+use crate::snapshot::{restore_part, Snapshot, SNAPSHOT_SCHEMA_VERSION};
 use crate::view::{Decision, Policy, SchedView};
 use epa_cluster::alloc::AllocStrategy;
 use epa_cluster::layout::FacilityLayout;
 use epa_cluster::node::NodeId;
 use epa_cluster::nodeset::NodeSet;
 use epa_cluster::system::System;
-use epa_faults::{FaultConfig, FaultInjector, FaultPlan, SensorFaultConfig, SensorSample};
+use epa_faults::FaultConfig;
 use epa_grid::{GridConfig, GridState, GridSummary};
 use epa_obs::{KillReason, Obs, ObsBundle, RejectReason, Scope, TraceConfig, TraceEvent};
 use epa_power::budget::{GrantId, PowerBudget};
@@ -42,7 +43,6 @@ use epa_power::meter::EnergyMeter;
 use epa_power::node_power::{NodePowerModel, NodePowerState};
 use epa_predict::history::HistoryStore;
 use epa_predict::predictors::{PowerPredictor, TagMeanPredictor};
-use epa_rm::actuators::RetryingActuator;
 use epa_simcore::snap::{Fingerprint, SnapReader, SnapWriter, SnapshotError};
 use epa_simcore::time::{SimDuration, SimTime};
 use epa_workload::job::{Job, JobId};
@@ -148,9 +148,11 @@ impl EngineConfig {
         }
     }
 
-    /// Rejects degenerate fault settings: a zero/negative node MTBF, a
-    /// zero repair time, a zero checkpoint interval, or an invalid
-    /// [`FaultConfig`]. Called at engine construction.
+    /// Rejects degenerate settings: a zero/negative node MTBF, a zero
+    /// repair time, a zero checkpoint interval, an invalid
+    /// [`FaultConfig`] or [`GridConfig`], a non-finite or non-positive
+    /// budget or scheduled budget, and a budget schedule or steering grid
+    /// config without a budget. Called at engine construction.
     pub fn validate(&self) -> Result<(), SchedError> {
         if self.node_mtbf.is_some_and(|d| d.as_secs() <= 0.0) {
             return Err(SchedError::NonPositiveMtbf);
@@ -164,6 +166,22 @@ impl EngineConfig {
         if let Some(f) = &self.faults {
             f.validate()
                 .map_err(|e| SchedError::InvalidConfig(e.to_string()))?;
+        }
+        let budgets = self
+            .power_budget_watts
+            .iter()
+            .chain(self.budget_schedule.iter().map(|(_, w)| w));
+        if let Some(w) = budgets.copied().find(|w| !w.is_finite() || *w <= 0.0) {
+            return Err(SchedError::InvalidConfig(format!(
+                "power budgets must be positive and finite, got {w}"
+            )));
+        }
+        // A resize needs a budget to resize; without one it would
+        // silently do nothing.
+        if !self.budget_schedule.is_empty() && self.power_budget_watts.is_none() {
+            return Err(SchedError::InvalidConfig(
+                "budget_schedule requires power_budget_watts".to_owned(),
+            ));
         }
         if let Some(g) = &self.grid {
             g.validate()
@@ -317,31 +335,12 @@ pub struct ClusterSim<'p> {
     history: HistoryStore,
     violation_accum_secs: f64,
     last_tick: SimTime,
-    rng: epa_simcore::rng::SimRng,
     /// No new starts before this instant (emergency cooldown).
     start_hold_until: SimTime,
     /// A cooldown is in effect; the first tick past it must reschedule.
     hold_resume_pending: bool,
-    /// Pre-generated correlated failure-domain schedule (empty when the
-    /// fault model has no domain component).
-    fault_plan: FaultPlan,
-    /// Online sensor-fault stream (present only with sensor faults).
-    injector: Option<FaultInjector>,
-    /// Unreliable-actuator front-end (present only with actuator faults).
-    actuator: Option<RetryingActuator>,
-    /// Last accepted telemetry reading `(timestamp, watts)`; under sensor
-    /// dropout the timestamp ages, under stuck-at it stays fresh while
-    /// the value goes wrong.
-    sensor_last: (SimTime, f64),
-    /// Active stuck-at window `(until, held value)`, if any.
-    sensor_stuck_until: Option<(SimTime, f64)>,
-    /// Telemetry is currently past the staleness bound (for counting
-    /// fallback transitions, not per-tick noise).
-    telemetry_stale: bool,
-    /// Downtime seconds over *completed* repairs (MTTR numerator).
-    repair_downtime_secs: f64,
-    /// Completed repairs (MTTR denominator).
-    repairs_completed: u64,
+    /// Node and domain failures, sensor and actuator faults.
+    faults: FaultPlane,
     /// Observability: trace bus, metrics registry, wall-clock profiler.
     /// Its registry is the engine's only one: every counter lands there,
     /// and the outcome's counter map is collected from it at finalize.
@@ -351,9 +350,9 @@ pub struct ClusterSim<'p> {
     /// frequency, backfill depth, shutdown override). Snapshot as its
     /// own section (schema v3).
     control: ControlState,
-    /// Facility digital twin runtime state (present iff `config.grid`
-    /// is). Advanced only at power-tick barriers and DR-window events;
-    /// snapshot as its own section (schema v4).
+    /// Facility digital twin over the grid config, which the engine takes
+    /// out of its [`EngineConfig`] at build. Advanced only at power-tick
+    /// barriers and DR-window events; snapshot as its own section.
     grid: Option<GridState>,
 }
 
@@ -400,55 +399,31 @@ impl<'p> ClusterSim<'p> {
         system: System,
         source: Box<dyn JobSource>,
         policy: Box<dyn Policy + 'p>,
-        config: EngineConfig,
+        mut config: EngineConfig,
     ) -> Result<Self, SchedError> {
         config.validate()?;
         let power_model = NodePowerModel::new(system.spec().node.clone());
-        let budget = config
-            .power_budget_watts
-            .map(|w| PowerBudget::new(w).expect("positive budget"));
+        let budget = (config.power_budget_watts.map(PowerBudget::new).transpose())
+            .map_err(|e| SchedError::InvalidConfig(e.to_string()))?;
         let mut events = EventLoop::new(config.horizon, source);
         events.schedule_at(SimTime::ZERO, Ev::PowerTick);
         for &(t, w) in &config.budget_schedule {
             events.schedule_at(t, Ev::BudgetResize(w));
         }
         // Grid DR windows ride the same event queue as everything else.
-        if let Some(g) = &config.grid {
-            for (i, ev) in g.contract.events.iter().enumerate() {
+        let grid = config.grid.take().map(GridState::new);
+        if let Some(g) = &grid {
+            for (i, ev) in g.config().contract.events.iter().enumerate() {
                 events.schedule_at(ev.start, Ev::GridDrStart(i as u32));
                 events.schedule_at(ev.end, Ev::GridDrEnd(i as u32));
             }
         }
-        let mut rng = epa_simcore::rng::SimRng::new(config.seed).stream("engine-failures");
-        if let Some(mtbf) = config.node_mtbf {
-            let first = rng.exponential(1.0 / mtbf.as_secs().max(1e-9));
-            events.schedule_at(SimTime::from_secs(first), Ev::NodeFail);
-        }
-        // Correlated failure domains: the whole schedule is a pure
-        // function of the fault seed, pre-generated and pre-scheduled so
-        // identical seeds replay identical rack/PDU events.
-        let fault_plan = config.faults.as_ref().map_or_else(FaultPlan::default, |f| {
-            FaultPlan::generate(f, config.horizon, system.spec().cabinets)
-        });
-        for (i, e) in fault_plan.domain_events.iter().enumerate() {
-            events.schedule_at(e.t, Ev::DomainFail(i as u32));
-        }
-        let injector = match &config.faults {
-            Some(f) if f.sensor.is_some() => Some(
-                FaultInjector::new(f.clone())
-                    .map_err(|e| SchedError::InvalidConfig(e.to_string()))?,
-            ),
-            _ => None,
-        };
-        let actuator = config.faults.as_ref().and_then(|f| {
-            f.actuator
-                .as_ref()
-                .map(|a| RetryingActuator::new(a.clone(), f.seed))
-        });
+        let spec = system.spec();
+        let mut faults = FaultPlane::new(&config, spec.cabinets, spec.idle_watts());
+        faults.schedule(&mut events);
         let mut meter = EnergyMeter::new(power_trace_grid());
         let all_nodes: Vec<NodeId> = system.nodes().collect();
         meter.set_alloc_watts(&all_nodes, SimTime::ZERO, system.spec().node.idle_watts);
-        let idle_system_watts = system.spec().idle_watts();
         let mut obs = Obs::new(&config.trace);
         obs.registry
             .register_histogram("sched/wait_secs", &WAIT_BUCKETS);
@@ -458,7 +433,6 @@ impl<'p> ClusterSim<'p> {
             .register_histogram("rm/actuation_delay_secs", &ACTUATION_DELAY_BUCKETS);
         obs.registry
             .register_histogram("telemetry/staleness_age_secs", &STALENESS_AGE_BUCKETS);
-        let grid_state = config.grid.as_ref().map(GridState::new);
         let total = system.spec().total_nodes();
         let nodes = NodeTable::new(total, config.alloc_strategy, system.topology().clone());
         let jobs = JobTable::new(config.retain_completed);
@@ -476,20 +450,12 @@ impl<'p> ClusterSim<'p> {
             history: HistoryStore::new(),
             violation_accum_secs: 0.0,
             last_tick: SimTime::ZERO,
-            rng,
             start_hold_until: SimTime::ZERO,
             hold_resume_pending: false,
-            fault_plan,
-            injector,
-            actuator,
-            sensor_last: (SimTime::ZERO, idle_system_watts),
-            sensor_stuck_until: None,
-            telemetry_stale: false,
-            repair_downtime_secs: 0.0,
-            repairs_completed: 0,
+            faults,
             obs,
             control: ControlState::default(),
-            grid: grid_state,
+            grid,
         })
     }
 
@@ -563,10 +529,7 @@ impl<'p> ClusterSim<'p> {
     /// to the pre-grid engine.
     #[must_use]
     pub fn grid_summary(&self) -> Option<GridSummary> {
-        match (&self.config.grid, &self.grid) {
-            (Some(cfg), Some(state)) => Some(state.summary(cfg)),
-            _ => None,
-        }
+        self.grid.as_ref().map(GridState::summary)
     }
 
     /// Runs the simulation to completion and reports the outcome plus
@@ -649,24 +612,30 @@ impl<'p> ClusterSim<'p> {
                 self.try_schedule();
             }
             Ev::NodeFail => {
-                self.on_node_fail(t);
-                if let Some(mtbf) = self.config.node_mtbf {
-                    let gap = self.rng.exponential(1.0 / mtbf.as_secs().max(1e-9));
-                    let next = t + SimDuration::from_secs(gap);
-                    if next <= self.config.horizon {
-                        self.events.schedule_at(next, Ev::NodeFail);
-                    }
+                let operational = self.nodes.operational();
+                let (victim, next) = self.faults.node_fail(t, &operational, self.config.horizon);
+                if let Some(victim) = victim {
+                    self.obs.bus.record(
+                        t,
+                        TraceEvent::NodeFailed {
+                            node: victim.0,
+                            correlated: false,
+                        },
+                    );
+                    self.take_node_down(victim, t, self.faults.repair_time());
+                    self.try_schedule();
+                }
+                if let Some(next) = next {
+                    self.events.schedule_at(next, Ev::NodeFail);
                 }
             }
             Ev::RepairDone(n) => {
-                if let Some(since) = self.nodes.repair(n) {
-                    self.repair_downtime_secs += (t - since).as_secs();
-                    self.repairs_completed += 1;
+                if let Some(down_secs) = self.nodes.repair(n, t) {
                     self.obs.bus.record(
                         t,
                         TraceEvent::NodeRepaired {
                             node: n.0,
-                            down_secs: (t - since).as_secs(),
+                            down_secs,
                         },
                     );
                 }
@@ -674,7 +643,7 @@ impl<'p> ClusterSim<'p> {
                 self.bring_up(n, t);
             }
             Ev::DomainFail(idx) => {
-                let event = self.fault_plan.domain_events[idx as usize];
+                let event = self.faults.domain_event(idx);
                 self.obs.registry.incr("faults/domain_events", 1);
                 // Only operational nodes go down; Off/Booting nodes
                 // ride through (their state machines are elsewhere).
@@ -721,15 +690,16 @@ impl<'p> ClusterSim<'p> {
     /// and — for enforced events — shed load immediately if the system
     /// is already drawing above the target.
     fn on_grid_dr_start(&mut self, t: SimTime, idx: u32) {
-        let Some((target, enforce)) = self.config.grid.as_ref().and_then(|g| {
-            g.event(idx)
-                .map(|ev| (ev.target_watts(g.nominal_it_watts), ev.enforce))
-        }) else {
+        let Some(gs) = self.grid.as_mut() else {
             return;
         };
-        if let Some(gs) = self.grid.as_mut() {
-            gs.on_event_start(idx);
-        }
+        let g = gs.config();
+        let Some((target, enforce)) =
+            (g.event(idx)).map(|ev| (ev.target_watts(g.nominal_it_watts), ev.enforce))
+        else {
+            return;
+        };
+        gs.on_event_start(idx);
         self.obs.registry.incr("grid/dr_events", 1);
         let _ = self.apply_action(
             t,
@@ -758,17 +728,12 @@ impl<'p> ClusterSim<'p> {
     /// toward its nominal level (the next grid tick re-derates it for
     /// cooling/follow conditions).
     fn on_grid_dr_end(&mut self, t: SimTime, idx: u32) {
-        let Some(nominal) = self.config.grid.as_ref().map(|g| g.nominal_it_watts) else {
+        let temp = self.ambient_c(t);
+        let Some(gs) = self.grid.as_mut() else {
             return;
         };
-        if let Some(gs) = self.grid.as_mut() {
-            gs.on_event_end(idx);
-        }
-        let temp = self.ambient_c(t);
-        let target = match (&self.config.grid, &self.grid) {
-            (Some(gcfg), Some(gs)) => gs.budget_target(gcfg, temp),
-            _ => nominal,
-        };
+        gs.on_event_end(idx);
+        let target = gs.budget_target(temp);
         let _ = self.apply_action(
             t,
             &ControlAction::ResizeBudget { watts: target },
@@ -781,16 +746,16 @@ impl<'p> ClusterSim<'p> {
     /// budget to the twin's current target (cooling head-room ×
     /// follow-the-renewables derating × DR cap) when it moved.
     fn grid_tick(&mut self, t: SimTime, it_watts: f64) {
-        if self.config.grid.is_none() {
+        if self.grid.is_none() {
             return;
         }
         let temp = self.ambient_c(t);
         let fallback_pue = self.config.facility.as_ref().map_or(1.0, |f| f.pue(t));
         let dt = (t - self.last_tick).as_secs();
-        let (Some(gcfg), Some(gs)) = (self.config.grid.as_ref(), self.grid.as_mut()) else {
+        let Some(gs) = self.grid.as_mut() else {
             return;
         };
-        let target = gs.on_tick(gcfg, t, dt, it_watts, temp, fallback_pue);
+        let target = gs.on_tick(t, dt, it_watts, temp, fallback_pue);
         let current = self.budget.as_ref().map(PowerBudget::total_watts);
         if let Some(cur) = current {
             if (target - cur).abs() > 1e-6 {
@@ -852,14 +817,9 @@ impl<'p> ClusterSim<'p> {
         let mut fp = Fingerprint::new();
         fp.u64(c.seed);
         fp.f64(c.horizon.as_secs());
-        match c.power_budget_watts {
-            Some(w) => {
-                fp.u64(1);
-                fp.f64(w);
-            }
-            None => {
-                fp.u64(0);
-            }
+        fp.u64(u64::from(c.power_budget_watts.is_some()));
+        if let Some(w) = c.power_budget_watts {
+            fp.f64(w);
         }
         fp.u64(c.budget_schedule.len() as u64);
         for &(t, w) in &c.budget_schedule {
@@ -867,22 +827,10 @@ impl<'p> ClusterSim<'p> {
             fp.f64(w);
         }
         fp.u64(u64::from(c.requeue_killed));
-        match c.checkpoint_interval {
-            Some(d) => {
-                fp.u64(1);
+        for d in [c.checkpoint_interval, c.node_mtbf] {
+            fp.u64(u64::from(d.is_some()));
+            if let Some(d) = d {
                 fp.f64(d.as_secs());
-            }
-            None => {
-                fp.u64(0);
-            }
-        }
-        match c.node_mtbf {
-            Some(d) => {
-                fp.u64(1);
-                fp.f64(d.as_secs());
-            }
-            None => {
-                fp.u64(0);
             }
         }
         fp.f64(c.repair_time.as_secs());
@@ -891,14 +839,9 @@ impl<'p> ClusterSim<'p> {
             AllocStrategy::Contiguous => 1,
             AllocStrategy::TopologyAware => 2,
         });
-        match &c.faults {
-            Some(f) => {
-                fp.u64(1);
-                fp.u64(f.seed);
-            }
-            None => {
-                fp.u64(0);
-            }
+        fp.u64(u64::from(c.faults.is_some()));
+        if let Some(f) = &c.faults {
+            f.fingerprint(&mut fp);
         }
         fp.u64(u64::from(c.shutdown.is_some()));
         fp.u64(u64::from(c.emergency.is_some()));
@@ -907,14 +850,9 @@ impl<'p> ClusterSim<'p> {
         fp.u64(u64::from(c.layout.is_some()));
         fp.u64(u64::from(c.record_history));
         fp.u64(u64::from(c.retain_completed));
-        match &c.grid {
-            Some(g) => {
-                fp.u64(1);
-                g.fingerprint(&mut fp);
-            }
-            None => {
-                fp.u64(0);
-            }
+        fp.u64(u64::from(self.grid.is_some()));
+        if let Some(g) = &self.grid {
+            g.config().fingerprint(&mut fp);
         }
         fp.str(self.policy.name());
         self.events.source().fingerprint(&mut fp);
@@ -956,25 +894,12 @@ impl<'p> ClusterSim<'p> {
         w.section("engine");
         w.f64(self.violation_accum_secs);
         w.f64(self.last_tick.as_secs());
-        let (seed, pos) = self.rng.snapshot_state();
-        w.u64(seed);
-        w.u64(pos);
         w.f64(self.start_hold_until.as_secs());
         w.bool(self.hold_resume_pending);
-        w.f64(self.sensor_last.0.as_secs());
-        w.f64(self.sensor_last.1);
-        w.opt(self.sensor_stuck_until.as_ref(), |w, &(until, held)| {
-            w.f64(until.as_secs());
-            w.f64(held);
-        });
-        w.bool(self.telemetry_stale);
-        w.f64(self.repair_downtime_secs);
-        w.u64(self.repairs_completed);
         w.section("control");
         self.control.snapshot_into(&mut w);
         w.section("faults");
-        w.opt(self.injector.as_ref(), |w, i| i.snapshot_into(w));
-        w.opt(self.actuator.as_ref(), |w, a| a.snapshot_into(w));
+        self.faults.snapshot_into(&mut w);
         w.section("history");
         self.history.snapshot_into(&mut w);
         w.section("arrivals");
@@ -1039,9 +964,9 @@ impl<'p> ClusterSim<'p> {
 
     /// Overwrites this freshly-constructed engine's state from snapshot
     /// bytes. Pure-config-derived state (fault plan, predictor, power
-    /// model) keeps the constructor's values; everything mutable is
-    /// replaced; derived structures (node tallies, running summaries)
-    /// are rebuilt from the restored primaries.
+    /// model, grid config) keeps the constructor's values; everything
+    /// mutable is replaced; derived structures (node tallies, running
+    /// summaries) are rebuilt from the restored primaries.
     fn restore_state(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
         let n = self.system.spec().total_nodes() as usize;
         let mut r = SnapReader::open(bytes, SNAPSHOT_SCHEMA_VERSION)?;
@@ -1067,29 +992,26 @@ impl<'p> ClusterSim<'p> {
         r.section("sim")?;
         // A restored event must not carry an index its handler would use
         // out of range: a node past the machine, a domain event past the
-        // fault plan, or a DR event past the grid contract.
-        let (domain_events, grid) = (self.fault_plan.domain_events.len(), &self.config.grid);
+        // fault plan, or a DR event past the grid contract; nor may a node
+        // failure be queued without an MTBF.
+        let (faults, grid) = (&self.faults, &self.grid);
         self.events
             .restore_queue(&mut r, now, processed, |ev| match *ev {
                 Ev::BootDone(node) | Ev::RepairDone(node) | Ev::ShutdownDone(node) => {
                     node.index() < n
                 }
-                Ev::DomainFail(idx) => (idx as usize) < domain_events,
-                Ev::GridDrStart(idx) | Ev::GridDrEnd(idx) => {
-                    grid.as_ref().is_some_and(|g| g.event(idx).is_some())
-                }
-                _ => true,
+                Ev::GridDrStart(idx) | Ev::GridDrEnd(idx) => grid
+                    .as_ref()
+                    .is_some_and(|g| g.config().event(idx).is_some()),
+                _ => faults.queues(ev),
             })?;
         r.section("meter")?;
         self.meter = EnergyMeter::restore_from(&mut r, power_trace_grid(), n as u32)?;
         r.section("budget")?;
-        let budget = r.opt(PowerBudget::restore_from)?;
-        if budget.is_some() != self.budget.is_some() {
-            return Err(SnapshotError::ConfigMismatch {
-                detail: "snapshot and config disagree about the power budget".to_owned(),
-            });
-        }
-        self.budget = budget;
+        restore_part(&mut r, "the power budget", &mut self.budget, |r, b| {
+            *b = PowerBudget::restore_from(r)?;
+            Ok(())
+        })?;
         r.section("jobs")?;
         let (retain, budget) = (self.config.retain_completed, self.budget.as_ref());
         self.jobs = JobTable::restore_from(&mut r, total, now, retain, budget, &self.meter)?;
@@ -1100,39 +1022,12 @@ impl<'p> ClusterSim<'p> {
         r.section("engine")?;
         self.violation_accum_secs = r.f64()?;
         self.last_tick = r.time()?;
-        let (seed, pos) = (r.u64()?, r.u64()?);
-        self.rng = epa_simcore::rng::SimRng::from_state(seed, pos);
         self.start_hold_until = r.time()?;
         self.hold_resume_pending = r.bool()?;
-        self.sensor_last = (r.time()?, r.f64()?);
-        self.sensor_stuck_until = r.opt(|r| Ok((r.time()?, r.f64()?)))?;
-        self.telemetry_stale = r.bool()?;
-        self.repair_downtime_secs = r.f64()?;
-        self.repairs_completed = r.u64()?;
         r.section("control")?;
         self.control = ControlState::restore_from(&mut r)?;
         r.section("faults")?;
-        let fault_cfg = self.config.faults.clone();
-        self.injector = r.opt(|r| {
-            let cfg = fault_cfg
-                .clone()
-                .ok_or_else(|| SnapshotError::ConfigMismatch {
-                    detail: "snapshot has a fault injector but the config has no fault model"
-                        .to_owned(),
-                })?;
-            FaultInjector::restore_from(r, cfg)
-        })?;
-        self.actuator = r.opt(|r| {
-            let cfg = fault_cfg
-                .as_ref()
-                .and_then(|f| f.actuator.clone())
-                .ok_or_else(|| SnapshotError::ConfigMismatch {
-                    detail: "snapshot has actuator-fault state but the config has no \
-                             actuator fault model"
-                        .to_owned(),
-                })?;
-            RetryingActuator::restore_from(r, cfg)
-        })?;
+        self.faults.restore_from(&mut r, now)?;
         r.section("history")?;
         self.history = HistoryStore::restore_from(&mut r)?;
         r.section("arrivals")?;
@@ -1154,44 +1049,10 @@ impl<'p> ClusterSim<'p> {
         }
         self.obs = obs;
         r.section("grid")?;
-        let grid_cfg = &self.config.grid;
-        let grid = r.opt(|r| {
-            let cfg = grid_cfg
-                .as_ref()
-                .ok_or_else(|| SnapshotError::ConfigMismatch {
-                    detail: "snapshot has grid state but the config has no grid model".to_owned(),
-                })?;
-            GridState::restore_from(r, cfg)
+        restore_part(&mut r, "the grid model", &mut self.grid, |r, g| {
+            g.restore_from(r)
         })?;
-        if grid.is_some() != self.config.grid.is_some() {
-            return Err(SnapshotError::ConfigMismatch {
-                detail: "snapshot and config disagree about the grid model".to_owned(),
-            });
-        }
-        self.grid = grid;
         r.finish()
-    }
-
-    /// Fails one uniformly-chosen operational node: the job running on it
-    /// (if any) is killed, the node goes down and is repaired after the
-    /// configured repair time.
-    fn on_node_fail(&mut self, t: SimTime) {
-        // Ascending node-id order, matching the old sorted-map scan, so the
-        // RNG draw sequence (and thus every seeded run) is unchanged.
-        let operational = self.nodes.operational();
-        if operational.is_empty() {
-            return;
-        }
-        let victim = *self.rng.choose(&operational);
-        self.obs.bus.record(
-            t,
-            TraceEvent::NodeFailed {
-                node: victim.0,
-                correlated: false,
-            },
-        );
-        self.take_node_down(victim, t, self.config.repair_time);
-        self.try_schedule();
     }
 
     /// Takes one operational node down: kill its job (if any), drain it
@@ -1224,121 +1085,6 @@ impl<'p> ClusterSim<'p> {
         self.nodes.bring_up(node, t);
         self.meter_node(node, NodePowerState::Idle, t);
         self.try_schedule();
-    }
-
-    /// Conservative static power estimate used while telemetry is stale:
-    /// busy nodes at nameplate peak, every other powered node at idle,
-    /// plus the configured safety margin. Deliberately pessimistic — the
-    /// degraded mode must never under-estimate draw.
-    fn conservative_estimate(&self, cfg: &SensorFaultConfig) -> f64 {
-        let node = &self.system.spec().node;
-        let busy = self.nodes.busy_count();
-        debug_assert_eq!(
-            busy,
-            self.jobs.summaries().iter().map(|s| s.nodes).sum::<u32>(),
-            "busy tally must match the running-summary scan"
-        );
-        let on_others = self
-            .system
-            .spec()
-            .total_nodes()
-            .saturating_sub(self.nodes.off_count() + busy);
-        (f64::from(busy) * node.peak_watts + f64::from(on_others) * node.idle_watts)
-            * (1.0 + cfg.safety_margin_frac)
-    }
-
-    /// Advances the sensor model one tick and returns the *observed*
-    /// system draw: the live reading, a held stuck-at value, or — once
-    /// the last reading's age exceeds the staleness bound — the
-    /// conservative fallback estimate. Without sensor faults this is the
-    /// true meter value with zero extra state or RNG draws.
-    fn sample_telemetry(&mut self, t: SimTime, true_watts: f64) -> f64 {
-        let Some(cfg) = self
-            .injector
-            .as_ref()
-            .and_then(|i| i.sensor_config().cloned())
-        else {
-            return true_watts;
-        };
-        // Stuck-at window: the sensor keeps re-reporting its held value
-        // with fresh timestamps — wrong data that staleness cannot catch.
-        if let Some((until, held)) = self.sensor_stuck_until {
-            if t < until {
-                self.sensor_last = (t, held);
-            } else {
-                self.sensor_stuck_until = None;
-            }
-        }
-        if self.sensor_stuck_until.is_none() {
-            match self
-                .injector
-                .as_mut()
-                .expect("sensor faults on")
-                .sensor_sample()
-            {
-                SensorSample::Ok => self.sensor_last = (t, true_watts),
-                SensorSample::Dropout => {
-                    // The sample is lost; the last reading ages.
-                    self.obs.registry.incr("faults/telemetry_dropouts", 1);
-                    self.obs.bus.record(t, TraceEvent::SensorDropout);
-                }
-                SensorSample::Stuck => {
-                    let held = self.sensor_last.1;
-                    self.sensor_stuck_until = Some((t + cfg.stuck_duration, held));
-                    self.sensor_last = (t, held);
-                    self.obs.registry.incr("faults/telemetry_stuck", 1);
-                    self.obs
-                        .bus
-                        .record(t, TraceEvent::SensorStuck { held_watts: held });
-                }
-            }
-        }
-        let age = t.saturating_since(self.sensor_last.0);
-        if age > cfg.staleness_bound {
-            if !self.telemetry_stale {
-                self.telemetry_stale = true;
-                self.obs.registry.incr("faults/telemetry_fallbacks", 1);
-                self.obs.bus.record(
-                    t,
-                    TraceEvent::TelemetryFallback {
-                        engaged: true,
-                        age_secs: age.as_secs(),
-                    },
-                );
-            }
-            self.obs.registry.incr("faults/telemetry_stale_ticks", 1);
-            self.obs
-                .registry
-                .observe("telemetry/staleness_age_secs", age.as_secs());
-            self.conservative_estimate(&cfg)
-        } else {
-            if self.telemetry_stale {
-                self.obs.bus.record(
-                    t,
-                    TraceEvent::TelemetryFallback {
-                        engaged: false,
-                        age_secs: age.as_secs(),
-                    },
-                );
-            }
-            self.telemetry_stale = false;
-            self.sensor_last.1
-        }
-    }
-
-    /// The observed system draw at `now` without advancing the sensor
-    /// model (scheduling decisions between ticks read this). Returns the
-    /// value and whether telemetry is currently stale.
-    fn observed_system_watts(&self, now: SimTime) -> (f64, bool) {
-        let Some(cfg) = self.injector.as_ref().and_then(|i| i.sensor_config()) else {
-            return (self.meter.system_watts(), false);
-        };
-        let age = now.saturating_since(self.sensor_last.0);
-        if age > cfg.staleness_bound {
-            (self.conservative_estimate(cfg), true)
-        } else {
-            (self.sensor_last.1, false)
-        }
     }
 
     /// Applies one control action through the unified apply path — the
@@ -1502,7 +1248,7 @@ impl<'p> ClusterSim<'p> {
     #[must_use]
     pub fn control_observation(&self) -> Observation {
         let now = self.events.now();
-        let (system_watts, stale) = self.observed_system_watts(now);
+        let (system_watts, stale) = self.observed_watts(now);
         let (wait_p50_secs, wait_p90_secs) = self
             .obs
             .registry
@@ -1530,7 +1276,7 @@ impl<'p> ClusterSim<'p> {
                 .as_ref()
                 .map_or(f64::INFINITY, PowerBudget::headroom_watts),
             temperature_c: self.ambient_c(now),
-            telemetry_stale: stale,
+            telemetry_stale: stale.is_some(),
             emergency_armed: self
                 .config
                 .emergency
@@ -1545,6 +1291,14 @@ impl<'p> ClusterSim<'p> {
                 None => self.config.facility.as_ref().map_or(1.0, |f| f.pue(now)),
             },
         }
+    }
+
+    /// The observed system draw at `now` between ticks, and the safety
+    /// margin while telemetry is stale.
+    fn observed_watts(&self, now: SimTime) -> (f64, Option<f64>) {
+        let nameplate = || nameplate_watts(&self.system, &self.nodes, &self.jobs);
+        self.faults
+            .observed(now, self.meter.system_watts(), nameplate)
     }
 
     /// Reads the cumulative reward inputs at the current barrier. The
@@ -1708,7 +1462,7 @@ impl<'p> ClusterSim<'p> {
         // Graceful degradation: past the staleness bound the scheduler
         // sees the conservative estimate, and per-job prediction falls
         // back to nameplate peak plus the safety margin.
-        let (observed_watts, stale) = self.observed_system_watts(now);
+        let (observed_watts, stale_margin) = self.observed_watts(now);
         let decisions = {
             // Build the prediction closure over immutable parts.
             let predictor = &self.predictor;
@@ -1716,19 +1470,11 @@ impl<'p> ClusterSim<'p> {
             let ambient = self.ambient_c(now);
             let nominal = self.system.spec().node.nominal_watts;
             let peak = self.system.spec().node.peak_watts;
-            let margin = self
-                .injector
-                .as_ref()
-                .and_then(|i| i.sensor_config())
-                .map_or(0.0, |c| c.safety_margin_frac);
-            let predict = move |job: &Job| {
-                if stale {
-                    peak * (1.0 + margin)
-                } else {
-                    predictor
-                        .predict_watts_per_node(job, history, ambient)
-                        .unwrap_or(nominal)
-                }
+            let predict = move |job: &Job| match stale_margin {
+                Some(margin) => peak * (1.0 + margin),
+                None => predictor
+                    .predict_watts_per_node(job, history, ambient)
+                    .unwrap_or(nominal),
             };
             let view = SchedView {
                 now,
@@ -1780,7 +1526,7 @@ impl<'p> ClusterSim<'p> {
                     );
                     if started {
                         started_any = true;
-                        if stale {
+                        if stale_margin.is_some() {
                             self.obs.registry.incr("faults/conservative_admissions", 1);
                         }
                     }
@@ -1960,7 +1706,7 @@ impl<'p> ClusterSim<'p> {
         // success the accumulated retry backoff delays the job.
         let mut actuation_delay = SimDuration::ZERO;
         if node_cap_watts.is_some() || freq_ghz.is_some() || capped_to_fit {
-            if let Some(act) = self.actuator.as_mut() {
+            if let Some(act) = self.faults.actuator() {
                 let report = act.program_caps_traced(
                     now,
                     &nodes.to_vec(),
@@ -1984,7 +1730,7 @@ impl<'p> ClusterSim<'p> {
                     }
                     for n in report.fence {
                         self.obs.registry.incr("faults/fenced_nodes", 1);
-                        self.take_node_down(n, now, self.config.repair_time);
+                        self.take_node_down(n, now, self.faults.repair_time());
                     }
                     self.trace_reject(id, RejectReason::ActuationFailed);
                     return false;
@@ -2184,7 +1930,8 @@ impl<'p> ClusterSim<'p> {
         // What the control plane *sees* — subject to sensor dropout,
         // stuck-at windows, and the staleness fallback. Identical to
         // `watts` when sensor faults are off.
-        let observed = self.sample_telemetry(t, watts);
+        let nameplate = || nameplate_watts(&self.system, &self.nodes, &self.jobs);
+        let observed = self.faults.sample(t, watts, nameplate, &mut self.obs);
         // Budget violation accounting against the *live* budget (demand-
         // response resizes move it during the run). This is ground truth,
         // deliberately independent of what the sensors claim.
@@ -2263,13 +2010,8 @@ impl<'p> ClusterSim<'p> {
         let n_completed = agg.count;
         // Failure observability: downtime over completed repairs plus
         // nodes still down at the horizon, accrued to the end.
-        let node_downtime_secs = self.nodes.downtime_to(end, self.repair_downtime_secs);
+        let (node_downtime_secs, mttr_secs) = self.nodes.downtime_to(end);
         let nodes_down_at_end = u64::from(self.nodes.down_count());
-        let mttr_secs = if self.repairs_completed > 0 {
-            self.repair_downtime_secs / self.repairs_completed as f64
-        } else {
-            0.0
-        };
         let counters = self
             .obs
             .registry
@@ -2321,6 +2063,21 @@ impl<'p> ClusterSim<'p> {
         };
         (outcome, bundle)
     }
+}
+
+/// Conservative static draw used while telemetry is stale: busy nodes at
+/// nameplate peak, every other powered node at idle (the fault plane
+/// adds its safety margin).
+fn nameplate_watts(system: &System, nodes: &NodeTable, jobs: &JobTable) -> f64 {
+    let node = &system.spec().node;
+    let busy = nodes.busy_count();
+    debug_assert_eq!(
+        busy,
+        jobs.summaries().iter().map(|s| s.nodes).sum::<u32>(),
+        "busy tally must match the running-summary scan"
+    );
+    let on_others = (system.spec().total_nodes()).saturating_sub(nodes.off_count() + busy);
+    f64::from(busy) * node.peak_watts + f64::from(on_others) * node.idle_watts
 }
 
 #[cfg(test)]
@@ -2908,6 +2665,35 @@ mod tests {
         // A valid config still constructs.
         let (sys, jobs, config) = mk();
         assert!(build(sys, jobs, &mut policy, config).is_none());
+    }
+
+    #[test]
+    fn invalid_budgets_are_typed_config_errors() {
+        // (budget, one scheduled resize at hour 1)
+        let cases = [
+            (Some(0.0), None),
+            (Some(-5.0), None),
+            (Some(f64::NAN), None),
+            (Some(f64::INFINITY), None),
+            (Some(1000.0), Some(0.0)),
+            (Some(1000.0), Some(f64::NAN)),
+            (None, Some(500.0)),
+        ];
+        for (budget, resize) in cases {
+            let mut config = EngineConfig::new(SimTime::from_hours(2.0));
+            config.power_budget_watts = budget;
+            config.budget_schedule = resize
+                .map(|w| (SimTime::from_hours(1.0), w))
+                .into_iter()
+                .collect();
+            let jobs = Box::new(MaterializedSource::new(vec![JobBuilder::new(1).build()]));
+            let err =
+                ClusterSim::try_new_with_source(small_system(4), jobs, &mut Fcfs, config).err();
+            assert!(
+                matches!(err, Some(SchedError::InvalidConfig(_))),
+                "{budget:?} {resize:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //!
 //! [`engine::ClusterSim`] keeps its state in crate-private owners that
 //! each encode and check their own snapshot sections: the event loop
-//! (`events`), the node table (`nodes`) and the job table (`jobs`).
+//! (`events`), the node table (`nodes`), the job table (`jobs`) and the
+//! fault plane (`faults`).
 
 pub mod control;
 pub mod emergency;
@@ -40,6 +41,7 @@ pub mod engine;
 pub mod env;
 pub mod error;
 mod events;
+mod faults;
 pub mod governor;
 pub mod intersystem;
 mod jobs;

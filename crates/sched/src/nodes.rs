@@ -12,6 +12,9 @@
 //! - an unavailable node is Off, Booting, or Idle without `idle_since`
 //!   (draining);
 //! - a down node (`down_since` set) is Off and unavailable.
+//!
+//! The table also tallies completed repairs and their downtime, the
+//! outcome's downtime and MTTR.
 
 use epa_cluster::alloc::{AllocStrategy, Allocator};
 use epa_cluster::error::ClusterError;
@@ -25,8 +28,9 @@ use epa_simcore::time::{SimDuration, SimTime};
 /// `NodePowerState`s by snapshot wire tag (stable, append-only).
 const WIRE_STATES: [NodePowerState; 4] = [Off, Booting, Idle, Busy];
 
-/// Per-node state indexed by `NodeId::index()`, the allocator, and the
-/// off/booting/down tallies (busy is the allocator's own count).
+/// Per-node state indexed by `NodeId::index()`, the allocator, the
+/// off/booting/down tallies (busy is the allocator's own count) and the
+/// repair tallies.
 pub(crate) struct NodeTable {
     alloc: Allocator,
     state: Vec<NodePowerState>,
@@ -38,6 +42,9 @@ pub(crate) struct NodeTable {
     off: u32,
     booting: u32,
     down: u32,
+    /// Downtime seconds over completed repairs, and their count.
+    repair_secs: f64,
+    repairs: u64,
 }
 
 impl NodeTable {
@@ -53,6 +60,8 @@ impl NodeTable {
             off: 0,
             booting: 0,
             down: 0,
+            repair_secs: 0.0,
+            repairs: 0,
         }
     }
 
@@ -192,12 +201,16 @@ impl NodeTable {
         self.set_state(n, Off);
     }
 
-    /// Ends a node's downtime and returns its start (`None` when the node
-    /// was not down); [`NodeTable::bring_up`] powers it back on.
-    pub(crate) fn repair(&mut self, n: NodeId) -> Option<SimTime> {
-        let since = self.down_since[n.index()].take();
-        self.down -= u32::from(since.is_some());
-        since
+    /// Ends a node's downtime at `t` and tallies it; returns its length
+    /// in seconds (`None` when the node was not down).
+    /// [`NodeTable::bring_up`] powers it back on.
+    pub(crate) fn repair(&mut self, n: NodeId, t: SimTime) -> Option<f64> {
+        let since = self.down_since[n.index()].take()?;
+        let secs = (t - since).as_secs();
+        self.down -= 1;
+        self.repair_secs += secs;
+        self.repairs += 1;
+        Some(secs)
     }
 
     /// Idle or Busy, and not down: a node a failure can hit.
@@ -233,14 +246,17 @@ impl NodeTable {
         self.find(k, |i| self.state[i] == Idle && idle_for(i) >= Some(limit))
     }
 
-    /// `completed_secs` plus every down node's downtime accrued to `end`,
-    /// added in node order.
-    pub(crate) fn downtime_to(&self, end: SimTime, completed_secs: f64) -> f64 {
+    /// The downtime to `end` — completed repairs' plus every down node's
+    /// accrued to `end`, added in node order — and the mean time to
+    /// repair over completed repairs (0 when none).
+    pub(crate) fn downtime_to(&self, end: SimTime) -> (f64, f64) {
         let accrued = |acc, &s: &SimTime| acc + end.saturating_since(s).as_secs();
-        self.down_since
+        let downtime = self
+            .down_since
             .iter()
             .flatten()
-            .fold(completed_secs, accrued)
+            .fold(self.repair_secs, accrued);
+        (downtime, self.repair_secs / self.repairs.max(1) as f64)
     }
 
     pub(crate) fn into_failure_counts(self) -> Vec<u64> {
@@ -248,8 +264,8 @@ impl NodeTable {
     }
 
     /// Encodes the `nodes` section: state tags, idle and down timestamps
-    /// and failure counts (the `meta` node count sizes them), then the
-    /// allocator's spans.
+    /// and failure counts (the `meta` node count sizes them), the
+    /// allocator's spans, then the repair tallies.
     pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
         for s in &self.state {
             let tag = WIRE_STATES.iter().position(|w| w == s);
@@ -262,6 +278,8 @@ impl NodeTable {
             w.u64(c);
         }
         self.alloc.snapshot_into(w);
+        w.f64(self.repair_secs);
+        w.u64(self.repairs);
     }
 
     /// Decodes a `total`-node table written at clock `now`, given the
@@ -289,6 +307,8 @@ impl NodeTable {
         t.down_since = per_node(r, n, |r| r.opt(SnapReader::time))?;
         t.failure_counts = per_node(r, n, SnapReader::u64)?;
         t.alloc = Allocator::restore_from(r, strategy, topology)?;
+        t.repair_secs = r.duration()?.as_secs();
+        t.repairs = r.u64()?;
         let (mut claimed, mut claims_len) = (vec![false; n], 0);
         for &(start, len) in claims.flat_map(NodeSet::runs) {
             claimed[start as usize..(start + len) as usize].fill(true);
@@ -407,17 +427,19 @@ mod tests {
         t.boot(NodeId(5));
         t.take_down(NodeId(6), at(10.0));
         t.take_down(NodeId(7), at(5.0));
-        assert_eq!(t.repair(NodeId(7)), Some(at(5.0)));
+        assert_eq!(t.repair(NodeId(7), at(8.0)), Some(3.0));
+        assert_eq!(t.repair(NodeId(7), at(9.0)), None, "already up");
         t.bring_up(NodeId(7), at(20.0));
         // Busy 0-2, draining 3, off 4, booting 5, down 6, idle 7.
         assert_eq!(counts(&t), [1, 3, 2, 1, 1, 2]);
         assert_eq!(t.operational(), [0, 1, 2, 3, 7].map(NodeId));
         assert_eq!(t.bootable(8), [NodeId(4)]);
-        assert_eq!(t.downtime_to(at(30.0), 1.0), 21.0);
+        assert_eq!(t.downtime_to(at(30.0)), (23.0, 3.0));
         let bytes = frame(&t);
         let back = restore(&bytes, 8, 20.0, std::slice::from_ref(&job)).expect("consistent");
         assert_eq!(frame(&back), bytes);
         assert_eq!(counts(&back), counts(&t));
+        assert_eq!(back.downtime_to(at(30.0)), (23.0, 3.0));
         t.vacate(&job, at(30.0));
         assert_eq!(counts(&t), [4, 0, 2, 1, 1, 5]);
         assert_eq!(
@@ -434,7 +456,7 @@ mod tests {
         t.drain(NodeId(0));
         t.take_down(NodeId(0), at(10.0));
         assert!(t.shutdown_done(NodeId(0)), "still down: Off");
-        assert_eq!(t.repair(NodeId(0)), Some(at(10.0)));
+        assert_eq!(t.repair(NodeId(0), at(15.0)), Some(5.0));
         t.bring_up(NodeId(0), at(20.0));
         assert!(!t.shutdown_done(NodeId(0)), "up before the drain ended");
         assert_eq!(counts(&t), [2, 0, 0, 0, 0, 2]);
@@ -464,6 +486,8 @@ mod tests {
                 w.u32(len);
             });
         }
+        w.f64(0.0);
+        w.u64(0);
         w.finish(1)
     }
 

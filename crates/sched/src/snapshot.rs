@@ -21,7 +21,7 @@
 //! [`SnapshotError`] instead of
 //! silently diverging.
 
-use epa_simcore::snap::SnapshotError;
+use epa_simcore::snap::{SnapReader, SnapshotError};
 use std::io;
 use std::path::Path;
 
@@ -64,8 +64,14 @@ use std::path::Path;
 /// after `budget` (the job table's queue, running jobs, start-token
 /// counter, completions and aggregates, which now count emergency kills
 /// and departed jobs' node-seconds), replaces the per-job attempt map
-/// with a start token on each running job, and drops the map.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 12;
+/// with a start token on each running job, and drops the map; v13 gives
+/// fault state one owner, the fault plane: the `faults` section holds the
+/// node-failure stream, the sensor (its stream, last reading, stuck-at
+/// window and fallback flag) and the actuator, each present exactly when
+/// its config is, the `engine` section keeps only the violation, last-tick
+/// and start-hold fields, and the `nodes` section ends with the completed
+/// repairs' downtime and count.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 13;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///
@@ -131,6 +137,24 @@ impl Snapshot {
     /// the latest *intact* snapshot out of a crash directory.
     pub fn verify_frame(&self) -> Result<(), SnapshotError> {
         epa_simcore::snap::SnapReader::open(&self.bytes, SNAPSHOT_SCHEMA_VERSION).map(|_| ())
+    }
+}
+
+/// Decodes an optional component over the freshly built `part`: the
+/// frame must carry it exactly when the configuration built it, or the
+/// resume is a [`SnapshotError::ConfigMismatch`] naming `what`.
+pub(crate) fn restore_part<'a, T>(
+    r: &mut SnapReader<'a>,
+    what: &str,
+    part: &mut Option<T>,
+    restore: impl FnOnce(&mut SnapReader<'a>, &mut T) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    match (r.opt(|_| Ok(()))?, part) {
+        (Some(()), Some(part)) => restore(r, part),
+        (None, None) => Ok(()),
+        _ => Err(SnapshotError::ConfigMismatch {
+            detail: format!("snapshot and config disagree about {what}"),
+        }),
     }
 }
 

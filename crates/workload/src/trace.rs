@@ -173,11 +173,20 @@ pub fn write_swf(jobs: &[Job]) -> String {
 
 /// Parses an SWF text back into jobs. Application tags are recovered from
 /// the `; App:` header lines when present; otherwise tags are `app<N>`.
+/// A job id that repeats is a parse error naming both lines: the engine
+/// keys every job by its id.
 pub fn read_swf(text: &str) -> Result<Vec<Job>, WorkloadError> {
     let mut tag_table: BTreeMap<usize, String> = BTreeMap::new();
+    let mut first_line: BTreeMap<JobId, usize> = BTreeMap::new();
     let mut jobs = Vec::new();
     for (lineno, line) in text.lines().enumerate() {
         if let Some(job) = parse_swf_line(lineno, line, &mut tag_table)? {
+            if let Some(first) = first_line.insert(job.id, lineno + 1) {
+                return Err(WorkloadError::Parse {
+                    line: lineno + 1,
+                    message: format!("job id {} repeats line {first}", job.id.0),
+                });
+            }
             jobs.push(job);
         }
     }
@@ -208,6 +217,29 @@ mod tests {
                 (a.walltime_estimate.as_secs() - b.walltime_estimate.as_secs()).abs() < 1.0
                     || b.walltime_estimate >= b.base_runtime
             );
+        }
+    }
+
+    #[test]
+    fn a_repeated_job_id_is_an_error_naming_both_lines() {
+        let jobs = [0.0, 60.0].map(|submit| {
+            JobBuilder::new(7)
+                .nodes(2)
+                .submit(SimTime::from_secs(submit))
+                .build()
+        });
+        let text = write_swf(&jobs);
+        let lines: Vec<usize> = (text.lines().enumerate())
+            .filter(|(_, l)| l.starts_with("7 "))
+            .map(|(i, _)| i + 1)
+            .collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        match read_swf(&text) {
+            Err(WorkloadError::Parse { line, message }) => {
+                assert_eq!(line, lines[1]);
+                assert!(message.contains(&format!("line {}", lines[0])), "{message}");
+            }
+            other => panic!("expected a parse error, got {other:?}"),
         }
     }
 

@@ -15,13 +15,14 @@ mod common;
 
 use common::matrix::{assert_clean, chaos, compare, row, thread_cells, Crash};
 use common::{chaos_system, typical_jobs, CHAOS_SEEDS, NODES, NOMINAL_W};
+use epa_faults::FaultConfig;
 use epa_grid::{DrContract, DrEvent, GridConfig};
 use epa_obs::TraceConfig;
 use epa_sched::engine::{ClusterSim, EngineConfig};
 use epa_sched::policies::backfill::EasyBackfill;
 use epa_sched::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
 use epa_simcore::snap::{fnv1a64, SnapWriter, SnapshotError, SNAP_MAGIC};
-use epa_simcore::time::SimTime;
+use epa_simcore::time::{SimDuration, SimTime};
 use epa_workload::job::Job;
 
 fn chaos_jobs(seed: u64) -> Vec<Job> {
@@ -244,7 +245,7 @@ fn previous_schema_frames_are_rejected_with_unsupported_version() {
     // A current payload under each previous schema's version number,
     // checksummed correctly: only the version check can reject it.
     let snap = small_snapshot(3);
-    for old in [5, 6, 7, 8, 9, 10, 11] {
+    for old in [5, 6, 7, 8, 9, 10, 11, 12] {
         let err = try_resume(&reframe(old, &snap.as_bytes()[HEADER_LEN..]), 3).unwrap_err();
         assert!(
             matches!(
@@ -257,6 +258,53 @@ fn previous_schema_frames_are_rejected_with_unsupported_version() {
             "v{old}: expected UnsupportedVersion, got {err:?}"
         );
     }
+}
+
+/// A snapshot resumed under changed fault settings is refused: the
+/// fingerprint covers every fault sub-config, not just the fault seed.
+#[test]
+fn changed_fault_settings_are_rejected_with_config_mismatch() {
+    let edit = |f: fn(&mut FaultConfig)| {
+        let mut config = chaos_config(3);
+        f(config.faults.as_mut().expect("chaos faults"));
+        config
+    };
+    let cases = [
+        (
+            "sensor faults removed",
+            chaos_config(3),
+            edit(|f| f.sensor = None),
+        ),
+        (
+            "sensor faults added",
+            edit(|f| f.sensor = None),
+            chaos_config(3),
+        ),
+        (
+            "domain MTBF changed",
+            chaos_config(3),
+            edit(|f| f.domain.as_mut().expect("domain").mtbf = SimDuration::from_hours(3.0)),
+        ),
+        (
+            "actuator fail_prob changed",
+            chaos_config(3),
+            edit(|f| f.actuator.as_mut().expect("actuator").fail_prob = 0.3),
+        ),
+    ];
+    let mut failures = Vec::new();
+    for (name, taken, resumed) in cases {
+        let mut policy = EasyBackfill;
+        let mut sim = ClusterSim::new(chaos_system(), chaos_jobs(3), &mut policy, taken);
+        let snap = sim.run_until(SimTime::from_hours(12.0));
+        let mut policy = EasyBackfill;
+        let jobs = chaos_jobs(3);
+        match ClusterSim::resume(chaos_system(), jobs, &mut policy, resumed, &snap) {
+            Err(SnapshotError::ConfigMismatch { .. }) => {}
+            Err(err) => failures.push(format!("{name}: expected ConfigMismatch, got {err:?}")),
+            Ok(_) => failures.push(format!("{name}: accepted")),
+        };
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 #[test]

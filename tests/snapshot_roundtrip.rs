@@ -219,7 +219,7 @@ proptest! {
             tolerance_kwh: 0.25,
         };
         cfg.validate().expect("grid config validates");
-        let mut state = GridState::new(&cfg);
+        let mut state = GridState::new(cfg.clone());
         let mut t = 0.0f64;
         for &(op, dt, watts, temp) in &ops {
             match op {
@@ -228,17 +228,18 @@ proptest! {
                 2 => state.on_event_start(1),
                 _ => {
                     t += dt;
-                    state.on_tick(&cfg, SimTime::from_secs(t), dt, watts, temp, 1.0);
+                    state.on_tick(SimTime::from_secs(t), dt, watts, temp, 1.0);
                 }
             }
         }
         let a = freeze(|w| state.snapshot_into(w));
-        let restored = thaw(&a, |r| GridState::restore_from(r, &cfg));
+        let mut restored = GridState::new(cfg);
+        thaw(&a, |r| restored.restore_from(r));
         let b = freeze(|w| restored.snapshot_into(w));
         prop_assert_eq!(&a, &b, "grid state frames diverged");
         prop_assert_eq!(&restored, &state);
         // Settlement is part of the contract: the restored twin must
         // price the run identically.
-        prop_assert_eq!(restored.summary(&cfg), state.summary(&cfg));
+        prop_assert_eq!(restored.summary(), state.summary());
     }
 }
