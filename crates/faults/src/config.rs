@@ -92,10 +92,12 @@ impl SensorFaultConfig {
                 "staleness bound must be positive".into(),
             ));
         }
-        if self.safety_margin_frac < 0.0 {
-            return Err(FaultError::InvalidConfig(
-                "safety margin cannot be negative".into(),
-            ));
+        // Written so NaN fails too: `NaN < 0.0` is false.
+        if !(self.safety_margin_frac.is_finite() && self.safety_margin_frac >= 0.0) {
+            return Err(FaultError::InvalidConfig(format!(
+                "safety margin must be finite and non-negative, got {}",
+                self.safety_margin_frac
+            )));
         }
         Ok(())
     }
@@ -145,10 +147,11 @@ impl ActuatorFaultConfig {
                 "backoff base cannot be negative".into(),
             ));
         }
-        if self.backoff_factor < 1.0 {
-            return Err(FaultError::InvalidConfig(
-                "backoff factor must be >= 1".into(),
-            ));
+        if !(self.backoff_factor.is_finite() && self.backoff_factor >= 1.0) {
+            return Err(FaultError::InvalidConfig(format!(
+                "backoff factor must be finite and >= 1, got {}",
+                self.backoff_factor
+            )));
         }
         if self.fence_after == 0 {
             return Err(FaultError::InvalidConfig(
@@ -264,6 +267,24 @@ mod tests {
         a.fail_prob = 0.5;
         a.fence_after = 0;
         assert!(a.validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_margin_and_backoff_factor_are_rejected() {
+        for margin in [f64::NAN, f64::INFINITY, -0.5] {
+            let s = SensorFaultConfig {
+                safety_margin_frac: margin,
+                ..SensorFaultConfig::default()
+            };
+            assert!(s.validate().is_err(), "safety margin {margin}");
+        }
+        for factor in [f64::NAN, f64::INFINITY, 0.5] {
+            let a = ActuatorFaultConfig {
+                backoff_factor: factor,
+                ..ActuatorFaultConfig::default()
+            };
+            assert!(a.validate().is_err(), "backoff factor {factor}");
+        }
     }
 
     #[test]

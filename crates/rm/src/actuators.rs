@@ -27,8 +27,6 @@ pub struct CapWriteReport {
     /// actuation latency the caller must pay before the command is live
     /// everywhere (per-node sequences run in parallel).
     pub total_delay: SimDuration,
-    /// Nodes whose command failed after all retries.
-    pub failed: Vec<NodeId>,
     /// Nodes that crossed the consecutive-failure threshold and must be
     /// fenced by the caller.
     pub fence: Vec<NodeId>,
@@ -108,7 +106,6 @@ impl RetryingActuator {
             succeeded: true,
             attempts: 0,
             total_delay: SimDuration::ZERO,
-            failed: Vec::new(),
             fence: Vec::new(),
         };
         for &node in nodes {
@@ -119,7 +116,6 @@ impl RetryingActuator {
                 self.consecutive_failures.remove(&node.0);
             } else {
                 report.succeeded = false;
-                report.failed.push(node);
                 let count = self.consecutive_failures.entry(node.0).or_insert(0);
                 *count += 1;
                 if *count >= self.config.fence_after {
@@ -179,7 +175,6 @@ mod tests {
         assert!(report.succeeded);
         assert_eq!(report.attempts, 4);
         assert_eq!(report.total_delay, SimDuration::ZERO);
-        assert!(report.failed.is_empty());
         assert!(report.fence.is_empty());
         assert_eq!(act.consecutive_failures(NodeId(0)), 0);
     }
@@ -191,7 +186,6 @@ mod tests {
         for round in 1..=2u32 {
             let report = program(&mut act, t(1.0), &nodes, Some(150.0));
             assert!(!report.succeeded);
-            assert_eq!(report.failed, vec![NodeId(9)]);
             assert!(report.fence.is_empty());
             // max_retries = 2 → 3 attempts per call.
             assert_eq!(report.attempts, 3);
@@ -201,7 +195,7 @@ mod tests {
         }
         let report = program(&mut act, t(2.0), &nodes, Some(150.0));
         assert_eq!(report.attempts, 3);
-        assert_eq!(report.failed, vec![NodeId(9)]);
+        assert!(!report.succeeded);
         assert_eq!(report.fence, vec![NodeId(9)]);
         // Fencing resets the escalation counter.
         assert_eq!(act.consecutive_failures(NodeId(9)), 0);
@@ -272,7 +266,7 @@ mod tests {
             (0..8)
                 .map(|round| {
                     let r = program(&mut act, t(f64::from(round)), &nodes, Some(180.0));
-                    (r.attempts, r.failed.len(), r.fence.len())
+                    (r.attempts, r.succeeded, r.fence.len())
                 })
                 .collect::<Vec<_>>()
         };

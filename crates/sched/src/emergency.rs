@@ -5,8 +5,12 @@
 //! kills the youngest running jobs until the projected draw is below the
 //! limit minus a hysteresis margin (so a single breach doesn't oscillate).
 
+use crate::jobs::RunningJob;
+use epa_simcore::snap::Fingerprint;
 use epa_simcore::time::{SimDuration, SimTime};
+use epa_workload::job::JobId;
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
 
 /// Which running jobs the response kills first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -18,6 +22,32 @@ pub enum VictimOrder {
     /// choice that pairs well with checkpointing since long-running hogs
     /// have checkpoints to fall back on).
     MostPowerful,
+}
+
+impl VictimOrder {
+    /// The `running` jobs to kill, in this order, until `excess` watts
+    /// are shed: each victim's id, start token and draw.
+    pub(crate) fn victims<'a>(
+        self,
+        running: impl Iterator<Item = &'a RunningJob>,
+        mut excess: f64,
+    ) -> Vec<(JobId, u32, f64)> {
+        let draw = |r: &RunningJob| r.watts_per_node * f64::from(r.nodes.len());
+        let mut victims: Vec<&RunningJob> = running.collect();
+        match self {
+            VictimOrder::Youngest => victims.sort_by_key(|r| Reverse(r.start.as_secs().to_bits())),
+            VictimOrder::MostPowerful => victims.sort_by_key(|r| Reverse((draw(r) * 1e3) as u64)),
+        }
+        let mut kills = Vec::new();
+        for r in victims {
+            if excess <= 0.0 {
+                break;
+            }
+            excess -= draw(r);
+            kills.push((r.job.id, r.token, draw(r)));
+        }
+        kills
+    }
 }
 
 /// Emergency-response configuration.
@@ -105,6 +135,20 @@ impl EmergencyPolicy {
     #[must_use]
     pub fn should_respond(&self, t: SimTime, observed_watts: f64) -> bool {
         self.armed_at(t) && observed_watts > self.limit_watts
+    }
+
+    /// Folds every field into the engine's resume fingerprint.
+    pub(crate) fn fingerprint(&self, fp: &mut Fingerprint) {
+        fp.f64(self.limit_watts).f64(self.hysteresis_fraction);
+        fp.u64(u64::from(self.window.is_some()));
+        if let Some((start, end)) = self.window {
+            fp.f64(start.as_secs()).f64(end.as_secs());
+        }
+        fp.f64(self.start_cooldown.as_secs());
+        fp.u64(match self.victim_order {
+            VictimOrder::Youngest => 0,
+            VictimOrder::MostPowerful => 1,
+        });
     }
 }
 

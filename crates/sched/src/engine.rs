@@ -1,18 +1,13 @@
 //! The cluster scheduling engine.
 //!
-//! [`ClusterSim`] wires every substrate together: the event queue
-//! (`epa-simcore`), the machine model and allocator (`epa-cluster`), the
-//! power models, meter, and budget (`epa-power`), the workload
-//! (`epa-workload`), and prediction (`epa-predict`). A [`Policy`] makes
-//! the scheduling choices; the engine owns physical truth:
-//!
-//! - allocations (a policy can never double-book a node),
-//! - power accounting (piecewise-exact energy metering),
-//! - the power-budget ledger (grants made and reclaimed on start/finish),
-//! - walltime enforcement (jobs are killed at their estimate),
-//! - optional idle-node shutdown, emergency response, maintenance
-//!   windows, and concurrency gating (the Table I/II production
-//!   mechanisms).
+//! [`ClusterSim`] dispatches one event loop over crate-private owners of
+//! its state: the event loop, the node and job tables, the power plane
+//! and the fault plane. A [`Policy`] makes the scheduling choices; the
+//! engine owns physical truth: allocations (a policy can never
+//! double-book a node), piecewise-exact energy metering, the power-budget
+//! ledger, walltime enforcement, and the optional idle shutdown,
+//! emergency response, maintenance windows and concurrency gate (the
+//! Table I/II production mechanisms).
 //!
 //! The engine reports a [`SimOutcome`] with the metrics every experiment
 //! consumes: utilization, wait/slowdown statistics, energy, peak power,
@@ -26,6 +21,7 @@ use crate::faults::FaultPlane;
 use crate::jobs::{JobTable, RunningJob};
 use crate::limiting::JobLimitGate;
 use crate::nodes::NodeTable;
+use crate::power::{PowerPlane, StartPoint};
 use crate::shutdown::ShutdownPolicy;
 use crate::snapshot::{restore_part, Snapshot, SNAPSHOT_SCHEMA_VERSION};
 use crate::view::{Decision, Policy, SchedView};
@@ -37,12 +33,10 @@ use epa_cluster::system::System;
 use epa_faults::FaultConfig;
 use epa_grid::{GridConfig, GridState, GridSummary};
 use epa_obs::{KillReason, Obs, ObsBundle, RejectReason, Scope, TraceConfig, TraceEvent};
-use epa_power::budget::{GrantId, PowerBudget};
+use epa_power::budget::GrantId;
 use epa_power::facility::Facility;
-use epa_power::meter::EnergyMeter;
-use epa_power::node_power::{NodePowerModel, NodePowerState};
-use epa_predict::history::HistoryStore;
-use epa_predict::predictors::{PowerPredictor, TagMeanPredictor};
+use epa_power::node_power::NodePowerState;
+use epa_predict::predictors::PowerPredictor;
 use epa_simcore::snap::{Fingerprint, SnapReader, SnapWriter, SnapshotError};
 use epa_simcore::time::{SimDuration, SimTime};
 use epa_workload::job::{Job, JobId};
@@ -221,14 +215,6 @@ fn power_tick() -> SimDuration {
     SimDuration::from_mins(1.0)
 }
 
-/// Grid interval of the exported system power trace
-/// ([`SimOutcome::power_trace`]). The meter samples on this grid as power
-/// steps arrive, so the whole-run export matches a full change-point
-/// series' resample bit-for-bit.
-fn power_trace_grid() -> SimDuration {
-    SimDuration::from_mins(5.0)
-}
-
 /// Aggregated results of one simulation run.
 #[derive(Debug, Clone, Serialize)]
 pub struct SimOutcome {
@@ -317,28 +303,20 @@ pub struct RewardProbe {
 pub struct ClusterSim<'p> {
     config: EngineConfig,
     system: System,
-    power_model: NodePowerModel,
     /// The scheduling policy, borrowed (the classic constructors) or owned
     /// (the [`crate::env::PolicyEnv`] constructors, which need a `'static`
     /// engine they can hold across decision steps).
     policy: Box<dyn Policy + 'p>,
-    predictor: Box<dyn PowerPredictor>,
 
     /// The clock, the runtime event queue and the staged arrival.
     events: EventLoop,
     /// Allocation and the per-node power-state machine.
     nodes: NodeTable,
-    meter: EnergyMeter,
-    budget: Option<PowerBudget>,
     /// Queued, running and departed jobs.
     jobs: JobTable,
-    history: HistoryStore,
-    violation_accum_secs: f64,
-    last_tick: SimTime,
-    /// No new starts before this instant (emergency cooldown).
-    start_hold_until: SimTime,
-    /// A cooldown is in effect; the first tick past it must reschedule.
-    hold_resume_pending: bool,
+    /// Meter, budget, history and predictor, the emergency hold, and the
+    /// power-side policies, which it takes out of the [`EngineConfig`].
+    power: PowerPlane,
     /// Node and domain failures, sensor and actuator faults.
     faults: FaultPlane,
     /// Observability: trace bus, metrics registry, wall-clock profiler.
@@ -402,9 +380,6 @@ impl<'p> ClusterSim<'p> {
         mut config: EngineConfig,
     ) -> Result<Self, SchedError> {
         config.validate()?;
-        let power_model = NodePowerModel::new(system.spec().node.clone());
-        let budget = (config.power_budget_watts.map(PowerBudget::new).transpose())
-            .map_err(|e| SchedError::InvalidConfig(e.to_string()))?;
         let mut events = EventLoop::new(config.horizon, source);
         events.schedule_at(SimTime::ZERO, Ev::PowerTick);
         for &(t, w) in &config.budget_schedule {
@@ -421,9 +396,7 @@ impl<'p> ClusterSim<'p> {
         let spec = system.spec();
         let mut faults = FaultPlane::new(&config, spec.cabinets, spec.idle_watts());
         faults.schedule(&mut events);
-        let mut meter = EnergyMeter::new(power_trace_grid());
-        let all_nodes: Vec<NodeId> = system.nodes().collect();
-        meter.set_alloc_watts(&all_nodes, SimTime::ZERO, system.spec().node.idle_watts);
+        let power = PowerPlane::new(&mut config, &system)?;
         let mut obs = Obs::new(&config.trace);
         obs.registry
             .register_histogram("sched/wait_secs", &WAIT_BUCKETS);
@@ -439,19 +412,11 @@ impl<'p> ClusterSim<'p> {
         Ok(ClusterSim {
             config,
             system,
-            power_model,
             policy,
-            predictor: Box::new(TagMeanPredictor),
             events,
             nodes,
-            meter,
-            budget,
             jobs,
-            history: HistoryStore::new(),
-            violation_accum_secs: 0.0,
-            last_tick: SimTime::ZERO,
-            start_hold_until: SimTime::ZERO,
-            hold_resume_pending: false,
+            power,
             faults,
             obs,
             control: ControlState::default(),
@@ -497,14 +462,7 @@ impl<'p> ClusterSim<'p> {
 
     /// Replaces the power predictor used for admission control.
     pub fn set_predictor(&mut self, p: Box<dyn PowerPredictor>) {
-        self.predictor = p;
-    }
-
-    fn ambient_c(&self, t: SimTime) -> f64 {
-        self.config
-            .facility
-            .as_ref()
-            .map_or(18.0, |f| f.temperature_c(t))
+        self.power.set_predictor(p);
     }
 
     /// Runs the simulation to completion and reports the outcome.
@@ -583,23 +541,7 @@ impl<'p> ClusterSim<'p> {
                 }
                 self.try_schedule();
             }
-            Ev::PowerTick => {
-                let t_meter = self.obs.profiler.start();
-                self.on_power_tick(t);
-                self.obs.profiler.stop(Scope::Meter, t_meter);
-                // The tick after an emergency cooldown expires resumes
-                // scheduling (a full heartbeat on *every* tick would be
-                // quadratic with conservative backfilling's planning).
-                let waiting = !self.jobs.queued().is_empty();
-                if self.hold_resume_pending && t >= self.start_hold_until && waiting {
-                    self.hold_resume_pending = false;
-                    self.try_schedule();
-                }
-                let next = t + power_tick();
-                if next <= self.config.horizon {
-                    self.events.schedule_at(next, Ev::PowerTick);
-                }
-            }
+            Ev::PowerTick => self.on_power_tick(t),
             Ev::BootDone(n) => self.bring_up(n, t),
             Ev::BudgetResize(w) => {
                 // The demand-response schedule is an engineered adapter:
@@ -672,14 +614,14 @@ impl<'p> ClusterSim<'p> {
             Ev::PhaseChange(id, token, phase) => {
                 if let Some(r) = self.jobs.started(id, token) {
                     if let Some(&watts) = r.phase_watts.get(phase) {
-                        self.meter.set_group_watts(r.meter_group, t, watts);
+                        self.power.set_group_watts(r.meter_group, t, watts);
                         self.obs.registry.incr("jobs/phase_changes", 1);
                     }
                 }
             }
             Ev::ShutdownDone(n) => {
                 if self.nodes.shutdown_done(n) {
-                    self.meter_node(n, NodePowerState::Off, t);
+                    self.power.meter_node(n, NodePowerState::Off, t);
                 }
             }
         }
@@ -707,7 +649,7 @@ impl<'p> ClusterSim<'p> {
             ActionSource::Engineered,
         );
         if enforce {
-            let observed = self.meter.system_watts();
+            let observed = self.power.system_watts();
             if observed > target {
                 let _ = self.apply_action(
                     t,
@@ -728,7 +670,7 @@ impl<'p> ClusterSim<'p> {
     /// toward its nominal level (the next grid tick re-derates it for
     /// cooling/follow conditions).
     fn on_grid_dr_end(&mut self, t: SimTime, idx: u32) {
-        let temp = self.ambient_c(t);
+        let temp = self.power.ambient_c(t);
         let Some(gs) = self.grid.as_mut() else {
             return;
         };
@@ -742,22 +684,16 @@ impl<'p> ClusterSim<'p> {
     }
 
     /// The per-tick grid co-simulation step: settle cost/carbon/DR for
-    /// the elapsed interval at the metered IT draw, then steer the IT
-    /// budget to the twin's current target (cooling head-room ×
-    /// follow-the-renewables derating × DR cap) when it moved.
-    fn grid_tick(&mut self, t: SimTime, it_watts: f64) {
-        if self.grid.is_none() {
-            return;
-        }
-        let temp = self.ambient_c(t);
-        let fallback_pue = self.config.facility.as_ref().map_or(1.0, |f| f.pue(t));
-        let dt = (t - self.last_tick).as_secs();
+    /// the `dt` seconds since the last tick at the metered IT draw, then
+    /// steer the IT budget to the twin's current target (cooling
+    /// head-room × follow-the-renewables derating × DR cap) when it moved.
+    fn grid_tick(&mut self, t: SimTime, it_watts: f64, dt: f64) {
         let Some(gs) = self.grid.as_mut() else {
             return;
         };
+        let (temp, fallback_pue) = (self.power.ambient_c(t), self.power.pue(t));
         let target = gs.on_tick(t, dt, it_watts, temp, fallback_pue);
-        let current = self.budget.as_ref().map(PowerBudget::total_watts);
-        if let Some(cur) = current {
+        if let Some(cur) = self.power.budget_watts() {
             if (target - cur).abs() > 1e-6 {
                 let _ = self.apply_action(
                     t,
@@ -840,20 +776,15 @@ impl<'p> ClusterSim<'p> {
             AllocStrategy::TopologyAware => 2,
         });
         fp.u64(u64::from(c.faults.is_some()));
-        if let Some(f) = &c.faults {
-            f.fingerprint(&mut fp);
-        }
+        c.faults.iter().for_each(|f| f.fingerprint(&mut fp));
         fp.u64(u64::from(c.shutdown.is_some()));
-        fp.u64(u64::from(c.emergency.is_some()));
-        fp.u64(u64::from(c.limit_gate.is_some()));
-        fp.u64(u64::from(c.facility.is_some()));
+        c.shutdown.iter().for_each(|sd| sd.fingerprint(&mut fp));
+        self.power.fingerprint(&mut fp);
         fp.u64(u64::from(c.layout.is_some()));
         fp.u64(u64::from(c.record_history));
         fp.u64(u64::from(c.retain_completed));
         fp.u64(u64::from(self.grid.is_some()));
-        if let Some(g) = &self.grid {
-            g.config().fingerprint(&mut fp);
-        }
+        (self.grid.iter()).for_each(|g| g.config().fingerprint(&mut fp));
         fp.str(self.policy.name());
         self.events.source().fingerprint(&mut fp);
         fp.u64(u64::from(self.system.spec().total_nodes()));
@@ -864,14 +795,11 @@ impl<'p> ClusterSim<'p> {
     /// Freezes the full engine state into a [`Snapshot`].
     ///
     /// Legal between events — between [`ClusterSim::run_until`] calls,
-    /// or before the run starts. Everything mutable is captured: the
-    /// event queue with its sequence counter, the staged arrival and the
-    /// source cursor, RNG stream positions, allocator spans, the meter's
-    /// run index, open allocation groups and bounded power trace, the
-    /// budget ledger, queued and running jobs, fault state, the
-    /// prediction history, metrics, completed-job records, and the
-    /// observability ring. Configuration is *not*
-    /// stored (the caller re-supplies it at [`ClusterSim::resume`]); a
+    /// or before the run starts. Everything mutable is captured, one
+    /// section per owner: the event loop, the power plane, the job and
+    /// node tables, the control knobs, the fault plane, the arrivals,
+    /// observability and the grid twin. Configuration is *not* stored
+    /// (the caller re-supplies it at [`ClusterSim::resume`]); a
     /// fingerprint guards against mismatches.
     #[must_use]
     pub fn snapshot(&self) -> Snapshot {
@@ -883,25 +811,16 @@ impl<'p> ClusterSim<'p> {
         w.u64(self.events.processed());
         w.section("sim");
         self.events.snapshot_queue(&mut w);
-        w.section("meter");
-        self.meter.snapshot_into(&mut w);
-        w.section("budget");
-        w.opt(self.budget.as_ref(), |w, b| b.snapshot_into(w));
+        w.section("power");
+        self.power.snapshot_into(&mut w);
         w.section("jobs");
         self.jobs.snapshot_into(&mut w);
         w.section("nodes");
         self.nodes.snapshot_into(&mut w);
-        w.section("engine");
-        w.f64(self.violation_accum_secs);
-        w.f64(self.last_tick.as_secs());
-        w.f64(self.start_hold_until.as_secs());
-        w.bool(self.hold_resume_pending);
         w.section("control");
         self.control.snapshot_into(&mut w);
         w.section("faults");
         self.faults.snapshot_into(&mut w);
-        w.section("history");
-        self.history.snapshot_into(&mut w);
         w.section("arrivals");
         self.events.snapshot_arrivals(&mut w);
         w.section("obs");
@@ -1005,31 +924,20 @@ impl<'p> ClusterSim<'p> {
                     .is_some_and(|g| g.config().event(idx).is_some()),
                 _ => faults.queues(ev),
             })?;
-        r.section("meter")?;
-        self.meter = EnergyMeter::restore_from(&mut r, power_trace_grid(), n as u32)?;
-        r.section("budget")?;
-        restore_part(&mut r, "the power budget", &mut self.budget, |r, b| {
-            *b = PowerBudget::restore_from(r)?;
-            Ok(())
-        })?;
+        r.section("power")?;
+        self.power.restore_from(&mut r, now, total)?;
         r.section("jobs")?;
-        let (retain, budget) = (self.config.retain_completed, self.budget.as_ref());
-        self.jobs = JobTable::restore_from(&mut r, total, now, retain, budget, &self.meter)?;
+        let retain = self.config.retain_completed;
+        self.jobs = JobTable::restore_from(&mut r, total, now, retain, &self.power)?;
         r.section("nodes")?;
         let (strategy, topology) = (self.config.alloc_strategy, self.system.topology().clone());
         let claims = self.jobs.running().map(|rj| &rj.nodes);
         self.nodes = NodeTable::restore_from(&mut r, total, strategy, topology, now, claims)?;
-        r.section("engine")?;
-        self.violation_accum_secs = r.f64()?;
-        self.last_tick = r.time()?;
-        self.start_hold_until = r.time()?;
-        self.hold_resume_pending = r.bool()?;
+        self.nodes.check_queued(self.events.queued())?;
         r.section("control")?;
         self.control = ControlState::restore_from(&mut r)?;
         r.section("faults")?;
         self.faults.restore_from(&mut r, now)?;
-        r.section("history")?;
-        self.history = HistoryStore::restore_from(&mut r)?;
         r.section("arrivals")?;
         self.events.restore_arrivals(&mut r)?;
         r.section("obs")?;
@@ -1067,23 +975,14 @@ impl<'p> ClusterSim<'p> {
         }
         // Take the node down (it is free/idle now).
         self.nodes.take_down(victim, t);
-        self.meter_node(victim, NodePowerState::Off, t);
+        self.power.meter_node(victim, NodePowerState::Off, t);
         self.events.schedule_in(repair, Ev::RepairDone(victim));
-    }
-
-    /// Meters `node` at its draw in `state`, after its node-table
-    /// transition.
-    fn meter_node(&mut self, node: NodeId, state: NodePowerState, t: SimTime) {
-        let watts = self
-            .power_model
-            .watts(state, 0.0, self.system.spec().node.cpu.base_freq_ghz);
-        self.meter.set_node_watts(node, t, watts);
     }
 
     /// A booted or repaired node comes up idle and may take queued work.
     fn bring_up(&mut self, node: NodeId, t: SimTime) {
         self.nodes.bring_up(node, t);
-        self.meter_node(node, NodePowerState::Idle, t);
+        self.power.meter_node(node, NodePowerState::Idle, t);
         self.try_schedule();
     }
 
@@ -1142,7 +1041,7 @@ impl<'p> ClusterSim<'p> {
             }
             ControlAction::SetBackfillDepth { depth } => depth.is_none_or(|d| d >= 1),
             ControlAction::ResizeBudget { watts } => {
-                self.budget.is_some() && watts.is_finite() && *watts > 0.0
+                self.power.budget_watts().is_some() && watts.is_finite() && *watts > 0.0
             }
             ControlAction::SetIdleShutdown { policy } => policy.as_ref().is_none_or(|p| {
                 p.idle_threshold.as_secs() >= 0.0
@@ -1171,7 +1070,10 @@ impl<'p> ClusterSim<'p> {
                 nodes_override,
                 freq_ghz,
                 node_cap_watts,
-            } => self.start_job(*job, *nodes_override, *freq_ghz, *node_cap_watts),
+            } => match self.plan(*job, *nodes_override, *freq_ghz, *node_cap_watts) {
+                Ok(plan) => self.commit(plan),
+                Err(reason) => self.reject(*job, reason),
+            },
             ControlAction::SetJobLimit { limit } => {
                 self.control.job_limit = *limit;
                 true
@@ -1180,7 +1082,7 @@ impl<'p> ClusterSim<'p> {
                 // Quantize at set time so every start sees a legal
                 // operating point without re-quantizing.
                 self.control.default_freq_ghz =
-                    freq_ghz.map(|f| self.power_model.dvfs().cpu().quantize_frequency(f));
+                    freq_ghz.map(|f| self.power.dvfs().cpu().quantize_frequency(f));
                 true
             }
             ControlAction::SetBackfillDepth { depth } => {
@@ -1188,11 +1090,7 @@ impl<'p> ClusterSim<'p> {
                 true
             }
             ControlAction::ResizeBudget { watts } => {
-                if let Some(budget) = self.budget.as_mut() {
-                    if budget.resize_traced(*watts, t, &mut self.obs.bus).is_ok() {
-                        self.obs.registry.incr("power/budget_resizes", 1);
-                    }
-                }
+                self.power.resize(*watts, t, &mut self.obs);
                 true
             }
             ControlAction::SetIdleShutdown { policy } => {
@@ -1204,7 +1102,12 @@ impl<'p> ClusterSim<'p> {
                 min_idle_reserve,
                 shutdown_time,
             } => {
-                self.power_off_idle(t, *idle_threshold, *min_idle_reserve, *shutdown_time);
+                for n in self.nodes.drain_idle(t, *idle_threshold, *min_idle_reserve) {
+                    self.obs.registry.incr("rm/shutdowns", 1);
+                    // Shutdown takes effect after a short drain.
+                    self.events
+                        .schedule_at(t + *shutdown_time, Ev::ShutdownDone(n));
+                }
                 true
             }
             ControlAction::EmergencyShed {
@@ -1249,6 +1152,7 @@ impl<'p> ClusterSim<'p> {
     pub fn control_observation(&self) -> Observation {
         let now = self.events.now();
         let (system_watts, stale) = self.observed_watts(now);
+        let (headroom_watts, budget_watts) = self.power.headroom_and_total();
         let (wait_p50_secs, wait_p90_secs) = self
             .obs
             .registry
@@ -1267,29 +1171,16 @@ impl<'p> ClusterSim<'p> {
             total_nodes: self.system.spec().total_nodes(),
             running_jobs: self.jobs.running_count() as u64,
             system_watts,
-            budget_watts: self
-                .budget
-                .as_ref()
-                .map_or(f64::INFINITY, PowerBudget::total_watts),
-            headroom_watts: self
-                .budget
-                .as_ref()
-                .map_or(f64::INFINITY, PowerBudget::headroom_watts),
-            temperature_c: self.ambient_c(now),
+            budget_watts,
+            headroom_watts,
+            temperature_c: self.power.ambient_c(now),
             telemetry_stale: stale.is_some(),
-            emergency_armed: self
-                .config
-                .emergency
-                .as_ref()
-                .is_some_and(|em| em.armed_at(now)),
-            start_hold: now < self.start_hold_until,
+            emergency_armed: self.power.emergency_armed(now),
+            start_hold: self.power.holds_starts(now),
             price_per_mwh: self.grid.as_ref().map_or(0.0, GridState::price),
             carbon_g_per_kwh: self.grid.as_ref().map_or(0.0, GridState::carbon),
             dr_active: self.grid.as_ref().is_some_and(GridState::dr_active),
-            pue: match &self.grid {
-                Some(g) => g.pue(),
-                None => self.config.facility.as_ref().map_or(1.0, |f| f.pue(now)),
-            },
+            pue: (self.grid.as_ref()).map_or_else(|| self.power.pue(now), GridState::pue),
         }
     }
 
@@ -1298,7 +1189,7 @@ impl<'p> ClusterSim<'p> {
     fn observed_watts(&self, now: SimTime) -> (f64, Option<f64>) {
         let nameplate = || nameplate_watts(&self.system, &self.nodes, &self.jobs);
         self.faults
-            .observed(now, self.meter.system_watts(), nameplate)
+            .observed(now, self.power.system_watts(), nameplate)
     }
 
     /// Reads the cumulative reward inputs at the current barrier. The
@@ -1310,10 +1201,10 @@ impl<'p> ClusterSim<'p> {
         let agg = self.jobs.aggregates();
         RewardProbe {
             t: now,
-            energy_joules: self.meter.system_energy_joules(now),
+            energy_joules: self.power.energy_joules(now),
             completed: agg.count,
             slowdown_sum: agg.slowdown_sum,
-            violation_secs: self.violation_accum_secs,
+            violation_secs: self.power.violation_secs(),
             emergency_kills: agg.emergency_kills,
         }
     }
@@ -1341,9 +1232,8 @@ impl<'p> ClusterSim<'p> {
     /// cap and writes it through the control plane.
     fn refresh_gate_limit(&mut self) {
         let now = self.events.now();
-        let limit = match &self.config.limit_gate {
-            Some(gate) => gate.limit_at(self.ambient_c(now)),
-            None => return,
+        let Some(limit) = self.power.gate_limit(now) else {
+            return;
         };
         let _ = self.apply_action(
             now,
@@ -1372,28 +1262,9 @@ impl<'p> ClusterSim<'p> {
                 limit_watts,
             },
         );
-        let mut excess = observed - target_watts;
-        // Victim ordering per policy: youngest-first (least sunk cost)
-        // or most-powerful-first (fewest kills per watt).
-        let mut victims: Vec<&RunningJob> = self.jobs.running().collect();
-        match victim_order {
-            VictimOrder::Youngest => {
-                victims.sort_by_key(|r| std::cmp::Reverse(r.start.as_secs().to_bits()));
-            }
-            VictimOrder::MostPowerful => {
-                victims.sort_by_key(|r| {
-                    std::cmp::Reverse(((r.watts_per_node * f64::from(r.nodes.len())) * 1e3) as u64)
-                });
-            }
-        }
-        let victims: Vec<(JobId, u32)> = victims.iter().map(|r| (r.job.id, r.token)).collect();
-        for (id, token) in victims {
-            if excess <= 0.0 {
-                break;
-            }
+        let victims = victim_order.victims(self.jobs.running(), observed - target_watts);
+        for (id, token, shed) in victims {
             let r = self.jobs.take(id, token).expect("victim is running");
-            let shed = r.watts_per_node * f64::from(r.nodes.len());
-            excess -= shed;
             self.obs.registry.incr("emergency/kills", 1);
             self.obs.bus.record(
                 t,
@@ -1404,33 +1275,8 @@ impl<'p> ClusterSim<'p> {
             );
             self.complete(r, t, Some(KillReason::Emergency));
         }
-        self.start_hold_until = t + cooldown;
-        self.hold_resume_pending = !cooldown.is_zero();
+        self.power.hold(t, cooldown);
         self.try_schedule();
-    }
-
-    /// Powers off idle nodes under the given aggressiveness knobs.
-    fn power_off_idle(
-        &mut self,
-        t: SimTime,
-        idle_threshold: SimDuration,
-        min_idle_reserve: u32,
-        shutdown_time: SimDuration,
-    ) {
-        // Keep a reserve of idle nodes for responsiveness. The O(1)
-        // tally gates the candidate scan entirely: on the common tick
-        // (nothing shuttable) no per-node work runs.
-        let can_shut = self.nodes.idle_count().saturating_sub(min_idle_reserve);
-        if can_shut == 0 {
-            return;
-        }
-        for n in self.nodes.shutdown_candidates(t, idle_threshold, can_shut) {
-            self.nodes.drain(n);
-            self.obs.registry.incr("rm/shutdowns", 1);
-            // Shutdown takes effect after a short drain.
-            self.events
-                .schedule_at(t + shutdown_time, Ev::ShutdownDone(n));
-        }
     }
 
     fn try_schedule(&mut self) {
@@ -1441,7 +1287,7 @@ impl<'p> ClusterSim<'p> {
 
     fn try_schedule_inner(&mut self) {
         // Emergency cooldown: after a response, hold new starts.
-        if self.events.now() < self.start_hold_until {
+        if self.power.holds_starts(self.events.now()) {
             return;
         }
         // The gate may cap how many jobs can run concurrently: refresh
@@ -1451,31 +1297,13 @@ impl<'p> ClusterSim<'p> {
             return;
         }
         let now = self.events.now();
-        let headroom = self
-            .budget
-            .as_ref()
-            .map_or(f64::INFINITY, PowerBudget::headroom_watts);
-        let budget_total = self
-            .budget
-            .as_ref()
-            .map_or(f64::INFINITY, PowerBudget::total_watts);
+        let (headroom, budget_total) = self.power.headroom_and_total();
         // Graceful degradation: past the staleness bound the scheduler
         // sees the conservative estimate, and per-job prediction falls
         // back to nameplate peak plus the safety margin.
         let (observed_watts, stale_margin) = self.observed_watts(now);
         let decisions = {
-            // Build the prediction closure over immutable parts.
-            let predictor = &self.predictor;
-            let history = &self.history;
-            let ambient = self.ambient_c(now);
-            let nominal = self.system.spec().node.nominal_watts;
-            let peak = self.system.spec().node.peak_watts;
-            let predict = move |job: &Job| match stale_margin {
-                Some(margin) => peak * (1.0 + margin),
-                None => predictor
-                    .predict_watts_per_node(job, history, ambient)
-                    .unwrap_or(nominal),
-            };
+            let predict = self.power.predictor(now, stale_margin);
             let view = SchedView {
                 now,
                 free_nodes: self.nodes.free_count(),
@@ -1485,8 +1313,8 @@ impl<'p> ClusterSim<'p> {
                 power_headroom_watts: headroom,
                 power_budget_watts: budget_total,
                 system_watts: observed_watts,
-                temperature_c: self.ambient_c(now),
-                dvfs: self.power_model.dvfs(),
+                temperature_c: self.power.ambient_c(now),
+                dvfs: self.power.dvfs(),
                 predicted_watts_per_node: &predict,
             };
             // Backfill-depth knob: cap how far into the queue the policy
@@ -1557,275 +1385,217 @@ impl<'p> ClusterSim<'p> {
         let now = self.events.now();
         for n in self.nodes.bootable(need) {
             self.nodes.boot(n);
-            self.meter_node(n, NodePowerState::Booting, now);
+            self.power.meter_node(n, NodePowerState::Booting, now);
             self.obs.registry.incr("rm/boots", 1);
             self.events.schedule_in(sd.boot_time, Ev::BootDone(n));
         }
     }
 
-    /// Records a start rejection on the trace (mask-gated, no-op when
-    /// scheduler tracing is off).
-    fn trace_reject(&mut self, id: JobId, reason: RejectReason) {
+    /// Counts a start rejection under its `sched/start_*` counter and
+    /// records it on the trace (mask-gated). Returns `false`, the start's
+    /// result.
+    fn reject(&mut self, id: JobId, reason: RejectReason) -> bool {
+        let counter = match reason {
+            RejectReason::UnknownJob => "sched/start_unknown_job",
+            RejectReason::InsufficientNodes => "sched/start_insufficient_nodes",
+            RejectReason::PowerDenied => "sched/start_power_denied",
+            RejectReason::AllocFailed => "sched/start_alloc_failed",
+            RejectReason::ActuationFailed => "sched/start_actuation_failed",
+        };
+        self.obs.registry.incr(counter, 1);
         self.obs.bus.record(
             self.events.now(),
             TraceEvent::StartRejected { job: id.0, reason },
         );
+        false
     }
 
-    fn start_job(
-        &mut self,
+    /// Plans a start of queued job `id`, changing nothing: the moldable
+    /// resize, the free-node check, the operating point with any
+    /// cap-to-fit, the runtime and the phase draws and ends. The job
+    /// stays queued until [`ClusterSim::commit`], so a rejection leaves
+    /// the queue as it was.
+    fn plan(
+        &self,
         id: JobId,
         nodes_override: Option<u32>,
         freq_ghz: Option<f64>,
         node_cap_watts: Option<f64>,
-    ) -> bool {
+    ) -> Result<StartPlan, RejectReason> {
         // The control plane's default-frequency knob applies to any start
         // without an explicit frequency request. Engineered runs never
         // set it, so the default path is untouched.
         let freq_ghz = freq_ghz.or(self.control.default_freq_ghz);
-        // A start for a job that is not at the head of the queue is a
-        // backfill decision (recorded on the trace, not used otherwise).
-        let backfilled = self.jobs.queued().first().is_some_and(|h| h.id != id);
-        // The job stays queued until the start commits, so a rejection
-        // leaves the queue as it was.
-        let Some(job) = self.jobs.queued().iter().find(|j| j.id == id) else {
-            self.obs.registry.incr("sched/start_unknown_job", 1);
-            self.trace_reject(id, RejectReason::UnknownJob);
-            return false;
-        };
+        let queue = self.jobs.queued();
+        let job = (queue.iter().find(|j| j.id == id)).ok_or(RejectReason::UnknownJob)?;
         let now = self.events.now();
         // Moldable override.
-        let mut nodes_requested = job.nodes;
+        let mut nodes = job.nodes;
         let mut base_runtime = job.base_runtime;
         if let (Some(n), Some(m)) = (nodes_override, job.moldable.as_ref()) {
             let n = n.clamp(m.min_nodes, m.max_nodes);
             base_runtime = m.runtime_on(n, job.nodes, job.base_runtime);
-            nodes_requested = n;
+            nodes = n;
         }
-        if nodes_requested > self.nodes.free_count() {
-            self.obs.registry.incr("sched/start_insufficient_nodes", 1);
-            self.trace_reject(id, RejectReason::InsufficientNodes);
-            return false;
+        if nodes > self.nodes.free_count() {
+            return Err(RejectReason::InsufficientNodes);
         }
-
-        // Operating point: frequency request then hardware cap.
-        let spec_base = self.system.spec().node.cpu.base_freq_ghz;
-        let demand_freq = freq_ghz.unwrap_or(spec_base);
-        let beta = job.app.mean_cpu_boundness();
-        let util = job.app.mean_utilization();
-        let op = match node_cap_watts {
-            Some(cap) => self.power_model.apply_cap(cap, demand_freq, beta),
-            None => {
-                // Quantize only explicit requests; the default (base) is a
-                // legal operating point on every CPU.
-                let f = match freq_ghz {
-                    Some(req) => self.power_model.dvfs().cpu().quantize_frequency(req),
-                    None => spec_base,
-                };
-                epa_power::node_power::CappedOperatingPoint {
-                    freq_ghz: f,
-                    watts: self.power_model.dvfs().busy_watts(f),
-                    slowdown: self.power_model.dvfs().slowdown(f, beta),
-                }
-            }
-        };
-        // Actual per-node draw scales with utilization.
-        let idle = self.system.spec().node.idle_watts;
-        let mut op = op;
-        let mut watts_per_node = idle + util * (op.watts - idle);
-
-        // Budget admission (engine-enforced). A job whose demand exceeds
-        // the *total* budget can never start as requested — production
-        // sites cap such jobs instead of starving the queue (KAUST's
-        // static CAPMC caps, Trinity's admin caps), so the engine programs
-        // a per-node ceiling that makes the job fit and retries.
-        let mut capped_to_fit = false;
-        let grant = if let Some(budget) = self.budget.as_mut() {
-            let mut need = watts_per_node * f64::from(nodes_requested);
-            if need > budget.total_watts() {
-                let per_node_ceiling = budget.total_watts() / f64::from(nodes_requested);
-                // Cap the *busy* draw such that the utilization-weighted
-                // draw stays under the ceiling.
-                let busy_cap = if util > 0.0 {
-                    idle + (per_node_ceiling - idle) / util
-                } else {
-                    per_node_ceiling
-                };
-                let capped = self.power_model.apply_cap(busy_cap, op.freq_ghz, beta);
-                let capped_wpn = idle + util * (capped.watts - idle);
-                if capped_wpn * f64::from(nodes_requested) <= budget.total_watts() + 1e-9 {
-                    op = capped;
-                    watts_per_node = capped_wpn;
-                    need = capped_wpn * f64::from(nodes_requested);
-                    capped_to_fit = true;
-                    self.obs.registry.incr("sched/start_capped_to_fit", 1);
-                }
-            }
-            let gid = GrantId(job.id.0);
-            match budget.request_traced(gid, need, now, &mut self.obs.bus) {
-                Ok(()) => Some(gid),
-                Err(_) => {
-                    self.obs.registry.incr("sched/start_power_denied", 1);
-                    self.trace_reject(id, RejectReason::PowerDenied);
-                    return false;
-                }
-            }
-        } else {
-            None
-        };
-
-        // Allocation, avoiding maintenance-affected nodes when layout-aware.
-        // The exclusion leaves unavailability alone: affected nodes that
-        // are off or booting stay out of the free pool.
-        let est_run = SimDuration::from_secs(job.walltime_estimate.as_secs() * op.slowdown);
-        let affected: Option<NodeSet> = self.config.layout.as_ref().map(|layout| {
+        let point =
+            (self.power).start_point(job, nodes, base_runtime, now, freq_ghz, node_cap_watts);
+        // Layout-aware allocation avoids nodes under maintenance while the
+        // job may run.
+        let est_run = SimDuration::from_secs(job.walltime_estimate.as_secs() * point.op.slowdown);
+        let excluded = self.config.layout.as_ref().map(|layout| {
             layout
                 .affected_nodes(&self.system, now, now + est_run)
                 .into_iter()
                 .collect()
         });
-        let t_alloc = self.obs.profiler.start();
-        let alloc_result = self.nodes.allocate(nodes_requested, affected.as_ref());
-        self.obs.profiler.stop(Scope::Allocator, t_alloc);
-        let nodes = match alloc_result {
-            Ok(nodes) => nodes,
-            Err(_) => {
-                if let (Some(budget), Some(g)) = (self.budget.as_mut(), grant) {
-                    let _ = budget.release_traced(g, now, &mut self.obs.bus);
-                }
-                self.obs.registry.incr("sched/start_alloc_failed", 1);
-                self.trace_reject(id, RejectReason::AllocFailed);
-                return false;
-            }
-        };
+        Ok(StartPlan {
+            id,
+            // A start for a job that is not at the head of the queue is a
+            // backfill decision (recorded on the trace, not used otherwise).
+            backfilled: queue.first().is_some_and(|h| h.id != id),
+            nodes,
+            excluded,
+            actuate: node_cap_watts.is_some() || freq_ghz.is_some() || point.capped_to_fit,
+            walltime: job.walltime_estimate,
+            wait_secs: (now - job.submit).as_secs(),
+            base_runtime,
+            point,
+        })
+    }
 
-        // Program the operating point through the (possibly unreliable)
-        // actuator when the start needs a cap or frequency write. On
-        // failure the start is rolled back, the job stays queued, and any
-        // node past the consecutive-failure threshold is fenced; on
-        // success the accumulated retry backoff delays the job.
-        let mut actuation_delay = SimDuration::ZERO;
-        if node_cap_watts.is_some() || freq_ghz.is_some() || capped_to_fit {
-            if let Some(act) = self.faults.actuator() {
-                let report = act.program_caps_traced(
-                    now,
-                    &nodes.to_vec(),
-                    Some(op.watts),
-                    &mut self.obs.bus,
-                );
-                self.obs
-                    .registry
-                    .incr("faults/actuator_attempts", report.attempts);
-                if report.succeeded {
-                    actuation_delay = report.total_delay;
-                    self.obs
-                        .registry
-                        .observe("rm/actuation_delay_secs", report.total_delay.as_secs());
-                } else {
-                    self.obs.registry.incr("faults/actuator_cap_failures", 1);
-                    self.obs.registry.incr("sched/start_actuation_failed", 1);
-                    self.nodes.release_unoccupied(&nodes);
-                    if let (Some(budget), Some(g)) = (self.budget.as_mut(), grant) {
-                        let _ = budget.release_traced(g, now, &mut self.obs.bus);
-                    }
-                    for n in report.fence {
-                        self.obs.registry.incr("faults/fenced_nodes", 1);
-                        self.take_node_down(n, now, self.faults.repair_time());
-                    }
-                    self.trace_reject(id, RejectReason::ActuationFailed);
-                    return false;
-                }
-            }
+    /// Commits a planned start: takes the grant, then the nodes, then
+    /// the actuator write, and launches the job. A stage that fails hands
+    /// what the earlier ones took to [`ClusterSim::unwind`].
+    fn commit(&mut self, plan: StartPlan) -> bool {
+        if plan.point.capped_to_fit {
+            self.obs.registry.incr("sched/start_capped_to_fit", 1);
         }
-
-        // Physical runtime under the operating point, clipped by walltime.
-        let slowdown_fn = {
-            let dvfs = self.power_model.dvfs().clone();
-            let f = op.freq_ghz;
-            move |beta: f64| dvfs.slowdown(f, beta)
+        let (id, now, bus) = (plan.id, self.events.now(), &mut self.obs.bus);
+        let Ok(grant) = self.power.request_grant(id, plan.point.need, now, bus) else {
+            return self.unwind(id, None, None, Vec::new(), RejectReason::PowerDenied);
         };
-        let true_run = {
-            let mut j = job.clone();
-            j.base_runtime = base_runtime;
-            j.runtime_under(slowdown_fn)
-        } + actuation_delay;
-        let killed = true_run > job.walltime_estimate;
-        let run = if killed {
-            job.walltime_estimate
+        let t_alloc = self.obs.profiler.start();
+        let alloc = self.nodes.allocate(plan.nodes, plan.excluded.as_ref());
+        self.obs.profiler.stop(Scope::Allocator, t_alloc);
+        let Ok(nodes) = alloc else {
+            return self.unwind(id, grant, None, Vec::new(), RejectReason::AllocFailed);
+        };
+        match self.actuate(&plan, &nodes) {
+            Ok(delay) => {
+                self.launch(plan, grant, nodes, delay);
+                true
+            }
+            Err(fence) => self.unwind(id, grant, Some(nodes), fence, RejectReason::ActuationFailed),
+        }
+    }
+
+    /// Programs the operating point through the (possibly unreliable)
+    /// actuator when the start needs a cap or frequency write. Returns the
+    /// accumulated retry backoff, which delays the job, or on failure the
+    /// nodes past the consecutive-failure threshold, to be fenced.
+    fn actuate(&mut self, plan: &StartPlan, nodes: &NodeSet) -> Result<SimDuration, Vec<NodeId>> {
+        let act = match self.faults.actuator() {
+            Some(act) if plan.actuate => act,
+            _ => return Ok(SimDuration::ZERO),
+        };
+        let now = self.events.now();
+        let watts = Some(plan.point.op.watts);
+        let report = act.program_caps_traced(now, &nodes.to_vec(), watts, &mut self.obs.bus);
+        let registry = &mut self.obs.registry;
+        registry.incr("faults/actuator_attempts", report.attempts);
+        if report.succeeded {
+            registry.observe("rm/actuation_delay_secs", report.total_delay.as_secs());
+            Ok(report.total_delay)
         } else {
-            true_run
-        };
-        let end = now + run;
-        let estimated_end = now + job.walltime_estimate;
+            registry.incr("faults/actuator_cap_failures", 1);
+            Err(report.fence)
+        }
+    }
 
-        // Phase-resolved power: the job draws a different wattage in each
-        // phase (utilization differs), producing the intra-job power
-        // fluctuations the survey's introduction motivates. Phase k lasts
-        // base × wₖ × slowdown(f, βₖ) and draws idle + utilₖ·(busy − idle).
-        let idle_w = self.system.spec().node.idle_watts;
-        let phases = job.normalized_phases();
-        let phase_watts: Vec<f64> = phases
-            .iter()
-            .map(|p| idle_w + p.utilization.clamp(0.0, 1.0) * (op.watts - idle_w))
-            .collect();
-        let dvfs = self.power_model.dvfs();
-        let phase_ends: Vec<SimTime> = {
-            let mut acc = 0.0;
-            phases
-                .iter()
-                .map(|p| {
-                    acc += base_runtime.as_secs()
-                        * p.weight
-                        * dvfs.slowdown(op.freq_ghz, p.cpu_boundness);
-                    now + SimDuration::from_secs(acc)
-                })
-                .collect()
-        };
+    /// Releases what a failed commit took, in reverse order — the nodes,
+    /// then the grant — fences the nodes the actuator gave up on, and
+    /// records the rejection.
+    fn unwind(
+        &mut self,
+        id: JobId,
+        grant: Option<GrantId>,
+        nodes: Option<NodeSet>,
+        fence: Vec<NodeId>,
+        reason: RejectReason,
+    ) -> bool {
+        let now = self.events.now();
+        if let Some(nodes) = &nodes {
+            self.nodes.release_unoccupied(nodes);
+        }
+        (self.power).release_grant(grant, now, &mut self.obs.bus);
+        for n in fence {
+            self.obs.registry.incr("faults/fenced_nodes", 1);
+            self.take_node_down(n, now, self.faults.repair_time());
+        }
+        self.reject(id, reason)
+    }
 
-        let first_watts = phase_watts.first().copied().unwrap_or(watts_per_node);
-        let wait_secs = (now - job.submit).as_secs();
+    /// Launches a committed start on `nodes`, holding `grant`, after the
+    /// actuator's `delay`: the nodes turn Busy, the job's meter group
+    /// opens, the job leaves the queue, and its finish and phase changes
+    /// are queued. A job whose runtime passes its walltime estimate is
+    /// killed at the estimate.
+    fn launch(
+        &mut self,
+        plan: StartPlan,
+        grant: Option<GrantId>,
+        nodes: NodeSet,
+        delay: SimDuration,
+    ) {
+        let (now, id, point) = (self.events.now(), plan.id, plan.point);
+        let true_run = point.run + delay;
+        let killed = true_run > plan.walltime;
+        let end = now + if killed { plan.walltime } else { true_run };
+        let watts_per_node = point.watts_per_node;
+        let first_watts = point.phase_watts.first().copied().unwrap_or(watts_per_node);
         self.nodes.occupy(&nodes);
-        // One allocation group per running job: phase changes retarget
-        // the whole allocation in O(1), and closing the group at job end
-        // yields the job's energy directly.
-        let meter_group = self.meter.open_group(&nodes, now, first_watts);
+        let meter_group = self.power.open_group(&nodes, now, first_watts);
         self.obs.registry.incr("jobs/started", 1);
-        self.obs.registry.observe("sched/wait_secs", wait_secs);
+        self.obs.registry.observe("sched/wait_secs", plan.wait_secs);
         self.obs.bus.record(
             now,
             TraceEvent::JobStarted {
                 job: id.0,
                 nodes: nodes.len(),
                 watts_per_node,
-                wait_secs,
-                backfilled,
-                capped_to_fit,
+                wait_secs: plan.wait_secs,
+                backfilled: plan.backfilled,
+                capped_to_fit: point.capped_to_fit,
             },
         );
-        let granted_watts = grant.and_then(|g| self.budget.as_ref()?.grant_watts(g));
-        let token = self.jobs.start(id, granted_watts, |job, token| RunningJob {
-            job,
-            token,
-            nodes,
-            start: now,
-            estimated_end,
-            watts_per_node,
-            killed_at_walltime: killed,
-            grant,
-            base_effective: base_runtime,
-            true_run_secs: true_run.as_secs(),
-            phase_watts,
-            meter_group,
-        });
+        let phases = point.phase_watts.len();
+        let token = self
+            .jobs
+            .start(id, self.power.grant_watts(grant), |job, token| RunningJob {
+                job,
+                token,
+                nodes,
+                start: now,
+                estimated_end: now + plan.walltime,
+                watts_per_node,
+                killed_at_walltime: killed,
+                grant,
+                base_effective: plan.base_runtime,
+                true_run_secs: true_run.as_secs(),
+                phase_watts: point.phase_watts,
+                meter_group,
+            });
         self.events.schedule_at(end, Ev::Finish(id, token));
         // Stage the phase transitions that occur before the job ends.
-        for (k, &t_k) in phase_ends.iter().enumerate() {
-            if k + 1 < phases.len() && t_k < end {
+        for (k, &t_k) in point.phase_ends.iter().enumerate() {
+            if k + 1 < phases && t_k < end {
                 self.events
                     .schedule_at(t_k, Ev::PhaseChange(id, token, k + 1));
             }
         }
-        true
     }
 
     /// A running job departs at `t`: killed for `kill`, or at its natural
@@ -1833,20 +1603,9 @@ impl<'p> ClusterSim<'p> {
     fn complete(&mut self, r: RunningJob, t: SimTime, kill: Option<KillReason>) {
         let run_secs = (t - r.start).as_secs();
         self.nodes.vacate(&r.nodes, t);
-        let idle_watts = self.power_model.watts(
-            NodePowerState::Idle,
-            0.0,
-            self.system.spec().node.cpu.base_freq_ghz,
-        );
-        // Closing the group folds the job's accumulated energy (shared by
-        // every member node), resets the nodes to idle draw, and returns
-        // the job's total energy — no per-node mark/diff needed.
-        let energy = self
-            .meter
-            .close_group(r.meter_group, &r.nodes, t, idle_watts);
         let id = r.job.id;
         let reason = kill.or(r.killed_at_walltime.then_some(KillReason::Walltime));
-        let event = match reason {
+        let departure = |energy_joules| match reason {
             Some(reason) => TraceEvent::JobKilled {
                 job: id.0,
                 reason,
@@ -1855,101 +1614,57 @@ impl<'p> ClusterSim<'p> {
             None => TraceEvent::JobFinished {
                 job: id.0,
                 run_secs,
-                energy_joules: energy,
+                energy_joules,
             },
         };
-        self.obs.bus.record(t, event);
-        if let (Some(budget), Some(g)) = (self.budget.as_mut(), r.grant) {
-            let _ = budget.release_traced(g, t, &mut self.obs.bus);
-        }
-        if self.config.record_history && run_secs > 0.0 {
-            let wpn = energy / run_secs / f64::from(r.nodes.len());
-            self.history
-                .record_job(&r.job, run_secs, wpn, self.ambient_c(t));
-        }
+        let energy = (self.power).close_job(&r, t, run_secs, &mut self.obs.bus, departure);
         self.obs.registry.incr("jobs/completed", 1);
         if r.killed_at_walltime {
             self.obs.registry.incr("jobs/walltime_kills", 1);
         }
-        // Node ids are materialized only when completions are retained;
-        // the aggregates never read them.
-        let node_ids = if self.config.retain_completed {
-            r.nodes.iter().map(|n| n.0).collect()
-        } else {
-            Vec::new()
-        };
-        self.jobs.record(CompletedJob {
-            id,
-            nodes: r.nodes.len(),
-            wait_secs: (r.start - r.job.submit).as_secs(),
-            run_secs,
-            energy_joules: energy,
-            killed_at_walltime: reason == Some(KillReason::Walltime),
-            killed_by_emergency: kill == Some(KillReason::Emergency),
-            killed_by_failure: kill == Some(KillReason::Failure),
-            node_ids,
-            start_secs: r.start.as_secs(),
-        });
-        // Requeue killed work (Tokyo Tech: avoid *losing* jobs to power
-        // actions). With checkpointing the continuation resumes from the
-        // last checkpoint; without it, from the beginning.
+        self.jobs.record(&r, run_secs, energy, reason);
         if kill.is_some() && self.config.requeue_killed {
-            let frac = if r.true_run_secs > 0.0 {
-                (run_secs / r.true_run_secs).clamp(0.0, 1.0)
-            } else {
-                0.0
-            };
-            let base_done = r.base_effective.as_secs() * frac;
-            let saved = match self.config.checkpoint_interval {
-                Some(ckpt) if !ckpt.is_zero() => {
-                    (base_done / ckpt.as_secs()).floor() * ckpt.as_secs()
-                }
-                _ => 0.0,
-            };
-            let remaining = (r.base_effective.as_secs() - saved).max(1.0);
-            let mut continuation = r.job;
-            continuation.base_runtime = SimDuration::from_secs(remaining);
-            continuation.nodes = r.nodes.len();
-            continuation.moldable = None; // the continuation is rigid
-            continuation.submit = t;
+            let checkpoint = self.config.checkpoint_interval;
+            let remaining_secs = self.jobs.requeue(r, run_secs, t, checkpoint);
             self.obs.registry.incr("jobs/requeued", 1);
-            self.obs.bus.record(
-                t,
-                TraceEvent::JobRequeued {
-                    job: id.0,
-                    remaining_secs: remaining,
-                },
-            );
-            self.jobs.queue(continuation);
+            let requeued = TraceEvent::JobRequeued {
+                job: id.0,
+                remaining_secs,
+            };
+            self.obs.bus.record(t, requeued);
         }
     }
 
     fn on_power_tick(&mut self, t: SimTime) {
-        let watts = self.meter.system_watts();
+        let t_meter = self.obs.profiler.start();
+        let watts = self.power.system_watts();
         self.obs.registry.incr("rm/power_ticks", 1);
         // What the control plane *sees* — subject to sensor dropout,
         // stuck-at windows, and the staleness fallback. Identical to
         // `watts` when sensor faults are off.
         let nameplate = || nameplate_watts(&self.system, &self.nodes, &self.jobs);
         let observed = self.faults.sample(t, watts, nameplate, &mut self.obs);
-        // Budget violation accounting against the *live* budget (demand-
-        // response resizes move it during the run). This is ground truth,
-        // deliberately independent of what the sensors claim.
-        if let Some(limit) = self.budget.as_ref().map(PowerBudget::total_watts) {
-            let dt = (t - self.last_tick).as_secs();
-            if watts > limit + 1e-6 {
-                self.violation_accum_secs += dt;
-            }
-        }
-        // Grid co-simulation settles the same interval (it reads
-        // `last_tick` for its dt), then steers the budget target.
-        self.grid_tick(t, watts);
-        self.last_tick = t;
+        // Budget violation accounting, then the grid co-simulation
+        // settles the same interval and steers the budget target.
+        let dt = self.power.account_tick(t, watts);
+        self.grid_tick(t, watts, dt);
 
         // Emergency response (RIKEN) and idle shutdown (Mämmelä / Tokyo
         // Tech), both through the unified action apply path — the same
         // funnel a learned controller uses.
         self.engineered_tick_actions(t, observed);
+        self.obs.profiler.stop(Scope::Meter, t_meter);
+        // The tick after an emergency cooldown expires resumes
+        // scheduling (a full heartbeat on *every* tick would be
+        // quadratic with conservative backfilling's planning).
+        let waiting = !self.jobs.queued().is_empty();
+        if self.power.resume_after_hold(t, waiting) {
+            self.try_schedule();
+        }
+        let next = t + power_tick();
+        if next <= self.config.horizon {
+            self.events.schedule_at(next, Ev::PowerTick);
+        }
     }
 
     /// The engineered emergency and idle-shutdown policies emit
@@ -1958,31 +1673,21 @@ impl<'p> ClusterSim<'p> {
         // Emergency response drives on *observed* power — a stale sensor
         // makes the response conservative (the fallback estimate errs
         // high), never blind.
-        if let Some(em) = self.config.emergency.clone() {
-            if em.should_respond(t, observed) {
-                let _ = self.apply_action(
-                    t,
-                    &ControlAction::EmergencyShed {
-                        observed_watts: observed,
-                        limit_watts: em.limit_watts,
-                        target_watts: em.target_watts(),
-                        victim_order: em.victim_order,
-                        cooldown: em.start_cooldown,
-                    },
-                    ActionSource::Engineered,
-                );
-            }
+        if let Some(em) = self.power.emergency_due(t, observed) {
+            let shed = ControlAction::EmergencyShed {
+                observed_watts: observed,
+                limit_watts: em.limit_watts,
+                target_watts: em.target_watts(),
+                victim_order: em.victim_order,
+                cooldown: em.start_cooldown,
+            };
+            let _ = self.apply_action(t, &shed, ActionSource::Engineered);
         }
         // Idle shutdown honours the control plane's override (a learned
         // controller can retune or disable it); seasonal gating follows
         // the facility's calendar (its weather model's start day).
         if let Some(sd) = self.effective_shutdown().cloned() {
-            let doy0 = self
-                .config
-                .facility
-                .as_ref()
-                .map_or(0, |f| f.config().weather.start_day_of_year);
-            if sd.season_active_on(t, doy0) {
+            if sd.season_active_on(t, self.power.start_day_of_year()) {
                 let _ = self.apply_action(
                     t,
                     &ControlAction::PowerOffIdle {
@@ -2003,9 +1708,7 @@ impl<'p> ClusterSim<'p> {
         self.obs
             .registry
             .incr("sim/events_processed", self.events.processed());
-        let energy = self.meter.system_energy_joules(end);
-        let peak = self.meter.peak_system_watts(end);
-        let avg = self.meter.avg_system_watts(end);
+        let (energy, peak, avg, power_trace) = self.power.report(end);
         let agg = *self.jobs.aggregates();
         let n_completed = agg.count;
         // Failure observability: downtime over completed repairs plus
@@ -2037,7 +1740,7 @@ impl<'p> ClusterSim<'p> {
             energy_joules: energy,
             peak_watts: peak,
             avg_watts: avg,
-            budget_violation_secs: self.violation_accum_secs,
+            budget_violation_secs: self.power.violation_secs(),
             throughput_per_day: n_completed as f64 / (span / 86_400.0).max(1e-9),
             energy_per_job_joules: if n_completed > 0 {
                 energy / n_completed as f64
@@ -2054,15 +1757,29 @@ impl<'p> ClusterSim<'p> {
             nodes_down_at_end,
             jobs: self.jobs.into_completed(),
             counters,
-            power_trace: self
-                .meter
-                .power_trace_rows(end)
-                .into_iter()
-                .map(|(t, w)| (t.as_secs(), w))
-                .collect(),
+            power_trace,
         };
         (outcome, bundle)
     }
+}
+
+/// A start planned against the current state ([`ClusterSim::plan`]).
+struct StartPlan {
+    id: JobId,
+    /// The job is not at the head of the queue.
+    backfilled: bool,
+    /// Nodes to allocate, after any moldable resize.
+    nodes: u32,
+    /// Free nodes the allocation must avoid (maintenance windows).
+    excluded: Option<NodeSet>,
+    /// The operating point, the runtime and the phases.
+    point: StartPoint,
+    /// The start writes a cap or frequency through the actuator.
+    actuate: bool,
+    walltime: SimDuration,
+    wait_secs: f64,
+    /// Base runtime after any moldable resize.
+    base_runtime: SimDuration,
 }
 
 /// Conservative static draw used while telemetry is stale: busy nodes at
@@ -2619,6 +2336,93 @@ mod tests {
         );
         // The capped job ran slower than its base runtime.
         assert!(out.jobs[0].run_secs > 3600.0);
+    }
+
+    /// Queues `job` (submitted at t = 0, never startable under `config`)
+    /// on 8 nodes, then commits a start of it by hand: the commit must
+    /// fail for `reason` and leave the budget and meter, the free nodes
+    /// and the queue exactly as before the attempt.
+    fn assert_commit_unwinds(config: EngineConfig, job: Job, reason: RejectReason) {
+        let mut policy = Fcfs;
+        let mut sim = ClusterSim::new(small_system(8), vec![job], &mut policy, config);
+        sim.advance_until(SimTime::ZERO);
+        let state = |sim: &ClusterSim| {
+            let mut w = SnapWriter::new();
+            sim.power.snapshot_into(&mut w);
+            let queue: Vec<JobId> = sim.jobs.queued().iter().map(|j| j.id).collect();
+            let (headroom, _) = sim.power.headroom_and_total();
+            (w.finish(1), headroom, sim.nodes.free_count(), queue)
+        };
+        let before = state(&sim);
+        assert_eq!(before.3, [JobId(1)], "{reason:?}: the job waits");
+        let counter = |sim: &ClusterSim| sim.obs.registry.counter(reject_counter(reason));
+        let rejected = counter(&sim);
+        let plan = sim.plan(JobId(1), None, None, None).expect("plannable");
+        assert!(!sim.commit(plan), "{reason:?}");
+        assert_eq!(counter(&sim), rejected + 1, "{reason:?}");
+        assert!(state(&sim) == before, "{reason:?}: state changed");
+        (sim.power.check_holders(sim.jobs.running())).expect("groups and grants");
+    }
+
+    fn reject_counter(reason: RejectReason) -> &'static str {
+        match reason {
+            RejectReason::PowerDenied => "sched/start_power_denied",
+            RejectReason::AllocFailed => "sched/start_alloc_failed",
+            _ => "sched/start_actuation_failed",
+        }
+    }
+
+    fn full_machine_job() -> Job {
+        JobBuilder::new(1)
+            .nodes(8)
+            .app(epa_workload::job::AppProfile::compute_bound("hpl"))
+            .runtime(SimDuration::from_hours(1.0))
+            .estimate(SimDuration::from_hours(3.0))
+            .build()
+    }
+
+    #[test]
+    fn a_denied_grant_takes_nothing() {
+        // 250 W is below even the minimum-frequency draw of eight nodes.
+        let mut config = EngineConfig::new(SimTime::from_hours(8.0));
+        config.power_budget_watts = Some(250.0);
+        assert_commit_unwinds(config, full_machine_job(), RejectReason::PowerDenied);
+    }
+
+    #[test]
+    fn a_failed_allocation_returns_the_grant() {
+        use epa_cluster::layout::{Equipment, MaintenanceWindow, PduId};
+        // The only PDU is under maintenance for the whole run, so every
+        // node is excluded from the allocation.
+        let mut config = EngineConfig::new(SimTime::from_hours(8.0));
+        config.power_budget_watts = Some(10_000.0);
+        let mut layout = FacilityLayout::regular(&small_system(8), 1, 1);
+        layout.add_maintenance(MaintenanceWindow {
+            equipment: Equipment::Pdu(PduId(0)),
+            start: SimTime::ZERO,
+            end: SimTime::from_hours(100.0),
+        });
+        config.layout = Some(layout);
+        assert_commit_unwinds(config, full_machine_job(), RejectReason::AllocFailed);
+    }
+
+    #[test]
+    fn a_failed_actuation_returns_the_nodes_and_the_grant() {
+        use epa_faults::{ActuatorFaultConfig, FaultConfig};
+        // The job only fits the budget capped, and every cap write fails;
+        // no node is fenced, so nothing else moves.
+        let mut config = EngineConfig::new(SimTime::from_hours(8.0));
+        config.power_budget_watts = Some(1900.0);
+        config.faults = Some(FaultConfig {
+            actuator: Some(ActuatorFaultConfig {
+                fail_prob: 1.0,
+                max_retries: 0,
+                fence_after: u32::MAX,
+                ..ActuatorFaultConfig::default()
+            }),
+            ..FaultConfig::default()
+        });
+        assert_commit_unwinds(config, full_machine_job(), RejectReason::ActuationFailed);
     }
 
     #[test]

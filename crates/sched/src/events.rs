@@ -301,6 +301,11 @@ impl EventLoop {
         Ok(())
     }
 
+    /// The queued runtime events, in delivery order.
+    pub(crate) fn queued(&self) -> impl Iterator<Item = &Ev> {
+        self.queue.sorted_entries().into_iter().map(|(_, _, ev)| ev)
+    }
+
     /// The `arrivals` section: the staged arrival and the source cursor.
     pub(crate) fn snapshot_arrivals(&self, w: &mut SnapWriter) {
         w.opt(self.arrival.as_ref(), |w, j| j.snapshot_into(w));

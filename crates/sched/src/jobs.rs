@@ -12,15 +12,17 @@
 //! The table keeps, and restore checks:
 //! - no running id appears twice, and no job is both queued and running;
 //! - no running job started after the clock;
-//! - the running jobs hold exactly the power budget's live grants;
-//! - every open meter group belongs to exactly one running job and its
-//!   runs are that job's node spans ([`EnergyMeter::check_groups`]).
+//! - the running jobs hold exactly the power budget's live grants, and
+//!   every open meter group belongs to exactly one running job, its runs
+//!   that job's node spans ([`PowerPlane::check_holders`]).
 
+use crate::power::PowerPlane;
 use crate::view::RunningSummary;
 use epa_cluster::node::NodeId;
 use epa_cluster::nodeset::NodeSet;
-use epa_power::budget::{GrantId, PowerBudget};
-use epa_power::meter::{EnergyMeter, GroupId};
+use epa_obs::KillReason;
+use epa_power::budget::GrantId;
+use epa_power::meter::GroupId;
 use epa_simcore::snap::{SnapReader, SnapWriter, SnapshotError};
 use epa_simcore::time::{SimDuration, SimTime};
 use epa_workload::job::{Job, JobId};
@@ -256,6 +258,39 @@ impl JobTable {
         self.queue.insert(at, job);
     }
 
+    /// Requeues killed job `r`, `run_secs` into its run, as a rigid
+    /// continuation submitted at `t` (Tokyo Tech: avoid *losing* jobs to
+    /// power actions). It resumes from the last `checkpoint` before the
+    /// kill, or from the beginning without one. Returns its remaining
+    /// base runtime, seconds.
+    pub(crate) fn requeue(
+        &mut self,
+        r: RunningJob,
+        run_secs: f64,
+        t: SimTime,
+        checkpoint: Option<SimDuration>,
+    ) -> f64 {
+        let frac = if r.true_run_secs > 0.0 {
+            (run_secs / r.true_run_secs).clamp(0.0, 1.0)
+        } else {
+            0.0
+        };
+        let base_done = r.base_effective.as_secs() * frac;
+        let saved = match checkpoint {
+            Some(ckpt) if !ckpt.is_zero() => (base_done / ckpt.as_secs()).floor() * ckpt.as_secs(),
+            _ => 0.0,
+        };
+        let remaining = (r.base_effective.as_secs() - saved).max(1.0);
+        self.queue(Job {
+            base_runtime: SimDuration::from_secs(remaining),
+            nodes: r.nodes.len(),
+            moldable: None,
+            submit: t,
+            ..r.job
+        });
+        remaining
+    }
+
     /// The waiting jobs in scheduling order.
     pub(crate) fn queued(&self) -> &[Job] {
         &self.queue
@@ -297,7 +332,7 @@ impl JobTable {
     }
 
     /// The running jobs in id order.
-    pub(crate) fn running(&self) -> impl Iterator<Item = &RunningJob> {
+    pub(crate) fn running(&self) -> impl Iterator<Item = &RunningJob> + Clone {
         self.running.values()
     }
 
@@ -331,9 +366,34 @@ impl JobTable {
         Some(r)
     }
 
-    /// Records a departure: folded into the aggregates, and kept when
-    /// completions are retained.
-    pub(crate) fn record(&mut self, c: CompletedJob) {
+    /// Records the departure of `r` after `run_secs`, having used
+    /// `energy_joules`, killed for `reason` if at all: folded into the
+    /// aggregates, and kept, with its node ids, when completions are
+    /// retained.
+    pub(crate) fn record(
+        &mut self,
+        r: &RunningJob,
+        run_secs: f64,
+        energy_joules: f64,
+        reason: Option<KillReason>,
+    ) {
+        let c = CompletedJob {
+            id: r.job.id,
+            nodes: r.nodes.len(),
+            wait_secs: (r.start - r.job.submit).as_secs(),
+            run_secs,
+            energy_joules,
+            killed_at_walltime: reason == Some(KillReason::Walltime),
+            killed_by_emergency: reason == Some(KillReason::Emergency),
+            killed_by_failure: reason == Some(KillReason::Failure),
+            // The aggregates never read the node ids.
+            node_ids: if self.retain {
+                r.nodes.iter().map(|n| n.0).collect()
+            } else {
+                Vec::new()
+            },
+            start_secs: r.start.as_secs(),
+        };
         self.agg.fold(&c);
         if self.retain {
             self.completed.push(c);
@@ -377,16 +437,14 @@ impl JobTable {
     }
 
     /// Decodes a table written at clock `now` on a `total`-node machine
-    /// whose restored power budget and meter are `budget` and `meter`.
-    /// The frame is `Corrupt` when it breaks an invariant of the module
-    /// docs.
+    /// whose restored power plane is `power`. The frame is `Corrupt` when
+    /// it breaks an invariant of the module docs.
     pub(crate) fn restore_from(
         r: &mut SnapReader<'_>,
         total: u32,
         now: SimTime,
         retain: bool,
-        budget: Option<&PowerBudget>,
-        meter: &EnergyMeter,
+        power: &PowerPlane,
     ) -> Result<Self, SnapshotError> {
         let corrupt = |detail: String| SnapshotError::Corrupt { detail };
         let mut t = JobTable::new(retain);
@@ -412,16 +470,8 @@ impl JobTable {
         t.next_token = r.u32()?;
         t.completed = r.seq(CompletedJob::restore_from)?;
         t.agg = CompletionAggregates::restore_from(r)?;
-        let mut held: Vec<GrantId> = t.running.values().filter_map(|r| r.grant).collect();
-        held.sort_unstable();
-        let live: Vec<GrantId> = budget.map_or_else(Vec::new, |b| b.grant_ids().collect());
-        if held != live {
-            return Err(corrupt(format!(
-                "running jobs hold grants {held:?}, the budget {live:?}"
-            )));
-        }
-        meter.check_groups(t.running.values().map(|r| (r.meter_group, &r.nodes)))?;
-        let granted = |r: &RunningJob| r.grant.and_then(|g| budget?.grant_watts(g));
+        power.check_holders(t.running.values())?;
+        let granted = |r: &RunningJob| power.grant_watts(r.grant);
         t.summaries = t.running.values().map(|r| r.summary(granted(r))).collect();
         t.summaries
             .sort_unstable_by_key(|s| (s.estimated_end, s.id));
@@ -432,6 +482,11 @@ impl JobTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::EngineConfig;
+    use epa_cluster::node::NodeSpec;
+    use epa_cluster::system::SystemSpec;
+    use epa_cluster::topology::Topology;
+    use epa_obs::TraceBus;
     use epa_workload::job::JobBuilder;
 
     fn at(secs: f64) -> SimTime {
@@ -470,21 +525,47 @@ mod tests {
         }
     }
 
+    /// The fixture's running jobs: id, first node and estimate.
+    const STARTS: [(u64, u32, f64); 2] = [(1, 0, 500.0), (2, 4, 300.0)];
+
+    /// A power plane over 8 nodes with a 1000 W budget (`None` without
+    /// one) holding `grants`, and one open meter group per fixture start.
+    fn plane(budget: Option<f64>, grants: &[(u64, f64)]) -> PowerPlane {
+        let system = SystemSpec {
+            name: "jobs".into(),
+            cabinets: 1,
+            nodes_per_cabinet: 8,
+            node: NodeSpec::typical_xeon(),
+            topology: Topology::FatTree { arity: 8 },
+            peak_tflops: 1.0,
+        }
+        .build();
+        let mut config = EngineConfig::new(at(100.0));
+        config.power_budget_watts = budget;
+        let mut power = PowerPlane::new(&mut config, &system).expect("valid");
+        for (_, first, _) in STARTS {
+            power.open_group(&NodeSet::from_run(first, 2), at(10.0), 100.0);
+        }
+        let bus = &mut TraceBus::disabled();
+        for &(id, watts) in grants {
+            let granted = power.request_grant(JobId(id), watts, at(10.0), bus);
+            assert!(granted.is_ok_and(|g| g.is_some()));
+        }
+        power
+    }
+
     /// Jobs 1–3 queued; 1 (nodes 0–1) and 2 (nodes 4–5) started at
     /// t = 10 s, each with an open meter group and a 200 W grant.
-    fn fixture() -> (JobTable, EnergyMeter, PowerBudget) {
-        let mut meter = EnergyMeter::new(SimDuration::from_mins(5.0));
-        meter.set_alloc_watts(&(0..8).map(NodeId).collect::<Vec<_>>(), at(0.0), 10.0);
-        let mut budget = PowerBudget::new(1000.0).unwrap();
+    fn fixture() -> (JobTable, PowerPlane) {
+        let power = plane(Some(1000.0), &[(1, 200.0), (2, 200.0)]);
         let mut t = JobTable::new(true);
         (1..=3).for_each(|id| t.queue(job(id, 0, 0.0)));
-        for (id, first, estimate) in [(1, 0, 500.0), (2, 4, 300.0)] {
-            let nodes = NodeSet::from_run(first, 2);
-            let group = meter.open_group(&nodes, at(10.0), 100.0);
-            budget.request(GrantId(id), 200.0).unwrap();
-            t.start(JobId(id), Some(200.0), launch(10.0, estimate, nodes, group));
+        for (k, (id, first, estimate)) in STARTS.into_iter().enumerate() {
+            let group = GroupId::from_raw(k as u32);
+            let launch = launch(10.0, estimate, NodeSet::from_run(first, 2), group);
+            t.start(JobId(id), Some(200.0), launch);
         }
-        (t, meter, budget)
+        (t, power)
     }
 
     fn frame(t: &JobTable) -> Vec<u8> {
@@ -493,14 +574,9 @@ mod tests {
         w.finish(1)
     }
 
-    fn restore(
-        bytes: &[u8],
-        now: f64,
-        budget: Option<&PowerBudget>,
-        meter: &EnergyMeter,
-    ) -> Result<JobTable, SnapshotError> {
+    fn restore(bytes: &[u8], now: f64, power: &PowerPlane) -> Result<JobTable, SnapshotError> {
         let mut r = SnapReader::open(bytes, 1).expect("framed");
-        let t = JobTable::restore_from(&mut r, 8, at(now), true, budget, meter)?;
+        let t = JobTable::restore_from(&mut r, 8, at(now), true, power)?;
         r.finish().map(|()| t)
     }
 
@@ -510,7 +586,7 @@ mod tests {
 
     #[test]
     fn a_start_runs_until_its_own_token_takes_it() {
-        let (mut t, _, _) = fixture();
+        let (mut t, _) = fixture();
         assert_eq!(order(&t), [3]);
         assert_eq!(ids(t.summaries()), [2, 1], "soonest estimated end first");
         let token = t.started(JobId(1), 0).expect("first start").token;
@@ -518,18 +594,7 @@ mod tests {
         let r = t.take(JobId(1), token).expect("the current start");
         assert!(t.started(JobId(1), token).is_none());
         assert_eq!(ids(t.summaries()), [2]);
-        t.record(CompletedJob {
-            id: r.job.id,
-            nodes: r.nodes.len(),
-            wait_secs: 10.0,
-            run_secs: 40.0,
-            energy_joules: 0.0,
-            killed_at_walltime: false,
-            killed_by_emergency: true,
-            killed_by_failure: false,
-            node_ids: Vec::new(),
-            start_secs: 10.0,
-        });
+        t.record(&r, 40.0, 0.0, Some(KillReason::Emergency));
         let agg = t.aggregates();
         assert_eq!((agg.count, agg.emergency_kills), (1, 1));
         assert_eq!(t.busy_node_seconds(at(60.0)), 2.0 * 40.0 + 2.0 * 50.0);
@@ -543,9 +608,9 @@ mod tests {
 
     #[test]
     fn every_step_survives_a_restore() {
-        let (t, meter, budget) = fixture();
+        let (t, power) = fixture();
         let bytes = frame(&t);
-        let back = restore(&bytes, 10.0, Some(&budget), &meter).expect("consistent");
+        let back = restore(&bytes, 10.0, &power).expect("consistent");
         assert_eq!(frame(&back), bytes);
         assert_eq!(ids(back.summaries()), ids(t.summaries()));
         let granted: Vec<_> = back.summaries().iter().map(|s| s.granted_watts).collect();
@@ -554,33 +619,32 @@ mod tests {
 
     #[test]
     fn restore_rejects_jobs_that_contradict_each_other_or_the_clock() {
-        let (t, meter, budget) = fixture();
+        let (t, power) = fixture();
         let edit = |f: fn(&mut JobTable)| {
             let mut t = fixture().0;
             f(&mut t);
             frame(&t)
         };
-        let mut extra = budget.clone();
-        extra.request(GrantId(3), 1.0).unwrap();
-        let mut missing = budget.clone();
-        missing.release(GrantId(2)).unwrap();
-        let cases: [(&str, Vec<u8>, f64, Option<&PowerBudget>); 7] = [
-            ("started after the clock", frame(&t), 9.0, Some(&budget)),
+        let extra = plane(Some(1000.0), &[(1, 200.0), (2, 200.0), (3, 1.0)]);
+        let missing = plane(Some(1000.0), &[(1, 200.0)]);
+        let unbudgeted = plane(None, &[]);
+        let cases: [(&str, Vec<u8>, f64, &PowerPlane); 7] = [
+            ("started after the clock", frame(&t), 9.0, &power),
             (
                 "one id running twice",
                 edit(|t| t.running.get_mut(&JobId(2)).unwrap().job.id = JobId(1)),
                 10.0,
-                Some(&budget),
+                &power,
             ),
             (
                 "queued and running",
                 edit(|t| t.running.get_mut(&JobId(2)).unwrap().job.id = JobId(3)),
                 10.0,
-                Some(&budget),
+                &power,
             ),
-            ("a grant held by no job", frame(&t), 10.0, Some(&extra)),
-            ("a job's grant not live", frame(&t), 10.0, Some(&missing)),
-            ("grants without a budget", frame(&t), 10.0, None),
+            ("a grant held by no job", frame(&t), 10.0, &extra),
+            ("a job's grant not live", frame(&t), 10.0, &missing),
+            ("grants without a budget", frame(&t), 10.0, &unbudgeted),
             (
                 "swapped meter groups",
                 edit(|t| {
@@ -590,11 +654,11 @@ mod tests {
                     t.running.get_mut(&JobId(1)).unwrap().meter_group = g2;
                 }),
                 10.0,
-                Some(&budget),
+                &power,
             ),
         ];
-        for (name, bytes, now, budget) in cases {
-            let err = restore(&bytes, now, budget, &meter).err();
+        for (name, bytes, now, power) in cases {
+            let err = restore(&bytes, now, power).err();
             assert!(
                 matches!(err, Some(SnapshotError::Corrupt { .. })),
                 "{name}: {err:?}"

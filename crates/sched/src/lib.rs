@@ -32,8 +32,9 @@
 //!
 //! [`engine::ClusterSim`] keeps its state in crate-private owners that
 //! each encode and check their own snapshot sections: the event loop
-//! (`events`), the node table (`nodes`), the job table (`jobs`) and the
-//! fault plane (`faults`).
+//! (`events`), the node table (`nodes`), the job table (`jobs`), the
+//! power plane (`power`: meter, budget, history, violation tally and
+//! emergency hold) and the fault plane (`faults`).
 
 pub mod control;
 pub mod emergency;
@@ -49,6 +50,7 @@ pub mod learn;
 pub mod limiting;
 mod nodes;
 pub mod policies;
+mod power;
 pub mod shutdown;
 pub mod snapshot;
 pub mod view;

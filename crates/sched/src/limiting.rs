@@ -6,6 +6,7 @@
 //! jobs, trading throughput for thermal/power safety without touching the
 //! processing elements' performance.
 
+use epa_simcore::snap::Fingerprint;
 use serde::{Deserialize, Serialize};
 
 /// A temperature-conditioned concurrency gate.
@@ -28,6 +29,12 @@ impl JobLimitGate {
         } else {
             self.normal_limit
         }
+    }
+
+    /// Folds every field into the engine's resume fingerprint.
+    pub(crate) fn fingerprint(&self, fp: &mut Fingerprint) {
+        fp.u64(self.normal_limit as u64).u64(self.hot_limit as u64);
+        fp.f64(self.hot_threshold_c);
     }
 }
 

@@ -16,6 +16,7 @@
 //! The table also tallies completed repairs and their downtime, the
 //! outcome's downtime and MTTR.
 
+use crate::events::Ev;
 use epa_cluster::alloc::{AllocStrategy, Allocator};
 use epa_cluster::error::ClusterError;
 use epa_cluster::node::NodeId;
@@ -24,6 +25,7 @@ use epa_cluster::topology::Topology;
 use epa_power::node_power::NodePowerState::{self, Booting, Busy, Idle, Off};
 use epa_simcore::snap::{SnapReader, SnapWriter, SnapshotError};
 use epa_simcore::time::{SimDuration, SimTime};
+use std::collections::BTreeSet;
 
 /// `NodePowerState`s by snapshot wire tag (stable, append-only).
 const WIRE_STATES: [NodePowerState; 4] = [Off, Booting, Idle, Busy];
@@ -235,15 +237,24 @@ impl NodeTable {
         self.find(k, |i| self.state[i] == Off && self.down_since[i].is_none())
     }
 
-    /// Up to `k` Idle nodes idle for at least `limit` at `now`.
-    pub(crate) fn shutdown_candidates(
-        &self,
+    /// Drains the Idle nodes idle for at least `limit` at `now`, keeping
+    /// `reserve` idle nodes for responsiveness, and returns them. The O(1)
+    /// idle tally gates the scan: on the common tick nothing is shuttable
+    /// and no per-node work runs.
+    pub(crate) fn drain_idle(
+        &mut self,
         now: SimTime,
         limit: SimDuration,
-        k: u32,
+        reserve: u32,
     ) -> Vec<NodeId> {
+        let k = self.idle_count().saturating_sub(reserve);
+        if k == 0 {
+            return Vec::new();
+        }
         let idle_for = |i: usize| self.idle_since[i].map(|s| now - s);
-        self.find(k, |i| self.state[i] == Idle && idle_for(i) >= Some(limit))
+        let nodes = self.find(k, |i| self.state[i] == Idle && idle_for(i) >= Some(limit));
+        nodes.iter().for_each(|&n| self.drain(n));
+        nodes
     }
 
     /// The downtime to `end` — completed repairs' plus every down node's
@@ -339,6 +350,36 @@ impl NodeTable {
             }),
             None => Ok(t),
         }
+    }
+
+    /// Checks the restored queue's node events against the node states:
+    /// a queued `BootDone` names a Booting node, a `RepairDone` a down
+    /// node, and no node has two of either queued. `ShutdownDone` stays
+    /// unchecked: a drain overtaken by a failure and a repair leaves its
+    /// completion queued for a node that is up, or draining again.
+    pub(crate) fn check_queued<'a>(
+        &self,
+        events: impl Iterator<Item = &'a Ev>,
+    ) -> Result<(), SnapshotError> {
+        let mut seen = BTreeSet::new();
+        for ev in events {
+            let (repair, node, expected) = match *ev {
+                Ev::BootDone(n) => (false, n, self.state[n.index()] == Booting),
+                Ev::RepairDone(n) => (true, n, self.down_since[n.index()].is_some()),
+                _ => continue,
+            };
+            if !expected || !seen.insert((repair, node.0)) {
+                return Err(SnapshotError::Corrupt {
+                    detail: format!(
+                        "queued {ev:?} contradicts node {} ({:?}, down since {:?}) or repeats",
+                        node.0,
+                        self.state[node.index()],
+                        self.down_since[node.index()]
+                    ),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Whether node `i`, `claimed` or not by a running job, keeps the
@@ -442,11 +483,11 @@ mod tests {
         assert_eq!(back.downtime_to(at(30.0)), (23.0, 3.0));
         t.vacate(&job, at(30.0));
         assert_eq!(counts(&t), [4, 0, 2, 1, 1, 5]);
-        assert_eq!(
-            t.shutdown_candidates(at(40.0), SimDuration::from_secs(15.0), 8),
-            [NodeId(7)]
-        );
         restore(&frame(&t), 8, 30.0, &[]).expect("consistent after the job left");
+        let limit = SimDuration::from_secs(15.0);
+        assert_eq!(t.drain_idle(at(40.0), limit, 5), [], "the reserve");
+        assert_eq!(t.drain_idle(at(40.0), limit, 0), [NodeId(7)]);
+        assert_eq!(counts(&t), [3, 0, 2, 1, 1, 5], "drained, idle until Off");
     }
 
     #[test]
@@ -536,6 +577,38 @@ mod tests {
                 matches!(err, Some(SnapshotError::Corrupt { .. })),
                 "{name}: {err:?}"
             );
+        }
+    }
+
+    #[test]
+    fn queued_node_events_must_match_the_node_states() {
+        let mut t = NodeTable::new(4, AllocStrategy::FirstFit, TOPOLOGY);
+        t.take_down(NodeId(1), SimTime::from_secs(5.0));
+        t.drain(NodeId(2));
+        assert!(t.shutdown_done(NodeId(2)));
+        t.boot(NodeId(2));
+        let (idle, down, booting) = (NodeId(0), NodeId(1), NodeId(2));
+        let check = |events: &[Ev]| t.check_queued(events.iter()).is_ok();
+        assert!(check(&[Ev::BootDone(booting), Ev::RepairDone(down)]));
+        assert!(
+            check(&[Ev::ShutdownDone(idle), Ev::ShutdownDone(idle)]),
+            "shutdown completions stay unchecked"
+        );
+        for (name, events) in [
+            ("boot completion for an idle node", vec![Ev::BootDone(idle)]),
+            ("boot completion for a down node", vec![Ev::BootDone(down)]),
+            ("repair for an idle node", vec![Ev::RepairDone(idle)]),
+            ("repair for a booting node", vec![Ev::RepairDone(booting)]),
+            (
+                "two boot completions",
+                vec![Ev::BootDone(booting), Ev::BootDone(booting)],
+            ),
+            (
+                "two repairs",
+                vec![Ev::RepairDone(down), Ev::RepairDone(down)],
+            ),
+        ] {
+            assert!(!check(&events), "{name}");
         }
     }
 }

@@ -9,6 +9,7 @@
 //! the threshold are drained and powered off (minus a responsiveness
 //! reserve); the engine boots nodes back on demand.
 
+use epa_simcore::snap::Fingerprint;
 use epa_simcore::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
@@ -57,6 +58,18 @@ impl ShutdownPolicy {
                     doy >= start || doy < end
                 }
             }
+        }
+    }
+
+    /// Folds every field into the engine's resume fingerprint.
+    pub(crate) fn fingerprint(&self, fp: &mut Fingerprint) {
+        for d in [self.idle_threshold, self.shutdown_time, self.boot_time] {
+            fp.f64(d.as_secs());
+        }
+        fp.u64(u64::from(self.min_idle_reserve));
+        fp.u64(u64::from(self.season.is_some()));
+        if let Some((start, end)) = self.season {
+            fp.u64(u64::from(start)).u64(u64::from(end));
         }
     }
 }

@@ -70,8 +70,14 @@ use std::path::Path;
 /// window and fallback flag) and the actuator, each present exactly when
 /// its config is, the `engine` section keeps only the violation, last-tick
 /// and start-hold fields, and the `nodes` section ends with the completed
-/// repairs' downtime and count.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 13;
+/// repairs' downtime and count; v14 gives power state one owner, the
+/// power plane: the `meter`, `budget`, `engine` and `history` sections
+/// merge into one `power` section after `sim` (the violation seconds,
+/// last tick, start-hold end and resume flag, then the budget option,
+/// the meter and the history), so the sections run `meta`, `sim`,
+/// `power`, `jobs`, `nodes`, `control`, `faults`, `arrivals`, `obs`,
+/// `grid`.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 14;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///

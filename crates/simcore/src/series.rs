@@ -154,10 +154,9 @@ impl TimeSeries {
     }
 
     /// Reference O(n) implementation of [`integrate`](Self::integrate):
-    /// a direct scan over every segment. Kept for the equivalence
-    /// property tests and the naive-vs-prefix benchmarks.
-    #[must_use]
-    pub fn integrate_naive(&self, a: SimTime, b: SimTime) -> f64 {
+    /// a direct scan over every segment, the equivalence tests' oracle.
+    #[cfg(test)]
+    fn integrate_naive(&self, a: SimTime, b: SimTime) -> f64 {
         assert!(b >= a, "integration bounds reversed");
         if self.points.is_empty() || b == a {
             return 0.0;

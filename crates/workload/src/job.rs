@@ -239,19 +239,6 @@ impl Job {
             .collect()
     }
 
-    /// Runtime when every phase is slowed by the DVFS law at a fixed
-    /// frequency ratio slowdown function. `slowdown(beta)` maps a phase's
-    /// cpu-boundness to its runtime inflation.
-    #[must_use]
-    pub fn runtime_under(&self, slowdown: impl Fn(f64) -> f64) -> SimDuration {
-        let factor: f64 = self
-            .normalized_phases()
-            .iter()
-            .map(|p| p.weight * slowdown(p.cpu_boundness))
-            .sum();
-        SimDuration::from_secs(self.base_runtime.as_secs() * factor.max(0.0))
-    }
-
     /// Node-seconds of the request (the standard accounting unit).
     #[must_use]
     pub fn node_seconds(&self) -> f64 {
@@ -396,28 +383,6 @@ mod tests {
         let j = JobBuilder::new(1).app(AppProfile::balanced("x")).build();
         let total: f64 = j.normalized_phases().iter().map(|p| p.weight).sum();
         assert!((total - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn runtime_under_identity_slowdown() {
-        let j = JobBuilder::new(1).build();
-        let r = j.runtime_under(|_| 1.0);
-        assert!((r.as_secs() - j.base_runtime.as_secs()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn runtime_under_phase_sensitive_slowdown() {
-        // Only compute-bound phases slow down under |2x slowdown of beta=1|.
-        let j = JobBuilder::new(1)
-            .app(AppProfile::compute_bound("hpl"))
-            .build();
-        let r = j.runtime_under(|beta| 1.0 + beta);
-        assert!((r.as_secs() / j.base_runtime.as_secs() - 1.95).abs() < 1e-9);
-        let m = JobBuilder::new(2)
-            .app(AppProfile::memory_bound("stream"))
-            .build();
-        let rm = m.runtime_under(|beta| 1.0 + beta);
-        assert!((rm.as_secs() / m.base_runtime.as_secs() - 1.15).abs() < 1e-9);
     }
 
     #[test]

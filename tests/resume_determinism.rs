@@ -20,6 +20,7 @@ use epa_grid::{DrContract, DrEvent, GridConfig};
 use epa_obs::TraceConfig;
 use epa_sched::engine::{ClusterSim, EngineConfig};
 use epa_sched::policies::backfill::EasyBackfill;
+use epa_sched::{JobLimitGate, ShutdownPolicy};
 use epa_sched::{Snapshot, SNAPSHOT_SCHEMA_VERSION};
 use epa_simcore::snap::{fnv1a64, SnapWriter, SnapshotError, SNAP_MAGIC};
 use epa_simcore::time::{SimDuration, SimTime};
@@ -245,7 +246,7 @@ fn previous_schema_frames_are_rejected_with_unsupported_version() {
     // A current payload under each previous schema's version number,
     // checksummed correctly: only the version check can reject it.
     let snap = small_snapshot(3);
-    for old in [5, 6, 7, 8, 9, 10, 11, 12] {
+    for old in [5, 6, 7, 8, 9, 10, 11, 12, 13] {
         let err = try_resume(&reframe(old, &snap.as_bytes()[HEADER_LEN..]), 3).unwrap_err();
         assert!(
             matches!(
@@ -296,6 +297,59 @@ fn changed_fault_settings_are_rejected_with_config_mismatch() {
         let mut policy = EasyBackfill;
         let mut sim = ClusterSim::new(chaos_system(), chaos_jobs(3), &mut policy, taken);
         let snap = sim.run_until(SimTime::from_hours(12.0));
+        let mut policy = EasyBackfill;
+        let jobs = chaos_jobs(3);
+        match ClusterSim::resume(chaos_system(), jobs, &mut policy, resumed, &snap) {
+            Err(SnapshotError::ConfigMismatch { .. }) => {}
+            Err(err) => failures.push(format!("{name}: expected ConfigMismatch, got {err:?}")),
+            Ok(_) => failures.push(format!("{name}: accepted")),
+        };
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// A snapshot resumed under a changed emergency limit, idle-shutdown
+/// threshold or gate limit is refused: the fingerprint covers every field
+/// of those policies, not only whether each is set.
+#[test]
+fn changed_power_policies_are_rejected_with_config_mismatch() {
+    let base = || {
+        let mut config = chaos_config(3);
+        config.shutdown = Some(ShutdownPolicy::default());
+        config.limit_gate = Some(JobLimitGate {
+            normal_limit: 64,
+            hot_limit: 32,
+            hot_threshold_c: 30.0,
+        });
+        config
+    };
+    let edit = |f: fn(&mut EngineConfig)| {
+        let mut config = base();
+        f(&mut config);
+        config
+    };
+    let cases = [
+        (
+            "emergency limit_watts changed",
+            edit(|c| c.emergency.as_mut().expect("emergency").limit_watts *= 0.9),
+        ),
+        (
+            "shutdown idle_threshold changed",
+            edit(|c| {
+                let sd = c.shutdown.as_mut().expect("shutdown");
+                sd.idle_threshold = SimDuration::from_mins(30.0);
+            }),
+        ),
+        (
+            "gate hot_limit changed",
+            edit(|c| c.limit_gate.as_mut().expect("gate").hot_limit = 16),
+        ),
+    ];
+    let mut policy = EasyBackfill;
+    let mut sim = ClusterSim::new(chaos_system(), chaos_jobs(3), &mut policy, base());
+    let snap = sim.run_until(SimTime::from_hours(12.0));
+    let mut failures = Vec::new();
+    for (name, resumed) in cases {
         let mut policy = EasyBackfill;
         let jobs = chaos_jobs(3);
         match ClusterSim::resume(chaos_system(), jobs, &mut policy, resumed, &snap) {
@@ -419,21 +473,18 @@ fn restage(payload: &mut Vec<u8>, submit: SimTime) {
 }
 
 /// Payload offset of the meter's bounded power trace's pending point (an
-/// option tag, then its time and value). The meter section holds the
-/// node extent (u32), the runs (u64 count, 20 bytes each), the groups
-/// (u64 count, 29 bytes each), the free group slots (u64 count, 4 bytes
-/// each), the system draw (f64), then the trace: its grid samples (u64
-/// count, 8 bytes each) and the pending point.
+/// option tag, then its time and value). The meter follows the budget
+/// in the `power` section and holds the node extent (u32), the runs (u64
+/// count, 20 bytes each), the groups (u64 count, 29 bytes each), the free
+/// group slots (u64 count, 4 bytes each), the system draw (f64), then the
+/// trace: its grid samples (u64 count, 8 bytes each) and the pending
+/// point.
 fn meter_pending_at(payload: &[u8]) -> usize {
-    let mut marker = SnapWriter::new();
-    marker.section("meter");
-    let marker = &marker.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
-    let mut at = payload
-        .windows(marker.len())
-        .position(|w| w == marker)
-        .expect("meter section present")
-        + marker.len()
-        + 4;
+    let b = budget_at(payload);
+    let mut at = match payload[b] {
+        1 => b + 17 + 16 * len_at(payload, b + 9) + 8,
+        _ => b + 1,
+    } + 4;
     for width in [20, 29, 4] {
         let count = u64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
         at += 8 + width * count as usize;
@@ -443,18 +494,38 @@ fn meter_pending_at(payload: &[u8]) -> usize {
     at + 8 + 8 * samples as usize
 }
 
-/// Payload offset of the power budget. Its layout: option tag (1), total
-/// watts (f64), the grants (u64 count, then a u64 id and an f64 wattage
-/// each, in ascending id order), then the granted total.
-fn budget_at(payload: &[u8]) -> usize {
+/// Payload offset of the `power` section. It opens with the violation
+/// seconds, the last power tick and the end of the start hold (f64
+/// each) and the hold's resume flag (1), then the budget.
+fn power_at(payload: &[u8]) -> usize {
     let mut marker = SnapWriter::new();
-    marker.section("budget");
+    marker.section("power");
     let marker = &marker.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
     payload
         .windows(marker.len())
         .position(|w| w == marker)
-        .expect("budget section present")
+        .expect("power section present")
         + marker.len()
+}
+
+/// Payload offset of the power budget. Its layout: option tag (1), total
+/// watts (f64), the grants (u64 count, then a u64 id and an f64 wattage
+/// each, in ascending id order), then the granted total.
+fn budget_at(payload: &[u8]) -> usize {
+    power_at(payload) + 25
+}
+
+/// Overwrites the `power` section's f64 at byte `offset` with `value`.
+fn set_power_f64(payload: &mut [u8], offset: usize, value: f64) {
+    let at = power_at(payload) + offset;
+    payload[at..at + 8].copy_from_slice(&value.to_le_bytes());
+}
+
+/// The index of the first busy node (power-state tag 3).
+fn busy_node(payload: &[u8]) -> u32 {
+    let at = nodes_at(payload);
+    let tags = &payload[at..at + NODES as usize];
+    tags.iter().position(|&t| t == 3).expect("a busy node") as u32
 }
 
 /// Payload offset of the node table. It opens with one power-state tag
@@ -574,7 +645,7 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
     // Each frame is well-formed and correctly checksummed, but carries an
     // index, time or pairing that a handler would later use out of range.
     type Edit = fn(&mut Vec<u8>);
-    let cases: [(&str, Edit); 27] = [
+    let cases: [(&str, Edit); 33] = [
         ("boot completion for a node past the machine", |p| {
             push_event(p, 3, NODES)
         }),
@@ -666,6 +737,22 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
             let b = budget_at(p);
             p[b + 17..b + 25].copy_from_slice(&u64::MAX.to_le_bytes());
         }),
+        ("last power tick after the clock", |p| {
+            set_power_f64(p, 8, 7.0 * 3600.0)
+        }),
+        ("NaN violation seconds", |p| set_power_f64(p, 0, f64::NAN)),
+        ("negative violation seconds", |p| set_power_f64(p, 0, -1.0)),
+        ("violation seconds past the clock", |p| {
+            set_power_f64(p, 0, 7.0 * 3600.0)
+        }),
+        ("repair queued for a busy node", |p| {
+            let node = busy_node(p);
+            push_event(p, 6, node)
+        }),
+        ("boot completion queued for a busy node", |p| {
+            let node = busy_node(p);
+            push_event(p, 3, node)
+        }),
     ];
     let mut policy = EasyBackfill;
     let jobs = chaos_jobs(3);
@@ -679,6 +766,10 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
         [0, 1, 0, 0, 0, 0, 0, 0, 0],
         "no event in force"
     );
+    let power = power_at(payload);
+    let scalar = |at: usize| f64::from_le_bytes(payload[at..at + 8].try_into().unwrap());
+    assert_eq!(scalar(power + 8), 6.0 * 3600.0, "last tick at the clock");
+    assert!(scalar(power) < 6.0 * 3600.0, "violation seconds");
     let b = budget_at(payload);
     assert_eq!(payload[b], 1, "budget present");
     let grants = u64::from_le_bytes(payload[b + 9..b + 17].try_into().unwrap());
@@ -719,6 +810,15 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
                 failures.push(format!("{name}: accepted"));
             }
         };
+    }
+    // A hold that ends after the clock is honest state and stays legal.
+    let mut held = payload.to_vec();
+    set_power_f64(&mut held, 16, 7.0 * 3600.0);
+    let held = reframe(SNAPSHOT_SCHEMA_VERSION, &held);
+    let mut policy = EasyBackfill;
+    let resumed = ClusterSim::resume(chaos_system(), jobs, &mut policy, grid_config(), &held);
+    if let Err(err) = resumed {
+        failures.push(format!("start hold past the clock: {err:?}"));
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
