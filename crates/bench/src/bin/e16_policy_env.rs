@@ -1,4 +1,4 @@
-//! E16: learned controllers through the unified control plane.
+//! E16: learned controllers through the control plane.
 //!
 //! For each of the nine surveyed centers, trains two dependency-free
 //! offline learners — tabular Q-learning over a tile-coded observation
@@ -126,13 +126,14 @@ fn train_q(
 ) -> (f64, SimOutcome) {
     let key = &site.meta.key;
     let mut learner = QLearner::new(standard_tiling(), catalog.len(), config);
-    let mut env = make_env(site, env_config);
+    let env = make_env(site, env_config);
     for ep in 0..config.episodes {
-        let mut obs = env.reset();
+        let mut episode = env.reset();
+        let mut obs = episode.observe();
         loop {
             let x = observation_features(&obs);
             let a = learner.act(&x);
-            let r = env.step(&catalog.entries[a].actions);
+            let r = episode.step(&catalog.entries[a].actions);
             let x_next = observation_features(&r.observation);
             learner.update(&x, a, r.reward, &x_next, r.done);
             trajectory.push(format!(
@@ -147,13 +148,13 @@ fn train_q(
             }
         }
         learner.end_episode();
-        env.finish();
     }
     // Greedy evaluation episode: exploit only, no updates.
-    let mut obs = env.reset();
+    let mut episode = env.reset();
+    let mut obs = episode.observe();
     loop {
         let a = learner.greedy(&observation_features(&obs));
-        let r = env.step(&catalog.entries[a].actions);
+        let r = episode.step(&catalog.entries[a].actions);
         trajectory.push(format!(
             "{key} q eval {} {} {:016x}",
             obs.t.as_secs(),
@@ -165,7 +166,7 @@ fn train_q(
             break;
         }
     }
-    let outcome = env.finish();
+    let outcome = episode.finish();
     (env_config.reward.reward_of_outcome(&outcome), outcome)
 }
 
@@ -179,13 +180,14 @@ fn train_bandit(
 ) -> (f64, SimOutcome) {
     let key = &site.meta.key;
     let mut bandit = ContextualBandit::new(N_CONTEXTS, catalog.len(), config);
-    let mut env = make_env(site, env_config);
+    let env = make_env(site, env_config);
     for ep in 0..config.episodes {
-        let mut obs = env.reset();
+        let mut episode = env.reset();
+        let mut obs = episode.observe();
         loop {
             let c = context_bucket(&obs);
             let a = bandit.act(c);
-            let r = env.step(&catalog.entries[a].actions);
+            let r = episode.step(&catalog.entries[a].actions);
             bandit.update(c, a, r.reward);
             trajectory.push(format!(
                 "{key} bandit {ep} {} {} {:016x}",
@@ -198,12 +200,12 @@ fn train_bandit(
                 break;
             }
         }
-        env.finish();
     }
-    let mut obs = env.reset();
+    let mut episode = env.reset();
+    let mut obs = episode.observe();
     loop {
         let a = bandit.greedy(context_bucket(&obs));
-        let r = env.step(&catalog.entries[a].actions);
+        let r = episode.step(&catalog.entries[a].actions);
         trajectory.push(format!(
             "{key} bandit eval {} {} {:016x}",
             obs.t.as_secs(),
@@ -215,7 +217,7 @@ fn train_bandit(
             break;
         }
     }
-    let outcome = env.finish();
+    let outcome = episode.finish();
     (env_config.reward.reward_of_outcome(&outcome), outcome)
 }
 

@@ -5,10 +5,10 @@
 //! the site to hold facility draw at or below `target_frac` of the
 //! nominal budget; energy drawn above the target during the window is
 //! "excess", and if the excess over a window exceeds the contractual
-//! tolerance the operator pays a penalty per excess kWh. The engine
-//! receives events only through the control plane
-//! (`ControlAction::ResizeBudget`, optionally `EmergencyShed`); this
-//! module owns the contract semantics and the accounting.
+//! tolerance the operator pays a penalty per excess kWh. At a window's
+//! start the engine calls its budget-resize operation and, for an
+//! enforced event, its emergency-shed operation; this module owns the
+//! contract semantics and the accounting.
 
 use crate::error::GridError;
 use epa_simcore::snap::Fingerprint;

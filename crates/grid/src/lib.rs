@@ -15,9 +15,9 @@
 //! - [`GridConfig`] / [`GridState`] / [`GridSummary`] — the engine-side
 //!   coupling: per-tick settlement, budget targets, snapshot codec.
 //!
-//! The engine couples to the twin only through the control plane
-//! (`ControlAction::ResizeBudget` / `EmergencyShed`) and ordinary
-//! simulation events, which is what preserves the standing invariant:
+//! The engine couples to the twin only through its budget-resize and
+//! emergency-shed operations and ordinary simulation events, which is
+//! what preserves the standing invariant:
 //! byte-identical replays, also across a crash and resume, and
 //! byte-identical to the grid-less engine when no [`GridConfig`] is
 //! supplied.

@@ -8,9 +8,8 @@
 //!   the elapsed interval and the metered IT draw, and gets back the
 //!   *target IT budget* the facility can sustain right now (cooling
 //!   head-room × follow-the-renewables derating × any active DR
-//!   curtailment). The engine turns a changed target into a
-//!   `ControlAction::ResizeBudget` through the control plane — the grid
-//!   never touches scheduler internals directly;
+//!   curtailment). The engine resizes the budget to a changed target —
+//!   the grid never touches scheduler internals directly;
 //! - DR event boundaries arrive as ordinary global simulation events and
 //!   call [`GridState::on_event_start`] / [`GridState::on_event_end`];
 //! - [`GridState`] snapshots into its own named section of the engine

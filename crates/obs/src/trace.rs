@@ -39,9 +39,9 @@ pub enum TraceCategory {
     /// Windowed cap-enforcement evaluations. No engine component emits
     /// these today; the bit stays reserved so masks keep their meaning.
     Enforcement = 7,
-    /// Control-plane actions from external (learned) controllers and
-    /// environment decision steps. Engineered adapter emissions are
-    /// *not* recorded here — they must stay byte-invisible.
+    /// Control actions from external (learned) controllers. Engineered
+    /// mechanisms call the engine's operations directly and record none
+    /// here.
     Control = 8,
 }
 
@@ -85,14 +85,10 @@ impl TraceCategory {
 /// graph).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ControlKind {
-    /// Start a specific queued job.
-    Start,
     /// Set (or clear) the concurrent-job limit.
     JobLimit,
     /// Set (or clear) the default DVFS frequency for new starts.
     DefaultFrequency,
-    /// Set (or clear) the backfill scan depth.
-    BackfillDepth,
     /// Resize the power budget.
     BudgetResize,
     /// Override (or clear) the idle-shutdown policy.
@@ -108,10 +104,8 @@ impl ControlKind {
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            ControlKind::Start => "start",
             ControlKind::JobLimit => "job_limit",
             ControlKind::DefaultFrequency => "default_frequency",
-            ControlKind::BackfillDepth => "backfill_depth",
             ControlKind::BudgetResize => "budget_resize",
             ControlKind::IdleShutdown => "idle_shutdown",
             ControlKind::PowerOffIdle => "power_off_idle",
@@ -455,10 +449,9 @@ pub enum TraceEvent {
         /// down, zero holds.
         delta_nodes: i64,
     },
-    /// An external (learned) controller submitted a control action
-    /// through the engine's apply path. Engineered adapter emissions are
-    /// never recorded — engineered runs must stay byte-identical with
-    /// tracing on.
+    /// An external (learned) controller submitted a control action.
+    /// Engineered mechanisms call the engine's operations directly and
+    /// record none.
     ControlAction {
         /// What kind of action.
         kind: ControlKind,
@@ -467,15 +460,6 @@ pub enum TraceEvent {
         value: f64,
         /// Whether the engine accepted it (validation + execution).
         accepted: bool,
-    },
-    /// A `PolicyEnv` decision step completed.
-    EnvStep {
-        /// Zero-based step index within the episode.
-        step: u64,
-        /// Reward earned over the step's decision interval.
-        reward: f64,
-        /// Actions submitted this step (before validation).
-        actions: u32,
     },
 }
 
@@ -498,12 +482,12 @@ impl TraceEvent {
                 RejectReason::ActuationFailed => 4,
             }
         }
+        // Tags 0 and 3, the retired start and backfill-depth kinds, are
+        // not reused.
         fn control_tag(k: ControlKind) -> u8 {
             match k {
-                ControlKind::Start => 0,
                 ControlKind::JobLimit => 1,
                 ControlKind::DefaultFrequency => 2,
-                ControlKind::BackfillDepth => 3,
                 ControlKind::BudgetResize => 4,
                 ControlKind::IdleShutdown => 5,
                 ControlKind::PowerOffIdle => 6,
@@ -681,16 +665,6 @@ impl TraceEvent {
                 w.f64(*value);
                 w.bool(*accepted);
             }
-            TraceEvent::EnvStep {
-                step,
-                reward,
-                actions,
-            } => {
-                w.u8(22);
-                w.u64(*step);
-                w.f64(*reward);
-                w.u32(*actions);
-            }
         }
     }
 
@@ -727,10 +701,8 @@ impl TraceEvent {
         }
         fn control(tag: u8) -> Result<ControlKind, SnapshotError> {
             Ok(match tag {
-                0 => ControlKind::Start,
                 1 => ControlKind::JobLimit,
                 2 => ControlKind::DefaultFrequency,
-                3 => ControlKind::BackfillDepth,
                 4 => ControlKind::BudgetResize,
                 5 => ControlKind::IdleShutdown,
                 6 => ControlKind::PowerOffIdle,
@@ -839,11 +811,6 @@ impl TraceEvent {
                 value: r.f64()?,
                 accepted: r.bool()?,
             },
-            22 => TraceEvent::EnvStep {
-                step: r.u64()?,
-                reward: r.f64()?,
-                actions: r.u32()?,
-            },
             tag => {
                 return Err(SnapshotError::Corrupt {
                     detail: format!("unknown trace-event tag {tag}"),
@@ -878,7 +845,7 @@ impl TraceEvent {
             | TraceEvent::SensorStuck { .. }
             | TraceEvent::TelemetryFallback { .. } => TraceCategory::Telemetry,
             TraceEvent::Enforcement { .. } => TraceCategory::Enforcement,
-            TraceEvent::ControlAction { .. } | TraceEvent::EnvStep { .. } => TraceCategory::Control,
+            TraceEvent::ControlAction { .. } => TraceCategory::Control,
         }
     }
 }
@@ -1237,15 +1204,6 @@ mod tests {
             .category(),
             TraceCategory::Control
         );
-        assert_eq!(
-            TraceEvent::EnvStep {
-                step: 0,
-                reward: -1.0,
-                actions: 2
-            }
-            .category(),
-            TraceCategory::Control
-        );
     }
 
     /// The wire tag of each variant. The exhaustive match makes a new
@@ -1274,7 +1232,6 @@ mod tests {
             TraceEvent::TelemetryFallback { .. } => 19,
             TraceEvent::Enforcement { .. } => 20,
             TraceEvent::ControlAction { .. } => 21,
-            TraceEvent::EnvStep { .. } => 22,
         }
     }
 
@@ -1372,14 +1329,9 @@ mod tests {
                 value: -1.0,
                 accepted: true,
             },
-            TraceEvent::EnvStep {
-                step: 17,
-                reward: -0.5,
-                actions: 2,
-            },
         ];
         let tags: Vec<u8> = all.iter().map(wire_tag).collect();
-        assert_eq!(tags, (0..=22).collect::<Vec<u8>>(), "one event per variant");
+        assert_eq!(tags, (0..=21).collect::<Vec<u8>>(), "one event per variant");
         for event in &all {
             let mut w = SnapWriter::new();
             event.snapshot_into(&mut w);

@@ -1,53 +1,44 @@
-//! The unified control plane: every knob the engine exposes — start
-//! decisions, DVFS defaults, idle shutdown, budget resizes, backfill
-//! depth, emergency shed — expressed as one [`ControlAction`] vocabulary
-//! applied through a single engine path.
+//! The control plane: the knobs an external (learned) controller may
+//! set, and the one vocabulary it sets them with.
 //!
-//! The survey's Table I shows sites pulling five separate levers
-//! (scheduling policy, DVFS, shutdown, capping, emergency response);
-//! before this module each lever had its own hardwired code path in
-//! `sched::engine`. Now the engineered mechanisms (`ShutdownPolicy`,
-//! `EmergencyPolicy`, the governor, `JobLimitGate`) are *adapters* that
-//! emit `ControlAction`s, and learned controllers (see [`crate::env`])
-//! submit the same actions externally. Both go through
-//! `ClusterSim::apply_action`, so the engine's physical-constraint
-//! enforcement (allocation, budget, quantized frequencies) is identical
-//! for both — a bad learner can be unprofitable but never corrupting.
+//! The survey's Table I shows sites pulling five levers: scheduling
+//! policy, DVFS, idle shutdown, capping and emergency response. The
+//! engine models each lever once, as an operation: the start (`plan`,
+//! then `commit` or `reject`), the budget resize, the emergency shed, the
+//! idle power-off, and the knobs held here. The engineered mechanisms
+//! (the scheduling policy, the budget schedule, the grid twin,
+//! `EmergencyPolicy`, `ShutdownPolicy`, `JobLimitGate`) call those
+//! operations directly and record nothing of their own.
 //!
-//! Determinism contract: actions from [`ActionSource::Engineered`] record
-//! nothing (no trace events, no counters), so an engineered run through
-//! the adapter path is byte-identical to the pre-refactor engine — the
-//! `control` rows of `tests/control_equivalence.rs` pin outcome and trace
-//! fingerprints recorded from the former inline dispatch.
+//! An external controller (see [`crate::env`]) submits [`ControlAction`]s
+//! through `ClusterSim::apply_external_actions`, which validates each
+//! one, executes it over the same operations, counts it under
+//! `control/actions_applied` or `control/actions_rejected`, and records
+//! it on the `Control` trace category. The engine's physical constraints
+//! (allocation, budget, quantized frequencies) hold for both callers, so
+//! a bad learner can be unprofitable but never corrupting.
+//!
+//! The knobs in force (the external job limit, the default DVFS
+//! frequency and the idle-shutdown policy) form the engine's `control`
+//! snapshot section. Restore checks each knob with the rule that guards
+//! the action setting it, so a crafted frame cannot install a knob that
+//! no action could.
 
 use crate::emergency::VictimOrder;
 use crate::shutdown::ShutdownPolicy;
 use epa_obs::ControlKind;
 use epa_simcore::snap::{SnapReader, SnapWriter, SnapshotError};
 use epa_simcore::time::{SimDuration, SimTime};
-use epa_workload::job::JobId;
 use serde::Serialize;
 
-/// One control decision, from an engineered adapter or an external
-/// (learned) controller. "Set" variants with `None` clear the knob back
-/// to its engine default; imperative variants (`Start`, `PowerOffIdle`,
-/// `EmergencyShed`) act immediately.
+/// One control decision from an external (learned) controller. "Set"
+/// variants with `None` clear the knob back to its engine default;
+/// `PowerOffIdle` and `EmergencyShed` act immediately.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum ControlAction {
-    /// Start a queued job now (the scheduler-policy decision, routed
-    /// through the same apply path). The engine still enforces node
-    /// availability, the power budget, and frequency quantization.
-    Start {
-        /// The queued job to start.
-        job: JobId,
-        /// Moldable node-count override.
-        nodes_override: Option<u32>,
-        /// Requested DVFS frequency, GHz (quantized to the ladder).
-        freq_ghz: Option<f64>,
-        /// Per-node power cap to program, watts.
-        node_cap_watts: Option<f64>,
-    },
     /// Cap the number of concurrently running jobs (`None` = uncapped).
+    /// Invalid when a concurrency gate is configured: the gate owns the
+    /// limit then.
     SetJobLimit {
         /// Maximum running jobs, if any.
         limit: Option<usize>,
@@ -58,23 +49,16 @@ pub enum ControlAction {
         /// Frequency in GHz, if overridden.
         freq_ghz: Option<f64>,
     },
-    /// How deep into the queue the scheduling policy may look
-    /// (`None` = the whole queue).
-    SetBackfillDepth {
-        /// Queue prefix length visible to the policy, if limited.
-        depth: Option<u32>,
-    },
-    /// Resize the facility power budget (demand response).
+    /// Resize the facility power budget (demand response). Invalid
+    /// without a configured budget.
     ResizeBudget {
         /// New budget total, watts.
         watts: f64,
     },
-    /// Override the idle-shutdown policy: `Some(Some(p))` replaces it,
-    /// `Some(None)` disables shutdown entirely. (The outer level is the
-    /// action; clearing the override is not expressible — engineered
-    /// configuration resumes only on reset.)
+    /// Replace the idle-shutdown policy in force; `None` disables
+    /// shutdown. The configured policy comes back only with a new run.
     SetIdleShutdown {
-        /// The override: a policy, or `None` to disable shutdown.
+        /// The new policy, or `None` to disable shutdown.
         policy: Option<ShutdownPolicy>,
     },
     /// Power off idle nodes now, under the given aggressiveness knobs.
@@ -107,10 +91,8 @@ impl ControlAction {
     #[must_use]
     pub fn kind(&self) -> ControlKind {
         match self {
-            ControlAction::Start { .. } => ControlKind::Start,
             ControlAction::SetJobLimit { .. } => ControlKind::JobLimit,
             ControlAction::SetDefaultFrequency { .. } => ControlKind::DefaultFrequency,
-            ControlAction::SetBackfillDepth { .. } => ControlKind::BackfillDepth,
             ControlAction::ResizeBudget { .. } => ControlKind::BudgetResize,
             ControlAction::SetIdleShutdown { .. } => ControlKind::IdleShutdown,
             ControlAction::PowerOffIdle { .. } => ControlKind::PowerOffIdle,
@@ -123,10 +105,8 @@ impl ControlAction {
     #[must_use]
     pub fn trace_value(&self) -> f64 {
         match self {
-            ControlAction::Start { job, .. } => job.0 as f64,
             ControlAction::SetJobLimit { limit } => limit.map_or(-1.0, |l| l as f64),
             ControlAction::SetDefaultFrequency { freq_ghz } => freq_ghz.unwrap_or(-1.0),
-            ControlAction::SetBackfillDepth { depth } => depth.map_or(-1.0, f64::from),
             ControlAction::ResizeBudget { watts } => *watts,
             ControlAction::SetIdleShutdown { policy } => {
                 policy.as_ref().map_or(-1.0, |p| p.idle_threshold.as_secs())
@@ -135,79 +115,118 @@ impl ControlAction {
             ControlAction::EmergencyShed { target_watts, .. } => *target_watts,
         }
     }
+
+    /// Whether the engine may execute the action on a machine with or
+    /// without a budget and a concurrency gate: every payload must be
+    /// physical, a resize needs a budget, and a job limit needs the gate
+    /// not to own it. `ControlPlane::restore_from` holds the knobs in a
+    /// snapshot to the same rule.
+    pub(crate) fn is_valid(&self, has_budget: bool, has_gate: bool) -> bool {
+        match self {
+            ControlAction::SetJobLimit { limit } => !has_gate && limit.is_none_or(|l| l >= 1),
+            ControlAction::SetDefaultFrequency { freq_ghz } => {
+                freq_ghz.is_none_or(|f| f.is_finite() && f > 0.0)
+            }
+            ControlAction::ResizeBudget { watts } => {
+                has_budget && watts.is_finite() && *watts > 0.0
+            }
+            ControlAction::SetIdleShutdown { policy } => {
+                policy.as_ref().is_none_or(ShutdownPolicy::is_valid)
+            }
+            ControlAction::PowerOffIdle {
+                idle_threshold,
+                shutdown_time,
+                ..
+            } => idle_threshold.as_secs() >= 0.0 && shutdown_time.as_secs() > 0.0,
+            ControlAction::EmergencyShed {
+                observed_watts,
+                target_watts,
+                limit_watts,
+                ..
+            } => {
+                observed_watts.is_finite()
+                    && target_watts.is_finite()
+                    && *target_watts >= 0.0
+                    && target_watts <= limit_watts
+            }
+        }
+    }
 }
 
-/// Where a control action came from. Engineered applications must stay
-/// byte-invisible (no traces, no counters); external ones are validated,
-/// counted, and traced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActionSource {
-    /// Emitted by an engine-internal adapter (shutdown, emergency,
-    /// gate, budget-resize event, scheduler decision).
-    Engineered,
-    /// Submitted by an external controller through
-    /// `ClusterSim::apply_external_actions` (e.g. a learned policy).
-    External,
-}
-
-/// The control plane's persistent knob state — what `Set*` actions write
-/// and the engine consults. Snapshot as its own section (schema v3), so
-/// a resumed run continues under the same learned overrides.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ControlState {
-    /// Cap on concurrently running jobs (written by the gate adapter
-    /// each round, or externally).
-    pub job_limit: Option<usize>,
+/// The knobs in force, which the engine consults: the external job
+/// limit, the default DVFS frequency and the idle-shutdown policy.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct ControlPlane {
+    /// Cap on concurrently running jobs, set only externally. A
+    /// configured concurrency gate takes its place.
+    pub(crate) job_limit: Option<usize>,
     /// Default DVFS frequency for new starts, GHz (already quantized).
-    pub default_freq_ghz: Option<f64>,
-    /// Queue prefix length visible to the scheduling policy.
-    pub backfill_depth: Option<u32>,
-    /// Idle-shutdown override: `Some(Some(p))` replaces the configured
-    /// policy, `Some(None)` disables shutdown, `None` = no override.
-    pub shutdown_override: Option<Option<ShutdownPolicy>>,
+    pub(crate) default_freq_ghz: Option<f64>,
+    /// The idle-shutdown policy in force: the configured one until an
+    /// external `SetIdleShutdown` replaces it.
+    pub(crate) shutdown: Option<ShutdownPolicy>,
 }
 
-impl ControlState {
-    /// Encodes the control section of an engine snapshot.
-    pub fn snapshot_into(&self, w: &mut SnapWriter) {
+impl ControlPlane {
+    /// The knobs at the start of a run, under the configured shutdown
+    /// policy.
+    pub(crate) fn new(shutdown: Option<ShutdownPolicy>) -> Self {
+        ControlPlane {
+            job_limit: None,
+            default_freq_ghz: None,
+            shutdown,
+        }
+    }
+
+    /// Encodes the `control` section: three options.
+    pub(crate) fn snapshot_into(&self, w: &mut SnapWriter) {
         w.opt(self.job_limit.as_ref(), |w, &l| w.usize(l));
         w.opt(self.default_freq_ghz.as_ref(), |w, &f| w.f64(f));
-        w.opt(self.backfill_depth.as_ref(), |w, &d| w.u32(d));
-        w.opt(self.shutdown_override.as_ref(), |w, o| {
-            w.opt(o.as_ref(), write_shutdown_policy);
+        w.opt(self.shutdown.as_ref(), |w, p| {
+            for d in [p.idle_threshold, p.shutdown_time, p.boot_time] {
+                w.f64(d.as_secs());
+            }
+            w.u32(p.min_idle_reserve);
+            w.opt(p.season.as_ref(), |w, &(s, e)| {
+                w.u32(s);
+                w.u32(e);
+            });
         });
     }
 
-    /// Decodes a section written by [`ControlState::snapshot_into`].
-    pub fn restore_from(r: &mut SnapReader<'_>) -> Result<Self, SnapshotError> {
-        Ok(ControlState {
+    /// Decodes a section written by [`ControlPlane::snapshot_into`]. A
+    /// knob that the action setting it could not set on this machine is
+    /// `Corrupt`.
+    pub(crate) fn restore_from(
+        r: &mut SnapReader<'_>,
+        has_gate: bool,
+    ) -> Result<Self, SnapshotError> {
+        let plane = ControlPlane {
             job_limit: r.opt(SnapReader::usize)?,
             default_freq_ghz: r.opt(SnapReader::f64)?,
-            backfill_depth: r.opt(SnapReader::u32)?,
-            shutdown_override: r.opt(|r| r.opt(read_shutdown_policy))?,
-        })
+            shutdown: r.opt(|r| {
+                Ok(ShutdownPolicy {
+                    idle_threshold: r.duration()?,
+                    shutdown_time: r.duration()?,
+                    boot_time: r.duration()?,
+                    min_idle_reserve: r.u32()?,
+                    season: r.opt(|r| Ok((r.u32()?, r.u32()?)))?,
+                })
+            })?,
+        };
+        let knobs = [
+            (plane.job_limit).map(|l| ControlAction::SetJobLimit { limit: Some(l) }),
+            (plane.default_freq_ghz)
+                .map(|f| ControlAction::SetDefaultFrequency { freq_ghz: Some(f) }),
+            (plane.shutdown.clone()).map(|p| ControlAction::SetIdleShutdown { policy: Some(p) }),
+        ];
+        match knobs.iter().flatten().find(|a| !a.is_valid(true, has_gate)) {
+            Some(knob) => Err(SnapshotError::Corrupt {
+                detail: format!("control knob {knob:?} could not have been set"),
+            }),
+            None => Ok(plane),
+        }
     }
-}
-
-fn write_shutdown_policy(w: &mut SnapWriter, p: &ShutdownPolicy) {
-    w.f64(p.idle_threshold.as_secs());
-    w.f64(p.shutdown_time.as_secs());
-    w.f64(p.boot_time.as_secs());
-    w.u32(p.min_idle_reserve);
-    w.opt(p.season.as_ref(), |w, &(s, e)| {
-        w.u32(s);
-        w.u32(e);
-    });
-}
-
-fn read_shutdown_policy(r: &mut SnapReader<'_>) -> Result<ShutdownPolicy, SnapshotError> {
-    Ok(ShutdownPolicy {
-        idle_threshold: r.duration()?,
-        shutdown_time: r.duration()?,
-        boot_time: r.duration()?,
-        min_idle_reserve: r.u32()?,
-        season: r.opt(|r| Ok((r.u32()?, r.u32()?)))?,
-    })
 }
 
 /// A fixed-interval snapshot of everything an external controller may
@@ -295,34 +314,36 @@ mod tests {
     }
 
     #[test]
-    fn control_state_snapshot_roundtrip() {
-        let states = [
-            ControlState::default(),
-            ControlState {
+    fn control_plane_snapshot_roundtrip() {
+        let planes = [
+            ControlPlane::new(None),
+            ControlPlane {
                 job_limit: Some(7),
                 default_freq_ghz: Some(1.5),
-                backfill_depth: Some(16),
-                shutdown_override: Some(None),
+                shutdown: None,
             },
-            ControlState {
-                job_limit: None,
-                default_freq_ghz: None,
-                backfill_depth: None,
-                shutdown_override: Some(Some(ShutdownPolicy {
-                    season: Some((120, 270)),
-                    ..ShutdownPolicy::default()
-                })),
-            },
+            ControlPlane::new(Some(ShutdownPolicy {
+                season: Some((120, 270)),
+                ..ShutdownPolicy::default()
+            })),
         ];
-        for state in states {
+        let restore = |plane: &ControlPlane, has_gate| {
             let mut w = SnapWriter::new();
             w.section("control");
-            state.snapshot_into(&mut w);
+            plane.snapshot_into(&mut w);
             let bytes = w.finish(1);
             let mut r = SnapReader::open(&bytes, 1).expect("open");
             r.section("control").expect("section");
-            let back = ControlState::restore_from(&mut r).expect("restore");
-            assert_eq!(back, state);
+            ControlPlane::restore_from(&mut r, has_gate)
+        };
+        for plane in &planes {
+            assert_eq!(restore(plane, false).as_ref(), Ok(plane));
         }
+        // A gate owns the limit, so no action could have set one.
+        assert!(matches!(
+            restore(&planes[1], true),
+            Err(SnapshotError::Corrupt { .. })
+        ));
+        assert_eq!(restore(&planes[2], true).as_ref(), Ok(&planes[2]));
     }
 }

@@ -13,7 +13,7 @@
 //! consumes: utilization, wait/slowdown statistics, energy, peak power,
 //! violations, kills, and per-policy counters.
 
-use crate::control::{ActionSource, ControlAction, ControlState, Observation};
+use crate::control::{ControlAction, ControlPlane, Observation};
 use crate::emergency::{EmergencyPolicy, VictimOrder};
 use crate::error::SchedError;
 use crate::events::{Ev, EventLoop, Next};
@@ -109,8 +109,8 @@ pub struct EngineConfig {
     /// contract, cooling loop. `None` (the default) leaves every code
     /// path byte-identical to the grid-less engine; `Some` co-simulates
     /// the twin at power-tick barriers, steering the IT budget through
-    /// `ControlAction::ResizeBudget` / `EmergencyShed` and settling
-    /// cost/carbon/penalty into [`ClusterSim::grid_summary`].
+    /// budget resizes and emergency sheds and settling cost/carbon/penalty
+    /// into [`ClusterSim::grid_summary`].
     pub grid: Option<GridConfig>,
 }
 
@@ -143,10 +143,11 @@ impl EngineConfig {
     }
 
     /// Rejects degenerate settings: a zero/negative node MTBF, a zero
-    /// repair time, a zero checkpoint interval, an invalid
-    /// [`FaultConfig`] or [`GridConfig`], a non-finite or non-positive
-    /// budget or scheduled budget, and a budget schedule or steering grid
-    /// config without a budget. Called at engine construction.
+    /// repair time, a zero checkpoint interval, a shutdown policy with a
+    /// zero shutdown or boot time, an invalid [`FaultConfig`] or
+    /// [`GridConfig`], a non-finite or non-positive budget or scheduled
+    /// budget, and a budget schedule or steering grid config without a
+    /// budget. Called at engine construction.
     pub fn validate(&self) -> Result<(), SchedError> {
         if self.node_mtbf.is_some_and(|d| d.as_secs() <= 0.0) {
             return Err(SchedError::NonPositiveMtbf);
@@ -156,6 +157,11 @@ impl EngineConfig {
         }
         if self.checkpoint_interval.is_some_and(|d| d.is_zero()) {
             return Err(SchedError::ZeroCheckpointInterval);
+        }
+        if self.shutdown.as_ref().is_some_and(|sd| !sd.is_valid()) {
+            return Err(SchedError::InvalidConfig(
+                "a shutdown policy needs positive shutdown and boot times".to_owned(),
+            ));
         }
         if let Some(f) = &self.faults {
             f.validate()
@@ -323,11 +329,10 @@ pub struct ClusterSim<'p> {
     /// Its registry is the engine's only one: every counter lands there,
     /// and the outcome's counter map is collected from it at finalize.
     obs: Obs,
-    /// The control plane's persistent knob state: what `Set*` control
-    /// actions write and the engine consults (job limit, default DVFS
-    /// frequency, backfill depth, shutdown override). Snapshot as its
-    /// own section (schema v3).
-    control: ControlState,
+    /// The knobs in force: the external job limit, the default DVFS
+    /// frequency and the idle-shutdown policy, which starts as the
+    /// configured one.
+    control: ControlPlane,
     /// Facility digital twin over the grid config, which the engine takes
     /// out of its [`EngineConfig`] at build. Advanced only at power-tick
     /// barriers and DR-window events; snapshot as its own section.
@@ -409,6 +414,7 @@ impl<'p> ClusterSim<'p> {
         let total = system.spec().total_nodes();
         let nodes = NodeTable::new(total, config.alloc_strategy, system.topology().clone());
         let jobs = JobTable::new(config.retain_completed);
+        let control = ControlPlane::new(config.shutdown.clone());
         Ok(ClusterSim {
             config,
             system,
@@ -419,7 +425,7 @@ impl<'p> ClusterSim<'p> {
             power,
             faults,
             obs,
-            control: ControlState::default(),
+            control,
             grid,
         })
     }
@@ -544,13 +550,7 @@ impl<'p> ClusterSim<'p> {
             Ev::PowerTick => self.on_power_tick(t),
             Ev::BootDone(n) => self.bring_up(n, t),
             Ev::BudgetResize(w) => {
-                // The demand-response schedule is an engineered adapter:
-                // the resize flows through the unified apply path.
-                let _ = self.apply_action(
-                    t,
-                    &ControlAction::ResizeBudget { watts: w },
-                    ActionSource::Engineered,
-                );
+                self.power.resize(w, t, &mut self.obs);
                 self.try_schedule();
             }
             Ev::NodeFail => {
@@ -628,9 +628,9 @@ impl<'p> ClusterSim<'p> {
     }
 
     /// A DR curtailment window opens: mark it active in the twin, drop
-    /// the budget to the contractual target through the control plane,
-    /// and — for enforced events — shed load immediately if the system
-    /// is already drawing above the target.
+    /// the budget to the contractual target, and — for enforced events —
+    /// shed load immediately if the system is already drawing above the
+    /// target.
     fn on_grid_dr_start(&mut self, t: SimTime, idx: u32) {
         let Some(gs) = self.grid.as_mut() else {
             return;
@@ -643,26 +643,11 @@ impl<'p> ClusterSim<'p> {
         };
         gs.on_event_start(idx);
         self.obs.registry.incr("grid/dr_events", 1);
-        let _ = self.apply_action(
-            t,
-            &ControlAction::ResizeBudget { watts: target },
-            ActionSource::Engineered,
-        );
-        if enforce {
-            let observed = self.power.system_watts();
-            if observed > target {
-                let _ = self.apply_action(
-                    t,
-                    &ControlAction::EmergencyShed {
-                        observed_watts: observed,
-                        limit_watts: target,
-                        target_watts: target * 0.95,
-                        victim_order: VictimOrder::Youngest,
-                        cooldown: SimDuration::ZERO,
-                    },
-                    ActionSource::Engineered,
-                );
-            }
+        self.power.resize(target, t, &mut self.obs);
+        let observed = self.power.system_watts();
+        if enforce && observed > target {
+            let (order, cooldown) = (VictimOrder::Youngest, SimDuration::ZERO);
+            self.emergency_shed(t, observed, target, target * 0.95, order, cooldown);
         }
     }
 
@@ -676,11 +661,7 @@ impl<'p> ClusterSim<'p> {
         };
         gs.on_event_end(idx);
         let target = gs.budget_target(temp);
-        let _ = self.apply_action(
-            t,
-            &ControlAction::ResizeBudget { watts: target },
-            ActionSource::Engineered,
-        );
+        self.power.resize(target, t, &mut self.obs);
     }
 
     /// The per-tick grid co-simulation step: settle cost/carbon/DR for
@@ -695,11 +676,7 @@ impl<'p> ClusterSim<'p> {
         let target = gs.on_tick(t, dt, it_watts, temp, fallback_pue);
         if let Some(cur) = self.power.budget_watts() {
             if (target - cur).abs() > 1e-6 {
-                let _ = self.apply_action(
-                    t,
-                    &ControlAction::ResizeBudget { watts: target },
-                    ActionSource::Engineered,
-                );
+                self.power.resize(target, t, &mut self.obs);
                 // A raised budget can admit queued work right now; a cut
                 // only constrains future starts, so no reschedule needed.
                 if target > cur {
@@ -935,7 +912,8 @@ impl<'p> ClusterSim<'p> {
         self.nodes = NodeTable::restore_from(&mut r, total, strategy, topology, now, claims)?;
         self.nodes.check_queued(self.events.queued())?;
         r.section("control")?;
-        self.control = ControlState::restore_from(&mut r)?;
+        let has_gate = self.power.gate_limit(now).is_some();
+        self.control = ControlPlane::restore_from(&mut r, has_gate)?;
         r.section("faults")?;
         self.faults.restore_from(&mut r, now)?;
         r.section("arrivals")?;
@@ -986,130 +964,57 @@ impl<'p> ClusterSim<'p> {
         self.try_schedule();
     }
 
-    /// Applies one control action through the unified apply path — the
-    /// single funnel every knob goes through, whether an engineered
-    /// adapter or an external (learned) controller pulled it.
-    ///
-    /// External actions are validated first (an invalid one is counted,
-    /// traced as rejected, and ignored) and recorded on the `Control`
-    /// trace category; engineered actions skip both so an engineered run
-    /// stays byte-identical to the pre-refactor engine even with tracing
-    /// on. Returns `true` when the action was applied (for `Start`, when
-    /// the job actually started).
-    fn apply_action(&mut self, t: SimTime, action: &ControlAction, src: ActionSource) -> bool {
-        if src == ActionSource::External && !self.validate_action(action) {
-            self.obs.registry.incr("control/actions_rejected", 1);
-            self.trace_control(t, action, false);
-            return false;
-        }
-        let applied = self.execute_action(t, action);
-        if src == ActionSource::External {
-            if applied {
-                self.obs.registry.incr("control/actions_applied", 1);
-            } else {
-                self.obs.registry.incr("control/actions_rejected", 1);
+    /// Applies a batch of external (learned-controller) actions at the
+    /// current barrier, in order, and returns how many were accepted.
+    /// Each action is validated, executed over the operations the
+    /// engineered mechanisms call, counted under
+    /// `control/actions_applied` or `control/actions_rejected`, and
+    /// recorded on the `Control` trace category.
+    pub fn apply_external_actions(&mut self, actions: &[ControlAction]) -> u32 {
+        let t = self.events.now();
+        let has_budget = self.power.budget_watts().is_some();
+        let has_gate = self.power.gate_limit(t).is_some();
+        let mut applied = 0;
+        for action in actions {
+            let accepted = action.is_valid(has_budget, has_gate);
+            if accepted {
+                self.execute(t, action);
             }
-            self.trace_control(t, action, applied);
+            applied += u32::from(accepted);
+            let counter = if accepted {
+                "control/actions_applied"
+            } else {
+                "control/actions_rejected"
+            };
+            self.obs.registry.incr(counter, 1);
+            let (kind, value) = (action.kind(), action.trace_value());
+            let record = TraceEvent::ControlAction {
+                kind,
+                value,
+                accepted,
+            };
+            self.obs.bus.record(t, record);
         }
         applied
     }
 
-    /// Records an external control action on the trace (mask-gated).
-    fn trace_control(&mut self, t: SimTime, action: &ControlAction, accepted: bool) {
-        self.obs.bus.record(
-            t,
-            TraceEvent::ControlAction {
-                kind: action.kind(),
-                value: action.trace_value(),
-                accepted,
-            },
-        );
-    }
-
-    /// Sanity bounds for *external* actions. Engineered adapters emit
-    /// well-formed actions by construction and skip this; a learned
-    /// controller's action must never corrupt engine state, so anything
-    /// non-physical is rejected here before execution.
-    fn validate_action(&self, action: &ControlAction) -> bool {
+    /// Executes a validated external action over the engine's operations.
+    fn execute(&mut self, t: SimTime, action: &ControlAction) {
         match action {
-            // Start is validated by the start path itself (unknown job,
-            // insufficient nodes, budget denial all reject cleanly).
-            ControlAction::Start { .. } => true,
-            ControlAction::SetJobLimit { limit } => limit.is_none_or(|l| l >= 1),
-            ControlAction::SetDefaultFrequency { freq_ghz } => {
-                freq_ghz.is_none_or(|f| f.is_finite() && f > 0.0)
-            }
-            ControlAction::SetBackfillDepth { depth } => depth.is_none_or(|d| d >= 1),
-            ControlAction::ResizeBudget { watts } => {
-                self.power.budget_watts().is_some() && watts.is_finite() && *watts > 0.0
-            }
-            ControlAction::SetIdleShutdown { policy } => policy.as_ref().is_none_or(|p| {
-                p.idle_threshold.as_secs() >= 0.0
-                    && p.shutdown_time.as_secs() > 0.0
-                    && p.boot_time.as_secs() > 0.0
-            }),
-            ControlAction::PowerOffIdle {
-                idle_threshold,
-                shutdown_time,
-                ..
-            } => idle_threshold.as_secs() >= 0.0 && shutdown_time.as_secs() > 0.0,
-            ControlAction::EmergencyShed {
-                target_watts,
-                limit_watts,
-                ..
-            } => target_watts.is_finite() && *target_watts >= 0.0 && target_watts <= limit_watts,
-        }
-    }
-
-    /// Executes a (validated) control action. Returns `true` when it took
-    /// effect (`Start` reports whether the job started).
-    fn execute_action(&mut self, t: SimTime, action: &ControlAction) -> bool {
-        match action {
-            ControlAction::Start {
-                job,
-                nodes_override,
-                freq_ghz,
-                node_cap_watts,
-            } => match self.plan(*job, *nodes_override, *freq_ghz, *node_cap_watts) {
-                Ok(plan) => self.commit(plan),
-                Err(reason) => self.reject(*job, reason),
-            },
-            ControlAction::SetJobLimit { limit } => {
-                self.control.job_limit = *limit;
-                true
-            }
+            ControlAction::SetJobLimit { limit } => self.control.job_limit = *limit,
             ControlAction::SetDefaultFrequency { freq_ghz } => {
                 // Quantize at set time so every start sees a legal
                 // operating point without re-quantizing.
                 self.control.default_freq_ghz =
                     freq_ghz.map(|f| self.power.dvfs().cpu().quantize_frequency(f));
-                true
             }
-            ControlAction::SetBackfillDepth { depth } => {
-                self.control.backfill_depth = *depth;
-                true
-            }
-            ControlAction::ResizeBudget { watts } => {
-                self.power.resize(*watts, t, &mut self.obs);
-                true
-            }
-            ControlAction::SetIdleShutdown { policy } => {
-                self.control.shutdown_override = Some(policy.clone());
-                true
-            }
+            ControlAction::ResizeBudget { watts } => self.power.resize(*watts, t, &mut self.obs),
+            ControlAction::SetIdleShutdown { policy } => self.control.shutdown = policy.clone(),
             ControlAction::PowerOffIdle {
                 idle_threshold,
                 min_idle_reserve,
                 shutdown_time,
-            } => {
-                for n in self.nodes.drain_idle(t, *idle_threshold, *min_idle_reserve) {
-                    self.obs.registry.incr("rm/shutdowns", 1);
-                    // Shutdown takes effect after a short drain.
-                    self.events
-                        .schedule_at(t + *shutdown_time, Ev::ShutdownDone(n));
-                }
-                true
-            }
+            } => self.power_off_idle(t, *idle_threshold, *min_idle_reserve, *shutdown_time),
             ControlAction::EmergencyShed {
                 observed_watts,
                 limit_watts,
@@ -1117,32 +1022,10 @@ impl<'p> ClusterSim<'p> {
                 victim_order,
                 cooldown,
             } => {
-                self.emergency_shed(
-                    t,
-                    *observed_watts,
-                    *limit_watts,
-                    *target_watts,
-                    *victim_order,
-                    *cooldown,
-                );
-                true
+                let (observed, limit, target) = (*observed_watts, *limit_watts, *target_watts);
+                self.emergency_shed(t, observed, limit, target, *victim_order, *cooldown);
             }
         }
-    }
-
-    /// Applies a batch of external (learned-controller) actions at the
-    /// current barrier, in order, and returns how many were accepted.
-    /// Each action is validated, counted, and recorded on the `Control`
-    /// trace category.
-    pub fn apply_external_actions(&mut self, actions: &[ControlAction]) -> u32 {
-        let now = self.events.now();
-        let mut applied = 0;
-        for action in actions {
-            if self.apply_action(now, action, ActionSource::External) {
-                applied += 1;
-            }
-        }
-        applied
     }
 
     /// A fixed-interval observation for an external controller: queue
@@ -1209,39 +1092,6 @@ impl<'p> ClusterSim<'p> {
         }
     }
 
-    /// The idle-shutdown policy in effect: the control-plane override
-    /// when one is set (`Some(None)` disables shutdown entirely), else
-    /// the configured policy.
-    fn effective_shutdown(&self) -> Option<&ShutdownPolicy> {
-        match &self.control.shutdown_override {
-            Some(o) => o.as_ref(),
-            None => self.config.shutdown.as_ref(),
-        }
-    }
-
-    /// Concurrency admission: the control plane's job-limit knob, which
-    /// [`ClusterSim::refresh_gate_limit`] re-derives from the gate each
-    /// scheduling round (ambient temperature cannot change within one).
-    fn admits_start(&self) -> bool {
-        self.control
-            .job_limit
-            .is_none_or(|l| self.jobs.running_count() < l)
-    }
-
-    /// Gate adapter: re-derives the temperature-conditioned concurrency
-    /// cap and writes it through the control plane.
-    fn refresh_gate_limit(&mut self) {
-        let now = self.events.now();
-        let Some(limit) = self.power.gate_limit(now) else {
-            return;
-        };
-        let _ = self.apply_action(
-            now,
-            &ControlAction::SetJobLimit { limit: Some(limit) },
-            ActionSource::Engineered,
-        );
-    }
-
     /// Sheds running jobs until the projected draw falls to
     /// `target_watts`, then holds new starts for `cooldown`. Its
     /// operation order is load-bearing for byte determinism.
@@ -1279,6 +1129,22 @@ impl<'p> ClusterSim<'p> {
         self.try_schedule();
     }
 
+    /// Powers off the nodes idle for at least `threshold` at `t`, keeping
+    /// `reserve` idle nodes on; each stops drawing after `shutdown_time`.
+    fn power_off_idle(
+        &mut self,
+        t: SimTime,
+        threshold: SimDuration,
+        reserve: u32,
+        shutdown_time: SimDuration,
+    ) {
+        for n in self.nodes.drain_idle(t, threshold, reserve) {
+            self.obs.registry.incr("rm/shutdowns", 1);
+            self.events
+                .schedule_at(t + shutdown_time, Ev::ShutdownDone(n));
+        }
+    }
+
     fn try_schedule(&mut self) {
         let t_sched = self.obs.profiler.start();
         self.try_schedule_inner();
@@ -1290,13 +1156,15 @@ impl<'p> ClusterSim<'p> {
         if self.power.holds_starts(self.events.now()) {
             return;
         }
-        // The gate may cap how many jobs can run concurrently: refresh
-        // the control plane's job-limit knob from it, then check the knob.
-        self.refresh_gate_limit();
-        if !self.admits_start() {
+        // The concurrency gate (or else an external limit) caps how many
+        // jobs may run at once; ambient temperature cannot change within
+        // one round.
+        let now = self.events.now();
+        let limit = self.power.gate_limit(now).or(self.control.job_limit);
+        let admits = |jobs: &JobTable| limit.is_none_or(|l| jobs.running_count() < l);
+        if !admits(&self.jobs) {
             return;
         }
-        let now = self.events.now();
         let (headroom, budget_total) = self.power.headroom_and_total();
         // Graceful degradation: past the staleness bound the scheduler
         // sees the conservative estimate, and per-job prediction falls
@@ -1317,22 +1185,14 @@ impl<'p> ClusterSim<'p> {
                 dvfs: self.power.dvfs(),
                 predicted_watts_per_node: &predict,
             };
-            // Backfill-depth knob: cap how far into the queue the policy
-            // may look. `None` hands the policy the full queue, the
-            // pre-refactor behaviour.
-            let queue = self.jobs.queued();
-            let queue = match self.control.backfill_depth {
-                Some(d) => &queue[..queue.len().min(d as usize)],
-                None => queue,
-            };
-            self.policy.schedule(&view, queue)
+            self.policy.schedule(&view, self.jobs.queued())
         };
         let mut started_any = false;
         for d in decisions {
             // The concurrency gate bounds *each* start, not just round
             // entry — one scheduling round may otherwise blow through the
             // limit with a batch of starts.
-            if !self.admits_start() {
+            if !admits(&self.jobs) {
                 break;
             }
             match d {
@@ -1342,16 +1202,10 @@ impl<'p> ClusterSim<'p> {
                     freq_ghz,
                     node_cap_watts,
                 } => {
-                    let started = self.apply_action(
-                        now,
-                        &ControlAction::Start {
-                            job,
-                            nodes_override,
-                            freq_ghz,
-                            node_cap_watts,
-                        },
-                        ActionSource::Engineered,
-                    );
+                    let started = match self.plan(job, nodes_override, freq_ghz, node_cap_watts) {
+                        Ok(plan) => self.commit(plan),
+                        Err(reason) => self.reject(job, reason),
+                    };
                     if started {
                         started_any = true;
                         if stale_margin.is_some() {
@@ -1370,7 +1224,7 @@ impl<'p> ClusterSim<'p> {
     }
 
     fn boot_for_demand(&mut self) {
-        let Some(sd) = self.effective_shutdown().cloned() else {
+        let Some(boot_time) = self.control.shutdown.as_ref().map(|sd| sd.boot_time) else {
             return;
         };
         let Some(head) = self.jobs.queued().first() else {
@@ -1387,7 +1241,7 @@ impl<'p> ClusterSim<'p> {
             self.nodes.boot(n);
             self.power.meter_node(n, NodePowerState::Booting, now);
             self.obs.registry.incr("rm/boots", 1);
-            self.events.schedule_in(sd.boot_time, Ev::BootDone(n));
+            self.events.schedule_in(boot_time, Ev::BootDone(n));
         }
     }
 
@@ -1422,9 +1276,8 @@ impl<'p> ClusterSim<'p> {
         freq_ghz: Option<f64>,
         node_cap_watts: Option<f64>,
     ) -> Result<StartPlan, RejectReason> {
-        // The control plane's default-frequency knob applies to any start
-        // without an explicit frequency request. Engineered runs never
-        // set it, so the default path is untouched.
+        // The default-frequency knob applies to any start without an
+        // explicit frequency request. Only an external controller sets it.
         let freq_ghz = freq_ghz.or(self.control.default_freq_ghz);
         let queue = self.jobs.queued();
         let job = (queue.iter().find(|j| j.id == id)).ok_or(RejectReason::UnknownJob)?;
@@ -1648,11 +1501,24 @@ impl<'p> ClusterSim<'p> {
         // settles the same interval and steers the budget target.
         let dt = self.power.account_tick(t, watts);
         self.grid_tick(t, watts, dt);
-
-        // Emergency response (RIKEN) and idle shutdown (Mämmelä / Tokyo
-        // Tech), both through the unified action apply path — the same
-        // funnel a learned controller uses.
-        self.engineered_tick_actions(t, observed);
+        // Emergency response (RIKEN) drives on *observed* power — a stale
+        // sensor makes the response conservative (the fallback estimate
+        // errs high), never blind.
+        if let Some(em) = self.power.emergency_due(t, observed) {
+            let (limit, target) = (em.limit_watts, em.target_watts());
+            let (order, cooldown) = (em.victim_order, em.start_cooldown);
+            self.emergency_shed(t, observed, limit, target, order, cooldown);
+        }
+        // Idle shutdown (Mämmelä / Tokyo Tech) under the policy in force;
+        // seasonal gating follows the facility's calendar (its weather
+        // model's start day).
+        let start_day = self.power.start_day_of_year();
+        let shutdown = self.control.shutdown.as_ref();
+        if let Some(sd) = shutdown.filter(|sd| sd.season_active_on(t, start_day)) {
+            let (threshold, reserve, shutdown_time) =
+                (sd.idle_threshold, sd.min_idle_reserve, sd.shutdown_time);
+            self.power_off_idle(t, threshold, reserve, shutdown_time);
+        }
         self.obs.profiler.stop(Scope::Meter, t_meter);
         // The tick after an emergency cooldown expires resumes
         // scheduling (a full heartbeat on *every* tick would be
@@ -1664,40 +1530,6 @@ impl<'p> ClusterSim<'p> {
         let next = t + power_tick();
         if next <= self.config.horizon {
             self.events.schedule_at(next, Ev::PowerTick);
-        }
-    }
-
-    /// The engineered emergency and idle-shutdown policies emit
-    /// [`ControlAction`]s through the unified apply path.
-    fn engineered_tick_actions(&mut self, t: SimTime, observed: f64) {
-        // Emergency response drives on *observed* power — a stale sensor
-        // makes the response conservative (the fallback estimate errs
-        // high), never blind.
-        if let Some(em) = self.power.emergency_due(t, observed) {
-            let shed = ControlAction::EmergencyShed {
-                observed_watts: observed,
-                limit_watts: em.limit_watts,
-                target_watts: em.target_watts(),
-                victim_order: em.victim_order,
-                cooldown: em.start_cooldown,
-            };
-            let _ = self.apply_action(t, &shed, ActionSource::Engineered);
-        }
-        // Idle shutdown honours the control plane's override (a learned
-        // controller can retune or disable it); seasonal gating follows
-        // the facility's calendar (its weather model's start day).
-        if let Some(sd) = self.effective_shutdown().cloned() {
-            if sd.season_active_on(t, self.power.start_day_of_year()) {
-                let _ = self.apply_action(
-                    t,
-                    &ControlAction::PowerOffIdle {
-                        idle_threshold: sd.idle_threshold,
-                        min_idle_reserve: sd.min_idle_reserve,
-                        shutdown_time: sd.shutdown_time,
-                    },
-                    ActionSource::Engineered,
-                );
-            }
         }
     }
 
@@ -2425,6 +2257,143 @@ mod tests {
         assert_commit_unwinds(config, full_machine_job(), RejectReason::ActuationFailed);
     }
 
+    /// An 8-node engine under a 10 kW budget, fully traced, at t = 1 h:
+    /// four one-node jobs running, four nodes idle since t = 0.
+    fn external_engine(gate: bool) -> ClusterSim<'static> {
+        let jobs = (0..4)
+            .map(|i| {
+                JobBuilder::new(i)
+                    .nodes(1)
+                    .runtime(SimDuration::from_hours(10.0))
+                    .estimate(SimDuration::from_hours(12.0))
+                    .build()
+            })
+            .collect();
+        let mut config = EngineConfig::new(SimTime::from_hours(24.0));
+        config.power_budget_watts = Some(10_000.0);
+        config.trace = TraceConfig::all();
+        config.limit_gate = gate.then_some(JobLimitGate {
+            normal_limit: 6,
+            hot_limit: 6,
+            hot_threshold_c: 100.0,
+        });
+        let mut sim = ClusterSim::try_new_owned(small_system(8), jobs, Box::new(Fcfs), config)
+            .expect("valid config");
+        sim.advance_until(SimTime::from_hours(1.0));
+        assert_eq!((sim.jobs.running_count(), sim.nodes.free_count()), (4, 4));
+        sim
+    }
+
+    /// The kind and accepted flag of every recorded external action.
+    fn control_records(sim: &ClusterSim) -> Vec<(epa_obs::ControlKind, bool)> {
+        (sim.obs.bus.iter())
+            .filter_map(|r| match r.event {
+                TraceEvent::ControlAction { kind, accepted, .. } => Some((kind, accepted)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn external_job_limit_under_a_gate_is_rejected() {
+        // The gate owns the limit: an external one would be overwritten
+        // before anything read it.
+        let mut sim = external_engine(true);
+        let limit = ControlAction::SetJobLimit { limit: Some(2) };
+        assert_eq!(sim.apply_external_actions(&[limit]), 0);
+        assert_eq!(sim.control.job_limit, None);
+        assert_eq!(sim.obs.registry.counter("control/actions_rejected"), 1);
+        assert_eq!(sim.obs.registry.counter("control/actions_applied"), 0);
+    }
+
+    #[test]
+    fn external_actions_are_validated_counted_traced_and_applied() {
+        type Effect = fn(&ClusterSim) -> bool;
+        let eager = ShutdownPolicy {
+            idle_threshold: SimDuration::from_mins(10.0),
+            ..ShutdownPolicy::default()
+        };
+        let bootless = ShutdownPolicy {
+            boot_time: SimDuration::ZERO,
+            ..ShutdownPolicy::default()
+        };
+        let shed = |observed_watts| ControlAction::EmergencyShed {
+            observed_watts,
+            limit_watts: 1_500.0,
+            target_watts: 0.0,
+            victim_order: VictimOrder::Youngest,
+            cooldown: SimDuration::from_hours(1.0),
+        };
+        let power_off = |shutdown_time| ControlAction::PowerOffIdle {
+            idle_threshold: SimDuration::from_mins(30.0),
+            min_idle_reserve: 1,
+            shutdown_time,
+        };
+        // (valid, invalid, the valid one's effect)
+        let cases: [(ControlAction, ControlAction, Effect); 6] = [
+            (
+                ControlAction::SetJobLimit { limit: Some(2) },
+                ControlAction::SetJobLimit { limit: Some(0) },
+                |sim| sim.control.job_limit == Some(2),
+            ),
+            (
+                ControlAction::SetDefaultFrequency {
+                    freq_ghz: Some(1.75),
+                },
+                ControlAction::SetDefaultFrequency {
+                    freq_ghz: Some(f64::NAN),
+                },
+                |sim| {
+                    let cpu = sim.power.dvfs().cpu();
+                    sim.control.default_freq_ghz == Some(cpu.quantize_frequency(1.75))
+                },
+            ),
+            (
+                ControlAction::ResizeBudget { watts: 5_000.0 },
+                ControlAction::ResizeBudget { watts: -1.0 },
+                |sim| sim.power.budget_watts() == Some(5_000.0),
+            ),
+            (
+                ControlAction::SetIdleShutdown {
+                    policy: Some(eager.clone()),
+                },
+                ControlAction::SetIdleShutdown {
+                    policy: Some(bootless),
+                },
+                |sim| {
+                    (sim.control.shutdown.as_ref())
+                        .is_some_and(|p| p.idle_threshold.as_secs() == 600.0)
+                },
+            ),
+            (
+                power_off(SimDuration::from_mins(2.0)),
+                power_off(SimDuration::ZERO),
+                |sim| sim.nodes.free_count() == 1 && sim.obs.registry.counter("rm/shutdowns") == 3,
+            ),
+            (shed(2_000.0), shed(f64::NAN), |sim| {
+                sim.jobs.running_count() == 0 && sim.power.holds_starts(sim.now())
+            }),
+        ];
+        for gate in [false, true] {
+            for (valid, invalid, effect) in &cases {
+                // Under a gate the job limit is not the controller's to set.
+                let owned = gate && matches!(valid, ControlAction::SetJobLimit { .. });
+                let mut sim = external_engine(gate);
+                let accepted = sim.apply_external_actions(&[valid.clone(), invalid.clone()]);
+                let case = format!("{valid:?} (gate: {gate})");
+                let registry = &sim.obs.registry;
+                let counted = ["control/actions_applied", "control/actions_rejected"]
+                    .map(|name| registry.counter(name));
+                let want = [u64::from(!owned), 1 + u64::from(owned)];
+                assert_eq!((accepted, counted), (u32::from(!owned), want), "{case}");
+                let kind = valid.kind();
+                let records = [(kind, !owned), (kind, false)];
+                assert_eq!(control_records(&sim), records, "{case}");
+                assert_eq!(effect(&sim), !owned, "{case}");
+            }
+        }
+    }
+
     #[test]
     fn degenerate_configs_rejected() {
         use crate::error::SchedError;
@@ -2462,6 +2431,14 @@ mod tests {
                 ..epa_faults::SensorFaultConfig::default()
             }),
             ..epa_faults::FaultConfig::default()
+        });
+        let err = build(sys, jobs, &mut policy, config);
+        assert!(matches!(err, Some(SchedError::InvalidConfig(_))));
+
+        let (sys, jobs, mut config) = mk();
+        config.shutdown = Some(ShutdownPolicy {
+            boot_time: SimDuration::ZERO,
+            ..ShutdownPolicy::default()
         });
         let err = build(sys, jobs, &mut policy, config);
         assert!(matches!(err, Some(SchedError::InvalidConfig(_))));

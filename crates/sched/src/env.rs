@@ -4,17 +4,17 @@
 //! scheduling") expect sites to train controllers against their own
 //! systems. [`PolicyEnv`] packages the cluster engine as exactly that: a
 //! `reset / observe / step(actions) → (observation, reward)` loop at a
-//! fixed decision interval, where the actions are the same
-//! [`ControlAction`]s the engineered adapters emit — a learned controller
-//! and a production mechanism go through one validated apply path.
+//! fixed decision interval. [`PolicyEnv::reset`] returns an [`Episode`]
+//! that owns the engine, so no step can come before a reset. The actions
+//! are [`ControlAction`]s, validated and then executed over the same
+//! operations the engineered mechanisms call.
 //!
 //! Determinism contract: the environment inherits the engine's guarantee
 //! — same seed, same action sequence ⇒ byte-identical observations,
-//! rewards, outcomes, and traces. Training
-//! loops are therefore exactly reproducible, and a mid-episode
-//! environment can be frozen with [`PolicyEnv::snapshot`] and revived
-//! with [`PolicyEnv::restore`] without perturbing a single byte of the
-//! remaining episode.
+//! rewards, outcomes, and traces. Training loops are therefore exactly
+//! reproducible, and a mid-episode [`Episode`] can be frozen with
+//! [`Episode::snapshot`] and revived with [`PolicyEnv::restore`] without
+//! perturbing a single byte of the remaining episode.
 
 use crate::control::{ControlAction, Observation};
 use crate::engine::{ClusterSim, EngineConfig, RewardProbe, SimOutcome};
@@ -109,7 +109,7 @@ impl RewardConfig {
 /// Environment configuration: the decision cadence and the reward blend.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EnvConfig {
-    /// Fixed interval between decision points. Each [`PolicyEnv::step`]
+    /// Fixed interval between decision points. Each [`Episode::step`]
     /// advances the simulation by exactly this much (or to the end of the
     /// episode, whichever comes first).
     pub decision_interval: SimDuration,
@@ -128,7 +128,7 @@ impl EnvConfig {
     }
 }
 
-/// What one [`PolicyEnv::step`] returns.
+/// What one [`Episode::step`] returns.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StepResult {
     /// The observation at the new decision point.
@@ -145,9 +145,9 @@ pub struct StepResult {
 /// The engine wrapped as a fixed-interval decision process.
 ///
 /// The environment *owns* its episode ingredients (system, jobs, policy
-/// name, engine config), so [`PolicyEnv::reset`] can rebuild a fresh,
-/// byte-identical engine for every episode — the RNG substreams are
-/// re-derived from the engine config's seed, never shared across
+/// name, engine config), so [`PolicyEnv::reset`] can build a fresh,
+/// byte-identical [`Episode`] any number of times — the RNG substreams
+/// are re-derived from the engine config's seed, never shared across
 /// episodes.
 pub struct PolicyEnv {
     system: System,
@@ -155,15 +155,13 @@ pub struct PolicyEnv {
     policy_name: String,
     engine_config: EngineConfig,
     env_config: EnvConfig,
-    sim: Option<ClusterSim<'static>>,
-    step_idx: u64,
-    done: bool,
-    last_probe: Option<RewardProbe>,
 }
 
 impl PolicyEnv {
-    /// Creates an environment. The policy name is resolved against the
-    /// registry eagerly so an unknown name fails here, not mid-training.
+    /// Creates an environment. The engine config is validated, the
+    /// decision interval must be positive, and the policy name is
+    /// resolved against the registry, so a bad setting fails here, not
+    /// mid-training.
     pub fn new(
         system: System,
         jobs: Vec<Job>,
@@ -171,6 +169,12 @@ impl PolicyEnv {
         engine_config: EngineConfig,
         env_config: EnvConfig,
     ) -> Result<Self, SchedError> {
+        engine_config.validate()?;
+        if env_config.decision_interval.as_secs() <= 0.0 {
+            return Err(SchedError::InvalidConfig(
+                "the decision interval must be positive".to_owned(),
+            ));
+        }
         // Validate the name now; the boxed policy itself is rebuilt per
         // episode (policies may be stateful across a run).
         drop(make_policy(policy_name)?);
@@ -180,10 +184,6 @@ impl PolicyEnv {
             policy_name: policy_name.to_owned(),
             engine_config,
             env_config,
-            sim: None,
-            step_idx: 0,
-            done: false,
-            last_probe: None,
         })
     }
 
@@ -193,13 +193,13 @@ impl PolicyEnv {
         &self.env_config
     }
 
-    /// Starts a fresh episode and returns the initial observation (t = 0,
-    /// nothing simulated yet).
+    /// Starts a fresh episode at t = 0, nothing simulated yet.
     ///
     /// # Panics
-    /// Panics only if the engine rejects a configuration that
-    /// [`PolicyEnv::new`] accepted, which would be a bug.
-    pub fn reset(&mut self) -> Observation {
+    /// Never in practice: [`PolicyEnv::new`] validated the engine config
+    /// and the policy name this builds from.
+    #[must_use]
+    pub fn reset(&self) -> Episode {
         let policy = make_policy(&self.policy_name).expect("name validated in new()");
         let sim = ClusterSim::try_new_owned(
             self.system.clone(),
@@ -207,110 +207,27 @@ impl PolicyEnv {
             policy,
             self.engine_config.clone(),
         )
-        .expect("engine config validated at env construction");
-        self.step_idx = 0;
-        self.done = false;
-        self.last_probe = Some(sim.reward_probe());
-        let obs = sim.control_observation();
-        self.sim = Some(sim);
-        obs
-    }
-
-    /// The current observation without advancing time.
-    ///
-    /// # Panics
-    /// Panics if called before [`PolicyEnv::reset`].
-    #[must_use]
-    pub fn observe(&self) -> Observation {
-        self.sim
-            .as_ref()
-            .expect("reset() before observe()")
-            .control_observation()
-    }
-
-    /// Applies the controller's actions at the current decision point,
-    /// advances one decision interval, and returns the new observation
-    /// and the interval's reward.
-    ///
-    /// # Panics
-    /// Panics if called before [`PolicyEnv::reset`].
-    pub fn step(&mut self, actions: &[ControlAction]) -> StepResult {
-        let sim = self.sim.as_mut().expect("reset() before step()");
-        if self.done {
-            return StepResult {
-                observation: sim.control_observation(),
-                reward: 0.0,
-                actions_applied: 0,
-                done: true,
-            };
-        }
-        let actions_applied = sim.apply_external_actions(actions);
-        self.step_idx += 1;
-        // The barrier is derived from the step index, not accumulated, so
-        // a restored environment lands on exactly the same instants.
-        let until =
-            SimTime::from_secs(self.env_config.decision_interval.as_secs() * self.step_idx as f64);
-        let ran_out = sim.advance_until(until);
-        let probe = sim.reward_probe();
-        let before = self.last_probe.expect("probe recorded at reset");
-        let reward = self.env_config.reward.reward_between(&before, &probe);
-        self.last_probe = Some(probe);
-        self.done = ran_out;
-        StepResult {
-            observation: sim.control_observation(),
-            reward,
-            actions_applied,
-            done: self.done,
+        .expect("engine config validated in new()");
+        let last_probe = sim.reward_probe();
+        Episode {
+            sim,
+            config: self.env_config,
+            step_idx: 0,
+            done: false,
+            last_probe,
         }
     }
 
-    /// Ends the episode: runs the engine to completion (if steps didn't
-    /// already reach the horizon) and returns the final outcome. The
-    /// environment needs a [`PolicyEnv::reset`] before its next step.
-    ///
-    /// # Panics
-    /// Panics if called before [`PolicyEnv::reset`].
-    pub fn finish(&mut self) -> SimOutcome {
-        let sim = self.sim.take().expect("reset() before finish()");
-        self.done = true;
-        sim.run()
-    }
-
-    /// Freezes the mid-episode state: env bookkeeping plus the engine's
-    /// own framed snapshot, in one checksummed frame.
-    ///
-    /// # Panics
-    /// Panics if called before [`PolicyEnv::reset`].
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<u8> {
-        let sim = self.sim.as_ref().expect("reset() before snapshot()");
-        let probe = self.last_probe.expect("probe recorded at reset");
-        let mut w = SnapWriter::new();
-        w.section("env");
-        w.u64(self.step_idx);
-        w.bool(self.done);
-        w.f64(probe.t.as_secs());
-        w.f64(probe.energy_joules);
-        w.u64(probe.completed);
-        w.f64(probe.slowdown_sum);
-        w.f64(probe.violation_secs);
-        w.u64(probe.emergency_kills);
-        w.section("engine");
-        let engine = sim.snapshot();
-        w.seq(engine.as_bytes(), |w, &b| w.u8(b));
-        w.finish(ENV_SNAPSHOT_VERSION)
-    }
-
-    /// Revives a mid-episode environment frozen by [`PolicyEnv::snapshot`].
-    /// The env must have been constructed with the same system, jobs,
-    /// policy name, and configs (the engine's config fingerprint rejects a
+    /// Revives a mid-episode state frozen by [`Episode::snapshot`]. The
+    /// env must have been constructed with the same system, jobs, policy
+    /// name, and configs (the engine's config fingerprint rejects a
     /// mismatch).
-    pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+    pub fn restore(&self, bytes: &[u8]) -> Result<Episode, SnapshotError> {
         let mut r = SnapReader::open(bytes, ENV_SNAPSHOT_VERSION)?;
         r.section("env")?;
         let step_idx = r.u64()?;
         let done = r.bool()?;
-        let probe = RewardProbe {
+        let last_probe = RewardProbe {
             t: r.time()?,
             energy_joules: r.f64()?,
             completed: r.u64()?,
@@ -331,11 +248,90 @@ impl PolicyEnv {
             self.engine_config.clone(),
             &Snapshot::from_bytes(engine_bytes),
         )?;
-        self.sim = Some(sim);
-        self.step_idx = step_idx;
-        self.done = done;
-        self.last_probe = Some(probe);
-        Ok(())
+        Ok(Episode {
+            sim,
+            config: self.env_config,
+            step_idx,
+            done,
+            last_probe,
+        })
+    }
+}
+
+/// One episode of a [`PolicyEnv`]: the engine, the decision-step index,
+/// whether the run is over, and the reward probe at the last decision
+/// point. Built by [`PolicyEnv::reset`] or [`PolicyEnv::restore`].
+pub struct Episode {
+    sim: ClusterSim<'static>,
+    config: EnvConfig,
+    step_idx: u64,
+    done: bool,
+    last_probe: RewardProbe,
+}
+
+impl Episode {
+    /// The current observation without advancing time.
+    #[must_use]
+    pub fn observe(&self) -> Observation {
+        self.sim.control_observation()
+    }
+
+    /// Applies the controller's actions at the current decision point,
+    /// advances one decision interval, and returns the new observation
+    /// and the interval's reward.
+    pub fn step(&mut self, actions: &[ControlAction]) -> StepResult {
+        if self.done {
+            return StepResult {
+                observation: self.observe(),
+                reward: 0.0,
+                actions_applied: 0,
+                done: true,
+            };
+        }
+        let actions_applied = self.sim.apply_external_actions(actions);
+        self.step_idx += 1;
+        // The barrier is derived from the step index, not accumulated, so
+        // a restored episode lands on exactly the same instants.
+        let until =
+            SimTime::from_secs(self.config.decision_interval.as_secs() * self.step_idx as f64);
+        self.done = self.sim.advance_until(until);
+        let probe = self.sim.reward_probe();
+        let reward = self.config.reward.reward_between(&self.last_probe, &probe);
+        self.last_probe = probe;
+        StepResult {
+            observation: self.observe(),
+            reward,
+            actions_applied,
+            done: self.done,
+        }
+    }
+
+    /// Freezes the mid-episode state: the episode's bookkeeping plus the
+    /// engine's own framed snapshot, in one checksummed frame.
+    #[must_use]
+    pub fn snapshot(&self) -> Vec<u8> {
+        let probe = &self.last_probe;
+        let mut w = SnapWriter::new();
+        w.section("env");
+        w.u64(self.step_idx);
+        w.bool(self.done);
+        w.f64(probe.t.as_secs());
+        w.f64(probe.energy_joules);
+        w.u64(probe.completed);
+        w.f64(probe.slowdown_sum);
+        w.f64(probe.violation_secs);
+        w.u64(probe.emergency_kills);
+        w.section("engine");
+        let engine = self.sim.snapshot();
+        w.seq(engine.as_bytes(), |w, &b| w.u8(b));
+        w.finish(ENV_SNAPSHOT_VERSION)
+    }
+
+    /// Ends the episode: runs the engine to completion (if steps didn't
+    /// already reach the horizon) and returns the final outcome.
+    #[must_use]
+    pub fn finish(self) -> SimOutcome {
+        self.sim.run()
     }
 }
 
@@ -370,8 +366,11 @@ mod tests {
         .unwrap()
     }
 
-    #[test]
-    fn unknown_policy_rejected_at_construction() {
+    fn try_env(
+        policy: &str,
+        engine_config: EngineConfig,
+        env_config: EnvConfig,
+    ) -> Result<PolicyEnv, SchedError> {
         let spec = SystemSpec {
             name: "x".into(),
             cabinets: 1,
@@ -380,27 +379,47 @@ mod tests {
             topology: Topology::FatTree { arity: 4 },
             peak_tflops: 1.0,
         };
-        let Err(err) = PolicyEnv::new(
-            spec.build(),
-            vec![],
-            "no-such-policy",
-            EngineConfig::new(SimTime::from_hours(1.0)),
-            EnvConfig::hourly(),
-        ) else {
-            panic!("unknown policy must not construct an env");
+        PolicyEnv::new(spec.build(), vec![], policy, engine_config, env_config)
+    }
+
+    #[test]
+    fn unknown_policy_rejected_at_construction() {
+        let config = EngineConfig::new(SimTime::from_hours(1.0));
+        let err = try_env("no-such-policy", config, EnvConfig::hourly()).err();
+        assert!(matches!(err, Some(SchedError::UnknownPolicy { .. })));
+    }
+
+    #[test]
+    fn degenerate_engine_config_rejected_at_construction() {
+        // A zero repair time once built an env that panicked at reset.
+        let mut config = EngineConfig::new(SimTime::from_hours(1.0));
+        config.repair_time = SimDuration::ZERO;
+        let err = try_env("easy-backfill", config, EnvConfig::hourly()).err();
+        assert_eq!(err, Some(SchedError::NonPositiveRepairTime));
+    }
+
+    #[test]
+    fn zero_decision_interval_rejected_at_construction() {
+        // A zero interval would never advance the clock, so a
+        // `while !done` training loop would spin forever.
+        let env_config = EnvConfig {
+            decision_interval: SimDuration::ZERO,
+            ..EnvConfig::hourly()
         };
-        assert!(matches!(err, SchedError::UnknownPolicy { .. }));
+        let config = EngineConfig::new(SimTime::from_hours(1.0));
+        let err = try_env("easy-backfill", config, env_config).err();
+        assert!(matches!(err, Some(SchedError::InvalidConfig(_))), "{err:?}");
     }
 
     #[test]
     fn episode_runs_to_done_and_matches_outcome_reward() {
-        let mut env = small_env();
-        let obs0 = env.reset();
-        assert_eq!(obs0.t, SimTime::ZERO);
+        let env = small_env();
+        let mut episode = env.reset();
+        assert_eq!(episode.observe().t, SimTime::ZERO);
         let mut steps = 0;
         let mut total = 0.0;
         loop {
-            let r = env.step(&[]);
+            let r = episode.step(&[]);
             total += r.reward;
             steps += 1;
             if r.done {
@@ -408,7 +427,7 @@ mod tests {
             }
             assert!(steps < 1000, "episode must terminate");
         }
-        let outcome = env.finish();
+        let outcome = episode.finish();
         let expected = env.config().reward.reward_of_outcome(&outcome);
         assert!(
             (total - expected).abs() < 1e-6,
@@ -418,60 +437,48 @@ mod tests {
 
     #[test]
     fn reset_is_reproducible() {
-        let mut env = small_env();
-        env.reset();
-        let a1 = env.step(&[]);
-        let b1 = env.step(&[]);
-        env.reset();
-        let a2 = env.step(&[]);
-        let b2 = env.step(&[]);
+        let env = small_env();
+        let mut first = env.reset();
+        let a1 = first.step(&[]);
+        let b1 = first.step(&[]);
+        let mut second = env.reset();
+        let a2 = second.step(&[]);
+        let b2 = second.step(&[]);
         assert_eq!(a1, a2);
         assert_eq!(b1, b2);
     }
 
     #[test]
     fn external_actions_steer_the_engine() {
-        let mut env = small_env();
-        env.reset();
-        let r = env.step(&[ControlAction::SetDefaultFrequency {
+        let mut episode = small_env().reset();
+        let r = episode.step(&[ControlAction::SetDefaultFrequency {
             freq_ghz: Some(1.2),
         }]);
         assert_eq!(r.actions_applied, 1);
         // An invalid action is rejected, not applied.
-        let r = env.step(&[ControlAction::SetJobLimit { limit: Some(0) }]);
+        let r = episode.step(&[ControlAction::SetJobLimit { limit: Some(0) }]);
         assert_eq!(r.actions_applied, 0);
     }
 
     #[test]
     fn snapshot_restore_resumes_byte_identically() {
+        let action = [ControlAction::SetDefaultFrequency {
+            freq_ghz: Some(1.8),
+        }];
         // Straight-through episode.
-        let mut env = small_env();
-        env.reset();
-        let mut straight = Vec::new();
-        for _ in 0..3 {
-            straight.push(env.step(&[ControlAction::SetDefaultFrequency {
-                freq_ghz: Some(1.8),
-            }]));
-        }
-        let o_straight = env.finish();
+        let mut episode = small_env().reset();
+        let straight: Vec<_> = (0..3).map(|_| episode.step(&action)).collect();
+        let o_straight = episode.finish();
 
         // Same episode interrupted after step 1 and revived.
-        let mut env = small_env();
-        env.reset();
-        let first = env.step(&[ControlAction::SetDefaultFrequency {
-            freq_ghz: Some(1.8),
-        }]);
+        let mut episode = small_env().reset();
+        let first = episode.step(&action);
         assert_eq!(first, straight[0]);
-        let frozen = env.snapshot();
-        let mut env2 = small_env();
-        env2.restore(&frozen).unwrap();
+        let frozen = episode.snapshot();
+        let mut revived = small_env().restore(&frozen).unwrap();
         let mut resumed = vec![first];
-        for _ in 0..2 {
-            resumed.push(env2.step(&[ControlAction::SetDefaultFrequency {
-                freq_ghz: Some(1.8),
-            }]));
-        }
-        let o_resumed = env2.finish();
+        resumed.extend((0..2).map(|_| revived.step(&action)));
+        let o_resumed = revived.finish();
         assert_eq!(straight, resumed);
         assert_eq!(
             serde_json::to_string(&o_straight).unwrap(),

@@ -4,8 +4,8 @@
 //! system tune its own knobs" is the recurring answer. These two learners
 //! are deliberately small — a tile-coded tabular Q-learner and an
 //! epsilon-greedy contextual bandit — because the point is the *plumbing*:
-//! both drive the engine exclusively through the validated
-//! [`ControlAction`] apply path, and both train byte-reproducibly from a
+//! both drive the engine exclusively through validated external
+//! [`ControlAction`]s, and both train byte-reproducibly from a
 //! seed (all randomness flows through [`SimRng`] substreams).
 //!
 //! The action space is a small catalog of macro-actions

@@ -34,7 +34,9 @@
 //! each encode and check their own snapshot sections: the event loop
 //! (`events`), the node table (`nodes`), the job table (`jobs`), the
 //! power plane (`power`: meter, budget, history, violation tally and
-//! emergency hold) and the fault plane (`faults`).
+//! emergency hold), the control plane (`control`: the external job limit,
+//! the default DVFS frequency and the idle-shutdown policy in force) and
+//! the fault plane (`faults`).
 
 pub mod control;
 pub mod emergency;
@@ -55,10 +57,10 @@ pub mod shutdown;
 pub mod snapshot;
 pub mod view;
 
-pub use control::{ActionSource, ControlAction, ControlState, Observation};
+pub use control::{ControlAction, Observation};
 pub use emergency::EmergencyPolicy;
 pub use engine::{ClusterSim, EngineConfig, RewardProbe, SimOutcome};
-pub use env::{EnvConfig, PolicyEnv, RewardConfig, StepResult};
+pub use env::{EnvConfig, Episode, PolicyEnv, RewardConfig, StepResult};
 pub use error::SchedError;
 pub use governor::{GovernorObjective, PhaseGovernor, PhasePlan};
 pub use intersystem::InterSystemCoordinator;

@@ -61,6 +61,14 @@ impl ShutdownPolicy {
         }
     }
 
+    /// Whether the policy is physical: a non-negative idle threshold and
+    /// positive shutdown and boot times.
+    pub(crate) fn is_valid(&self) -> bool {
+        self.idle_threshold.as_secs() >= 0.0
+            && self.shutdown_time.as_secs() > 0.0
+            && self.boot_time.as_secs() > 0.0
+    }
+
     /// Folds every field into the engine's resume fingerprint.
     pub(crate) fn fingerprint(&self, fp: &mut Fingerprint) {
         for d in [self.idle_threshold, self.shutdown_time, self.boot_time] {

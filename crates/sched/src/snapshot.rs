@@ -76,8 +76,12 @@ use std::path::Path;
 /// last tick, start-hold end and resume flag, then the budget option,
 /// the meter and the history), so the sections run `meta`, `sim`,
 /// `power`, `jobs`, `nodes`, `control`, `faults`, `arrivals`, `obs`,
-/// `grid`.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 14;
+/// `grid`; v15 gives the control plane three knobs: the `control`
+/// section holds the external job limit, the default frequency and the
+/// idle-shutdown policy in force as three options (the backfill depth and
+/// the nested shutdown override are gone), and the trace ring no longer
+/// decodes the retired start and backfill-depth control kinds.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 15;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///

@@ -5,8 +5,8 @@
 //! - `golden` — the committed `tests/golden/sim_outcome.json` run: backfill,
 //!   a budget with demand-response resizes, idle shutdown with demand boot,
 //!   emergency kills with requeue and checkpointing, and node failures;
-//! - `control` — every engineered control-plane adapter at once, pinned to
-//!   fingerprints recorded from the inline dispatch they replaced;
+//! - `control` — every engineered control mechanism at once, pinned to
+//!   fingerprints recorded from the engine's original inline dispatch;
 //! - `chaos` — the full fault model (correlated domain failures, sensor
 //!   dropout and stuck-at, failing actuators) over 12 seeds;
 //! - `layout` — CEA-style layout-aware starts around a PDU maintenance
@@ -450,7 +450,7 @@ pub fn check_golden_file(s: &Scenario, failures: &mut Vec<String>) {
     }
 }
 
-/// Every engineered adapter at once: the budgeted base plus windowed
+/// Every engineered mechanism at once: the budgeted base plus windowed
 /// emergency kills with a start cooldown and a temperature-conditioned
 /// job-limit gate.
 pub fn control(seed: u64) -> Scenario {

@@ -1,17 +1,18 @@
-//! Control-plane equivalence: the engineered adapters routed through the
-//! unified `ControlAction` apply path produce **byte-identical** outcomes
-//! and JSONL traces to the pre-refactor inline dispatch they replaced.
+//! Control-plane equivalence: the engineered mechanisms, each calling
+//! its operation directly (budget resize, emergency shed, idle power-off,
+//! the gate's limit read each round), produce **byte-identical** outcomes
+//! and JSONL traces to the inline dispatch the engine had before it had a
+//! control plane.
 //!
-//! The inline dispatch is gone; what it produced is pinned in
+//! That dispatch is gone; what it produced is pinned in
 //! `tests/common/matrix.rs` as FNV fingerprints of the serialized outcome
 //! plus the JSONL trace, recorded from it for seed `0xC0` and six fixed
 //! seeds. Each seed runs its full `control` row of the determinism
 //! matrix, so every crash point must reproduce the pinned bytes too.
 //!
-//! The scenario exercises every adapter: a power budget with scheduled
-//! resizes (budget adapter), idle shutdown (shutdown adapter), windowed
-//! emergency kills with a start cooldown (emergency adapter), a
-//! temperature-conditioned job-limit gate (gate adapter), plus
+//! The scenario exercises every mechanism: a power budget with scheduled
+//! resizes, idle shutdown, windowed emergency kills with a start
+//! cooldown, a temperature-conditioned job-limit gate, plus
 //! failures/requeues so the interleaving is rich.
 
 mod common;

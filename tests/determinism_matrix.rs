@@ -62,31 +62,30 @@ fn env_run(crashes: &[f64]) -> Run {
     let step_of = |frac: f64| (frac * ENV_STEPS).round() as u64;
     let last = crashes.last().copied().unwrap_or(0.0);
     let probes: Vec<f64> = PROBES.into_iter().filter(|&p| p >= last).collect();
-    let mut env = make_env();
-    env.reset();
+    let mut episode = make_env().reset();
     let (mut trace, mut snapshots) = (String::new(), Vec::new());
     let (mut step, mut done) = (0u64, false);
     loop {
         let due = |frac: f64| step_of(frac) == step || (done && step_of(frac) > step);
         for _ in crashes.iter().filter(|&&f| due(f)) {
-            let bytes = env.snapshot();
-            env = make_env(); // the crash: only the bytes survive
-            env.restore(&bytes).expect("env snapshot restores");
+            let bytes = episode.snapshot();
+            // The crash: only the bytes survive.
+            episode = make_env().restore(&bytes).expect("env snapshot restores");
         }
         for &p in probes.iter().filter(|&&p| due(p)) {
-            snapshots.push((p, env.snapshot()));
+            snapshots.push((p, episode.snapshot()));
         }
         if done {
             break;
         }
         let entry = &catalog.entries[step as usize % catalog.entries.len()];
-        let r = env.step(&entry.actions);
+        let r = episode.step(&entry.actions);
         trace += &format!("{} {}\n", entry.name, serde_json::to_string(&r).unwrap());
         step += 1;
         done = r.done;
     }
     Run {
-        json: serde_json::to_string(&env.finish()).expect("outcome serializes"),
+        json: serde_json::to_string(&episode.finish()).expect("outcome serializes"),
         trace,
         grid: None,
         snapshots,

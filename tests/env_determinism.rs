@@ -1,7 +1,7 @@
 //! Learned-controller determinism: training is a pure function of the
 //! seed. A fixed-seed Q-learning run produces an identical trajectory
 //! (every episode, step, chosen action, observation, and reward) every
-//! time it is repeated. That an environment frozen mid-episode revives
+//! time it is repeated. That an episode frozen mid-way revives
 //! without perturbing a byte of the rest is checked by
 //! `tests/determinism_matrix.rs`.
 
@@ -22,14 +22,15 @@ fn q_trajectory(episodes: u32) -> Vec<String> {
         ..QConfig::default()
     };
     let mut learner = QLearner::new(standard_tiling(), catalog.len(), config);
-    let mut env = make_env();
+    let env = make_env();
     let mut lines = Vec::new();
     for ep in 0..episodes {
-        let mut obs = env.reset();
+        let mut episode = env.reset();
+        let mut obs = episode.observe();
         loop {
             let x = observation_features(&obs);
             let a = learner.act(&x);
-            let r = env.step(&catalog.entries[a].actions);
+            let r = episode.step(&catalog.entries[a].actions);
             let x_next = observation_features(&r.observation);
             learner.update(&x, a, r.reward, &x_next, r.done);
             lines.push(format!(
@@ -45,7 +46,7 @@ fn q_trajectory(episodes: u32) -> Vec<String> {
             }
         }
         learner.end_episode();
-        let outcome = env.finish();
+        let outcome = episode.finish();
         lines.push(format!(
             "{ep} outcome {}",
             serde_json::to_string(&outcome).unwrap()
@@ -93,14 +94,15 @@ fn bandit_training_is_byte_reproducible_from_seed() {
     let run = || {
         let catalog = ActionCatalog::standard();
         let mut bandit = ContextualBandit::new(N_CONTEXTS, catalog.len(), BanditConfig::default());
-        let mut env = make_env();
+        let env = make_env();
         let mut lines = Vec::new();
         for ep in 0..2 {
-            let mut obs = env.reset();
+            let mut episode = env.reset();
+            let mut obs = episode.observe();
             loop {
                 let c = context_bucket(&obs);
                 let a = bandit.act(c);
-                let r = env.step(&catalog.entries[a].actions);
+                let r = episode.step(&catalog.entries[a].actions);
                 bandit.update(c, a, r.reward);
                 lines.push(format!(
                     "{ep} {c} {} {}",
@@ -112,7 +114,6 @@ fn bandit_training_is_byte_reproducible_from_seed() {
                     break;
                 }
             }
-            env.finish();
         }
         lines
     };

@@ -246,7 +246,7 @@ fn previous_schema_frames_are_rejected_with_unsupported_version() {
     // A current payload under each previous schema's version number,
     // checksummed correctly: only the version check can reject it.
     let snap = small_snapshot(3);
-    for old in [5, 6, 7, 8, 9, 10, 11, 12, 13] {
+    for old in [5, 6, 7, 8, 9, 10, 11, 12, 13, 14] {
         let err = try_resume(&reframe(old, &snap.as_bytes()[HEADER_LEN..]), 3).unwrap_err();
         assert!(
             matches!(
@@ -625,6 +625,43 @@ fn copy_within(payload: &mut [u8], from: usize, to: usize, len: usize) {
     payload.copy_within(from..from + len, to);
 }
 
+/// Payload offset of the `control` section: three option tags, for the
+/// external job limit, the default frequency and the idle-shutdown policy
+/// in force, none of them set in these frames.
+fn control_at(payload: &[u8]) -> usize {
+    let mut marker = SnapWriter::new();
+    marker.section("control");
+    let marker = &marker.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
+    payload
+        .windows(marker.len())
+        .position(|w| w == marker)
+        .expect("control section present")
+        + marker.len()
+}
+
+/// Sets control knob `knob` (0 job limit, 1 default frequency, 2
+/// shutdown policy) to the value `encode` writes.
+fn set_knob(payload: &mut Vec<u8>, knob: usize, encode: impl FnOnce(&mut SnapWriter)) {
+    let at = control_at(payload) + knob;
+    let mut value = SnapWriter::new();
+    value.u8(1);
+    encode(&mut value);
+    let value = &value.finish(SNAPSHOT_SCHEMA_VERSION)[HEADER_LEN..];
+    payload.splice(at..at + 1, value.iter().copied());
+}
+
+/// Puts a shutdown policy in force with the given shutdown and boot
+/// times: a 15 min idle threshold, a reserve of 2 and no season.
+fn set_shutdown(payload: &mut Vec<u8>, shutdown_secs: f64, boot_secs: f64) {
+    set_knob(payload, 2, |w| {
+        for secs in [900.0, shutdown_secs, boot_secs] {
+            w.f64(secs);
+        }
+        w.u32(2);
+        w.u8(0);
+    });
+}
+
 /// Payload offset of the grid state, the frame's last section. Its
 /// layout: option tag (1), price cursor (u32), carbon cursor (u32),
 /// active-event option (0 here), per-event excess joules (u64 length and
@@ -645,7 +682,7 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
     // Each frame is well-formed and correctly checksummed, but carries an
     // index, time or pairing that a handler would later use out of range.
     type Edit = fn(&mut Vec<u8>);
-    let cases: [(&str, Edit); 33] = [
+    let cases: [(&str, Edit); 37] = [
         ("boot completion for a node past the machine", |p| {
             push_event(p, 3, NODES)
         }),
@@ -753,6 +790,16 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
             let node = busy_node(p);
             push_event(p, 3, node)
         }),
+        ("zero job limit", |p| set_knob(p, 0, |w| w.usize(0))),
+        ("NaN default frequency", |p| {
+            set_knob(p, 1, |w| w.f64(f64::NAN))
+        }),
+        ("shutdown policy with a zero shutdown time", |p| {
+            set_shutdown(p, 0.0, 300.0)
+        }),
+        ("shutdown policy with a zero boot time", |p| {
+            set_shutdown(p, 120.0, 0.0)
+        }),
     ];
     let mut policy = EasyBackfill;
     let jobs = chaos_jobs(3);
@@ -782,6 +829,8 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
     );
     let (queued, running) = jobs_at(payload);
     assert!(queued.is_some(), "a queued job");
+    let c = control_at(payload);
+    assert_eq!(payload[c..c + 3], [0, 0, 0], "no control knob set");
     assert_eq!(running.len() as u64, grants, "one grant per running job");
     let at = meter_pending_at(payload);
     assert_eq!(payload[at], 1, "the power trace has a pending point");
@@ -811,14 +860,32 @@ fn crafted_out_of_range_indices_are_rejected_as_corrupt() {
             }
         };
     }
-    // A hold that ends after the clock is honest state and stays legal.
-    let mut held = payload.to_vec();
-    set_power_f64(&mut held, 16, 7.0 * 3600.0);
-    let held = reframe(SNAPSHOT_SCHEMA_VERSION, &held);
-    let mut policy = EasyBackfill;
-    let resumed = ClusterSim::resume(chaos_system(), jobs, &mut policy, grid_config(), &held);
-    if let Err(err) = resumed {
-        failures.push(format!("start hold past the clock: {err:?}"));
+    // A hold that ends after the clock, and knobs that an external action
+    // could have set, are honest state and stay legal.
+    let legal: [(&str, Edit); 3] = [
+        ("start hold past the clock", |p| {
+            set_power_f64(p, 16, 7.0 * 3600.0)
+        }),
+        ("job limit of one", |p| set_knob(p, 0, |w| w.usize(1))),
+        ("shutdown policy in force", |p| {
+            set_shutdown(p, 120.0, 300.0)
+        }),
+    ];
+    for (name, edit) in legal {
+        let mut crafted = payload.to_vec();
+        edit(&mut crafted);
+        let crafted = reframe(SNAPSHOT_SCHEMA_VERSION, &crafted);
+        let mut policy = EasyBackfill;
+        let resumed = ClusterSim::resume(
+            chaos_system(),
+            jobs.clone(),
+            &mut policy,
+            grid_config(),
+            &crafted,
+        );
+        if let Err(err) = resumed {
+            failures.push(format!("{name}: {err:?}"));
+        }
     }
     assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
