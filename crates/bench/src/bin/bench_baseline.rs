@@ -15,6 +15,9 @@
 //! cargo run --release -p epa-bench --bin bench_baseline [out.json]
 //! ```
 //!
+//! An output path that cannot be opened for writing fails at once, before
+//! any measurement, with the path and the OS error and exit status 2.
+//!
 //! With `--check-scaling` the binary instead runs the 256- and 4,096-node
 //! rows and exits nonzero unless events/sec at 4,096 nodes is within 4×
 //! of 256 nodes — the CI guard for the O(active)-per-event invariant —
@@ -40,6 +43,7 @@ use epa_simcore::time::SimTime;
 use epa_workload::generator::{WorkloadGenerator, WorkloadParams};
 use epa_workload::source::LazyGeneratorSource;
 use serde_json::json;
+use std::io::Write;
 use std::time::Instant;
 
 const SIM_DAYS: f64 = 1.0;
@@ -635,6 +639,15 @@ fn main() {
         .first()
         .cloned()
         .unwrap_or_else(|| "BENCH_engine.json".to_owned());
+    // Open the output before measuring, so an unwritable path fails in
+    // milliseconds rather than after the run. It is emptied only when the
+    // results are written.
+    let mut out = std::fs::OpenOptions::new()
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(&out_path)
+        .unwrap_or_else(|e| unwritable(&out_path, &e));
     let mut results = Vec::new();
     for nodes in SIZES {
         let (wall_secs, events, completed) = best_of_reps(nodes, REPS);
@@ -682,10 +695,14 @@ fn main() {
         "snapshot": snapshot,
         "streaming": streaming,
     });
-    std::fs::write(
-        &out_path,
-        serde_json::to_string_pretty(&doc).expect("serializable") + "\n",
-    )
-    .expect("write bench output");
+    let text = serde_json::to_string_pretty(&doc).expect("serializable") + "\n";
+    (out.set_len(0).and_then(|()| out.write_all(text.as_bytes())))
+        .unwrap_or_else(|e| unwritable(&out_path, &e));
     eprintln!("wrote {out_path}");
+}
+
+/// Reports an output path that cannot be written and exits with status 2.
+fn unwritable(path: &str, err: &std::io::Error) -> ! {
+    eprintln!("bench_baseline: cannot write {path}: {err}");
+    std::process::exit(2);
 }

@@ -7,7 +7,9 @@
 //! cooling from chillers — plus a calendar of maintenance windows.
 
 use crate::node::NodeId;
+use crate::nodeset::NodeSet;
 use crate::system::System;
+use epa_simcore::snap::Fingerprint;
 use epa_simcore::time::SimTime;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -120,8 +122,14 @@ impl FacilityLayout {
     /// on this node for this long?"
     #[must_use]
     pub fn node_affected_during(&self, node: NodeId, from: SimTime, to: SimTime) -> bool {
-        let pdu = self.pdu_of(node);
-        let chiller = self.chiller_of(node);
+        self.cabinet_affected_during(node.0 / self.nodes_per_cabinet.max(1), from, to)
+    }
+
+    /// True when the cabinet's PDU or chiller has maintenance overlapping
+    /// `[from, to)`.
+    fn cabinet_affected_during(&self, cabinet: u32, from: SimTime, to: SimTime) -> bool {
+        let pdu = self.cabinet_pdu.get(&cabinet).copied();
+        let chiller = self.cabinet_chiller.get(&cabinet).copied();
         self.windows.iter().any(|w| {
             w.overlaps(from, to)
                 && match w.equipment {
@@ -131,13 +139,41 @@ impl FacilityLayout {
         })
     }
 
-    /// All nodes of `system` affected by maintenance during `[from, to)`.
+    /// All nodes affected by maintenance during `[from, to)`, one run per
+    /// affected cabinet (adjacent cabinets merge into one run).
     #[must_use]
-    pub fn affected_nodes(&self, system: &System, from: SimTime, to: SimTime) -> Vec<NodeId> {
-        system
-            .nodes()
-            .filter(|&n| self.node_affected_during(n, from, to))
-            .collect()
+    pub fn affected_nodes(&self, from: SimTime, to: SimTime) -> NodeSet {
+        let npc = self.nodes_per_cabinet.max(1);
+        let mut affected = NodeSet::new();
+        for &cabinet in self.cabinet_pdu.keys() {
+            if self.cabinet_affected_during(cabinet, from, to) {
+                affected.push_run(cabinet * npc, npc);
+            }
+        }
+        affected
+    }
+
+    /// Folds every field — the cabinet maps, the cabinet size and each
+    /// maintenance window — into a resume fingerprint.
+    pub fn fingerprint(&self, fp: &mut Fingerprint) {
+        fp.u64(u64::from(self.nodes_per_cabinet));
+        fp.u64(self.cabinet_pdu.len() as u64);
+        for (&cabinet, pdu) in &self.cabinet_pdu {
+            fp.u64(u64::from(cabinet)).u64(u64::from(pdu.0));
+        }
+        fp.u64(self.cabinet_chiller.len() as u64);
+        for (&cabinet, chiller) in &self.cabinet_chiller {
+            fp.u64(u64::from(cabinet)).u64(u64::from(chiller.0));
+        }
+        fp.u64(self.windows.len() as u64);
+        for w in &self.windows {
+            let (tag, id) = match w.equipment {
+                Equipment::Pdu(p) => (0, p.0),
+                Equipment::Chiller(c) => (1, c.0),
+            };
+            fp.u64(tag).u64(u64::from(id));
+            fp.f64(w.start.as_secs()).f64(w.end.as_secs());
+        }
     }
 }
 
@@ -202,9 +238,71 @@ mod tests {
             start: t(0.0),
             end: t(10.0),
         });
-        let affected = layout.affected_nodes(&sys, t(0.0), t(5.0));
-        // Chiller 0 cools cabinets 0..4 = nodes 0..16.
-        assert_eq!(affected, (0..16).map(NodeId).collect::<Vec<_>>());
+        let affected = layout.affected_nodes(t(0.0), t(5.0));
+        // Chiller 0 cools cabinets 0..4 = nodes 0..16, one run.
+        assert_eq!(affected, NodeSet::from_run(0, 16));
+        assert!(layout.affected_nodes(t(10.0), t(20.0)).is_empty());
+    }
+
+    #[test]
+    fn affected_nodes_are_the_affected_cabinets_spans() {
+        let sys = system();
+        let mut layout = FacilityLayout::regular(&sys, 2, 4);
+        for pdu in [0, 3] {
+            layout.add_maintenance(MaintenanceWindow {
+                equipment: Equipment::Pdu(PduId(pdu)),
+                start: t(0.0),
+                end: t(10.0),
+            });
+        }
+        // PDU 0 feeds cabinets 0, 1 (nodes 0..8); PDU 3 cabinets 6, 7.
+        let affected = layout.affected_nodes(t(5.0), t(6.0));
+        assert_eq!(affected.runs(), [(0, 8), (24, 8)]);
+        let per_node: Vec<NodeId> = sys
+            .nodes()
+            .filter(|&n| layout.node_affected_during(n, t(5.0), t(6.0)))
+            .collect();
+        assert_eq!(affected.to_vec(), per_node);
+    }
+
+    #[test]
+    fn fingerprint_covers_every_field() {
+        let hash = |l: &FacilityLayout| {
+            let mut fp = Fingerprint::new();
+            l.fingerprint(&mut fp);
+            fp.finish()
+        };
+        let window = MaintenanceWindow {
+            equipment: Equipment::Pdu(PduId(1)),
+            start: t(100.0),
+            end: t(200.0),
+        };
+        let layout = |per_pdu, per_chiller| {
+            let mut l = FacilityLayout::regular(&system(), per_pdu, per_chiller);
+            l.add_maintenance(window);
+            l
+        };
+        let base = layout(2, 4);
+        let edit = |f: &dyn Fn(&mut FacilityLayout)| {
+            let mut l = base.clone();
+            f(&mut l);
+            hash(&l)
+        };
+        let variants = [
+            hash(&layout(1, 4)),
+            hash(&layout(2, 2)),
+            edit(&|l| l.nodes_per_cabinet = 8),
+            edit(&|l| l.windows.clear()),
+            edit(&|l| l.add_maintenance(window)),
+            edit(&|l| l.windows[0].equipment = Equipment::Chiller(ChillerId(1))),
+            edit(&|l| l.windows[0].equipment = Equipment::Pdu(PduId(2))),
+            edit(&|l| l.windows[0].start = t(150.0)),
+            edit(&|l| l.windows[0].end = t(250.0)),
+        ];
+        for (i, v) in variants.iter().enumerate() {
+            assert_ne!(*v, hash(&base), "edit {i} left the fingerprint unchanged");
+        }
+        assert_eq!(hash(&base.clone()), hash(&base));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Allocations on large machines are a handful of contiguous runs no
 //! matter how many nodes they hold, so a [`NodeSet`] carries them as
 //! sorted, disjoint, non-adjacent `(start, len)` runs. Everything that
-//! walks a job's nodes — the allocator, the engine's start/finish
+//! walks a job's nodes — the node table, the engine's start/finish
 //! bookkeeping, the energy meter — works per run instead of per node.
 //! One or two runs are stored inline, so the 1–4-node allocations that
 //! dominate small-job streams never touch the heap.

@@ -104,12 +104,6 @@ impl System {
         let hi = (lo + self.spec.nodes_per_cabinet).min(self.spec.total_nodes());
         (lo..hi).map(NodeId).collect()
     }
-
-    /// The interconnect topology.
-    #[must_use]
-    pub fn topology(&self) -> &Topology {
-        &self.spec.topology
-    }
 }
 
 #[cfg(test)]

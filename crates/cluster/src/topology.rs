@@ -1,19 +1,19 @@
-//! Interconnect topologies and hop-distance metrics.
+//! Interconnect topologies: the Q2(c) interconnect description.
 //!
-//! Topology-aware task allocation (survey question Q6) needs a notion of
-//! "how far apart" two nodes are. We model the three interconnect families
+//! Each surveyed system names its interconnect family; we model the three
 //! the surveyed systems use:
 //!
-//! - **Fat-tree** (CEA, KAUST Cray Aries is dragonfly but BG/P-era systems
-//!   and many clusters are fat-trees): distance = 2 × levels to the lowest
-//!   common ancestor switch.
+//! - **Fat-tree** (CEA, LRZ, CINECA, Tokyo Tech, JCAHPC, STFC): `arity`
+//!   nodes per leaf switch.
 //! - **3-D torus** (K computer's Tofu is a 6-D torus; we model the classic
-//!   3-D case): Manhattan distance with wraparound per dimension.
-//! - **Dragonfly** (Cray XC at KAUST/Trinity/CINECA): 1 hop within a
-//!   router, 2 within a group, 5 across groups (the standard minimal-route
-//!   hop counts).
+//!   3-D case).
+//! - **Dragonfly** (Cray XC at KAUST and Trinity): routers of nodes,
+//!   grouped.
+//!
+//! The engine places jobs first-fit and reads no topology; Q6's
+//! topology-aware placement answer comes from each site's mechanism
+//! taxonomy.
 
-use crate::node::NodeId;
 use serde::{Deserialize, Serialize};
 
 /// An interconnect topology over a fixed number of nodes.
@@ -39,237 +39,4 @@ pub enum Topology {
         /// Routers in one group.
         routers_per_group: u32,
     },
-}
-
-impl Topology {
-    /// Hop distance between two nodes under minimal routing.
-    #[must_use]
-    pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
-        if a == b {
-            return 0;
-        }
-        match *self {
-            Topology::FatTree { arity } => {
-                let arity = arity.max(2);
-                // Hops = 2 * (levels up to the lowest common ancestor).
-                let mut ga = a.0 / arity;
-                let mut gb = b.0 / arity;
-                let mut up = 1;
-                while ga != gb {
-                    ga /= arity;
-                    gb /= arity;
-                    up += 1;
-                }
-                2 * up
-            }
-            Topology::Torus3D { dims } => {
-                let (xa, ya, za) = torus_coords(a, dims);
-                let (xb, yb, zb) = torus_coords(b, dims);
-                wrap_dist(xa, xb, dims.0) + wrap_dist(ya, yb, dims.1) + wrap_dist(za, zb, dims.2)
-            }
-            Topology::Dragonfly {
-                nodes_per_router,
-                routers_per_group,
-            } => {
-                let npr = nodes_per_router.max(1);
-                let rpg = routers_per_group.max(1);
-                let ra = a.0 / npr;
-                let rb = b.0 / npr;
-                if ra == rb {
-                    1 // same router
-                } else if ra / rpg == rb / rpg {
-                    2 // same group, router-to-router hop
-                } else {
-                    5 // minimal global route: local + global + local (+ injection)
-                }
-            }
-        }
-    }
-
-    /// Average pairwise hop distance of a node set — the communication-cost
-    /// proxy that topology-aware allocation minimizes.
-    #[must_use]
-    pub fn avg_pairwise_distance(&self, nodes: &[NodeId]) -> f64 {
-        if nodes.len() < 2 {
-            return 0.0;
-        }
-        let mut total = 0u64;
-        let mut pairs = 0u64;
-        for (i, &a) in nodes.iter().enumerate() {
-            for &b in &nodes[i + 1..] {
-                total += u64::from(self.distance(a, b));
-                pairs += 1;
-            }
-        }
-        total as f64 / pairs as f64
-    }
-
-    /// The size of the smallest locality domain (nodes sharing a leaf
-    /// switch / router / torus line). Used by allocators to align blocks.
-    #[must_use]
-    pub fn locality_unit(&self) -> u32 {
-        match *self {
-            Topology::FatTree { arity } => arity.max(2),
-            Topology::Torus3D { dims } => dims.0.max(1),
-            Topology::Dragonfly {
-                nodes_per_router, ..
-            } => nodes_per_router.max(1),
-        }
-    }
-}
-
-fn torus_coords(n: NodeId, dims: (u32, u32, u32)) -> (u32, u32, u32) {
-    let (x, y, z) = (dims.0.max(1), dims.1.max(1), dims.2.max(1));
-    // Ids beyond the torus capacity wrap around; keeps the metric total.
-    let idx = n.0 % (x * y * z);
-    (idx % x, (idx / x) % y, idx / (x * y))
-}
-
-fn wrap_dist(a: u32, b: u32, dim: u32) -> u32 {
-    if dim == 0 {
-        return 0;
-    }
-    let d = a.abs_diff(b);
-    d.min(dim - d)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn n(i: u32) -> NodeId {
-        NodeId(i)
-    }
-
-    #[test]
-    fn distance_is_zero_for_self() {
-        for topo in [
-            Topology::FatTree { arity: 4 },
-            Topology::Torus3D { dims: (4, 4, 4) },
-            Topology::Dragonfly {
-                nodes_per_router: 4,
-                routers_per_group: 8,
-            },
-        ] {
-            assert_eq!(topo.distance(n(5), n(5)), 0);
-        }
-    }
-
-    #[test]
-    fn fat_tree_levels() {
-        let topo = Topology::FatTree { arity: 4 };
-        // Same leaf switch (nodes 0..4): one level up.
-        assert_eq!(topo.distance(n(0), n(3)), 2);
-        // Adjacent leaf switches share a level-2 switch.
-        assert_eq!(topo.distance(n(0), n(4)), 4);
-        // Far apart: three levels.
-        assert_eq!(topo.distance(n(0), n(16)), 6);
-    }
-
-    #[test]
-    fn torus_wraparound() {
-        let topo = Topology::Torus3D { dims: (4, 4, 4) };
-        // Nodes 0 and 3 are x=0 and x=3: wrap distance is 1, not 3.
-        assert_eq!(topo.distance(n(0), n(3)), 1);
-        assert_eq!(topo.distance(n(0), n(1)), 1);
-        assert_eq!(topo.distance(n(0), n(2)), 2);
-        // One step in y: index 4 => (0,1,0).
-        assert_eq!(topo.distance(n(0), n(4)), 1);
-        // One step in z: index 16 => (0,0,1).
-        assert_eq!(topo.distance(n(0), n(16)), 1);
-        // Diagonal corner (3,3,3) = index 63: wraps to 1+1+1.
-        assert_eq!(topo.distance(n(0), n(63)), 3);
-    }
-
-    #[test]
-    fn dragonfly_hop_classes() {
-        let topo = Topology::Dragonfly {
-            nodes_per_router: 4,
-            routers_per_group: 8,
-        };
-        assert_eq!(topo.distance(n(0), n(3)), 1); // same router
-        assert_eq!(topo.distance(n(0), n(4)), 2); // same group
-        assert_eq!(topo.distance(n(0), n(32)), 5); // cross group
-    }
-
-    #[test]
-    fn avg_pairwise_distance_compact_beats_spread() {
-        let topo = Topology::Dragonfly {
-            nodes_per_router: 4,
-            routers_per_group: 8,
-        };
-        let compact: Vec<NodeId> = (0..4).map(n).collect();
-        let spread: Vec<NodeId> = [0u32, 32, 64, 96].iter().map(|&i| n(i)).collect();
-        assert!(topo.avg_pairwise_distance(&compact) < topo.avg_pairwise_distance(&spread));
-    }
-
-    #[test]
-    fn avg_pairwise_distance_trivial_sets() {
-        let topo = Topology::FatTree { arity: 4 };
-        assert_eq!(topo.avg_pairwise_distance(&[]), 0.0);
-        assert_eq!(topo.avg_pairwise_distance(&[n(0)]), 0.0);
-    }
-
-    #[test]
-    fn locality_units() {
-        assert_eq!(Topology::FatTree { arity: 8 }.locality_unit(), 8);
-        assert_eq!(Topology::Torus3D { dims: (6, 5, 4) }.locality_unit(), 6);
-        assert_eq!(
-            Topology::Dragonfly {
-                nodes_per_router: 4,
-                routers_per_group: 8
-            }
-            .locality_unit(),
-            4
-        );
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn arb_topology() -> impl Strategy<Value = Topology> {
-        prop_oneof![
-            (2u32..16).prop_map(|arity| Topology::FatTree { arity }),
-            ((2u32..8), (2u32..8), (2u32..8)).prop_map(|dims| Topology::Torus3D { dims }),
-            ((1u32..8), (2u32..16)).prop_map(|(npr, rpg)| Topology::Dragonfly {
-                nodes_per_router: npr,
-                routers_per_group: rpg
-            }),
-        ]
-    }
-
-    proptest! {
-        /// Hop distance is a symmetric, self-zero metric.
-        #[test]
-        fn distance_symmetric(topo in arb_topology(), a in 0u32..512, b in 0u32..512) {
-            // Keep ids within the torus capacity so distinct ids are
-            // distinct coordinates (ids wrap beyond capacity by design).
-            let (a, b) = if let Topology::Torus3D { dims } = topo {
-                let cap = dims.0 * dims.1 * dims.2;
-                (a % cap, b % cap)
-            } else {
-                (a, b)
-            };
-            prop_assert_eq!(topo.distance(NodeId(a), NodeId(b)), topo.distance(NodeId(b), NodeId(a)));
-            prop_assert_eq!(topo.distance(NodeId(a), NodeId(a)), 0);
-            if a != b {
-                prop_assert!(topo.distance(NodeId(a), NodeId(b)) > 0);
-            }
-        }
-
-        /// Torus distance obeys the triangle inequality.
-        #[test]
-        fn torus_triangle(dims in ((2u32..8), (2u32..8), (2u32..8)), a in 0u32..512, b in 0u32..512, c in 0u32..512) {
-            let topo = Topology::Torus3D { dims };
-            let cap = dims.0 * dims.1 * dims.2;
-            let (a, b, c) = (a % cap, b % cap, c % cap);
-            let ab = topo.distance(NodeId(a), NodeId(b));
-            let bc = topo.distance(NodeId(b), NodeId(c));
-            let ac = topo.distance(NodeId(a), NodeId(c));
-            prop_assert!(ac <= ab + bc);
-        }
-    }
 }

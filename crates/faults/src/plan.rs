@@ -122,17 +122,14 @@ mod tests {
 mod proptests {
     use super::*;
     use crate::config::DomainFaultConfig;
-    use epa_cluster::alloc::{AllocStrategy, Allocator};
-    use epa_cluster::node::NodeId;
-    use epa_cluster::topology::Topology;
     use proptest::prelude::*;
     use std::collections::BTreeMap;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         /// Capacity recovers after faults: under any generated fault
-        /// schedule, once every repair has been applied the allocator's
-        /// available-node count equals the original system size.
+        /// schedule, once every repair has been applied no node is down,
+        /// so the whole system is available again.
         #[test]
         fn capacity_recovers_after_all_repairs(
             seed in any::<u64>(),
@@ -151,14 +148,9 @@ mod proptests {
                 ..FaultConfig::default()
             };
             let plan = FaultPlan::generate(&config, SimTime::from_days(7.0), domains);
-            let mut alloc = Allocator::new(
-                total,
-                AllocStrategy::FirstFit,
-                Topology::FatTree { arity: 8 },
-            );
             // Replay the plan chronologically, interleaving repairs:
             // nodes already down ride through an overlapping event.
-            let mut repairs: BTreeMap<(u64, u32), NodeId> = BTreeMap::new();
+            let mut repairs: BTreeMap<(u64, u32), usize> = BTreeMap::new();
             let mut down = vec![false; total as usize];
             let mut seq = 0u32;
             for event in &plan.domain_events {
@@ -172,15 +164,13 @@ mod proptests {
                     .collect();
                 for k in due {
                     let n = repairs.remove(&k).unwrap();
-                    down[n.index()] = false;
-                    prop_assert!(alloc.mark_available(n));
+                    prop_assert!(std::mem::replace(&mut down[n], false));
                 }
-                let lo = event.domain * nodes_per_domain;
-                for i in lo..lo + nodes_per_domain {
-                    let n = NodeId(i);
-                    if !down[n.index()] {
-                        down[n.index()] = true;
-                        prop_assert!(alloc.mark_unavailable(n));
+                let lo = (event.domain * nodes_per_domain) as usize;
+                let domain = &mut down[lo..lo + nodes_per_domain as usize];
+                for (n, is_down) in (lo..).zip(domain) {
+                    if !*is_down {
+                        *is_down = true;
                         let t_repair = event.t + event.repair_time;
                         repairs.insert((t_repair.as_secs().to_bits(), seq), n);
                         seq += 1;
@@ -189,9 +179,9 @@ mod proptests {
             }
             // Drain every outstanding repair.
             for (_, n) in std::mem::take(&mut repairs) {
-                prop_assert!(alloc.mark_available(n));
+                prop_assert!(std::mem::replace(&mut down[n], false));
             }
-            prop_assert_eq!(alloc.free_count(), total as usize);
+            prop_assert_eq!(down.iter().filter(|&&d| !d).count(), total as usize);
         }
     }
 }

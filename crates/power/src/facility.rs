@@ -14,6 +14,7 @@
 
 use crate::error::PowerError;
 use epa_simcore::rng::SimRng;
+use epa_simcore::snap::Fingerprint;
 use epa_simcore::time::SimTime;
 use serde::{Deserialize, Serialize};
 
@@ -147,6 +148,23 @@ impl FacilityConfig {
             }
         }
         Ok(())
+    }
+
+    /// Folds every field — budget, cooling, PUE curve, each supply and
+    /// the weather model — into a resume fingerprint.
+    pub fn fingerprint(&self, fp: &mut Fingerprint) {
+        fp.f64(self.site_budget_watts)
+            .f64(self.cooling_capacity_watts);
+        fp.f64(self.base_pue).f64(self.pue_per_degree);
+        fp.f64(self.reference_temp_c);
+        fp.u64(self.supplies.len() as u64);
+        for s in &self.supplies {
+            fp.str(&s.name).f64(s.capacity_watts).f64(s.cost_per_mwh);
+        }
+        let w = &self.weather;
+        fp.f64(w.mean_c).f64(w.seasonal_amplitude_c);
+        fp.f64(w.diurnal_amplitude_c).f64(w.noise_std_c);
+        fp.u64(u64::from(w.start_day_of_year)).u64(w.seed);
     }
 }
 
@@ -344,5 +362,43 @@ mod tests {
             assert!((cur - prev).abs() < 8.0, "jump {} -> {}", prev, cur);
             prev = cur;
         }
+    }
+
+    #[test]
+    fn fingerprint_covers_every_field() {
+        let hash = |c: &FacilityConfig| {
+            let mut fp = Fingerprint::new();
+            c.fingerprint(&mut fp);
+            fp.finish()
+        };
+        let base = FacilityConfig::simple(1e6);
+        type Edit = fn(&mut FacilityConfig);
+        let edits: [Edit; 15] = [
+            |c| c.site_budget_watts = 2e6,
+            |c| c.cooling_capacity_watts = 2e6,
+            |c| c.base_pue = 1.5,
+            |c| c.pue_per_degree = 0.01,
+            |c| c.reference_temp_c = 20.0,
+            |c| c.supplies.push(c.supplies[0].clone()),
+            |c| c.supplies[0].name = "gas".into(),
+            |c| c.supplies[0].capacity_watts = 3e6,
+            |c| c.supplies[0].cost_per_mwh = 90.0,
+            |c| c.weather.mean_c = 25.0,
+            |c| c.weather.seasonal_amplitude_c = 1.0,
+            |c| c.weather.diurnal_amplitude_c = 1.0,
+            |c| c.weather.noise_std_c = 0.0,
+            |c| c.weather.start_day_of_year = 172,
+            |c| c.weather.seed = 7,
+        ];
+        for (i, edit) in edits.iter().enumerate() {
+            let mut c = base.clone();
+            edit(&mut c);
+            assert_ne!(
+                hash(&c),
+                hash(&base),
+                "edit {i} left the fingerprint unchanged"
+            );
+        }
+        assert_eq!(hash(&base.clone()), hash(&base));
     }
 }

@@ -25,7 +25,6 @@ use crate::power::{PowerPlane, StartPoint};
 use crate::shutdown::ShutdownPolicy;
 use crate::snapshot::{restore_part, Snapshot, SNAPSHOT_SCHEMA_VERSION};
 use crate::view::{Decision, Policy, SchedView};
-use epa_cluster::alloc::AllocStrategy;
 use epa_cluster::layout::FacilityLayout;
 use epa_cluster::node::NodeId;
 use epa_cluster::nodeset::NodeSet;
@@ -50,8 +49,6 @@ pub use crate::jobs::CompletedJob;
 pub struct EngineConfig {
     /// Simulation horizon; events past it are dropped and accounting stops.
     pub horizon: SimTime,
-    /// Node placement strategy.
-    pub alloc_strategy: AllocStrategy,
     /// System power budget for admission control, if any (IT watts).
     pub power_budget_watts: Option<f64>,
     /// Idle-node shutdown policy, if enabled.
@@ -120,7 +117,6 @@ impl EngineConfig {
     pub fn new(horizon: SimTime) -> Self {
         EngineConfig {
             horizon,
-            alloc_strategy: AllocStrategy::FirstFit,
             power_budget_watts: None,
             shutdown: None,
             emergency: None,
@@ -412,7 +408,7 @@ impl<'p> ClusterSim<'p> {
         obs.registry
             .register_histogram("telemetry/staleness_age_secs", &STALENESS_AGE_BUCKETS);
         let total = system.spec().total_nodes();
-        let nodes = NodeTable::new(total, config.alloc_strategy, system.topology().clone());
+        let nodes = NodeTable::new(total);
         let jobs = JobTable::new(config.retain_completed);
         let control = ControlPlane::new(config.shutdown.clone());
         Ok(ClusterSim {
@@ -747,17 +743,13 @@ impl<'p> ClusterSim<'p> {
             }
         }
         fp.f64(c.repair_time.as_secs());
-        fp.u64(match c.alloc_strategy {
-            AllocStrategy::FirstFit => 0,
-            AllocStrategy::Contiguous => 1,
-            AllocStrategy::TopologyAware => 2,
-        });
         fp.u64(u64::from(c.faults.is_some()));
         c.faults.iter().for_each(|f| f.fingerprint(&mut fp));
         fp.u64(u64::from(c.shutdown.is_some()));
         c.shutdown.iter().for_each(|sd| sd.fingerprint(&mut fp));
         self.power.fingerprint(&mut fp);
         fp.u64(u64::from(c.layout.is_some()));
+        c.layout.iter().for_each(|l| l.fingerprint(&mut fp));
         fp.u64(u64::from(c.record_history));
         fp.u64(u64::from(c.retain_completed));
         fp.u64(u64::from(self.grid.is_some()));
@@ -907,9 +899,8 @@ impl<'p> ClusterSim<'p> {
         let retain = self.config.retain_completed;
         self.jobs = JobTable::restore_from(&mut r, total, now, retain, &self.power)?;
         r.section("nodes")?;
-        let (strategy, topology) = (self.config.alloc_strategy, self.system.topology().clone());
         let claims = self.jobs.running().map(|rj| &rj.nodes);
-        self.nodes = NodeTable::restore_from(&mut r, total, strategy, topology, now, claims)?;
+        self.nodes = NodeTable::restore_from(&mut r, total, now, claims)?;
         self.nodes.check_queued(self.events.queued())?;
         r.section("control")?;
         let has_gate = self.power.gate_limit(now).is_some();
@@ -942,7 +933,7 @@ impl<'p> ClusterSim<'p> {
     }
 
     /// Takes one operational node down: kill its job (if any), drain it
-    /// from the allocator, power it off, and schedule the repair. Shared
+    /// from the free pool, power it off, and schedule the repair. Shared
     /// by independent failures, correlated domain events, and actuator
     /// fencing — the operation order is load-bearing for determinism.
     fn take_node_down(&mut self, victim: NodeId, t: SimTime, repair: SimDuration) {
@@ -1298,12 +1289,8 @@ impl<'p> ClusterSim<'p> {
         // Layout-aware allocation avoids nodes under maintenance while the
         // job may run.
         let est_run = SimDuration::from_secs(job.walltime_estimate.as_secs() * point.op.slowdown);
-        let excluded = self.config.layout.as_ref().map(|layout| {
-            layout
-                .affected_nodes(&self.system, now, now + est_run)
-                .into_iter()
-                .collect()
-        });
+        let excluded = (self.config.layout.as_ref())
+            .map_or_else(NodeSet::new, |l| l.affected_nodes(now, now + est_run));
         Ok(StartPlan {
             id,
             // A start for a job that is not at the head of the queue is a
@@ -1331,9 +1318,9 @@ impl<'p> ClusterSim<'p> {
             return self.unwind(id, None, None, Vec::new(), RejectReason::PowerDenied);
         };
         let t_alloc = self.obs.profiler.start();
-        let alloc = self.nodes.allocate(plan.nodes, plan.excluded.as_ref());
+        let alloc = self.nodes.allocate(plan.nodes, &plan.excluded);
         self.obs.profiler.stop(Scope::Allocator, t_alloc);
-        let Ok(nodes) = alloc else {
+        let Some(nodes) = alloc else {
             return self.unwind(id, grant, None, Vec::new(), RejectReason::AllocFailed);
         };
         match self.actuate(&plan, &nodes) {
@@ -1602,8 +1589,9 @@ struct StartPlan {
     backfilled: bool,
     /// Nodes to allocate, after any moldable resize.
     nodes: u32,
-    /// Free nodes the allocation must avoid (maintenance windows).
-    excluded: Option<NodeSet>,
+    /// Nodes the allocation must avoid (maintenance windows); empty
+    /// without a layout.
+    excluded: NodeSet,
     /// The operating point, the runtime and the phases.
     point: StartPoint,
     /// The start writes a cap or frequency through the actuator.

@@ -101,14 +101,15 @@ impl PowerPlane {
         self.predictor = p;
     }
 
-    /// Folds the emergency policy and the gate field by field, and the
-    /// facility by presence, into the resume fingerprint.
+    /// Folds the emergency policy, the gate and the facility field by
+    /// field into the resume fingerprint.
     pub(crate) fn fingerprint(&self, fp: &mut Fingerprint) {
         fp.u64(u64::from(self.emergency.is_some()));
         self.emergency.iter().for_each(|em| em.fingerprint(fp));
         fp.u64(u64::from(self.limit_gate.is_some()));
         self.limit_gate.iter().for_each(|gate| gate.fingerprint(fp));
         fp.u64(u64::from(self.facility.is_some()));
+        (self.facility.iter()).for_each(|f| f.config().fingerprint(fp));
     }
 
     /// Outdoor temperature at `t` (a mild 18 °C without a facility).

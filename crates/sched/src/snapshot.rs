@@ -80,8 +80,12 @@ use std::path::Path;
 /// section holds the external job limit, the default frequency and the
 /// idle-shutdown policy in force as three options (the backfill depth and
 /// the nested shutdown override are gone), and the trace ring no longer
-/// decodes the retired start and backfill-depth control kinds.
-pub const SNAPSHOT_SCHEMA_VERSION: u32 = 15;
+/// decodes the retired start and backfill-depth control kinds; v16 drops
+/// the allocator's spans (its node count, free runs and unavailable set)
+/// from the `nodes` section: the node table is the one record of which
+/// nodes are free, and restore rebuilds its free-run index from the node
+/// states.
+pub const SNAPSHOT_SCHEMA_VERSION: u32 = 16;
 
 /// A frozen engine state: an owned, framed, checksummed byte buffer.
 ///

@@ -24,7 +24,7 @@
 /// Simulation kernel: events, time, RNG, statistics.
 pub use epa_simcore as simcore;
 
-/// Machine model: nodes, topologies, allocators, facility layout.
+/// Machine model: nodes, node sets, topologies, facility layout.
 pub use epa_cluster as cluster;
 
 /// Power substrate: DVFS, RAPL, facility, meters, telemetry, budgets.
@@ -63,7 +63,6 @@ pub use epa_core as survey;
 
 /// The most commonly used items, for `use epa_jsrm::prelude::*`.
 pub mod prelude {
-    pub use epa_cluster::alloc::AllocStrategy;
     pub use epa_cluster::system::{System, SystemSpec};
     pub use epa_core::report::SurveyReport;
     pub use epa_sched::control::{ControlAction, Observation};

@@ -15,9 +15,11 @@ mod common;
 
 use common::matrix::{assert_clean, chaos, compare, row, thread_cells, Crash};
 use common::{chaos_system, typical_jobs, CHAOS_SEEDS, NODES, NOMINAL_W};
+use epa_cluster::layout::{Equipment, FacilityLayout, MaintenanceWindow, PduId};
 use epa_faults::FaultConfig;
 use epa_grid::{DrContract, DrEvent, GridConfig};
 use epa_obs::TraceConfig;
+use epa_power::facility::{Facility, FacilityConfig};
 use epa_sched::engine::{ClusterSim, EngineConfig};
 use epa_sched::policies::backfill::EasyBackfill;
 use epa_sched::{JobLimitGate, ShutdownPolicy};
@@ -246,7 +248,7 @@ fn previous_schema_frames_are_rejected_with_unsupported_version() {
     // A current payload under each previous schema's version number,
     // checksummed correctly: only the version check can reject it.
     let snap = small_snapshot(3);
-    for old in [5, 6, 7, 8, 9, 10, 11, 12, 13, 14] {
+    for old in [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15] {
         let err = try_resume(&reframe(old, &snap.as_bytes()[HEADER_LEN..]), 3).unwrap_err();
         assert!(
             matches!(
@@ -309,8 +311,9 @@ fn changed_fault_settings_are_rejected_with_config_mismatch() {
 }
 
 /// A snapshot resumed under a changed emergency limit, idle-shutdown
-/// threshold or gate limit is refused: the fingerprint covers every field
-/// of those policies, not only whether each is set.
+/// threshold, gate limit, facility weather or maintenance window is
+/// refused: the fingerprint covers every field of those policies, the
+/// facility and the layout, not only whether each is set.
 #[test]
 fn changed_power_policies_are_rejected_with_config_mismatch() {
     let base = || {
@@ -321,6 +324,15 @@ fn changed_power_policies_are_rejected_with_config_mismatch() {
             hot_limit: 32,
             hot_threshold_c: 30.0,
         });
+        let facility = FacilityConfig::simple(f64::from(NODES) * NOMINAL_W * 2.0);
+        config.facility = Some(Facility::new(facility).expect("valid facility"));
+        let mut layout = FacilityLayout::regular(&chaos_system(), 1, 2);
+        layout.add_maintenance(MaintenanceWindow {
+            equipment: Equipment::Pdu(PduId(1)),
+            start: SimTime::from_hours(20.0),
+            end: SimTime::from_hours(26.0),
+        });
+        config.layout = Some(layout);
         config
     };
     let edit = |f: fn(&mut EngineConfig)| {
@@ -343,6 +355,26 @@ fn changed_power_policies_are_rejected_with_config_mismatch() {
         (
             "gate hot_limit changed",
             edit(|c| c.limit_gate.as_mut().expect("gate").hot_limit = 16),
+        ),
+        (
+            "facility weather mean_c changed",
+            edit(|c| {
+                let mut facility = c.facility.take().expect("facility").config().clone();
+                facility.weather.mean_c += 5.0;
+                c.facility = Some(Facility::new(facility).expect("valid facility"));
+            }),
+        ),
+        (
+            "maintenance window shifted",
+            edit(|c| {
+                let mut layout = FacilityLayout::regular(&chaos_system(), 1, 2);
+                layout.add_maintenance(MaintenanceWindow {
+                    equipment: Equipment::Pdu(PduId(1)),
+                    start: SimTime::from_hours(22.0),
+                    end: SimTime::from_hours(28.0),
+                });
+                c.layout = Some(layout);
+            }),
         ),
     ];
     let mut policy = EasyBackfill;

@@ -6,11 +6,12 @@
 //! restored copy again. The two frames must be **byte-equal** — the
 //! strongest statement that restore loses nothing, including the bits
 //! of every floating-point accumulator.
+//!
+//! The node table is crate-private, so its roundtrip property runs with
+//! it, in `crates/sched/src/nodes.rs`.
 
-use epa_cluster::alloc::{AllocStrategy, Allocator};
 use epa_cluster::node::NodeId;
 use epa_cluster::nodeset::NodeSet;
-use epa_cluster::topology::Topology;
 use epa_grid::{DrContract, DrEvent, GridConfig, GridState};
 use epa_power::meter::EnergyMeter;
 use epa_simcore::rng::SimRng;
@@ -46,55 +47,6 @@ fn thaw<T>(
 }
 
 proptest! {
-    /// Interval-run allocator: random allocate / release / fence
-    /// sequences, then snapshot → restore → snapshot byte-equality.
-    #[test]
-    fn allocator_roundtrip_is_byte_exact(
-        ops in vec((0u8..3, 1u32..9), 0..48),
-        strategy_pick in 0u8..3,
-    ) {
-        let strategy = match strategy_pick {
-            0 => AllocStrategy::FirstFit,
-            1 => AllocStrategy::Contiguous,
-            _ => AllocStrategy::TopologyAware,
-        };
-        let topology = Topology::FatTree { arity: 8 };
-        let mut alloc = Allocator::new(32, strategy, topology.clone());
-        let mut live: Vec<NodeSet> = Vec::new();
-        for &(op, arg) in &ops {
-            match op {
-                0 => {
-                    if let Ok(nodes) = alloc.allocate(arg) {
-                        live.push(nodes);
-                    }
-                }
-                1 => {
-                    if !live.is_empty() {
-                        let idx = arg as usize % live.len();
-                        let nodes = live.swap_remove(idx);
-                        alloc.release(&nodes);
-                    }
-                }
-                _ => {
-                    // Fence/unfence a node; both are no-ops unless the
-                    // node is in the right state, which is fine.
-                    let node = NodeId(arg % 32);
-                    if arg % 2 == 0 {
-                        alloc.mark_unavailable(node);
-                    } else {
-                        alloc.mark_available(node);
-                    }
-                }
-            }
-        }
-        let a = freeze(|w| alloc.snapshot_into(w));
-        let restored = thaw(&a, |r| {
-            Allocator::restore_from(r, strategy, topology.clone())
-        });
-        let b = freeze(|w| restored.snapshot_into(w));
-        prop_assert_eq!(&a, &b, "allocator frames diverged");
-    }
-
     /// Energy meter: monotone-time watt updates plus group open/retag/
     /// close cycles, deliberately leaving some groups **open** at the
     /// snapshot point — the mid-campaign case.
